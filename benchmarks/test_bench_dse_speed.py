@@ -42,7 +42,13 @@ from repro.dse.exhaustive import ExhaustiveSearch
 from repro.dse.nsga2 import Nsga2, Nsga2Settings
 from repro.dse.problem import WbsnDseProblem, csma_mac_parameterisation
 from repro.dse.runner import run_algorithm
-from repro.engine import EvaluationEngine, SharedGenotypeCache
+from repro.engine import (
+    EvaluationEngine,
+    FaultPlan,
+    FaultSpec,
+    SharedGenotypeCache,
+    inject_faults,
+)
 from repro.experiments.casestudy import (
     DEFAULT_MAC_CONFIG,
     build_baseline_evaluator,
@@ -1045,6 +1051,13 @@ def test_streaming_sweep_flat_memory(reporter, tmp_path):
     )
 
 
+#: Wall clock of the warm 16,384-row two-client burst under the JSON-row
+#: wire protocol (version 1, with a 50 ms batching window): median of three
+#: runs, 0.63-0.78 s, on a 2-CPU x86-64 Linux container.  Kept as the
+#: reference the binary column frames are recorded against.
+JSON_ROWS_BURST_S = 0.75
+
+
 @pytest.mark.paper_figure("dse-speed")
 def test_service_coalescing(reporter):
     """Service front-end: shared-cache sweeps and coalesced evaluate bursts.
@@ -1057,7 +1070,11 @@ def test_service_coalescing(reporter):
     the second client's sweep must perform **zero model evaluations** while
     both served fronts stay bitwise identical to the solo run's — or the
     job fails.  A follow-up two-client evaluate burst over the full space
-    must coalesce into shared columnar batches and add zero evaluations.
+    (16,384 rows) must coalesce into one shared columnar batch — the lane
+    dispatches when free, so the burst is queued behind a lane held busy by
+    an injected ``"service-batch"`` hang — and add zero evaluations.  The
+    same burst is then timed against the idle warm lane; the entry records
+    that wall clock next to the JSON-row protocol's (no timing gate).
     """
     import asyncio
 
@@ -1083,45 +1100,60 @@ def test_service_coalescing(reporter):
             engine=EvaluationEngine(),
         )
         genotypes = list(problem.space.enumerate_genotypes())
-        service = DseService(problem, close_engine=True, batch_window_s=0.05)
+        service = DseService(problem, close_engine=True)
         await service.start()
+        clients = [
+            await DseServiceClient.connect(
+                host=service.host, port=service.port, client_id=name
+            )
+            for name in ("alice", "bob", "carol")
+        ]
+        alice, bob, carol = clients
         try:
-            alice = await DseServiceClient.connect(
-                host=service.host, port=service.port, client_id="alice"
+            started = time.perf_counter()
+            sweep_a, sweep_b = await asyncio.gather(
+                alice.sweep("exhaustive", params={"chunk_size": 2048}),
+                bob.sweep("exhaustive", params={"chunk_size": 2048}),
             )
-            bob = await DseServiceClient.connect(
-                host=service.host, port=service.port, client_id="bob"
+            sweeps_s = time.perf_counter() - started
+            # The coalesced burst: carol's one-row request hangs the lane,
+            # so both clients' whole-space requests (now memoised) queue
+            # behind it and dispatch as one shared batch touching no model.
+            before = service.lane.engine.stats.model_evaluations
+            hang = FaultPlan(
+                [FaultSpec(site="service-batch", action="hang", delay_s=0.2, at=(0,))]
             )
-            try:
-                started = time.perf_counter()
-                sweep_a, sweep_b = await asyncio.gather(
-                    alice.sweep("exhaustive", params={"chunk_size": 2048}),
-                    bob.sweep("exhaustive", params={"chunk_size": 2048}),
-                )
-                sweeps_s = time.perf_counter() - started
-                # The burst: both clients ask for the whole (now-memoised)
-                # space at once; the window coalesces the requests into
-                # shared batches that touch no model.
-                before = service.lane.engine.stats.model_evaluations
-                started = time.perf_counter()
-                await asyncio.gather(
+            with inject_faults(hang):
+                blocker = asyncio.create_task(carol.evaluate(genotypes[:1]))
+                for _ in range(500):  # until the lane is busy (<= 5 s)
+                    if hang.fired:
+                        break
+                    await asyncio.sleep(0.01)
+                coalesced = await asyncio.gather(
                     alice.evaluate(genotypes), bob.evaluate(genotypes)
                 )
-                burst_s = time.perf_counter() - started
-                burst_new_evals = (
-                    service.lane.engine.stats.model_evaluations - before
-                )
-                snapshot = service.snapshot()
-            finally:
-                await alice.close()
-                await bob.close()
+                await blocker
+            # The timed burst: the same two requests against the idle lane.
+            started = time.perf_counter()
+            burst = await asyncio.gather(
+                alice.evaluate(genotypes), bob.evaluate(genotypes)
+            )
+            burst_s = time.perf_counter() - started
+            burst_new_evals = service.lane.engine.stats.model_evaluations - before
+            snapshot = service.snapshot()
         finally:
+            for client in clients:
+                await client.close()
             await service.stop()
-        return sweep_a, sweep_b, sweeps_s, burst_s, burst_new_evals, snapshot
+        return (
+            sweep_a, sweep_b, sweeps_s, coalesced + burst, burst_s,
+            burst_new_evals, snapshot,
+        )
 
-    sweep_a, sweep_b, sweeps_s, burst_s, burst_new_evals, snapshot = (
-        asyncio.run(service_run())
-    )
+    (
+        sweep_a, sweep_b, sweeps_s, burst_replies, burst_s, burst_new_evals,
+        snapshot,
+    ) = asyncio.run(service_run())
 
     def served_signature(front):
         return sorted((row.genotype, row.objectives) for row in front)
@@ -1137,9 +1169,17 @@ def test_service_coalescing(reporter):
     )
     assert sweep_evals == [0, space_size - 1]
 
-    # The evaluate burst coalesced and was served entirely from the memos.
+    # The evaluate burst coalesced and was served entirely from the memos,
+    # every reply bitwise identical to the first.
     assert snapshot["lane"]["batches_coalesced"] >= 1
     assert burst_new_evals == 0
+    reference = burst_replies[0].rows
+    for reply in burst_replies:
+        assert reply.cached.all()
+        for name in ("ids", "objectives", "feasible", "violation_counts"):
+            assert getattr(reply.rows, name).tobytes() == (
+                getattr(reference, name).tobytes()
+            )
 
     _merge_artifact(
         {
@@ -1149,7 +1189,9 @@ def test_service_coalescing(reporter):
                 "service_two_sweeps_wall_clock_s": sweeps_s,
                 "first_sweep_model_evaluations": sweep_evals[1],
                 "second_sweep_model_evaluations": sweep_evals[0],
+                "evaluate_burst_rows": 2 * space_size,
                 "evaluate_burst_wall_clock_s": burst_s,
+                "evaluate_burst_json_rows_wall_clock_s": JSON_ROWS_BURST_S,
                 "evaluate_burst_new_evaluations": int(burst_new_evals),
                 "batches_coalesced": snapshot["lane"]["batches_coalesced"],
                 "requests_admitted": snapshot["admission"]["admitted"],
@@ -1163,7 +1205,8 @@ def test_service_coalescing(reporter):
             f"two concurrent clients through the service: {sweeps_s:.3f} s, "
             f"model evaluations split {sweep_evals[1]} / {sweep_evals[0]} "
             "(hard gate: second client computes nothing)",
-            f"two-client evaluate burst over the full space: {burst_s:.3f} s, "
+            f"two-client evaluate burst over the full space: {burst_s:.3f} s "
+            f"({JSON_ROWS_BURST_S:.2f} s with JSON rows), "
             f"{snapshot['lane']['batches_coalesced']} coalesced batch(es), "
             "0 new model evaluations",
         ],

@@ -90,6 +90,7 @@ def _restore_archive(problem: OptimizationProblem, checkpoint: SweepCheckpoint):
         objectives=checkpoint.objectives,
         feasible=checkpoint.feasible,
         violation_counts=checkpoint.violation_counts,
+        cached=np.ones(len(checkpoint.genotypes), dtype=bool),
         _engine=problem.engine,
     )
 

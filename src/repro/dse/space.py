@@ -4,6 +4,13 @@ A design space is an ordered list of named parameter domains, each holding the
 discrete values a parameter can take.  Candidates are encoded as genotypes —
 tuples of indices, one per domain — which is what the search algorithms
 manipulate; the problem layer decodes genotypes into configuration objects.
+
+A genotype also packs into one ``int64`` **design id**: its mixed-radix
+number in row-major order (last domain fastest), so
+:meth:`DesignSpace.enumerate_genotypes` yields ids ``0, 1, …, size - 1``.
+:func:`encode_ids` / :func:`decode_ids` convert whole batches in single
+vectorised steps; they need only the domain cardinalities, which is all a
+remote client of the DSE service knows about the space.
 """
 
 from __future__ import annotations
@@ -16,7 +23,73 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["ParameterDomain", "DesignSpace"]
+__all__ = ["ParameterDomain", "DesignSpace", "encode_ids", "decode_ids"]
+
+
+def _gene_matrix(genotypes: Any, cardinalities: np.ndarray) -> np.ndarray:
+    """Validate a batch of genotypes into an ``(batch, genes)`` int64 matrix."""
+    if isinstance(genotypes, np.ndarray):
+        matrix = genotypes.astype(np.int64, copy=False)
+    else:
+        matrix = np.asarray(list(genotypes), dtype=np.int64)
+    if matrix.size == 0:
+        return matrix.reshape(0, len(cardinalities))
+    if matrix.ndim != 2 or matrix.shape[1] != len(cardinalities):
+        raise ValueError(f"genotypes must have {len(cardinalities)} genes each")
+    if (matrix < 0).any() or (matrix >= cardinalities).any():
+        raise ValueError("genotype gene out of range for its domain")
+    return matrix
+
+
+def _id_strides(cardinalities: Sequence[int]) -> tuple[np.ndarray, int]:
+    """Place values of the mixed-radix design ids, and the space size.
+
+    Raises :class:`ValueError` when the size does not fit ``int64`` — NumPy
+    would otherwise wrap the ids silently.
+    """
+    strides: list[int] = []
+    size = 1
+    for cardinality in reversed([int(value) for value in cardinalities]):
+        if cardinality < 1:
+            raise ValueError("every domain needs at least one value")
+        strides.append(size)
+        size *= cardinality
+    if size >= 2**63:
+        raise ValueError(
+            f"a space of {size} designs does not fit int64 design ids"
+        )
+    return np.asarray(strides[::-1], dtype=np.int64), size
+
+
+def encode_ids(genotypes: Any, cardinalities: Sequence[int]) -> np.ndarray:
+    """Pack genotypes (a sequence of gene rows or an int matrix) into ids.
+
+    Raises :class:`ValueError` on a row of the wrong width, a gene outside
+    its domain, or a space too large for ``int64`` ids.
+    """
+    cardinalities = np.asarray(cardinalities, dtype=np.int64)
+    strides, _ = _id_strides(cardinalities)
+    return _gene_matrix(genotypes, cardinalities) @ strides
+
+
+def decode_ids(ids: Any, cardinalities: Sequence[int]) -> np.ndarray:
+    """Unpack a 1-D array of design ids into an ``(ids, genes)`` matrix.
+
+    Raises :class:`ValueError` on non-integer or multi-dimensional input and
+    on an id outside ``[0, size)``.
+    """
+    cardinalities = np.asarray(cardinalities, dtype=np.int64)
+    strides, size = _id_strides(cardinalities)
+    ids = np.asarray(ids)
+    if ids.ndim != 1:
+        raise ValueError("design ids must be a 1-D array")
+    if ids.size == 0:
+        return np.zeros((0, len(cardinalities)), dtype=np.int64)
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"design ids must be integers, got {ids.dtype}")
+    if ids.min() < 0 or ids.max() >= size:
+        raise ValueError(f"design id out of range [0, {size})")
+    return (ids.astype(np.int64)[:, None] // strides) % cardinalities
 
 
 @dataclass(frozen=True)
@@ -110,19 +183,15 @@ class DesignSpace:
         ndarray input is taken as-is (no copy, bounds re-check only), so
         layers can hand validated matrices to each other for free.
         """
-        if isinstance(genotypes, np.ndarray):
-            matrix = genotypes.astype(np.int64, copy=False)
-        else:
-            matrix = np.asarray(list(genotypes), dtype=np.int64)
-        if matrix.size == 0:
-            return matrix.reshape(0, len(self.domains))
-        if matrix.ndim != 2 or matrix.shape[1] != len(self.domains):
-            raise ValueError(
-                f"genotypes must have {len(self.domains)} genes each"
-            )
-        if (matrix < 0).any() or (matrix >= self.cardinalities).any():
-            raise ValueError("genotype gene out of range for its domain")
-        return matrix
+        return _gene_matrix(genotypes, self.cardinalities)
+
+    def encode_ids(self, genotypes: Any) -> np.ndarray:
+        """Pack genotypes into design ids (see :func:`encode_ids`)."""
+        return encode_ids(genotypes, self.cardinalities)
+
+    def decode_ids(self, ids: Any) -> np.ndarray:
+        """Unpack design ids into a gene-index matrix (see :func:`decode_ids`)."""
+        return decode_ids(ids, self.cardinalities)
 
     def decode(self, genotype: Sequence[int]) -> dict[str, Any]:
         """Map a genotype to a ``{parameter name: value}`` dictionary."""

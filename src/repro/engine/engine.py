@@ -132,12 +132,17 @@ class ColumnarBatchResult:
         feasible: per-row feasibility flags.
         violation_counts: violated model constraints per row (the scalar
             evaluation's ``len(violations)``).
+        cached: per-row flags — ``True`` where a memo, the shared cache or
+            the persistent tier served the row, with no model call in the
+            producing batch (a repeat of a row computed in the same batch
+            is ``False``).
     """
 
     genotypes: np.ndarray
     objectives: np.ndarray
     feasible: np.ndarray
     violation_counts: np.ndarray
+    cached: np.ndarray
     _engine: "EvaluationEngine" = field(repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -152,6 +157,7 @@ class ColumnarBatchResult:
             objectives=self.objectives[rows],
             feasible=self.feasible[rows],
             violation_counts=self.violation_counts[rows],
+            cached=self.cached[rows],
             _engine=self._engine,
         )
 
@@ -167,6 +173,7 @@ class ColumnarBatchResult:
             violation_counts=np.concatenate(
                 [r.violation_counts for r in results], axis=0
             ),
+            cached=np.concatenate([r.cached for r in results], axis=0),
             _engine=results[0]._engine,
         )
 
@@ -498,21 +505,26 @@ class EvaluationEngine:
         stats.batches += 1
         stats.genotype_requests += len(genotypes)
 
+        # One bounds-checked index matrix for the whole batch; the compute
+        # paths receive their (pre-validated) miss rows as a slice of it.
+        matrix = problem.space.index_matrix(genotypes)
         positions: dict[tuple[int, ...], int] | None = None
         cached_rows: dict[int, _ColumnRow] = {}
         if self.genotype_cache_enabled:
-            keys = [tuple(int(gene) for gene in genotype) for genotype in genotypes]
+            keys = list(map(tuple, matrix.tolist()))
             positions = {}
             unique: list[tuple[int, ...]] = []
+            first_rows: list[int] = []
             pending: list[tuple[int, ...]] = []
             pending_rows: list[int] = []
-            for key in keys:
+            for request_row, key in enumerate(keys):
                 if key in positions:
                     stats.genotype_cache_hits += 1
                     continue
                 row_index = len(unique)
                 positions[key] = row_index
                 unique.append(key)
+                first_rows.append(request_row)
                 row = self._column_memo_hit(key)
                 if row is not None:
                     stats.genotype_cache_hits += 1
@@ -531,6 +543,8 @@ class EvaluationEngine:
                     continue
                 pending.append(key)
                 pending_rows.append(row_index)
+            if len(unique) != len(keys):
+                matrix = matrix[np.asarray(first_rows, dtype=np.int64)]
         else:
             # Without the memo there is nothing to key by: every row is
             # computed as-is, duplicates included (mirrors ``evaluate_many``
@@ -540,9 +554,6 @@ class EvaluationEngine:
             pending = keys
             pending_rows = list(range(len(keys)))
 
-        # One bounds-checked index matrix for the whole batch; the compute
-        # paths receive their (pre-validated) miss rows as a slice of it.
-        matrix = problem.space.index_matrix(unique)
         if not pending:
             pending_matrix = matrix[:0]
         elif len(pending) == len(unique):
@@ -626,12 +637,18 @@ class EvaluationEngine:
         objectives = np.empty((count, n_objectives))
         feasible = np.empty(count, dtype=bool)
         violations = np.empty(count, dtype=np.int64)
-        for row_index, (row_objectives, row_feasible, row_violations) in (
-            cached_rows.items()
-        ):
-            objectives[row_index] = row_objectives
-            feasible[row_index] = row_feasible
-            violations[row_index] = row_violations
+        cached = np.zeros(count, dtype=bool)
+        cached_positions = np.fromiter(
+            cached_rows.keys(), dtype=np.int64, count=len(cached_rows)
+        )
+        cached[cached_positions] = True
+        if cached_rows:
+            cached_objectives, cached_feasible, cached_violations = zip(
+                *cached_rows.values()
+            )
+            objectives[cached_positions] = cached_objectives
+            feasible[cached_positions] = cached_feasible
+            violations[cached_positions] = cached_violations
         rows = np.asarray(pending_rows, dtype=np.int64)
         if pending:
             if kept_pending is not None:
@@ -644,9 +661,6 @@ class EvaluationEngine:
             # through unpruned) plus the shard fronts — in distinct-genotype
             # first-occurrence order; the duplicate expansion below never
             # applies (duplicates collapse by contract).
-            cached_positions = np.fromiter(
-                cached_rows.keys(), dtype=np.int64, count=len(cached_rows)
-            )
             selected = np.sort(
                 np.concatenate([cached_positions, rows if pending else rows[:0]])
             )
@@ -654,6 +668,7 @@ class EvaluationEngine:
             objectives = objectives[selected]
             feasible = feasible[selected]
             violations = violations[selected]
+            cached = cached[selected]
         elif positions is not None and count != len(keys):
             # Expand the distinct rows back to the (duplicated) request order.
             inverse = np.asarray([positions[key] for key in keys], dtype=np.int64)
@@ -661,12 +676,14 @@ class EvaluationEngine:
             objectives = objectives[inverse]
             feasible = feasible[inverse]
             violations = violations[inverse]
+            cached = cached[inverse]
         stats.wall_time_s += time.perf_counter() - started
         return ColumnarBatchResult(
             genotypes=matrix,
             objectives=objectives,
             feasible=feasible,
             violation_counts=violations,
+            cached=cached,
             _engine=self,
         )
 
@@ -757,26 +774,6 @@ class EvaluationEngine:
         self._column_memo.clear()
         self._disk_keys.clear()
         self._segments_loaded.clear()
-
-    def cached_row_flags(self, genotypes: Sequence[Sequence[int]]) -> list[bool]:
-        """Which rows of a batch the engine's local memos would serve.
-
-        A pure read: no counters move, no LRU entry is touched, and the
-        cross-problem shared cache is not consulted (a shared-cache hit
-        still avoids model work, but it is not *this* engine's memo).  The
-        DSE service uses this to attribute a coalesced batch's raw work and
-        cache hits to individual clients before dispatching it; callers
-        must not treat the flags as a promise across intervening
-        evaluations (an LRU bound may evict between the check and the
-        dispatch — costing a recompute, never correctness).
-        """
-        if not self.genotype_cache_enabled:
-            return [False] * len(genotypes)
-        flags = []
-        for genotype in genotypes:
-            key = tuple(int(gene) for gene in genotype)
-            flags.append(key in self._memo or key in self._column_memo)
-        return flags
 
     @contextlib.contextmanager
     def deadline_scope(self, seconds: float | None) -> Any:

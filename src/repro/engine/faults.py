@@ -45,6 +45,12 @@ Sites wired into the stack:
     fired right after every successful cache-segment write — the hook the
     persistence tests use to SIGKILL a run at a known spilled state (and to
     assert no temporary file survives the kill);
+``"service-frame"``
+    the DSE service's inbound *mangle* site: every binary column frame a
+    client sends passes through :func:`maybe_mangle` right after it is
+    read off the socket, so truncated and corrupted frames are driven end
+    to end (typed ``bad-request`` replies, admission untouched, the next
+    request served normally);
 ``"service-request"``
     fired by the DSE service (:mod:`repro.service`) for every admitted
     client request, right before it is queued for the engine lane — a

@@ -26,7 +26,10 @@ fsync, atomic rename, directory fsync)::
 The JSON header records the evaluator fingerprint, the objective component
 names, and per-array dtype/shape/offset; array data is raw little-endian
 C-contiguous bytes at 64-byte-aligned offsets, so :func:`load_segment`
-memory-maps the file and serves the arrays as zero-copy views.
+memory-maps the file and serves the arrays as zero-copy views.  The payload
+layout is one **column block** (:func:`encode_column_block` /
+:func:`decode_column_block`); the DSE service's wire frames carry the same
+block, so disk and wire share one array format and one validator.
 
 Validation mirrors the checkpoint rules: length, magic, version, checksum,
 header parse, array bounds, cross-array row counts — every failure raises
@@ -45,6 +48,7 @@ suite.
 from __future__ import annotations
 
 import json
+import math
 import mmap
 import os
 import time
@@ -66,6 +70,8 @@ __all__ = [
     "CacheSegmentError",
     "CacheTierWarning",
     "CacheSegment",
+    "encode_column_block",
+    "decode_column_block",
     "list_segments",
     "prune_cache_dir",
     "remove_orphaned_tmp_siblings",
@@ -163,6 +169,102 @@ class CacheSegment:
                 self.violation_counts.tolist(),
             )
         }
+
+
+def encode_column_block(
+    columns: tuple[tuple[str, str, int], ...],
+    arrays: Mapping[str, np.ndarray],
+    **meta: object,
+) -> bytes:
+    """Serialize named column arrays into one self-describing block.
+
+    ``columns`` lists ``(name, little-endian dtype, rank)`` in storage
+    order.  The block is a JSON header — ``meta`` plus the row count and
+    each array's dtype, shape and offset — followed by the raw C-contiguous
+    array bytes at ``_ALIGN``-byte-aligned offsets, so
+    :func:`decode_column_block` can serve the arrays as zero-copy views.
+    Cache segments and the DSE service's wire frames share this layout.
+    """
+    arrays = {
+        name: np.ascontiguousarray(arrays[name], dtype=dtype)
+        for name, dtype, _ in columns
+    }
+    header = dict(meta, rows=len(arrays[columns[0][0]]), arrays={})
+    offset = 0
+    for name, array in arrays.items():
+        header["arrays"][name] = {
+            "dtype": array.dtype.str,
+            "shape": list(array.shape),
+            "offset": offset,
+        }
+        offset += array.nbytes + (-array.nbytes) % _ALIGN
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    prefix = len(header_bytes).to_bytes(4, "little") + header_bytes
+    chunks = [prefix, b"\x00" * ((-len(prefix)) % _ALIGN)]
+    for array in arrays.values():
+        data = array.tobytes()
+        chunks.append(data)
+        chunks.append(b"\x00" * ((-len(data)) % _ALIGN))
+    return b"".join(chunks)
+
+
+def decode_column_block(
+    payload: bytes | memoryview,
+    columns: tuple[tuple[str, str, int], ...],
+    *,
+    what: str,
+    error: type[Exception],
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Validate a column block and return ``(header, arrays)``.
+
+    Every column in ``columns`` must be described with exactly its dtype
+    and rank, lie inside the payload, and agree with the others on the row
+    count; any failure raises ``error`` worded with ``what``.  The arrays
+    are read-only views into ``payload``.
+    """
+    try:
+        header_size = int.from_bytes(payload[:4], "little")
+        header = json.loads(bytes(payload[4 : 4 + header_size]).decode("utf-8"))
+        described = header["arrays"]
+    except Exception as exc:
+        raise error(f"{what} has an unparseable header: {exc}") from exc
+
+    data_start = 4 + header_size + (-(4 + header_size)) % _ALIGN
+    arrays: dict[str, np.ndarray] = {}
+    for name, expected_dtype, expected_rank in columns:
+        try:
+            entry = described[name]
+            dtype = np.dtype(entry["dtype"])
+            shape = tuple(int(dim) for dim in entry["shape"])
+            offset = data_start + int(entry["offset"])
+        except Exception as exc:
+            raise error(f"{what} describes no usable '{name}' array: {exc}") from exc
+        if dtype.str != expected_dtype or len(shape) != expected_rank:
+            raise error(
+                f"{what} stores '{name}' as {entry['dtype']}{list(shape)}, "
+                f"expected {expected_dtype} of rank {expected_rank}"
+            )
+        count = math.prod(shape)
+        if (
+            min(shape) < 0
+            or offset < 0
+            or offset + count * dtype.itemsize > len(payload)
+        ):
+            raise error(f"{what}'s '{name}' array lies outside the payload")
+        try:
+            array = np.frombuffer(
+                payload, dtype=dtype, count=count, offset=offset
+            ).reshape(shape)
+        except (ValueError, OverflowError) as exc:
+            raise error(f"{what}'s '{name}' array is unusable: {exc}") from exc
+        array.flags.writeable = False
+        arrays[name] = array
+
+    rows = {name: len(array) for name, array in arrays.items()}
+    rows["header"] = header.get("rows")
+    if len(set(rows.values())) > 1:
+        raise error(f"{what}'s columns have mismatched row counts ({rows})")
+    return header, arrays
 
 
 def segment_path(cache_dir: str | Path, fingerprint: bytes) -> Path:
@@ -339,10 +441,10 @@ def save_segment(
     regardless of insertion order.
     """
     arrays = {
-        "genotypes": np.ascontiguousarray(genotypes, dtype="<i8"),
-        "objectives": np.ascontiguousarray(objectives, dtype="<f8"),
-        "feasible": np.ascontiguousarray(feasible, dtype="|b1"),
-        "violation_counts": np.ascontiguousarray(violation_counts, dtype="<i8"),
+        name: np.ascontiguousarray(array, dtype=dtype)
+        for (name, dtype, _), array in zip(
+            _COLUMNS, (genotypes, objectives, feasible, violation_counts)
+        )
     }
     counts = {name: len(array) for name, array in arrays.items()}
     if len(set(counts.values())) > 1:
@@ -355,30 +457,12 @@ def save_segment(
     order = np.lexsort(arrays["genotypes"].T[::-1]) if counts["genotypes"] else None
     if order is not None:
         arrays = {name: array[order] for name, array in arrays.items()}
-
-    header = {
-        "fingerprint": fingerprint.hex(),
-        "components": list(components),
-        "rows": counts["genotypes"],
-        "arrays": {},
-    }
-    offset = 0
-    for name, _, _ in _COLUMNS:
-        array = arrays[name]
-        header["arrays"][name] = {
-            "dtype": array.dtype.str,
-            "shape": list(array.shape),
-            "offset": offset,
-        }
-        offset += array.nbytes + (-array.nbytes) % _ALIGN
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    prefix = len(header_bytes).to_bytes(4, "little") + header_bytes
-    chunks = [prefix, b"\x00" * ((-len(prefix)) % _ALIGN)]
-    for name, _, _ in _COLUMNS:
-        data = arrays[name].tobytes()
-        chunks.append(data)
-        chunks.append(b"\x00" * ((-len(data)) % _ALIGN))
-    payload = b"".join(chunks)
+    payload = encode_column_block(
+        _COLUMNS,
+        arrays,
+        fingerprint=fingerprint.hex(),
+        components=list(components),
+    )
 
     blob = pack_blob(SEGMENT_MAGIC, SEGMENT_VERSION, payload)
     # Fault-injection seam: tests corrupt/truncate the blob here to prove
@@ -421,47 +505,14 @@ def load_segment(path: str | Path) -> CacheSegment:
         what=what,
         error=CacheSegmentError,
     )
+    header, arrays = decode_column_block(
+        payload, _COLUMNS, what=what, error=CacheSegmentError
+    )
     try:
-        header_size = int.from_bytes(payload[:4], "little")
-        header = json.loads(bytes(payload[4 : 4 + header_size]).decode("utf-8"))
         fingerprint = bytes.fromhex(header["fingerprint"])
         components = tuple(str(name) for name in header["components"])
-        described = header["arrays"]
     except Exception as exc:
         raise CacheSegmentError(f"{what} has an unparseable header: {exc}") from exc
-
-    data_start = 4 + header_size + (-(4 + header_size)) % _ALIGN
-    arrays: dict[str, np.ndarray] = {}
-    for name, expected_dtype, expected_rank in _COLUMNS:
-        try:
-            entry = described[name]
-            dtype = np.dtype(entry["dtype"])
-            shape = tuple(int(dim) for dim in entry["shape"])
-            offset = data_start + int(entry["offset"])
-        except Exception as exc:
-            raise CacheSegmentError(
-                f"{what} describes no usable '{name}' array: {exc}"
-            ) from exc
-        if dtype.str != expected_dtype or len(shape) != expected_rank:
-            raise CacheSegmentError(
-                f"{what} stores '{name}' as {entry['dtype']}{list(shape)}, "
-                f"expected {expected_dtype} of rank {expected_rank}"
-            )
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 0
-        if offset < 0 or offset + count * dtype.itemsize > len(payload):
-            raise CacheSegmentError(
-                f"{what}'s '{name}' array lies outside the payload"
-            )
-        array = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-        array = array.reshape(shape)
-        array.flags.writeable = False
-        arrays[name] = array
-
-    rows = {name: len(array) for name, array in arrays.items()}
-    if len(set(rows.values())) > 1:
-        raise CacheSegmentError(
-            f"{what}'s columns have mismatched row counts ({rows})"
-        )
     if len(arrays["objectives"]) and arrays["objectives"].shape[1] != len(
         components
     ):

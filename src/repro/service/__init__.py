@@ -4,15 +4,16 @@ The in-process stack answers "how fast can *one* campaign sweep the space";
 this package answers "how do *many* explorers share one model server
 without hurting each other".  A :class:`DseService` owns an engine-backed
 :class:`~repro.dse.WbsnDseProblem` and serves concurrent clients over a Unix
-socket or TCP with a newline-delimited JSON protocol
-(:mod:`repro.service.protocol`):
+socket or TCP with JSON envelopes and binary column frames keyed by packed
+design ids (:mod:`repro.service.protocol`):
 
 * :mod:`repro.service.server` — :class:`DseService`: the listener,
   per-connection handlers, graceful drain, warm boot from the persistent
   cache tier, and the typed-error surface;
 * :mod:`repro.service.batcher` — :class:`~repro.service.batcher.EngineLane`:
-  the single serialized engine consumer that coalesces concurrent clients'
-  evaluate requests into shared columnar batches, runs sweeps through the
+  the single serialized engine consumer that dispatches as soon as it is
+  free, coalescing the evaluate requests queued behind a busy engine into
+  shared columnar batches, runs sweeps through the
   real :func:`~repro.dse.run_algorithm` (fronts bitwise identical to
   in-process runs), propagates deadlines into the backend retry policy, and
   keeps per-client :class:`~repro.engine.EngineStats` attribution ledgers;
@@ -46,6 +47,7 @@ from repro.service.protocol import (
     BadRequestError,
     DeadlineExceededError,
     DesignRow,
+    DesignRows,
     RemoteInternalError,
     ServiceError,
     ServiceOverloadError,
@@ -67,6 +69,7 @@ __all__ = [
     "SweepReply",
     "FrontUpdate",
     "DesignRow",
+    "DesignRows",
     "PROTOCOL_VERSION",
     "WIRE_LINE_LIMIT",
     "ServiceError",

@@ -9,12 +9,15 @@ deadline bookkeeping and response I/O while the engine computes).
 
 The lane is where concurrent clients become one workload:
 
-* **Coalescing** — evaluate requests arriving within ``batch_window_s`` of
-  each other are concatenated into a single columnar batch.  The engine's
-  own dedup then does the sharing: two clients asking for overlapping
-  genotypes cost one model evaluation per distinct genotype, and a client
-  sweeping a fingerprint another client already swept is served entirely
-  from the memo caches.
+* **Coalescing when busy** — the lane never waits for company: it
+  dispatches as soon as it is free, taking the first queued evaluate
+  request plus every evaluate request queued behind it while the previous
+  batch computed, concatenated into one columnar batch.  An idle lane
+  therefore answers a lone request at once, and a busy one batches exactly
+  the load that built up.  The engine's own dedup then does the sharing:
+  two clients asking for overlapping genotypes cost one model evaluation
+  per distinct genotype, and a client sweeping a fingerprint another client
+  already swept is served entirely from the memo caches.
 * **Deadline enforcement** — a request's deadline is checked before
   dispatch (expired requests are answered without occupying the engine),
   propagated *into* the engine for the call itself
@@ -26,22 +29,29 @@ The lane is where concurrent clients become one workload:
   only; the engine and the other clients in the batch are unaffected.
 * **Attribution** — per-client :class:`~repro.engine.EngineStats` ledgers
   split a coalesced batch's work: every requested row counts toward the
-  requester's ``genotype_requests``; rows the engine's memos already held
-  (or that another client in the same batch requested first) count as that
-  client's ``genotype_cache_hits``; the first requester of an uncached
-  genotype owns its ``model_evaluations``.  Sweeps run lane-exclusive, so
-  their attribution is exact: the engine-stats delta of the run is merged
-  into the requesting client's ledger.
+  requester's ``genotype_requests``; rows the engine reports as ``cached``
+  (served by a memo or the persistent tier), and rows another client in
+  the same batch requested first, count as that client's
+  ``genotype_cache_hits``; the first requester of each computed design id
+  owns its ``model_evaluations``.  The split is a handful of vectorised
+  operations over the batch's columns, run on the lane thread.  Sweeps run
+  lane-exclusive, so their attribution is exact: the engine-stats delta of
+  the run is merged into the requesting client's ledger.
 * **Degradation surfacing** — engine calls run under a warning trap; an
   :class:`~repro.engine.EngineDegradationWarning` (or a
   ``degraded_batches`` stats delta) sets the ``degraded`` flag on every
   affected client's response, so clients learn their results took the
   slow path without scraping the server's stderr.
 
+Results leave the lane as column mappings (design ids, objectives,
+feasibility, violation counts, and for evaluates the ``cached`` flags),
+ready to be framed by :func:`~repro.service.protocol.encode_message`.
+
 The lane fires the ``"service-batch"`` fault-injection site inside the
 executor thread immediately before each engine dispatch, so the chaos suite
-can hang the lane (driving the deadline path) or fail a batch (driving the
-typed-internal-error path) deterministically.
+can hang the lane (driving the deadline path and queueing requests behind a
+busy lane) or fail a batch (driving the typed-internal-error path)
+deterministically.
 """
 
 from __future__ import annotations
@@ -53,12 +63,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from repro.dse import ExhaustiveSearch, RandomSearch, run_algorithm
 from repro.engine import EngineDegradationWarning, EngineStats, faults
 from repro.service.protocol import (
     BadRequestError,
     DeadlineExceededError,
-    DesignRow,
 )
 
 __all__ = ["EngineLane", "EvaluateOutcome", "SweepOutcome"]
@@ -66,18 +77,25 @@ __all__ = ["EngineLane", "EvaluateOutcome", "SweepOutcome"]
 
 @dataclass(frozen=True)
 class EvaluateOutcome:
-    """One client's slice of a coalesced evaluate batch."""
+    """One client's slice of a coalesced evaluate batch.
 
-    rows: tuple[DesignRow, ...]
-    cached_flags: tuple[bool, ...]
+    ``columns`` holds the reply columns (``ids``, ``objectives``,
+    ``feasible``, ``violation_counts``, ``cached``) in request order.
+    """
+
+    columns: dict[str, np.ndarray]
     degraded: bool
 
 
 @dataclass(frozen=True)
 class SweepOutcome:
-    """A completed sweep: the final front plus the run's attributed cost."""
+    """A completed sweep: the final front plus the run's attributed cost.
 
-    front: tuple[DesignRow, ...]
+    ``front`` holds the front's row columns (``ids``, ``objectives``,
+    ``feasible``, ``violation_counts``) in front order.
+    """
+
+    front: dict[str, np.ndarray]
     evaluations: int
     engine_stats: dict
     degraded: bool
@@ -86,7 +104,7 @@ class SweepOutcome:
 @dataclass
 class _EvaluateItem:
     client_id: str
-    genotypes: list[tuple[int, ...]]
+    genotypes: np.ndarray
     deadline: float | None
     future: asyncio.Future
 
@@ -98,9 +116,9 @@ class _SweepItem:
     params: dict
     deadline: float | None
     future: asyncio.Future
-    # Called on the event loop with (front_rows, cursor) after absorbed
+    # Called on the event loop with (front_columns, cursor) after absorbed
     # chunks; the connection layer conflates them per request.
-    on_update: Callable[[list, int], None] | None = None
+    on_update: Callable[[dict, int], None] | None = None
     # Flipped by the connection layer on disconnect: updates stop, but the
     # sweep itself completes (its designs are shared cache capacity).
     client_gone: Callable[[], bool] = field(default=lambda: False)
@@ -120,35 +138,33 @@ _SWEEP_FACTORIES = {
 }
 
 
-def _front_rows(designs: Sequence[Any]) -> tuple[DesignRow, ...]:
-    """Materialised designs as wire rows, order preserved."""
-    return tuple(
-        DesignRow(
-            genotype=tuple(design.genotype),
-            objectives=tuple(design.objectives),
-            feasible=bool(design.feasible),
-            violation_count=int(design.violation_count),
-        )
-        for design in designs
-    )
+def _row_columns(space: Any, batch: Any) -> dict[str, np.ndarray]:
+    """A columnar batch's rows as frame columns keyed by design ids."""
+    return {
+        "ids": space.encode_ids(batch.genotypes),
+        "objectives": batch.objectives,
+        "feasible": batch.feasible,
+        "violation_counts": batch.violation_counts,
+    }
 
 
-def _batch_rows(batch: Any, start: int, stop: int) -> tuple[DesignRow, ...]:
-    """A columnar batch slice as wire rows (no design objects built)."""
-    return tuple(
-        DesignRow(
-            genotype=tuple(genotype),
-            objectives=tuple(objectives),
-            feasible=bool(feasible),
-            violation_count=int(violations),
-        )
-        for genotype, objectives, feasible, violations in zip(
-            batch.genotypes[start:stop].tolist(),
-            batch.objectives[start:stop].tolist(),
-            batch.feasible[start:stop].tolist(),
-            batch.violation_counts[start:stop].tolist(),
-        )
-    )
+def _front_columns(problem: Any, designs: Sequence[Any]) -> dict[str, np.ndarray]:
+    """Materialised front designs as frame columns, order preserved."""
+    count = len(designs)
+    return {
+        "ids": problem.space.encode_ids(
+            np.asarray([design.genotype for design in designs], dtype=np.int64)
+        ),
+        "objectives": np.asarray(
+            [design.objectives for design in designs], dtype=np.float64
+        ).reshape(count, problem.n_objectives),
+        "feasible": np.asarray(
+            [design.feasible for design in designs], dtype=bool
+        ),
+        "violation_counts": np.asarray(
+            [design.violation_count for design in designs], dtype=np.int64
+        ),
+    }
 
 
 class EngineLane:
@@ -157,25 +173,20 @@ class EngineLane:
     Args:
         problem: the engine-backed problem every client request runs
             against (``supports_columnar`` required — the service's whole
-            point is columnar coalescing).
-        batch_window_s: how long the lane lingers after the first evaluate
-            item of a batch, absorbing further evaluate items into the same
-            columnar dispatch.  ``0`` disables coalescing (every item is
-            its own batch) without changing any result.
+            point is columnar coalescing — and a space whose design ids fit
+            ``int64``).
     """
 
-    def __init__(self, problem: Any, *, batch_window_s: float = 0.01) -> None:
+    def __init__(self, problem: Any) -> None:
         if not getattr(problem, "supports_columnar", False):
             raise TypeError(
                 "the DSE service needs an engine-backed problem with "
                 "columnar batch support (WbsnDseProblem(engine=...) without "
                 "record_evaluations)"
             )
-        if batch_window_s < 0:
-            raise ValueError("batch_window_s must be non-negative")
+        problem.space.encode_ids([])  # a space too large for ids fails here
         self.problem = problem
         self.engine = problem.engine
-        self.batch_window_s = batch_window_s
         self.client_stats: dict[str, EngineStats] = {}
         self.batches_coalesced = 0
         self.items_coalesced = 0
@@ -219,16 +230,21 @@ class EngineLane:
     def submit_evaluate(
         self,
         client_id: str,
-        genotypes: Sequence[Sequence[int]],
+        genotypes: np.ndarray,
         deadline: float | None,
     ) -> asyncio.Future:
-        """Queue an evaluate request; resolves to an :class:`EvaluateOutcome`."""
-        keys = [tuple(int(gene) for gene in genotype) for genotype in genotypes]
+        """Queue an evaluate request; resolves to an :class:`EvaluateOutcome`.
+
+        ``genotypes`` is a validated ``(rows, genes)`` int64 gene-index
+        matrix, as :meth:`~repro.dse.space.DesignSpace.decode_ids` returns
+        it: validation belongs at ingress, so a malformed request is
+        refused there and never joins (or fails) a batch.
+        """
         future = asyncio.get_running_loop().create_future()
         self._queue.put_nowait(
             _EvaluateItem(
                 client_id=client_id,
-                genotypes=keys,
+                genotypes=genotypes,
                 deadline=deadline,
                 future=future,
             )
@@ -242,7 +258,7 @@ class EngineLane:
         params: dict,
         deadline: float | None,
         *,
-        on_update: Callable[[list, int], None] | None = None,
+        on_update: Callable[[dict, int], None] | None = None,
         client_gone: Callable[[], bool] = lambda: False,
     ) -> asyncio.Future:
         """Queue a sweep request; resolves to a :class:`SweepOutcome`.
@@ -301,32 +317,24 @@ class EngineLane:
                 await self._serve_sweep(item)
                 continue
             batch = [item]
-            batch.extend(await self._absorb_window())
+            batch.extend(self._take_queued_evaluates())
             await self._serve_evaluates(batch)
 
-    async def _absorb_window(self) -> list:
-        """Collect further evaluate items arriving within the batch window.
+    def _take_queued_evaluates(self) -> list:
+        """Every evaluate item already queued, without waiting for more.
 
-        A sweep (or the stop sentinel) ends the window early and goes to the
+        A sweep (or the stop sentinel) ends the batch and goes to the
         backlog — sweeps are lane-exclusive and never join an evaluate
         batch.
         """
-        absorbed: list = []
-        if self.batch_window_s <= 0:
-            return absorbed
-        window_end = time.monotonic() + self.batch_window_s
-        while True:
-            remaining = window_end - time.monotonic()
-            if remaining <= 0:
-                return absorbed
-            try:
-                nxt = await asyncio.wait_for(self._queue.get(), remaining)
-            except asyncio.TimeoutError:
-                return absorbed
+        taken: list = []
+        while not self._queue.empty():
+            nxt = self._queue.get_nowait()
             if nxt is None or isinstance(nxt, _SweepItem):
                 self._backlog.append(nxt)
-                return absorbed
-            absorbed.append(nxt)
+                break
+            taken.append(nxt)
+        return taken
 
     # ------------------------------------------------------ evaluate batches
 
@@ -350,27 +358,7 @@ class EngineLane:
             self.batches_coalesced += 1
             self.items_coalesced += len(live)
 
-        combined: list[tuple[int, ...]] = []
-        slices: list[tuple[int, int]] = []
-        for item in live:
-            slices.append((len(combined), len(combined) + len(item.genotypes)))
-            combined.extend(item.genotypes)
-
-        # Attribution pre-pass, against the memo state the batch will meet.
-        flags = self.engine.cached_row_flags(combined)
-        owners: dict[tuple[int, ...], str] = {}
-        for item, (start, stop) in zip(live, slices):
-            ledger = self.client_stats.setdefault(item.client_id, EngineStats())
-            for key, cached in zip(item.genotypes, flags[start:stop]):
-                ledger.genotype_requests += 1
-                if cached or key in owners:
-                    # Served by the memos, or riding on a batch-mate's
-                    # compute: cache-hit economics either way.
-                    ledger.genotype_cache_hits += 1
-                else:
-                    owners[key] = item.client_id
-                    ledger.model_evaluations += 1
-
+        sizes = [len(item.genotypes) for item in live]
         deadlines = [item.deadline for item in live if item.deadline is not None]
         remaining = min(deadlines) - now if deadlines else None
 
@@ -379,21 +367,34 @@ class EngineLane:
             # engine lane while the event loop keeps answering clients —
             # exactly the slow-engine shape the deadline path exists for.
             faults.maybe_fire("service-batch")
+            matrix = np.concatenate([item.genotypes for item in live])
             before = self.engine.stats.snapshot()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", EngineDegradationWarning)
                 with self.engine.deadline_scope(remaining):
-                    batch = self.problem.evaluate_batch_columns(combined)
+                    batch = self.problem.evaluate_batch_columns(matrix)
             delta = self.engine.stats.snapshot() - before
             degraded = delta.degraded_batches > 0 or any(
                 issubclass(entry.category, EngineDegradationWarning)
                 for entry in caught
             )
-            return batch, degraded
+            columns = _row_columns(self.problem.space, batch)
+            columns["cached"] = batch.cached
+            # The first requester of each computed id owns its model
+            # evaluation; every other row is cache-hit economics.
+            computed = np.flatnonzero(~batch.cached)
+            _, first = np.unique(columns["ids"][computed], return_index=True)
+            owners = np.searchsorted(
+                np.cumsum(sizes), computed[first], side="right"
+            )
+            owned = np.bincount(owners, minlength=len(live)).tolist()
+            return columns, owned, degraded
 
         loop = asyncio.get_running_loop()
         try:
-            batch, degraded = await loop.run_in_executor(self._executor, work)
+            columns, owned, degraded = await loop.run_in_executor(
+                self._executor, work
+            )
         except BaseException as exc:  # noqa: BLE001 - every item gets the error
             for item in live:
                 if not item.future.done():
@@ -401,7 +402,17 @@ class EngineLane:
             return
 
         now = time.monotonic()
-        for item, (start, stop) in zip(live, slices):
+        start = 0
+        for item, size, item_owned in zip(live, sizes, owned):
+            stop = start + size
+            ledger = self.client_stats.setdefault(item.client_id, EngineStats())
+            ledger.genotype_requests += size
+            ledger.model_evaluations += item_owned
+            ledger.genotype_cache_hits += size - item_owned
+            item_columns = {
+                name: column[start:stop] for name, column in columns.items()
+            }
+            start = stop
             if item.future.done():
                 continue
             if item.deadline is not None and now >= item.deadline:
@@ -412,11 +423,7 @@ class EngineLane:
                 )
                 continue
             item.future.set_result(
-                EvaluateOutcome(
-                    rows=_batch_rows(batch, start, stop),
-                    cached_flags=tuple(flags[start:stop]),
-                    degraded=degraded,
-                )
+                EvaluateOutcome(columns=item_columns, degraded=degraded)
             )
 
     # --------------------------------------------------------------- sweeps
@@ -445,13 +452,11 @@ class EngineLane:
                 )
             if item.on_update is None or item.client_gone():
                 return
-            if archive is None or not len(archive):
-                rows: list = []
+            if archive is None:
+                columns = _front_columns(self.problem, [])
             else:
-                rows = [
-                    row.as_wire() for row in _batch_rows(archive, 0, len(archive))
-                ]
-            loop.call_soon_threadsafe(item.on_update, rows, cursor)
+                columns = _row_columns(self.problem.space, archive)
+            loop.call_soon_threadsafe(item.on_update, columns, cursor)
 
         def work():
             faults.maybe_fire("service-batch")
@@ -471,10 +476,12 @@ class EngineLane:
                 issubclass(entry.category, EngineDegradationWarning)
                 for entry in caught
             )
-            return result, degraded
+            return result, _front_columns(self.problem, result.front), degraded
 
         try:
-            result, degraded = await loop.run_in_executor(self._executor, work)
+            result, front, degraded = await loop.run_in_executor(
+                self._executor, work
+            )
         except (TypeError, ValueError) as exc:
             # Algorithm constructors validate their arguments; surface those
             # as bad requests, not internal failures.
@@ -504,7 +511,7 @@ class EngineLane:
             return
         item.future.set_result(
             SweepOutcome(
-                front=_front_rows(result.front),
+                front=front,
                 evaluations=result.evaluations,
                 engine_stats=(
                     result.engine_stats.as_dict()

@@ -1,12 +1,18 @@
 """Async client for the DSE service.
 
-:class:`DseServiceClient` speaks the service's newline-delimited JSON
-protocol (:mod:`repro.service.protocol`) and maps wire errors back onto the
-same typed exceptions the server raised — a shed request raises
+:class:`DseServiceClient` speaks the service's wire protocol
+(:mod:`repro.service.protocol`: JSON envelopes, binary column frames keyed
+by packed design ids) and maps wire errors back onto the same typed
+exceptions the server raised — a shed request raises
 :class:`~repro.service.protocol.ServiceOverloadError` in the caller, a
 missed deadline :class:`~repro.service.protocol.DeadlineExceededError`, and
 so on — so client-side retry/backoff logic can branch on exception types
 instead of string-matching messages.
+
+Replies keep the frame's columns: NumPy arrays, read-only, with
+:class:`~repro.service.protocol.DesignRows` views (``reply.rows``,
+``reply.front``) that build a :class:`~repro.service.protocol.DesignRow`
+only when one is indexed or iterated.
 
 One connection multiplexes any number of in-flight requests: each request
 carries a client-assigned id, a background reader task routes response
@@ -20,14 +26,23 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
+import numpy as np
+
+from repro.dse.space import encode_ids
 from repro.service.protocol import (
+    PROTOCOL_VERSION,
+    REPLY_COLUMNS,
+    ROW_COLUMNS,
     WIRE_LINE_LIMIT,
-    DesignRow,
+    BadRequestError,
+    DesignRows,
     ServiceError,
     encode_message,
     error_for_code,
+    frame_length,
+    unpack_frame,
 )
 
 __all__ = ["DseServiceClient", "EvaluateReply", "SweepReply", "FrontUpdate"]
@@ -35,20 +50,22 @@ __all__ = ["DseServiceClient", "EvaluateReply", "SweepReply", "FrontUpdate"]
 
 @dataclass(frozen=True)
 class EvaluateReply:
-    """An evaluate request's result.
+    """An evaluate request's result, as read-only columns.
 
     Attributes:
-        rows: one :class:`~repro.service.protocol.DesignRow` per requested
-            genotype, in request order.
-        cached: per-row flags — ``True`` where the service's engine memos
-            already held the row when the batch dispatched (this client's
-            request did no model work for it).
+        rows: one row per requested genotype, in request order — a
+            :class:`~repro.service.protocol.DesignRows` view whose
+            ``ids`` / ``genotypes`` / ``objectives`` / ``feasible`` /
+            ``violation_counts`` are the reply's columns.
+        cached: per-row flags — ``True`` where the service's memos or
+            persistent tier served the row with no model call in the batch
+            (this client's request did no model work for it).
         degraded: the batch was computed while the engine ran on its
             in-process degradation ladder (results identical, path slower).
     """
 
-    rows: tuple[DesignRow, ...]
-    cached: tuple[bool, ...]
+    rows: DesignRows
+    cached: np.ndarray
     degraded: bool
 
 
@@ -57,16 +74,17 @@ class SweepReply:
     """A sweep request's terminal result.
 
     Attributes:
-        front: the final non-dominated front, bitwise identical to an
-            in-process :func:`~repro.dse.run_algorithm` run of the same
-            algorithm on the same problem.
+        front: the final non-dominated front (a
+            :class:`~repro.service.protocol.DesignRows` view), bitwise
+            identical to an in-process :func:`~repro.dse.run_algorithm` run
+            of the same algorithm on the same problem.
         evaluations: designs served to the sweep (cache hits included).
         engine_stats: the run's engine-counter delta, as a plain mapping
             (see :meth:`~repro.engine.EngineStats.as_dict`).
         degraded: the sweep ran (at least partly) on the degradation ladder.
     """
 
-    front: tuple[DesignRow, ...]
+    front: DesignRows
     evaluations: int
     engine_stats: dict
     degraded: bool
@@ -76,7 +94,7 @@ class SweepReply:
 class FrontUpdate:
     """One streamed front snapshot: the running front after a chunk."""
 
-    front: tuple[DesignRow, ...]
+    front: DesignRows
     cursor: int
 
 
@@ -100,6 +118,8 @@ class DseServiceClient:
         client_id: str,
     ) -> None:
         self.client_id = client_id
+        #: Domain cardinalities of the served space, from the handshake.
+        self.cardinalities: tuple[int, ...] = ()
         self._reader = reader
         self._writer = writer
         self._pending: dict[int, asyncio.Future] = {}
@@ -121,7 +141,11 @@ class DseServiceClient:
         port: int | None = None,
         client_id: str | None = None,
     ) -> "DseServiceClient":
-        """Open a connection and run the hello handshake."""
+        """Open a connection and run the hello handshake.
+
+        Raises :class:`~repro.service.protocol.BadRequestError` when the
+        two ends speak different protocol versions.
+        """
         if path is not None:
             reader, writer = await asyncio.open_unix_connection(
                 path, limit=WIRE_LINE_LIMIT
@@ -134,7 +158,22 @@ class DseServiceClient:
             raise ValueError("connect needs a socket path or a host/port")
         client = cls(reader, writer, client_id or "anonymous")
         try:
-            await client._request({"op": "hello", "client": client.client_id})
+            reply, _ = await client._request(
+                {
+                    "op": "hello",
+                    "client": client.client_id,
+                    "protocol": PROTOCOL_VERSION,
+                }
+            )
+            if reply.get("protocol") != PROTOCOL_VERSION:
+                raise BadRequestError(
+                    f"protocol version mismatch: the service speaks "
+                    f"{reply.get('protocol')!r}, this client speaks "
+                    f"{PROTOCOL_VERSION}"
+                )
+            client.cardinalities = tuple(
+                int(value) for value in reply["cardinalities"]
+            )
         except BaseException:
             await client.close()
             raise
@@ -165,28 +204,33 @@ class DseServiceClient:
 
     async def stats(self) -> dict:
         """The service's observability snapshot (admission, lane, engine)."""
-        reply = await self._request({"op": "stats"})
+        reply, _ = await self._request({"op": "stats"})
         return reply["stats"]
 
     async def evaluate(
         self,
-        genotypes: Sequence[Sequence[int]],
+        genotypes: Any,
         *,
         deadline_s: float | None = None,
     ) -> EvaluateReply:
-        """Evaluate a batch of genotypes through the shared engine."""
-        reply = await self._request(
-            {
-                "op": "evaluate",
-                "genotypes": [
-                    [int(gene) for gene in genotype] for genotype in genotypes
-                ],
-                "deadline_s": deadline_s,
-            }
+        """Evaluate genotypes (gene-index rows or an int matrix) remotely.
+
+        Genotypes are packed into design ids here; a row of the wrong
+        width, or a gene that is not a number or lies outside its domain,
+        raises :class:`~repro.service.protocol.BadRequestError` before
+        anything is sent.
+        """
+        try:
+            ids = encode_ids(genotypes, self.cardinalities)
+        except (TypeError, ValueError) as exc:
+            raise BadRequestError(f"malformed genotypes: {exc}") from exc
+        reply, frame = await self._request(
+            {"op": "evaluate", "deadline_s": deadline_s, "columns": {"ids": ids}}
         )
+        columns = unpack_frame(_require_frame(frame), REPLY_COLUMNS)
         return EvaluateReply(
-            rows=tuple(DesignRow.from_wire(row) for row in reply["rows"]),
-            cached=tuple(bool(flag) for flag in reply["cached"]),
+            rows=DesignRows(columns, self.cardinalities),
+            cached=columns["cached"],
             degraded=bool(reply["degraded"]),
         )
 
@@ -199,7 +243,7 @@ class DseServiceClient:
         on_front_update: Callable[[FrontUpdate], None] | None = None,
     ) -> SweepReply:
         """Run a full sweep server-side, optionally streaming front updates."""
-        reply = await self._request(
+        reply, frame = await self._request(
             {
                 "op": "sweep",
                 "algorithm": algorithm,
@@ -210,7 +254,10 @@ class DseServiceClient:
             on_front_update=on_front_update,
         )
         return SweepReply(
-            front=tuple(DesignRow.from_wire(row) for row in reply["front"]),
+            front=DesignRows(
+                unpack_frame(_require_frame(frame), ROW_COLUMNS),
+                self.cardinalities,
+            ),
             evaluations=int(reply["evaluations"]),
             engine_stats=dict(reply["engine_stats"]),
             degraded=bool(reply["degraded"]),
@@ -223,7 +270,8 @@ class DseServiceClient:
         message: dict,
         *,
         on_front_update: Callable[[FrontUpdate], None] | None = None,
-    ) -> dict:
+    ) -> tuple[dict, bytes | None]:
+        """Send one request; resolves to its result envelope and frame."""
         if self._closed:
             raise ConnectionError("the client connection is closed")
         self._next_id += 1
@@ -247,47 +295,67 @@ class DseServiceClient:
                 line = await self._reader.readline()
                 if not line:
                     break
-                self._handle_event(line)
-        except (ValueError, ConnectionError, OSError):
-            # ValueError: a server line past WIRE_LINE_LIMIT — the stream
-            # cannot be reframed, so the connection is as good as broken.
+                try:
+                    message = json.loads(line)
+                except (ValueError, RecursionError):
+                    continue  # a corrupt line cannot be attributed to a request
+                if not isinstance(message, dict):
+                    continue
+                # A malformed frame length raises BadRequestError: the
+                # stream cannot be re-framed, so the connection is lost.
+                length = frame_length(message)
+                frame = None
+                if length is not None:
+                    frame = await self._reader.readexactly(length)
+                self._handle_event(message, frame)
+        except (
+            ValueError,  # a server line past WIRE_LINE_LIMIT
+            BadRequestError,
+            asyncio.IncompleteReadError,
+            ConnectionError,
+            OSError,
+        ):
             pass
         self._fail_pending(
             ConnectionError("the service closed the connection")
         )
 
-    def _handle_event(self, line: bytes) -> None:
-        try:
-            message = json.loads(line)
-        except ValueError:
-            return  # a corrupt server line cannot be attributed to a request
+    def _handle_event(self, message: dict, frame: bytes | None) -> None:
         request_id = message.get("id")
         event = message.get("event")
         if event == "front-update":
             callback = self._update_callbacks.get(request_id)
-            if callback is not None:
-                callback(
-                    FrontUpdate(
-                        front=tuple(
-                            DesignRow.from_wire(row)
-                            for row in message.get("front", [])
-                        ),
-                        cursor=int(message.get("cursor", 0)),
-                    )
+            if callback is None:
+                return
+            try:
+                front = unpack_frame(_require_frame(frame), ROW_COLUMNS)
+            except ServiceError as exc:
+                self._fail(request_id, exc)
+                return
+            callback(
+                FrontUpdate(
+                    front=DesignRows(front, self.cardinalities),
+                    cursor=int(message.get("cursor", 0)),
                 )
-            return
-        future = self._pending.get(request_id)
-        if future is None or future.done():
+            )
             return
         if event == "error":
-            future.set_exception(
+            self._fail(
+                request_id,
                 error_for_code(
                     str(message.get("code", "internal")),
                     str(message.get("message", "unknown service error")),
-                )
+                ),
             )
-        else:
-            future.set_result(message)
+            return
+        future = self._pending.get(request_id)
+        if future is not None and not future.done():
+            future.set_result((message, frame))
+
+    def _fail(self, request_id: Any, exc: Exception) -> None:
+        future = self._pending.get(request_id)
+        if future is not None and not future.done():
+            future.set_exception(exc)
 
     def _fail_pending(self, exc: Exception) -> None:
         for future in list(self._pending.values()):
@@ -295,3 +363,9 @@ class DseServiceClient:
                 future.set_exception(exc)
         self._pending.clear()
         self._update_callbacks.clear()
+
+
+def _require_frame(frame: bytes | None) -> bytes:
+    if frame is None:
+        raise BadRequestError("the reply carries no column frame")
+    return frame

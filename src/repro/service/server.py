@@ -25,6 +25,19 @@ enforces the robustness contract the in-process stack cannot:
   to its in-process ladder carry ``"degraded": true``, mirroring the
   in-process :class:`~repro.engine.EngineDegradationWarning`.
 
+**Framing.** Requests and responses are JSON envelope lines; design rows
+cross the socket only as binary column frames keyed by packed design ids
+(:mod:`repro.service.protocol`).  Each inbound frame is validated once, at
+ingress, and an evaluate request's ids are unpacked and range-checked into
+the gene-index matrix the engine lane receives — a malformed request or
+frame is answered with a typed ``bad-request`` before admission, so it can
+never join (or fail) a coalesced batch.  A frame that cannot be read whole
+(declared past :data:`~repro.service.protocol.WIRE_LINE_LIMIT`, or cut off
+by end of file) leaves the stream unframeable: the peer gets a typed error
+and the connection is closed.  Outbound frames are packed by the
+connection's sender task from the lane's result columns, so no per-row
+Python runs on the event loop.
+
 Responses never block the engine on a slow reader: each connection owns a
 sender task with a per-request conflation slot for ``front-update`` events
 (only the newest unsent update survives; terminal events are never dropped),
@@ -32,10 +45,10 @@ and a client that disconnects mid-stream simply stops receiving — its
 admitted work completes (the designs are shared cache capacity) and its
 admission slot is released, so the batcher can never wedge on a dead peer.
 
-Fault-injection sites (:mod:`repro.engine.faults`): ``"service-request"``
-fires per admitted request before queueing, ``"service-batch"`` on the lane
-before each engine dispatch, ``"service-response"`` before each response
-write.
+Fault-injection sites (:mod:`repro.engine.faults`): ``"service-frame"``
+mangles each inbound frame's bytes, ``"service-request"`` fires per
+admitted request before queueing, ``"service-batch"`` on the lane before
+each engine dispatch, ``"service-response"`` before each response write.
 """
 
 from __future__ import annotations
@@ -49,12 +62,15 @@ from repro.service.admission import AdmissionController
 from repro.service.batcher import EngineLane, EvaluateOutcome, SweepOutcome
 from repro.service.protocol import (
     PROTOCOL_VERSION,
+    REQUEST_COLUMNS,
     WIRE_LINE_LIMIT,
     BadRequestError,
     RemoteInternalError,
     ServiceError,
     decode_line,
     encode_message,
+    frame_length,
+    unpack_frame,
 )
 
 __all__ = ["DseService"]
@@ -86,7 +102,11 @@ class _Connection:
     # ---------------------------------------------------------------- posts
 
     def post(self, message: dict) -> None:
-        """Queue a terminal event (result/error) for sending."""
+        """Queue a terminal event (result/error) for sending.
+
+        A ``columns`` entry is framed at send time (see
+        :func:`~repro.service.protocol.encode_message`).
+        """
         if self.closed:
             return
         self._events.append(message)
@@ -163,8 +183,6 @@ class DseService:
             ``host``/``port``.
         host, port: serve on TCP instead (``port=0`` picks a free port,
             reported by :attr:`address` after :meth:`start`).
-        batch_window_s: the engine lane's coalescing window (see
-            :class:`~repro.service.batcher.EngineLane`).
         max_pending, high_watermark, low_watermark: admission bounds (see
             :class:`~repro.service.admission.AdmissionController`).
         cache_dir: persistent cache tier directory — loaded at
@@ -180,14 +198,13 @@ class DseService:
         socket_path: str | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        batch_window_s: float = 0.01,
         max_pending: int = 64,
         high_watermark: int | None = None,
         low_watermark: int | None = None,
         cache_dir: str | None = None,
         close_engine: bool = False,
     ) -> None:
-        self.lane = EngineLane(problem, batch_window_s=batch_window_s)
+        self.lane = EngineLane(problem)
         self.admission = AdmissionController(
             max_pending=max_pending,
             high_watermark=high_watermark,
@@ -280,12 +297,38 @@ class DseService:
         sender = asyncio.get_running_loop().create_task(
             connection.sender_loop()
         )
+        request_id = None
         try:
             while True:
                 line = await reader.readline()
                 if not line:
                     break
-                self._dispatch(connection, line)
+                try:
+                    message = decode_line(line)
+                except BadRequestError as exc:
+                    self._post_error(connection, None, exc)
+                    continue
+                request_id = message.get("id")
+                blob = None
+                length = frame_length(message)
+                if length is not None:
+                    try:
+                        blob = await reader.readexactly(length)
+                    except asyncio.IncompleteReadError as exc:
+                        raise BadRequestError(
+                            f"the connection closed mid-frame "
+                            f"({len(exc.partial)} of {exc.expected} bytes)"
+                        ) from exc
+                    # Fault-injection seam: truncated or flipped frame bytes
+                    # must end in a typed bad-request, never a lane crash.
+                    blob = faults.maybe_mangle("service-frame", blob)
+                self._dispatch(connection, message, blob)
+        except BadRequestError as exc:
+            # A frame that cannot be read whole (undeclarable length, or
+            # cut off by end of file): the stream cannot be re-framed, so
+            # answer typed and drop the peer.
+            self._post_error(connection, request_id, exc)
+            await connection.wait_flushed()
         except ValueError as exc:
             # A line past WIRE_LINE_LIMIT: answer typed (no request id can
             # be attributed to an unframeable line) and drop the peer.
@@ -313,13 +356,21 @@ class DseService:
                 pass
             self._connections.discard(connection)
 
-    def _dispatch(self, connection: _Connection, line: bytes) -> None:
-        request_id = None
+    def _dispatch(
+        self, connection: _Connection, message: dict, blob: bytes | None
+    ) -> None:
+        request_id = message.get("id")
         try:
-            message = decode_line(line)
-            request_id = message.get("id")
             op = message.get("op")
+            if blob is not None and op != "evaluate":
+                raise BadRequestError(f"op '{op}' takes no frame")
             if op == "hello":
+                if message.get("protocol") != PROTOCOL_VERSION:
+                    raise BadRequestError(
+                        f"protocol version mismatch: the client speaks "
+                        f"{message.get('protocol')!r}, this service speaks "
+                        f"{PROTOCOL_VERSION}"
+                    )
                 client = message.get("client")
                 if client is not None:
                     connection.client_id = str(client)
@@ -330,6 +381,9 @@ class DseService:
                         "ok": True,
                         "protocol": PROTOCOL_VERSION,
                         "server": "wbsn-dse-service",
+                        "cardinalities": (
+                            self.lane.problem.space.cardinalities.tolist()
+                        ),
                     }
                 )
             elif op == "ping":
@@ -346,7 +400,7 @@ class DseService:
                     }
                 )
             elif op == "evaluate":
-                self._admit_evaluate(connection, request_id, message)
+                self._admit_evaluate(connection, request_id, message, blob)
             elif op == "sweep":
                 self._admit_sweep(connection, request_id, message)
             else:
@@ -360,19 +414,30 @@ class DseService:
         deadline_s = message.get("deadline_s")
         if deadline_s is None:
             return None
-        if not isinstance(deadline_s, (int, float)) or deadline_s <= 0:
+        if (
+            not isinstance(deadline_s, (int, float))
+            or isinstance(deadline_s, bool)
+            or deadline_s <= 0
+        ):
             raise BadRequestError("deadline_s must be a positive number")
         return asyncio.get_running_loop().time() + float(deadline_s)
 
     def _admit_evaluate(
-        self, connection: _Connection, request_id: Any, message: dict
+        self,
+        connection: _Connection,
+        request_id: Any,
+        message: dict,
+        blob: bytes | None,
     ) -> None:
-        genotypes = message.get("genotypes")
-        if not isinstance(genotypes, list) or not genotypes:
-            raise BadRequestError(
-                "evaluate needs a non-empty 'genotypes' list of gene-index "
-                "rows"
-            )
+        if blob is None:
+            raise BadRequestError("evaluate needs a frame of design ids")
+        ids = unpack_frame(blob, REQUEST_COLUMNS)["ids"]
+        if not len(ids):
+            raise BadRequestError("evaluate needs at least one design id")
+        try:
+            genotypes = self.lane.problem.space.decode_ids(ids)
+        except ValueError as exc:
+            raise BadRequestError(f"bad design ids: {exc}") from exc
         deadline = self._deadline_from(message)
         self.admission.try_admit()
         try:
@@ -407,14 +472,14 @@ class DseService:
         try:
             faults.maybe_fire("service-request")
 
-            def on_update(rows: list, cursor: int) -> None:
+            def on_update(columns: dict, cursor: int) -> None:
                 connection.post_update(
                     request_id,
                     {
                         "id": request_id,
                         "event": "front-update",
-                        "front": rows,
                         "cursor": cursor,
+                        "columns": columns,
                     },
                 )
 
@@ -452,9 +517,8 @@ class DseService:
                     "id": request_id,
                     "event": "result",
                     "ok": True,
-                    "rows": [row.as_wire() for row in outcome.rows],
-                    "cached": list(outcome.cached_flags),
                     "degraded": outcome.degraded,
+                    "columns": outcome.columns,
                 }
             )
         except Exception as exc:
@@ -472,10 +536,10 @@ class DseService:
                     "id": request_id,
                     "event": "result",
                     "ok": True,
-                    "front": [row.as_wire() for row in outcome.front],
                     "evaluations": outcome.evaluations,
                     "engine_stats": outcome.engine_stats,
                     "degraded": outcome.degraded,
+                    "columns": outcome.front,
                 }
             )
         except Exception as exc:

@@ -25,7 +25,7 @@ from repro.dse.pareto import (
 )
 from repro.dse.problem import WbsnDseProblem, csma_mac_parameterisation
 from repro.dse.random_search import RandomSearch
-from repro.engine import ColumnarBatchResult, EvaluationEngine
+from repro.engine import ColumnarBatchResult, EvaluationEngine, SharedGenotypeCache
 from repro.experiments.casestudy import (
     build_case_study_evaluator,
     build_csma_case_study_evaluator,
@@ -346,6 +346,7 @@ class TestColumnarBatchResult:
         np.testing.assert_array_equal(
             rebuilt.violation_counts, batch.violation_counts
         )
+        np.testing.assert_array_equal(rebuilt.cached, batch.cached)
 
     def test_take_and_materialise_accept_boolean_masks(self):
         problem = beacon_problem()
@@ -375,6 +376,58 @@ class TestColumnarBatchResult:
     def test_unbound_engine_is_rejected(self):
         with pytest.raises(RuntimeError, match="bound"):
             EvaluationEngine().evaluate_many_columnar([(0, 0)])
+
+
+class TestCachedColumn:
+    """``ColumnarBatchResult.cached``: served with no model call, per row."""
+
+    def test_flags_mark_memo_rows_not_rows_computed_in_the_batch(self):
+        problem = beacon_problem()
+        probe, first, second, third = list(problem.space.enumerate_genotypes())[:4]
+        # The constructor memoised the all-zeros probe; a repeat of a row
+        # computed in this very batch is not a cache hit.
+        batch = problem.evaluate_batch_columns([probe, first, second, first, probe])
+        assert batch.cached.tolist() == [True, False, False, False, True]
+        batch = problem.evaluate_batch_columns([first, second, third])
+        assert batch.cached.tolist() == [True, True, False]
+
+    def test_matrix_input_matches_sequence_input(self):
+        genotypes = list(beacon_problem().space.enumerate_genotypes())
+        requested = genotypes[5:30] + genotypes[:10] + genotypes[5:9]
+        from_rows = beacon_problem().evaluate_batch_columns(requested)
+        from_matrix = beacon_problem().evaluate_batch_columns(
+            np.asarray(requested, dtype=np.int64)
+        )
+        columns = ("genotypes", "objectives", "feasible", "violation_counts", "cached")
+        for name in columns:
+            left, right = getattr(from_rows, name), getattr(from_matrix, name)
+            assert left.dtype == right.dtype
+            assert left.tobytes() == right.tobytes()
+
+    def test_persistent_and_shared_tiers_count_as_cached(self, tmp_path):
+        genotypes = list(beacon_problem().space.enumerate_genotypes())
+        cold = beacon_problem()
+        cold.evaluate_batch_columns(genotypes)
+        cold.engine.spill_persistent_cache(tmp_path)
+        warm = beacon_problem()
+        warm.engine.load_persistent_cache(tmp_path)
+        batch = warm.evaluate_batch_columns(genotypes)
+        assert batch.cached.all()
+        assert warm.engine.stats.model_evaluations == 1  # the probe
+
+        shared = SharedGenotypeCache()
+        publisher = beacon_problem(EvaluationEngine(shared_cache=shared))
+        publisher.evaluate_batch(genotypes[:8])
+        consumer = beacon_problem(EvaluationEngine(shared_cache=shared))
+        batch = consumer.evaluate_batch_columns(genotypes[:8])
+        assert batch.cached.all()
+        assert consumer.engine.stats.model_evaluations == 0
+
+    def test_nothing_is_cached_without_the_genotype_cache(self):
+        problem = beacon_problem(EvaluationEngine(genotype_cache=False))
+        genotypes = list(problem.space.enumerate_genotypes())[:6]
+        problem.evaluate_batch_columns(genotypes)
+        assert not problem.evaluate_batch_columns(genotypes).cached.any()
 
 
 class TestRunningFrontIndices:

@@ -95,3 +95,65 @@ class TestDesignSpace:
         genotype = space.random_genotype(rng)
         decoded = space.decode(genotype)
         assert len(decoded) == len(cardinalities)
+
+
+def _space_of(cardinalities) -> DesignSpace:
+    return DesignSpace(
+        [
+            ParameterDomain(f"p{i}", tuple(range(size)))
+            for i, size in enumerate(cardinalities)
+        ]
+    )
+
+
+class TestDesignIds:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cardinalities=st.lists(
+            st.integers(min_value=1, max_value=2**20), min_size=1, max_size=3
+        ),
+        rows=st.integers(min_value=0, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_decode_inverts_encode(self, cardinalities, rows, seed):
+        space = _space_of(cardinalities)
+        rng = np.random.default_rng(seed)
+        matrix = rng.integers(0, cardinalities, size=(rows, len(cardinalities)))
+        ids = space.encode_ids(matrix)
+        assert ids.dtype == np.int64 and ids.shape == (rows,)
+        assert ((ids >= 0) & (ids < space.size)).all()
+        np.testing.assert_array_equal(space.decode_ids(ids), matrix)
+        # Sequences of gene rows pack exactly like the matrix.
+        np.testing.assert_array_equal(space.encode_ids(matrix.tolist()), ids)
+
+    @pytest.mark.parametrize(
+        "cardinalities", [(3, 2, 4), (1, 5, 1, 2), (7,), (2, 2, 2, 2, 2, 2)]
+    )
+    def test_enumeration_order_is_ascending_ids(self, cardinalities):
+        space = _space_of(cardinalities)
+        ids = space.encode_ids(list(space.enumerate_genotypes()))
+        np.testing.assert_array_equal(ids, np.arange(space.size))
+
+    def test_out_of_range_and_malformed_input_is_rejected(self):
+        space = _space()
+        bad_genotypes = ([[3, 0, 0]], [[0, -1, 0]], [[0, 0]], [[0, 0, 0, 0]], [0, 1, 2])
+        for genotypes in bad_genotypes:
+            with pytest.raises(ValueError):
+                space.encode_ids(genotypes)
+        bad_ids = ([-1], [space.size], [0, 2**62], [[0, 1]], [1.5], [True])
+        for ids in bad_ids:
+            with pytest.raises(ValueError):
+                space.decode_ids(np.asarray(ids))
+        assert space.encode_ids([]).shape == (0,)
+        assert space.decode_ids([]).shape == (0, 3)
+
+    def test_a_space_too_large_for_int64_ids_raises(self):
+        # 2**63 designs: NumPy int64 arithmetic would silently wrap.
+        huge = _space_of([2] * 63)
+        with pytest.raises(ValueError, match="int64"):
+            huge.encode_ids([[1] * 63])
+        with pytest.raises(ValueError, match="int64"):
+            huge.decode_ids([0])
+        # One domain fewer fits, up to the very last id.
+        largest = _space_of([2] * 62)
+        assert largest.encode_ids([[1] * 62])[0] == 2**62 - 1

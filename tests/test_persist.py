@@ -17,6 +17,7 @@ Problems are the small two-node/64-configuration spaces of the fault suite
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -160,6 +161,22 @@ class TestSegmentFormat:
             **column_arrays(reordered),
         )
         assert a.read_bytes() == b.read_bytes()
+
+    def test_segment_bytes_are_pinned(self, tmp_path):
+        """The column block is shared with the service's wire frames;
+        segment files must stay byte-identical to the format's v1 writer."""
+        path = save_segment(
+            tmp_path,
+            fingerprint=bytes(range(32)),
+            components=("energy", "delay", "prd"),
+            genotypes=(np.arange(30).reshape(5, 6) * 7) % 5,
+            objectives=np.arange(15, dtype=float).reshape(5, 3) / 7.0,
+            feasible=np.array([True, False, True, True, False]),
+            violation_counts=np.array([0, 2, 0, 0, 1]),
+        )
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "cbb6f75e360cb269a9bf94b4694052ca32be635892db22f7716a6f42da8f26e0"
+        )
 
     def test_rejects_mismatched_column_lengths(self, tmp_path):
         arrays = column_arrays(ROWS)

@@ -18,9 +18,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import tempfile
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dse.random_search import RandomSearch
 from repro.dse.runner import run_algorithm
@@ -31,12 +36,22 @@ from repro.engine import (
     RetryPolicy,
     inject_faults,
 )
+from repro.engine.checkpoint import pack_blob
+from repro.engine.persist import (
+    SEGMENT_MAGIC,
+    SEGMENT_VERSION,
+    CacheSegmentError,
+    encode_column_block,
+    load_segment,
+)
 from repro.service import (
+    PROTOCOL_VERSION,
     WIRE_LINE_LIMIT,
     AdmissionController,
     BadRequestError,
     DeadlineExceededError,
     DesignRow,
+    DesignRows,
     DseService,
     DseServiceClient,
     RemoteInternalError,
@@ -45,6 +60,15 @@ from repro.service import (
     decode_line,
     encode_message,
     error_for_code,
+)
+from repro.service.protocol import (
+    FRAME_COLUMNS,
+    FRAME_MAGIC,
+    REPLY_COLUMNS,
+    REQUEST_COLUMNS,
+    ROW_COLUMNS,
+    frame_length,
+    unpack_frame,
 )
 from repro.service.server import _Connection
 from test_faults import (
@@ -96,6 +120,27 @@ def service_front_signature(rows) -> list:
     return [(row.genotype, row.objectives, row.feasible) for row in rows]
 
 
+def _frame(names, arrays, *, dtype=None, declared_rows=None) -> bytes:
+    """A column frame as a peer could send it, optionally mislabelled.
+
+    ``dtype`` overrides every column's wire dtype; ``declared_rows`` makes
+    the block header declare a row count its arrays do not have.
+    """
+    spec = tuple(
+        (name, dtype or FRAME_COLUMNS[name][0], FRAME_COLUMNS[name][1])
+        for name in names
+    )
+    block = encode_column_block(spec, arrays)
+    if declared_rows is not None:
+        rows = len(arrays[names[0]])
+        tampered = block.replace(
+            f'"rows": {rows}'.encode(), f'"rows": {declared_rows}'.encode()
+        )
+        assert len(tampered) == len(block) and tampered != block
+        block = tampered
+    return pack_blob(FRAME_MAGIC, PROTOCOL_VERSION, block)
+
+
 async def start_service(**kwargs) -> DseService:
     """A TCP service over a fresh serial-engine beacon problem."""
     engine = kwargs.pop("engine", None) or EvaluationEngine()
@@ -104,6 +149,16 @@ async def start_service(**kwargs) -> DseService:
     service = DseService(problem, **kwargs)
     await service.start()
     return service
+
+
+async def lane_is_hanging(plan: FaultPlan) -> None:
+    """Wait until the lane has entered an injected ``"service-batch"`` hang,
+    so requests sent next queue behind a busy lane."""
+    for _ in range(500):
+        if plan.fired:
+            return
+        await asyncio.sleep(0.01)
+    raise AssertionError("the lane never started its hung batch")
 
 
 async def connect(service: DseService, client_id: str) -> DseServiceClient:
@@ -133,15 +188,114 @@ class TestProtocol:
         for sent, received in zip(awkward, decoded["values"]):
             assert sent == received and str(sent) == str(received)
 
-    def test_design_row_wire_roundtrip(self):
-        row = DesignRow(
-            genotype=(3, 0, 1, 2),
-            objectives=(1.0 / 3.0, 6.123456789e-4),
-            feasible=True,
-            violation_count=0,
+    def test_column_frame_roundtrip_is_bitwise(self):
+        awkward = [0.1 + 0.2, 1.0 / 3.0, 6.03e-7, 1e-300, -0.0, 5e-324]
+        columns = {
+            "ids": np.array([5, 0, 2**40, 7], dtype=np.int64),
+            "objectives": np.array(awkward + [1.0, 2.0]).reshape(4, 2),
+            "feasible": np.array([True, False, True, True]),
+            "violation_counts": np.array([0, 3, 0, 0]),
+            "cached": np.array([False, True, True, False]),
+        }
+        wire = encode_message({"id": 7, "event": "result", "columns": columns})
+        line, _, frame = wire.partition(b"\n")
+        envelope = decode_line(line)
+        assert envelope == {"id": 7, "event": "result", "frame": len(frame)}
+        assert frame_length(envelope) == len(frame)
+        received = unpack_frame(frame, REPLY_COLUMNS)
+        for name, column in columns.items():
+            # Byte-for-byte: -0.0, denormals and every float's last bit.
+            assert received[name].dtype.str == FRAME_COLUMNS[name][0]
+            assert received[name].tobytes() == column.astype(
+                FRAME_COLUMNS[name][0]
+            ).tobytes()
+            assert not received[name].flags.writeable
+
+    def test_design_rows_view_is_lazy_and_compares_to_tuples(self):
+        cardinalities = (3, 2, 4)
+        genotypes = [(2, 1, 3), (0, 0, 0), (1, 0, 2)]
+        columns = {
+            "ids": np.array([23, 0, 10]),
+            "objectives": np.array([[1.0 / 3.0, 2.0], [0.5, -0.0], [1e-300, 4.0]]),
+            "feasible": np.array([True, False, True]),
+            "violation_counts": np.array([0, 2, 0]),
+        }
+        rows = DesignRows(columns, cardinalities)
+        expected = tuple(
+            DesignRow(
+                genotype=genotype,
+                objectives=tuple(objectives),
+                feasible=feasible,
+                violation_count=violations,
+            )
+            for genotype, objectives, feasible, violations in zip(
+                genotypes,
+                columns["objectives"].tolist(),
+                columns["feasible"].tolist(),
+                columns["violation_counts"].tolist(),
+            )
         )
-        over_the_wire = json.loads(encode_message({"row": row.as_wire()}))
-        assert DesignRow.from_wire(over_the_wire["row"]) == row
+        assert len(rows) == 3
+        assert rows == expected and expected == rows
+        assert rows == list(expected)
+        assert rows != expected[:2]
+        assert tuple(rows) == expected
+        assert rows[-1] == expected[2]
+        assert rows[1:] == expected[1:]
+        assert isinstance(rows[0].feasible, bool)
+        assert isinstance(rows[0].violation_count, int)
+        np.testing.assert_array_equal(rows.genotypes, np.array(genotypes))
+        with pytest.raises(IndexError):
+            rows[3]
+        with pytest.raises(TypeError):
+            hash(rows)
+
+    def test_frame_length_validation(self):
+        assert frame_length({"op": "ping"}) is None
+        assert frame_length({"frame": WIRE_LINE_LIMIT}) == WIRE_LINE_LIMIT
+        for bad in (0, -1, WIRE_LINE_LIMIT + 1, True, "12", 1.5, [3]):
+            with pytest.raises(BadRequestError):
+                frame_length({"frame": bad})
+
+    def test_frame_validation_is_typed(self):
+        good = {
+            "ids": np.arange(3),
+            "objectives": np.zeros((3, 2)),
+            "feasible": np.ones(3, dtype=bool),
+            "violation_counts": np.zeros(3, dtype=np.int64),
+        }
+        frame = _frame(ROW_COLUMNS, good)
+        assert len(unpack_frame(frame, ROW_COLUMNS)["ids"]) == 3
+        mismatched_rows = dict(good, objectives=np.zeros((2, 2)))
+        cases = [
+            (b"WBSNCKPT" + frame[8:], ROW_COLUMNS),  # foreign magic
+            (
+                frame[:8]
+                + (PROTOCOL_VERSION + 1).to_bytes(4, "little")
+                + frame[12:],
+                ROW_COLUMNS,
+            ),
+            (frame[:-1] + bytes([frame[-1] ^ 0xFF]), ROW_COLUMNS),  # checksum
+            (frame[:20], ROW_COLUMNS),  # truncated
+            (_frame(ROW_COLUMNS, mismatched_rows), ROW_COLUMNS),
+            (
+                _frame(REQUEST_COLUMNS, {"ids": np.arange(3.0)}, dtype="<f8"),
+                REQUEST_COLUMNS,
+            ),
+            (
+                _frame(REQUEST_COLUMNS, {"ids": np.arange(4).reshape(2, 2)}),
+                REQUEST_COLUMNS,
+            ),
+            (
+                _frame(REQUEST_COLUMNS, {"ids": np.arange(3)}, declared_rows=5),
+                REQUEST_COLUMNS,
+            ),
+            # A request frame lacks the reply columns.
+            (_frame(REQUEST_COLUMNS, {"ids": np.arange(3)}), ROW_COLUMNS),
+        ]
+        for blob, names in cases:
+            with pytest.raises(BadRequestError):
+                unpack_frame(blob, names)
 
     def test_design_row_rejects_junk(self):
         with pytest.raises(BadRequestError):
@@ -384,6 +538,434 @@ class TestServiceBasics:
 
 
 # --------------------------------------------------------------------------
+# Ingress validation: handshake, frames and design ids
+# --------------------------------------------------------------------------
+
+
+async def open_raw(service: DseService, *, hello: bool = True):
+    """A raw protocol connection, optionally past a valid handshake."""
+    reader, writer = await asyncio.open_connection(
+        service.host, service.port, limit=WIRE_LINE_LIMIT
+    )
+    if hello:
+        writer.write(
+            encode_message({"op": "hello", "id": 0, "protocol": PROTOCOL_VERSION})
+        )
+        await writer.drain()
+        assert (await read_event(reader))["event"] == "result"
+    return reader, writer
+
+
+async def read_event(reader: asyncio.StreamReader) -> dict:
+    """One response event; a reply frame is unpacked into ``columns``."""
+    event = decode_line(await asyncio.wait_for(reader.readline(), 10.0))
+    length = frame_length(event)
+    if length is not None:
+        frame = await asyncio.wait_for(reader.readexactly(length), 10.0)
+        event["columns"] = unpack_frame(frame, REPLY_COLUMNS)
+    return event
+
+
+async def close_raw(writer: asyncio.StreamWriter) -> None:
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError):
+        pass
+
+
+async def assert_still_serves(service: DseService) -> None:
+    """No admission slot leaked, and a fresh client is served bitwise."""
+    genotypes = space_genotypes()[:5]
+    expected = expected_rows()
+    client = await connect(service, "checker")
+    try:
+        stats = await client.stats()
+        assert stats["admission"]["pending"] == 0
+        reply = await client.evaluate(genotypes)
+        for genotype, row in zip(genotypes, reply.rows):
+            assert row.genotype == genotype
+            assert row.objectives == expected[genotype][0]
+            assert row.feasible == expected[genotype][1]
+    finally:
+        await client.close()
+
+
+class TestIngressValidation:
+    def test_server_refuses_a_mismatched_hello(self):
+        async def scenario():
+            service = await start_service()
+            try:
+                reader, writer = await open_raw(service, hello=False)
+                try:
+                    for hello in (
+                        {"op": "hello", "id": 1, "protocol": PROTOCOL_VERSION - 1},
+                        {"op": "hello", "id": 2},
+                    ):
+                        writer.write(encode_message(hello))
+                        await writer.drain()
+                        event = await read_event(reader)
+                        assert event["event"] == "error"
+                        assert event["code"] == "bad-request"
+                        assert event["id"] == hello["id"]
+                        assert "protocol version" in event["message"]
+                finally:
+                    await close_raw(writer)
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+
+    def test_client_refuses_a_mismatched_server(self):
+        async def fake_service(reader, writer):
+            request = decode_line(await reader.readline())
+            writer.write(
+                encode_message(
+                    {
+                        "id": request["id"],
+                        "event": "result",
+                        "ok": True,
+                        "protocol": PROTOCOL_VERSION - 1,
+                        "cardinalities": [2, 2],
+                    }
+                )
+            )
+            await writer.drain()
+            await reader.read()  # until the client hangs up
+            writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(fake_service, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                with pytest.raises(BadRequestError, match="protocol version"):
+                    await DseServiceClient.connect(port=port)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
+
+    def test_boolean_deadline_is_refused(self):
+        async def scenario():
+            service = await start_service()
+            try:
+                client = await connect(service, "alice")
+                try:
+                    with pytest.raises(BadRequestError, match="deadline_s"):
+                        await client.evaluate(
+                            [space_genotypes()[0]], deadline_s=True
+                        )
+                    with pytest.raises(BadRequestError, match="deadline_s"):
+                        await client.sweep("exhaustive", deadline_s=False)
+                    assert service.admission.admitted == 0
+                finally:
+                    await client.close()
+                await assert_still_serves(service)
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+
+    def test_malformed_genotypes_and_ids_are_bad_requests(self):
+        width = len(space_genotypes()[0])
+
+        async def scenario():
+            service = await start_service()
+            try:
+                client = await connect(service, "alice")
+                try:
+                    # Rows the client cannot pack never leave the process.
+                    for genotypes in (
+                        [[99] + [0] * (width - 1)],
+                        [[0] * (width + 1)],
+                        [["x"] + [0] * (width - 1)],
+                    ):
+                        with pytest.raises(BadRequestError):
+                            await client.evaluate(genotypes)
+                    # Ids outside [0, size) are refused at the server's
+                    # ingress, before admission.
+                    for ids in ([SPACE_SIZE], [3, -1], [2**62]):
+                        with pytest.raises(BadRequestError, match="design id"):
+                            await client._request(
+                                {
+                                    "op": "evaluate",
+                                    "columns": {"ids": np.array(ids)},
+                                }
+                            )
+                    with pytest.raises(BadRequestError, match="frame"):
+                        await client._request({"op": "evaluate"})
+                    with pytest.raises(BadRequestError, match="takes no frame"):
+                        await client._request(
+                            {"op": "ping", "columns": {"ids": np.arange(2)}}
+                        )
+                    assert service.admission.admitted == 0
+                finally:
+                    await client.close()
+                await assert_still_serves(service)
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+
+    def test_malformed_request_never_fails_its_batch_mates(self):
+        genotypes = space_genotypes()[:4]
+        expected = expected_rows()
+        probe = tuple(0 for _ in genotypes[0])
+        plan = FaultPlan(
+            [FaultSpec(site="service-batch", action="hang", delay_s=0.3, at=(0,))]
+        )
+
+        async def scenario():
+            service = await start_service()
+            try:
+                alice = await connect(service, "alice")
+                bob = await connect(service, "bob")
+                carol = await connect(service, "carol")
+                try:
+                    with inject_faults(plan):
+                        blocker = asyncio.create_task(carol.evaluate([probe]))
+                        await lane_is_hanging(plan)
+                        # Both requests arrive behind the busy lane; only
+                        # alice's may join the next batch.
+                        valid, malformed = await asyncio.gather(
+                            alice.evaluate(genotypes),
+                            bob._request(
+                                {
+                                    "op": "evaluate",
+                                    "columns": {"ids": np.array([1, SPACE_SIZE + 35])},
+                                }
+                            ),
+                            return_exceptions=True,
+                        )
+                        await blocker
+                    assert isinstance(malformed, BadRequestError)
+                    for genotype, row in zip(genotypes, valid.rows):
+                        assert row.genotype == genotype
+                        assert row.objectives == expected[genotype][0]
+                        assert row.feasible == expected[genotype][1]
+                    assert service.admission.admitted == 2
+                    assert service.admission.pending == 0
+                finally:
+                    await alice.close()
+                    await bob.close()
+                    await carol.close()
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+
+    def test_broken_frames_get_typed_replies_on_a_live_connection(self):
+        ids = np.array([1, 2, 3])
+        good = _frame(REQUEST_COLUMNS, {"ids": ids})
+        broken = [
+            b"WBSNCKPT" + good[8:],  # wrong magic
+            good[:8] + (PROTOCOL_VERSION + 1).to_bytes(4, "little") + good[12:],
+            good[:-1] + bytes([good[-1] ^ 0xFF]),  # flipped byte
+            _frame(REQUEST_COLUMNS, {"ids": ids.astype(float)}, dtype="<f8"),
+            _frame(REQUEST_COLUMNS, {"ids": ids.reshape(3, 1)}),
+            _frame(REQUEST_COLUMNS, {"ids": ids}, declared_rows=7),
+            _frame(REQUEST_COLUMNS, {"ids": np.array([SPACE_SIZE])}),
+            _frame(REQUEST_COLUMNS, {"ids": np.array([-4])}),
+        ]
+
+        async def scenario():
+            service = await start_service()
+            try:
+                reader, writer = await open_raw(service)
+                try:
+                    for request_id, blob in enumerate(broken, start=1):
+                        envelope = {
+                            "op": "evaluate",
+                            "id": request_id,
+                            "frame": len(blob),
+                        }
+                        writer.write(encode_message(envelope) + blob)
+                        await writer.drain()
+                        event = await read_event(reader)
+                        assert event["event"] == "error", event
+                        assert event["code"] == "bad-request"
+                        assert event["id"] == request_id
+                    # The stream stayed framed: the same connection is
+                    # served bitwise right after the broken frames.
+                    writer.write(
+                        encode_message(
+                            {"op": "evaluate", "id": 99, "columns": {"ids": ids}}
+                        )
+                    )
+                    await writer.drain()
+                    event = await read_event(reader)
+                    assert event["event"] == "result"
+                    expected = expected_rows()
+                    genotypes = service.lane.problem.space.decode_ids(ids)
+                    for genotype, objectives in zip(
+                        genotypes.tolist(), event["columns"]["objectives"].tolist()
+                    ):
+                        assert tuple(objectives) == expected[tuple(genotype)][0]
+                finally:
+                    await close_raw(writer)
+                assert service.admission.admitted == 1
+                await assert_still_serves(service)
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "case", ["oversized", "non-integer-length", "eof-mid-frame"]
+    )
+    def test_unframeable_streams_get_a_typed_error_then_close(self, case):
+        async def scenario():
+            service = await start_service()
+            try:
+                reader, writer = await open_raw(service)
+                try:
+                    envelope = {"op": "evaluate", "id": 5}
+                    if case == "oversized":
+                        envelope["frame"] = WIRE_LINE_LIMIT + 1
+                        writer.write(encode_message(envelope))
+                    elif case == "non-integer-length":
+                        envelope["frame"] = "12"
+                        writer.write(encode_message(envelope))
+                    else:
+                        envelope["frame"] = 100
+                        writer.write(encode_message(envelope) + b"\x00" * 10)
+                        writer.write_eof()
+                    await writer.drain()
+                    event = await read_event(reader)
+                    assert event["event"] == "error"
+                    assert event["code"] == "bad-request"
+                    assert event["id"] == 5
+                    # ... and the service hung up on the unframeable stream.
+                    assert await asyncio.wait_for(reader.read(), 10.0) == b""
+                finally:
+                    await close_raw(writer)
+                assert service.admission.admitted == 0
+                await assert_still_serves(service)
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("action", ["truncate", "flip-byte"])
+    def test_mangled_inbound_frames_are_bad_requests(self, action):
+        genotypes = space_genotypes()[:3]
+        expected = expected_rows()
+        plan = FaultPlan(
+            [FaultSpec(site="service-frame", action=action, at=(0, 1, 2))], seed=3
+        )
+
+        async def scenario():
+            service = await start_service()
+            try:
+                client = await connect(service, "alice")
+                try:
+                    with inject_faults(plan) as installed:
+                        for _ in range(3):
+                            with pytest.raises(BadRequestError):
+                                await client.evaluate(genotypes)
+                        reply = await client.evaluate(genotypes)
+                    assert [fired[2] for fired in installed.fired] == [action] * 3
+                    for genotype, row in zip(genotypes, reply.rows):
+                        assert row.objectives == expected[genotype][0]
+                    assert service.admission.admitted == 1
+                    assert service.admission.pending == 0
+                finally:
+                    await client.close()
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+
+
+# --------------------------------------------------------------------------
+# Decoder fuzzing: arbitrary bytes end in a typed error, nothing else
+# --------------------------------------------------------------------------
+
+_FUZZ_BYTES = st.one_of(
+    st.binary(max_size=512),
+    st.integers(min_value=1, max_value=50_000).map(lambda depth: b"[" * depth),
+)
+
+#: Block headers that parse as JSON, so the fuzz reaches the array checks.
+_FUZZ_HEADERS = st.fixed_dictionaries(
+    {
+        "rows": st.one_of(st.integers(-2, 2**70), st.none(), st.text(max_size=3)),
+        "fingerprint": st.one_of(st.just("ab" * 16), st.text(max_size=6)),
+        "components": st.lists(st.text(max_size=3), max_size=3),
+        "arrays": st.dictionaries(
+            st.sampled_from(sorted(FRAME_COLUMNS) + ["genotypes"]),
+            st.fixed_dictionaries(
+                {
+                    "dtype": st.sampled_from(
+                        ["<i8", "<f8", "|b1", ">i8", "<i4", "O", "zz"]
+                    ),
+                    "shape": st.lists(st.integers(-3, 2**64), max_size=3),
+                    "offset": st.integers(-128, 2**66),
+                }
+            ),
+        ),
+    }
+)
+
+
+def _fuzz_block(header: dict, data: bytes) -> bytes:
+    header_bytes = json.dumps(header).encode()
+    return len(header_bytes).to_bytes(4, "little") + header_bytes + data
+
+
+_FUZZ_BLOCKS = st.builds(_fuzz_block, _FUZZ_HEADERS, st.binary(max_size=256))
+
+
+def _framed(magic: bytes, version: int):
+    """Wrap payloads in valid blob framing, so the fuzz passes the checksum."""
+    return lambda payload: pack_blob(magic, version, payload)
+
+
+class TestDecoderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=_FUZZ_BYTES)
+    def test_decode_line_only_raises_bad_request(self, data):
+        try:
+            assert isinstance(decode_line(data), dict)
+        except BadRequestError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.one_of(
+            _FUZZ_BYTES,
+            _FUZZ_BYTES.map(_framed(FRAME_MAGIC, PROTOCOL_VERSION)),
+            _FUZZ_BLOCKS.map(_framed(FRAME_MAGIC, PROTOCOL_VERSION)),
+        ),
+        names=st.sampled_from([REQUEST_COLUMNS, ROW_COLUMNS, REPLY_COLUMNS]),
+    )
+    def test_frame_decoder_only_raises_bad_request(self, data, names):
+        try:
+            columns = unpack_frame(data, names)
+        except BadRequestError:
+            return
+        assert set(columns) == set(names)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.one_of(
+            _FUZZ_BYTES,
+            _FUZZ_BYTES.map(_framed(SEGMENT_MAGIC, SEGMENT_VERSION)),
+            _FUZZ_BLOCKS.map(_framed(SEGMENT_MAGIC, SEGMENT_VERSION)),
+        )
+    )
+    def test_segment_loader_only_raises_cache_segment_error(self, data):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "fuzz.wbsncache"
+            path.write_bytes(data)
+            try:
+                load_segment(path)
+            except CacheSegmentError:
+                pass
+
+
+# --------------------------------------------------------------------------
 # Coalescing, attribution, and front parity (the tentpole contract)
 # --------------------------------------------------------------------------
 
@@ -392,18 +974,29 @@ class TestCoalescingAndParity:
     def test_concurrent_evaluates_coalesce_into_one_batch(self):
         genotypes = space_genotypes()
         expected = expected_rows()
+        probe = tuple(0 for _ in genotypes[0])
+        # The lane dispatches as soon as it is free, so requests coalesce
+        # by queueing behind a busy lane: carol's one-row batch (the
+        # memoised constructor probe) hangs the lane while alice's and
+        # bob's requests arrive.
+        plan = FaultPlan(
+            [FaultSpec(site="service-batch", action="hang", delay_s=0.3, at=(0,))]
+        )
 
         async def scenario():
-            # A generous window so both clients' requests land in the same
-            # columnar dispatch regardless of scheduling jitter.
-            service = await start_service(batch_window_s=0.25)
+            service = await start_service()
             try:
                 alice = await connect(service, "alice")
                 bob = await connect(service, "bob")
+                carol = await connect(service, "carol")
                 try:
-                    reply_a, reply_b = await asyncio.gather(
-                        alice.evaluate(genotypes), bob.evaluate(genotypes)
-                    )
+                    with inject_faults(plan):
+                        blocker = asyncio.create_task(carol.evaluate([probe]))
+                        await lane_is_hanging(plan)
+                        reply_a, reply_b = await asyncio.gather(
+                            alice.evaluate(genotypes), bob.evaluate(genotypes)
+                        )
+                        await blocker
                     for reply in (reply_a, reply_b):
                         for genotype, row in zip(genotypes, reply.rows):
                             assert row.genotype == tuple(genotype)
@@ -412,8 +1005,8 @@ class TestCoalescingAndParity:
                     # Bitwise identity between the two clients' replies.
                     assert reply_a.rows == reply_b.rows
                     stats = await alice.stats()
-                    assert stats["lane"]["batches_coalesced"] >= 1
-                    assert stats["lane"]["items_coalesced"] >= 2
+                    assert stats["lane"]["batches_coalesced"] == 1
+                    assert stats["lane"]["items_coalesced"] == 2
                     # The engine computed each distinct genotype once even
                     # though two clients asked for all of them (the +1 is
                     # the problem constructor's probe evaluation).
@@ -422,22 +1015,27 @@ class TestCoalescingAndParity:
                         == len(genotypes) + 1
                     )
                     clients = stats["lane"]["clients"]
-                    assert set(clients) == {"alice", "bob"}
-                    for ledger in clients.values():
+                    assert set(clients) == {"alice", "bob", "carol"}
+                    assert clients["carol"]["genotype_cache_hits"] == 1
+                    pair = [clients["alice"], clients["bob"]]
+                    for ledger in pair:
                         assert ledger["genotype_requests"] == len(genotypes)
                     # Every distinct genotype has exactly one owner; the
                     # batch-mate rides on cache-hit economics.
                     assert sum(
-                        ledger["model_evaluations"]
-                        for ledger in clients.values()
+                        ledger["model_evaluations"] for ledger in pair
                     ) == len(genotypes)
                     assert sum(
-                        ledger["genotype_cache_hits"]
-                        for ledger in clients.values()
+                        ledger["genotype_cache_hits"] for ledger in pair
                     ) == len(genotypes)
+                    # Neither reply was served from a memo: both rows of
+                    # each genotype came out of this batch's model call.
+                    assert not reply_a.cached.any()
+                    assert not reply_b.cached.any()
                 finally:
                     await alice.close()
                     await bob.close()
+                    await carol.close()
             finally:
                 await service.stop()
 
@@ -573,7 +1171,7 @@ class TestOverload:
         )
 
         async def scenario():
-            service = await start_service(batch_window_s=0.0, max_pending=4)
+            service = await start_service(max_pending=4)
             try:
                 client = await connect(service, "alice")
                 try:
@@ -635,7 +1233,7 @@ class TestOverload:
         )
 
         async def scenario():
-            service = await start_service(batch_window_s=0.0)
+            service = await start_service()
             client = await connect(service, "alice")
             try:
                 with inject_faults(plan):
@@ -695,7 +1293,7 @@ class TestDeadlines:
         )
 
         async def scenario():
-            service = await start_service(batch_window_s=0.0)
+            service = await start_service()
             try:
                 client = await connect(service, "alice")
                 try:
@@ -742,7 +1340,7 @@ class TestDeadlines:
                 chunk_size=8,
                 retry_policy=FAST_RETRIES,
             )
-            service = await start_service(engine=engine, batch_window_s=0.0)
+            service = await start_service(engine=engine)
             try:
                 client = await connect(service, "alice")
                 try:
@@ -914,7 +1512,7 @@ class TestDegradationSurfacing:
                 chunk_size=16,
                 retry_policy=FAST_RETRIES,
             )
-            service = await start_service(engine=engine, batch_window_s=0.0)
+            service = await start_service(engine=engine)
             try:
                 client = await connect(service, "alice")
                 try:

@@ -495,6 +495,7 @@ class TestWorkerSidePruning:
             # Survivors were memoised; the re-sweep recomputes only the rows
             # the workers pruned away (they never reached the column memo).
             assert delta.rows_skipped_cached == len(first)
+            assert int(second.cached.sum()) == len(first)
             assert first.objectives.tolist() == [
                 row
                 for row, key in zip(
