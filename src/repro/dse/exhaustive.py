@@ -99,7 +99,9 @@ class ExhaustiveSearch:
     """Evaluates every configuration of the design space.
 
     The sweep is chunked: genotypes are enumerated lazily and handed to the
-    problem in blocks of ``chunk_size``, and after every block the results
+    problem in blocks of ``chunk_size`` (on the columnar path, each block is
+    a range of packed design ids decoded into a gene-index matrix in one
+    vectorised step), and after every block the results
     are pruned to the running non-dominated set — memory stays bounded by
     the front size plus one chunk, not by the size of the space, while an
     evaluation engine can still deduplicate, vectorize or parallelise each
@@ -217,6 +219,9 @@ class ExhaustiveSearch:
                 "front streaming is only supported by the columnar sweep"
             )
         if columnar:
+            # Columnar chunks are design-id ranges: a space too large for
+            # int64 ids raises here, before any work (it could never finish).
+            self.problem.space.decode_ids(np.arange(0))
             return self._run_columnar()
         return self._run_objects()
 
@@ -226,26 +231,28 @@ class ExhaustiveSearch:
         """Prune on raw objective columns; materialise only the final front."""
         archive = None  # ColumnarBatchResult of the running front
         any_feasible = False
-        cursor = 0  # genotypes consumed from the deterministic enumeration
+        # The next design id: ids count the row-major enumeration, so the
+        # cursor is also the number of genotypes consumed so far.
+        cursor = 0
         chunks_done = 0
-        genotypes = self.problem.space.enumerate_genotypes()
+        space = self.problem.space
+        size = space.size
         if self.checkpoint_path is not None:
             restored = load_checkpoint_if_valid(
                 self.checkpoint_path,
                 algorithm=self.checkpoint_algorithm,
-                space_size=self.problem.space.size,
+                space_size=size,
                 fingerprint=self._fingerprint(),
             )
             if restored is not None:
-                # Enumeration order is deterministic, so skipping the
-                # checkpoint's cursor replays the sweep exactly: the rows
-                # already absorbed are in the restored archive, the rest
-                # still come out of the stream in the original order.
+                # The rows already absorbed are in the restored archive; the
+                # sweep resumes at the checkpoint's next id, in order.
                 archive = _restore_archive(self.problem, restored)
                 any_feasible = restored.any_feasible
                 cursor = restored.cursor
-                next(islice(genotypes, cursor, cursor), None)
-        while chunk := list(islice(genotypes, self.chunk_size)):
+        while cursor < size:
+            stop = min(cursor + self.chunk_size, size)
+            chunk = space.decode_ids(np.arange(cursor, stop))
             # ``prune_to_front`` lets a worker-pruning backend drop each
             # shard's dominated rows before they ever reach this process —
             # the archive merge below then scales with the shard front
@@ -274,7 +281,7 @@ class ExhaustiveSearch:
                 pool = archive.concatenate([archive, candidates])
             indices = running_front_indices(front_objectives, candidates.objectives)
             archive = pool.take(indices)
-            cursor += len(chunk)
+            cursor = stop
             chunks_done += 1
             if self.front_callback is not None:
                 self.front_callback(archive, cursor)

@@ -43,6 +43,9 @@ from repro.core.array_backend import xp as np
 #: Candidate-block size bounding the memory of the pairwise comparisons.
 _DOMINANCE_BLOCK = 512
 
+#: Cells of one front-by-candidates matrix in :func:`_beaten_by`.
+_BEATEN_CELLS = 1 << 20
+
 #: Below this many rows a k>=3-objective set is pruned by the blockwise
 #: dominance matrix directly — the divide-and-conquer bookkeeping only pays
 #: for itself on larger sets.  (1- and 2-objective sets always take the
@@ -156,6 +159,20 @@ def _points_matrix(objectives: Sequence[Sequence[float]]) -> np.ndarray:
     return points
 
 
+def _all_less_equal(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Matrix ``M[i, j]``: is ``first[i] <= second[j]`` in every objective?
+
+    Accumulated one objective column at a time on 2-D boolean matrices —
+    no ``(n, m, k)`` comparison cube — with each ``second`` column made
+    contiguous first.  NaNs fail every comparison, so a row holding one is
+    never less-or-equal to anything, nor anything to it.
+    """
+    result = np.ones((len(first), len(second)), dtype=bool)
+    for column in range(first.shape[1]):
+        result &= first[:, column, None] <= np.ascontiguousarray(second[:, column])
+    return result
+
+
 def _blockwise_dominated_mask(points: np.ndarray) -> np.ndarray:
     """Dominated/duplicate mask on broadcasted comparison matrices."""
     count = len(points)
@@ -234,21 +251,24 @@ def _beaten_by(front: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Which candidates some front row dominates *or equals*.
 
     ``front[i] <= candidate`` componentwise already covers both outcomes —
-    strict domination when any component is strictly below, an
-    earlier-sorted duplicate otherwise — so one comparison matrix decides
-    the cross-filter.  Candidates are processed in bounded blocks.
+    strict domination when any component is strictly below, a duplicate
+    otherwise — so one comparison matrix decides the filter.  Candidates
+    are processed in blocks bounding the matrix at ``_BEATEN_CELLS``.
     """
     beaten = np.zeros(len(candidates), dtype=bool)
-    for start in range(0, len(candidates), _DOMINANCE_BLOCK):
-        block = candidates[start : start + _DOMINANCE_BLOCK]
-        beaten[start : start + len(block)] = (
-            (front[:, None, :] <= block[None, :, :]).all(axis=-1).any(axis=0)
-        )
+    if not len(front):
+        return beaten
+    block = max(1, _BEATEN_CELLS // len(front))
+    for start in range(0, len(candidates), block):
+        beaten[start : start + block] = _all_less_equal(
+            front, candidates[start : start + block]
+        ).any(axis=0)
     return beaten
 
 
 def _skyline_halves(points: np.ndarray) -> np.ndarray:
-    """Dominated mask of lexicographically sorted rows, divide and conquer.
+    """Dominated mask of lexicographically sorted, distinct rows, divide and
+    conquer.
 
     The full-row lexicographic sort makes the cross-filter one-directional:
     a later-sorted row can never dominate (nor be the first occurrence of a
@@ -259,10 +279,11 @@ def _skyline_halves(points: np.ndarray) -> np.ndarray:
     """
     count = len(points)
     if count <= _SKYLINE_BASE:
-        # Positional order inside the sorted array is the lexicographic
-        # order, so the blockwise first-occurrence duplicate rule matches
-        # the original-index rule exactly.
-        return _blockwise_dominated_mask(points)
+        # The rows are distinct, so ``points[i] <= points[j]`` off the
+        # diagonal is strict domination (and, sorted, only ever has i < j).
+        less_equal = _all_less_equal(points, points)
+        np.fill_diagonal(less_equal, False)
+        return less_equal.any(axis=0)
     half = count // 2
     left = _skyline_halves(points[:half])
     right = _skyline_halves(points[half:])
@@ -274,13 +295,21 @@ def _skyline_halves(points: np.ndarray) -> np.ndarray:
 
 
 def _skyline_kd(finite: np.ndarray) -> np.ndarray:
-    """k>=3-objective skyline mask: sort once, divide and conquer."""
+    """k>=3-objective skyline mask: sort once, drop repeats, divide and
+    conquer."""
     width = finite.shape[1]
     # ``lexsort`` sorts by the *last* key first: pass the columns reversed
     # so column 0 is the primary key.  The sort is stable, so fully equal
-    # rows keep their original relative order (the duplicate tiebreak).
+    # rows are adjacent and keep their original relative order: each row
+    # equal to its predecessor is a later duplicate, dropped before the
+    # recursion (sweep chunks repeat most objective rows).
     order = np.lexsort(tuple(finite[:, column] for column in range(width - 1, -1, -1)))
-    dropped = _skyline_halves(finite[order])
+    ordered = finite[order]
+    repeat = np.zeros(len(ordered), dtype=bool)
+    repeat[1:] = (ordered[1:] == ordered[:-1]).all(axis=1)
+    distinct = np.flatnonzero(~repeat)
+    dropped = np.ones(len(ordered), dtype=bool)
+    dropped[distinct] = _skyline_halves(ordered[distinct])
     dominated = np.empty(len(finite), dtype=bool)
     dominated[order] = dropped
     return dominated
@@ -362,7 +391,7 @@ def running_front_indices(
     and ordering :func:`pareto_front_indices` would produce for the
     archive-plus-surviving-candidates pool.  Candidates beaten by the
     archive (dominated, or duplicating an archived point) are pre-filtered
-    with one broadcasted pass before the joint prune — removing them cannot
+    with one column-wise pass before the joint prune — removing them cannot
     change the joint front, because every removal has a surviving witness in
     the archive.
 
@@ -379,11 +408,7 @@ def running_front_indices(
         return list(range(len(front)))
     if front.ndim != 2 or candidates.ndim != 2 or front.shape[1] != candidates.shape[1]:
         raise ValueError("objective vectors must have the same length")
-    less_equal = (front[:, None, :] <= candidates[None, :, :]).all(-1)
-    strictly_less = (front[:, None, :] < candidates[None, :, :]).any(-1)
-    equal = (front[:, None, :] == candidates[None, :, :]).all(-1)
-    beaten = ((less_equal & strictly_less) | equal).any(axis=0)
-    kept = np.flatnonzero(~beaten)
+    kept = np.flatnonzero(~_beaten_by(front, candidates))
     joint = pareto_front_indices(np.concatenate([front, candidates[kept]], axis=0))
     offset = len(front)
     return [
@@ -393,21 +418,19 @@ def running_front_indices(
 
 
 def _domination_matrix(points: np.ndarray) -> np.ndarray:
-    """Boolean matrix ``D[p, q]``: does point ``p`` dominate point ``q``?"""
-    count = len(points)
-    matrix = np.zeros((count, count), dtype=bool)
-    for start in range(0, count, _DOMINANCE_BLOCK):
-        block = points[start : start + _DOMINANCE_BLOCK]
-        less_equal = (points[:, None, :] <= block[None, :, :]).all(axis=-1)
-        greater_equal = (points[:, None, :] >= block[None, :, :]).all(axis=-1)
-        matrix[:, start : start + len(block)] = less_equal & ~greater_equal
-    return matrix
+    """Boolean matrix ``D[p, q]``: does point ``p`` dominate point ``q``?
+
+    ``p`` dominates ``q`` when ``p <= q`` everywhere but not ``q <= p``
+    everywhere, so one less-or-equal matrix and its transpose decide it.
+    """
+    less_equal = _all_less_equal(points, points)
+    return less_equal & ~less_equal.T
 
 
 def non_dominated_sort(objectives: Sequence[Sequence[float]]) -> list[list[int]]:
     """Fast non-dominated sorting (Deb et al.), returning fronts of indices.
 
-    The O(n²·m) pairwise comparisons run on a broadcasted dominance matrix;
+    The O(n²·m) pairwise comparisons run column-wise on one dominance matrix;
     the subsequent front peeling preserves the exact within-front ordering of
     the classic formulation (which NSGA-II's truncation relies on for
     deterministic runs).

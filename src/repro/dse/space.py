@@ -11,6 +11,9 @@ number in row-major order (last domain fastest), so
 :func:`encode_ids` / :func:`decode_ids` convert whole batches in single
 vectorised steps; they need only the domain cardinalities, which is all a
 remote client of the DSE service knows about the space.
+:meth:`DesignSpace.design_keys` extends the same numbering, as exact Python
+ints, to spaces too large for ``int64`` ids: it is the evaluation engine's
+cache key.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 __all__ = ["ParameterDomain", "DesignSpace", "encode_ids", "decode_ids"]
+
+#: Spaces of this many designs or more do not fit ``int64`` design ids.
+_ID_LIMIT = 2**63
 
 
 def _gene_matrix(genotypes: Any, cardinalities: np.ndarray) -> np.ndarray:
@@ -54,7 +60,7 @@ def _id_strides(cardinalities: Sequence[int]) -> tuple[np.ndarray, int]:
             raise ValueError("every domain needs at least one value")
         strides.append(size)
         size *= cardinality
-    if size >= 2**63:
+    if size >= _ID_LIMIT:
         raise ValueError(
             f"a space of {size} designs does not fit int64 design ids"
         )
@@ -192,6 +198,36 @@ class DesignSpace:
     def decode_ids(self, ids: Any) -> np.ndarray:
         """Unpack design ids into a gene-index matrix (see :func:`decode_ids`)."""
         return decode_ids(ids, self.cardinalities)
+
+    def design_keys(self, matrix: np.ndarray) -> np.ndarray:
+        """Exact design ids of a validated gene-index matrix, as cache keys.
+
+        The ``int64`` ids of :meth:`encode_ids` when the space fits them;
+        otherwise the same mixed-radix numbers as an object array of Python
+        ints (pass :meth:`index_matrix` output: this branch does not
+        validate).  ``keys.tolist()`` is exact either way, so one ``dict``
+        can index both kinds.
+        """
+        if self.size < _ID_LIMIT:
+            return self.encode_ids(matrix)
+        keys = np.zeros(len(matrix), dtype=object)
+        for column, cardinality in zip(
+            matrix.T.astype(object), self.cardinalities.tolist()
+        ):
+            keys = keys * cardinality + column
+        return keys
+
+    def key_genes(self, keys: Sequence[int]) -> np.ndarray:
+        """Gene-index rows of design keys: the inverse of :meth:`design_keys`."""
+        if self.size < _ID_LIMIT:
+            return self.decode_ids(np.asarray(keys, dtype=np.int64))
+        remaining = np.asarray(keys, dtype=object).reshape(-1)
+        genes = np.empty((len(remaining), len(self.domains)), dtype=np.int64)
+        for position in range(len(self.domains) - 1, -1, -1):
+            cardinality = self.domains[position].cardinality
+            genes[:, position] = remaining % cardinality
+            remaining = remaining // cardinality
+        return genes
 
     def decode(self, genotype: Sequence[int]) -> dict[str, Any]:
         """Map a genotype to a ``{parameter name: value}`` dictionary."""

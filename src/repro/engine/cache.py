@@ -1,9 +1,11 @@
 """Caching building blocks of the evaluation engine.
 
-Two caches live here:
+Three caches live here:
 
 * :class:`CachedNetworkEvaluator` — the node-level (per-stage) cache wrapped
   around a network evaluator;
+* :class:`ColumnStore` — the engine's memo of raw column rows, keyed by
+  packed design ids and operated on whole batches at a time;
 * :class:`SharedGenotypeCache` — a cross-problem genotype-level cache keyed
   by an evaluator fingerprint, letting problems that share evaluation
   semantics but differ in objective sets (the Figure-5 full/baseline pair)
@@ -26,7 +28,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import replace
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
+
+import numpy as np
 
 from repro.core.baseline import EnergyDelayBaselineEvaluator
 from repro.core.evaluator import (
@@ -39,7 +44,177 @@ from repro.engine.stats import EngineStats
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
     from repro.dse.problem import EvaluatedDesign
 
-__all__ = ["CachedNetworkEvaluator", "SharedGenotypeCache"]
+__all__ = ["CachedNetworkEvaluator", "ColumnStore", "SharedGenotypeCache"]
+
+#: Recency stamp of a dead (evicted) arena slot: never the least recent.
+_DEAD = np.iinfo(np.int64).max
+
+
+class ColumnStore:
+    """Column rows of computed designs, keyed by design id, one batch at a time.
+
+    An append-only arena of columns — penalised objectives, feasibility,
+    violation counts and a from-disk flag — plus one ``dict`` from design
+    key to arena slot.  Keys are exact Python ints (the packed design ids of
+    :meth:`~repro.dse.space.DesignSpace.design_keys`), so spaces too large
+    for ``int64`` ids share this one implementation.  Every operation takes
+    a whole batch and runs its per-row work at C level (``map`` over the
+    index, fancy indexing over the columns); inserts append, so a batch
+    never copies the store.
+
+    Args:
+        max_entries: optional LRU bound.  A :meth:`lookup` hit refreshes a
+            row's recency; after every :meth:`insert` the least recently
+            used rows beyond the bound are evicted (and counted by the
+            caller from the return value).  Evicted slots are reclaimed by
+            compacting the arena once they outnumber the live rows.
+            ``None`` keeps the store unbounded.
+    """
+
+    def __init__(self, max_entries: int | None = None) -> None:
+        if max_entries is not None and max_entries <= 0:
+            raise ValueError("max_entries must be positive (or None)")
+        self.max_entries = max_entries
+        self.clear()
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def clear(self) -> None:
+        """Drop every row."""
+        self._index: dict[int, int] = {}
+        self._keys: list[int] = []  # slot -> key
+        self._used = 0  # arena slots handed out, dead ones included
+        self._dead = 0
+        self._tick = 0
+        self._objectives = np.empty((0, 0))
+        self._feasible = np.empty(0, dtype=bool)
+        self._violations = np.empty(0, dtype=np.int64)
+        self._from_disk = np.empty(0, dtype=bool)
+        self._stamps = np.empty(0, dtype=np.int64)
+
+    def lookup(self, keys: Sequence[int]) -> np.ndarray:
+        """Arena slot of each key, ``-1`` for a miss; hits refresh recency
+        in request order.  Keys must be distinct."""
+        slots = np.fromiter(
+            map(self._index.get, keys, repeat(-1)), dtype=np.int64, count=len(keys)
+        )
+        if self.max_entries is not None:
+            self._touch(slots[slots >= 0])
+        return slots
+
+    def contains(self, keys: Sequence[int]) -> np.ndarray:
+        """Membership mask of ``keys``, without touching recency."""
+        return np.fromiter(
+            map(self._index.__contains__, keys), dtype=bool, count=len(keys)
+        )
+
+    def rows(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(objectives, feasible, violation_counts)`` of arena slots."""
+        return (
+            self._objectives[slots],
+            self._feasible[slots],
+            self._violations[slots],
+        )
+
+    def from_disk(self, slots: np.ndarray) -> np.ndarray:
+        """Which arena slots hold rows bulk-loaded off a cache segment."""
+        return self._from_disk[slots]
+
+    def insert(
+        self,
+        keys: Sequence[int],
+        objectives: np.ndarray,
+        feasible: np.ndarray,
+        violation_counts: np.ndarray,
+        *,
+        from_disk: bool = False,
+    ) -> int:
+        """Append rows for keys the store does not hold; returns evictions.
+
+        Keys must be distinct and absent (callers insert their misses).
+        New rows are the most recently used, in key order.
+        """
+        count = len(keys)
+        if count == 0:
+            return 0
+        start = self._reserve(count, objectives.shape[1])
+        stop = start + count
+        self._objectives[start:stop] = objectives
+        self._feasible[start:stop] = feasible
+        self._violations[start:stop] = violation_counts
+        self._from_disk[start:stop] = from_disk
+        self._keys.extend(keys)
+        self._index.update(zip(keys, range(start, stop)))
+        if self.max_entries is None:
+            return 0
+        self._touch(np.arange(start, stop))
+        return self._evict()
+
+    def export(self) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+        """Every live row as ``(keys, objectives, feasible, violation_counts)``
+        (a snapshot: recency is not touched)."""
+        slots = np.fromiter(self._index.values(), dtype=np.int64, count=len(self))
+        return (list(self._index), *self.rows(slots))
+
+    # ------------------------------------------------------------ internals
+
+    def _reserve(self, count: int, width: int) -> int:
+        """Make room for ``count`` more slots; returns the first one."""
+        start = self._used
+        needed = start + count
+        if needed > len(self._feasible):
+            # Power-of-two capacities: amortised O(1) appends, and the
+            # common power-of-two sweep sizes fit exactly.
+            capacity = 1 << (needed - 1).bit_length()
+            self._objectives = _grown(self._objectives[:start], (capacity, width))
+            self._feasible = _grown(self._feasible[:start], (capacity,))
+            self._violations = _grown(self._violations[:start], (capacity,))
+            self._from_disk = _grown(self._from_disk[:start], (capacity,))
+            if self.max_entries is not None:
+                self._stamps = _grown(self._stamps[:start], (capacity,))
+        self._used = needed
+        return start
+
+    def _touch(self, slots: np.ndarray) -> None:
+        self._stamps[slots] = np.arange(self._tick, self._tick + len(slots))
+        self._tick += len(slots)
+
+    def _evict(self) -> int:
+        """Drop the least recently used rows beyond the bound."""
+        excess = len(self._index) - self.max_entries
+        if excess <= 0:
+            return 0
+        victims = np.argpartition(self._stamps[: self._used], excess - 1)[:excess]
+        for slot in victims.tolist():
+            del self._index[self._keys[slot]]
+        self._stamps[victims] = _DEAD
+        self._dead += excess
+        if self._dead > len(self._index):
+            self._compact()
+        return excess
+
+    def _compact(self) -> None:
+        """Move the live rows to the front of the arena, in slot order."""
+        live = np.flatnonzero(self._stamps[: self._used] != _DEAD)
+        keys = [self._keys[slot] for slot in live.tolist()]
+        self._objectives = self._objectives[live]
+        self._feasible = self._feasible[live]
+        self._violations = self._violations[live]
+        self._from_disk = self._from_disk[live]
+        self._stamps = self._stamps[live]
+        self._keys = keys
+        self._index = dict(zip(keys, range(len(keys))))
+        self._used = len(keys)
+        self._dead = 0
+
+
+def _grown(array: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A zero-filled array of ``shape`` holding ``array`` in its first rows."""
+    grown = np.zeros(shape, dtype=array.dtype)
+    if array.size:
+        grown[: len(array)] = array
+    return grown
 
 
 class SharedGenotypeCache:

@@ -5,19 +5,25 @@ owns every cross-cutting evaluation concern:
 
 * **genotype memo cache** — identical genotypes requested twice (within a
   run or across algorithms sharing one problem) are served without touching
-  the model; this replaces the private caches the algorithms used to carry;
+  the model; this replaces the private caches the algorithms used to carry.
+  Every memo is keyed by the packed design id of the genotype
+  (:meth:`~repro.dse.space.DesignSpace.design_keys`), computed once per
+  batch from the validated index matrix.  Raw column rows live in one
+  id-keyed :class:`~repro.engine.cache.ColumnStore` that looks up, inserts,
+  bulk-loads and exports whole batches at a time; design objects built on
+  the object path live in a design memo beside it;
 * **cross-problem shared cache** (optional) — engines given one
   :class:`~repro.engine.cache.SharedGenotypeCache` instance serve each
   other's computed designs when their problems report the same evaluator
   fingerprint, with objective vectors projected onto each problem's
   component set (the Figure-5 full/baseline pair shares one cache this
-  way);
+  way); it is consulted only for the rows both local memos miss;
 * **persistent cache tier** (optional) — an engine given a ``cache_dir``
-  bulk-memoises the on-disk column segment of its problem's evaluation
-  fingerprint at bind time and spills its memos back on close
-  (:mod:`repro.engine.persist`), so repeated campaigns warm-start across
-  processes — a fully covered sweep re-runs without any model evaluation,
-  bitwise identical to its cold run;
+  bulk-loads the on-disk column segment of its problem's evaluation
+  fingerprint into the column store at bind time and spills its memos back
+  on close (:mod:`repro.engine.persist`), so repeated campaigns warm-start
+  across processes — a fully covered sweep re-runs without any model
+  evaluation, bitwise identical to its cold run;
 * **node-level cache** — below a genotype miss, the pure per-node stage of
   the evaluator is memoised by the problem's
   :class:`~repro.engine.cache.CachedNetworkEvaluator` (optionally bounded by
@@ -80,7 +86,6 @@ from __future__ import annotations
 import contextlib
 import time
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
@@ -96,12 +101,12 @@ from repro.engine.backends import (
     WorkerRecoveryExhausted,
     make_backend,
 )
-from repro.engine.cache import SharedGenotypeCache
+from repro.engine.cache import ColumnStore, SharedGenotypeCache
 from repro.engine.persist import (
     CacheTierWarning,
     load_segment_if_valid,
     segment_path,
-    spill_rows,
+    spill_columns,
 )
 from repro.engine.stats import EngineStats
 
@@ -109,10 +114,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
     from repro.dse.problem import EvaluatedDesign
 
 __all__ = ["ColumnarBatchResult", "EvaluationEngine"]
-
-#: Column-row record memoised per genotype on the columnar path:
-#: ``(objectives, feasible, violation count)`` — never a design object.
-_ColumnRow = tuple[tuple[float, ...], bool, int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,16 +236,18 @@ class EvaluationEngine:
             components.  Requires the genotype cache and a problem exposing
             ``evaluation_fingerprint`` / ``objective_components``; silently
             inactive otherwise.
-        column_memo_max_entries: optional LRU bound on the column-row memo
-            (the columnar twin of the design memo); when set, the
-            least-recently-used row is evicted on overflow, counted in
+        column_memo_max_entries: optional LRU bound on the id-keyed column
+            store (:class:`~repro.engine.cache.ColumnStore`, the columnar
+            twin of the design memo).  A hit refreshes a row's recency;
+            after every batch the least-recently-used rows beyond the bound
+            are evicted, each counted in
             ``EngineStats.column_memo_evictions`` (an eviction only costs a
             future recompute — it can never change results).  ``None``
-            keeps the memo unbounded.
+            keeps the store unbounded.
         cache_dir: directory of the persistent cache tier
             (:mod:`repro.engine.persist`).  At :meth:`bind` the engine
-            bulk-memoises the problem's fingerprint segment (if one exists)
-            into the column memo, so sweeps warm-start without a single
+            bulk-loads the problem's fingerprint segment (if one exists)
+            into the column store, so sweeps warm-start without a single
             model evaluation; at :meth:`close` (and through
             ``run_algorithm(cache_dir=...)``) the memos are spilled back.
             Unusable segments warn (:class:`CacheTierWarning`) and the
@@ -288,16 +291,12 @@ class EvaluationEngine:
         )
         self.stats = stats if stats is not None else EngineStats()
         self.shared_cache = shared_cache
-        self._memo: dict[tuple[int, ...], "EvaluatedDesign"] = {}
-        # Columnar twin of the design memo: raw column rows keyed by
-        # genotype, so cached rows re-enter pruning as columns without an
-        # object round-trip (see :meth:`evaluate_many_columnar`).  An
-        # OrderedDict so the optional ``column_memo_max_entries`` bound can
-        # evict in LRU order.
-        self._column_memo: OrderedDict[tuple[int, ...], _ColumnRow] = OrderedDict()
-        # Keys whose rows were bulk-memoised off a persistent cache segment
-        # — their first hit counts as a ``persistent_cache_hits``.
-        self._disk_keys: set[tuple[int, ...]] = set()
+        # Both memos are keyed by design id (see ``DesignSpace.design_keys``).
+        self._memo: dict[int, "EvaluatedDesign"] = {}
+        # Columnar twin of the design memo: raw column rows, so cached rows
+        # re-enter pruning as columns without an object round-trip (see
+        # :meth:`evaluate_many_columnar`).
+        self._column_store = ColumnStore(column_memo_max_entries)
         # Segment paths already consumed, so repeated warm-start requests
         # (constructor cache_dir plus runner cache_dir) load once.
         self._segments_loaded: set[Path] = set()
@@ -352,29 +351,19 @@ class EvaluationEngine:
         one evaluation to a worker pool costs more than the model itself.
         """
         started = time.perf_counter()
-        key = tuple(int(gene) for gene in genotype)
         self.stats.genotype_requests += 1
-        design = self._memo.get(key) if self.genotype_cache_enabled else None
-        if design is None and self.genotype_cache_enabled and (
-            self._column_memo_hit(key) is not None
-        ):
-            # Columnar sweeps memoise raw column rows; serve the object path
-            # from them too (materialised on demand, then memoised).
-            design = self._materialise_column_keys([key])[0]
-            self.stats.genotype_cache_hits += 1
-        elif design is None:
-            design = self._shared_lookup(key)
-            if design is not None:
-                self.stats.shared_cache_hits += 1
-                self._memo[key] = design
-            else:
-                design = self._problem.compute_design(key)
-                self.stats.model_evaluations += 1
-                if self.genotype_cache_enabled:
-                    self._memo[key] = design
-                self._shared_store(key, design)
-        else:
-            self.stats.genotype_cache_hits += 1
+        keys = None
+        design = None
+        if self.genotype_cache_enabled:
+            space = self._problem.space
+            matrix = space.index_matrix([genotype])
+            keys = space.design_keys(matrix)
+            if self._serve_designs(keys, matrix)[0]:
+                design = self._memo[keys.tolist()[0]]
+        if design is None:
+            design = self._problem.compute_design(tuple(int(g) for g in genotype))
+            self.stats.model_evaluations += 1
+            self._memoise(keys, [design])
         self.stats.wall_time_s += time.perf_counter() - started
         return design
 
@@ -389,67 +378,33 @@ class EvaluationEngine:
         :attr:`chunk_size`.
         """
         started = time.perf_counter()
-        self.stats.batches += 1
-        self.stats.genotype_requests += len(genotypes)
-
-        cached_mask: list[bool] | None = None
-        unique: list[tuple[int, ...]] | None = None
-        if self.genotype_cache_enabled:
-            keys = [tuple(map(int, genotype)) for genotype in genotypes]
-            # One row per *distinct* genotype, plus a flag marking the rows a
-            # cache already answered — the cached-row mask handed to the
-            # columnar paths, so memoised rows skip even the column gather.
-            unique = []
-            cached_mask = []
-            pending: list[tuple[int, ...]] = []
-            column_hits: list[tuple[int, ...]] = []
-            seen: set[tuple[int, ...]] = set()
-            for key in keys:
-                if key in seen:
-                    self.stats.genotype_cache_hits += 1
-                    continue
-                seen.add(key)
-                if key in self._memo:
-                    self.stats.genotype_cache_hits += 1
-                    unique.append(key)
-                    cached_mask.append(True)
-                    continue
-                if self._column_memo_hit(key) is not None:
-                    # Rows memoised as raw columns by a columnar sweep serve
-                    # the object path too — materialised below, in one batch.
-                    self.stats.genotype_cache_hits += 1
-                    unique.append(key)
-                    cached_mask.append(True)
-                    column_hits.append(key)
-                    continue
-                shared = self._shared_lookup(key)
-                if shared is not None:
-                    self.stats.shared_cache_hits += 1
-                    self._memo[key] = shared
-                    unique.append(key)
-                    cached_mask.append(True)
-                    continue
-                unique.append(key)
-                cached_mask.append(False)
-                pending.append(key)
-            if column_hits:
-                # Materialise column-memoised rows into the design memo so
-                # the result lookup below can serve them.
-                self._materialise_column_keys(column_hits)
-        else:
-            # Without the memo there is nothing to key by — ship the
-            # genotypes through as-is (the compute paths normalise them).
-            pending = list(genotypes)
-
-        computed = self._compute(pending, unique=unique, cached_mask=cached_mask)
-        if self.genotype_cache_enabled:
-            self._memo.update(zip(pending, computed))
-            for key, design in zip(pending, computed):
-                self._shared_store(key, design)
-            results = [self._memo[key] for key in keys]
-        else:
-            results = computed
-        self.stats.wall_time_s += time.perf_counter() - started
+        if self._problem is None:
+            raise RuntimeError("the engine must be bound to a problem first")
+        stats = self.stats
+        stats.batches += 1
+        stats.genotype_requests += len(genotypes)
+        space = self._problem.space
+        matrix = space.index_matrix(genotypes)
+        if not self.genotype_cache_enabled:
+            # Without the memo there is nothing to key by: every row is
+            # computed as-is, duplicates included.
+            results = self._compute(matrix)
+            stats.wall_time_s += time.perf_counter() - started
+            return results
+        request_keys = space.design_keys(matrix)
+        first_rows, _ = _distinct_rows(request_keys)
+        keys, distinct = request_keys, matrix
+        if first_rows is not None:
+            stats.genotype_cache_hits += len(request_keys) - len(first_rows)
+            keys, distinct = request_keys[first_rows], matrix[first_rows]
+        # One row per *distinct* genotype, plus the cached-row mask handed
+        # to the columnar paths, so memoised rows skip even the column gather.
+        cached = self._serve_designs(keys, distinct)
+        pending = np.flatnonzero(~cached)
+        computed = self._compute(distinct[pending], distinct, cached)
+        self._memoise(keys[pending], computed)
+        results = list(map(self._memo.__getitem__, request_keys.tolist()))
+        stats.wall_time_s += time.perf_counter() - started
         return results
 
     def evaluate_many_columnar(
@@ -471,14 +426,17 @@ class EvaluationEngine:
         computes per-design results and flattens them into columns (those
         designs are memoised, so their later materialisation is free).
 
-        Genotype-cache hits are served from a *column-row memo* (raw rows,
-        not designs) — cached rows re-enter pruning as columns without an
-        object round-trip, and are counted in
-        ``EngineStats.rows_skipped_cached`` exactly like the cached-row mask
-        of the object path.  Rows only ever memoised as designs (e.g. by
-        :meth:`evaluate`) are flattened from the stored design.  Columnar
-        results are not published to the cross-problem shared cache (only
-        materialised designs are).
+        The batch is keyed once: design ids of the validated index matrix,
+        deduplicated with one sort, looked up in the id-keyed column store
+        as a whole, and cached rows are gathered column-wise.  Store hits
+        re-enter pruning as columns without an object round-trip and are
+        counted in ``EngineStats.rows_skipped_cached`` exactly like the
+        cached-row mask of the object path.  Rows only ever memoised as
+        designs (e.g. by :meth:`evaluate`) are flattened from the stored
+        design.  Misses reach the kernel in first-occurrence request order,
+        and their rows are inserted into the store.  Columnar results are
+        not published to the cross-problem shared cache (only materialised
+        designs are).
 
         ``prune_to_front=True`` is a *hint* for chunked sweeps: when the
         batch runs on a worker-pruning backend (``backend="sharded"`` with a
@@ -508,79 +466,59 @@ class EvaluationEngine:
         # One bounds-checked index matrix for the whole batch; the compute
         # paths receive their (pre-validated) miss rows as a slice of it.
         matrix = problem.space.index_matrix(genotypes)
-        positions: dict[tuple[int, ...], int] | None = None
-        cached_rows: dict[int, _ColumnRow] = {}
+        # Without the memo there is nothing to key by: every row is computed
+        # as-is, duplicates included (mirrors ``evaluate_many``).
+        keys = inverse = None
+        pending = np.arange(len(matrix))
+        store_rows = design_rows = pending[:0]
+        parts = []  # cached rows: (distinct rows, objectives, feasible, violations)
         if self.genotype_cache_enabled:
-            keys = list(map(tuple, matrix.tolist()))
-            positions = {}
-            unique: list[tuple[int, ...]] = []
-            first_rows: list[int] = []
-            pending: list[tuple[int, ...]] = []
-            pending_rows: list[int] = []
-            for request_row, key in enumerate(keys):
-                if key in positions:
-                    stats.genotype_cache_hits += 1
-                    continue
-                row_index = len(unique)
-                positions[key] = row_index
-                unique.append(key)
-                first_rows.append(request_row)
-                row = self._column_memo_hit(key)
-                if row is not None:
-                    stats.genotype_cache_hits += 1
-                    cached_rows[row_index] = row
-                    continue
-                design = self._memo.get(key)
-                if design is not None:
-                    stats.genotype_cache_hits += 1
-                    cached_rows[row_index] = _design_row(design)
-                    continue
-                design = self._shared_lookup(key)
-                if design is not None:
-                    stats.shared_cache_hits += 1
-                    self._memo[key] = design
-                    cached_rows[row_index] = _design_row(design)
-                    continue
-                pending.append(key)
-                pending_rows.append(row_index)
-            if len(unique) != len(keys):
-                matrix = matrix[np.asarray(first_rows, dtype=np.int64)]
-        else:
-            # Without the memo there is nothing to key by: every row is
-            # computed as-is, duplicates included (mirrors ``evaluate_many``
-            # — and skips the per-row key normalisation entirely).
-            keys = list(genotypes)
-            unique = keys
-            pending = keys
-            pending_rows = list(range(len(keys)))
-
-        if not pending:
-            pending_matrix = matrix[:0]
-        elif len(pending) == len(unique):
-            pending_matrix = matrix
-        else:
-            pending_matrix = matrix[np.asarray(pending_rows, dtype=np.int64)]
+            keys = problem.space.design_keys(matrix)
+            first_rows, inverse = _distinct_rows(keys)
+            if first_rows is not None:
+                stats.genotype_cache_hits += len(keys) - len(first_rows)
+                matrix, keys = matrix[first_rows], keys[first_rows]
+            # The column store first, then the design memo, then the shared
+            # cache — each consulted only for the rows the previous missed.
+            slots = self._store_lookup(keys)
+            store_rows = np.flatnonzero(slots >= 0)
+            misses = np.flatnonzero(slots < 0)
+            memo = self._memo_holds(keys[misses])
+            stats.genotype_cache_hits += int(memo.sum())
+            misses, design_rows = misses[~memo], misses[memo]
+            shared = self._shared_hits(keys[misses], matrix[misses])
+            pending = misses[~shared]
+            design_rows = np.sort(np.concatenate([design_rows, misses[shared]]))
+            # Gathered now: inserting this batch's misses may evict rows.
+            if len(store_rows):
+                rows = self._column_store.rows(slots[store_rows])
+                parts.append((store_rows, *rows))
+            if len(design_rows):
+                designs = map(self._memo.__getitem__, keys[design_rows].tolist())
+                parts.append((design_rows, *_design_columns(list(designs))))
+        pending_keys = None if keys is None else keys[pending]
+        pending_matrix = matrix if len(pending) == len(matrix) else matrix[pending]
+        n_cached = len(store_rows) + len(design_rows)
         prune_capable = (
             prune_to_front
             and self.vectorized_enabled
             and getattr(problem, "supports_vectorized", False)
             and getattr(self.backend, "supports_worker_pruning", False)
         )
-        kept_pending: np.ndarray | None = None
+        computed = pending
         # ``pruned_result`` is set only by a *successful* worker-pruned call:
         # a batch degraded after recovery exhaustion comes back as full
         # (unpruned) columns and must be assembled under the full-batch
         # contract even though the caller asked for pruning.
         pruned_result = False
-        if prune_capable and pending:
+        if prune_capable and len(pending):
             # Worker-side pruning: shards ship back only their local
             # per-feasibility-class fronts, so the parent never touches a
             # dominated row.  Counter bookkeeping mirrors _compute_columns's
             # sharded branch (prune_capable implies that dispatch).
-            if cached_rows:
-                stats.rows_skipped_cached += len(cached_rows)
+            stats.rows_skipped_cached += n_cached
             try:
-                columns, kept_pending, rows_pruned = (
+                columns, kept, rows_pruned = (
                     self.backend.evaluate_front_columns_sharded(
                         problem,
                         pending_matrix,
@@ -590,10 +528,16 @@ class EvaluationEngine:
             except WorkerRecoveryExhausted as exc:
                 if not self.degrade_on_failure:
                     raise
-                columns = self._degraded_columns(pending, pending_matrix, exc)
+                columns = self._degraded_columns(
+                    pending_keys, pending_matrix, exc
+                )
                 stats.model_evaluations += len(pending)
             else:
+                # Only surviving rows came back — only they can be memoised
+                # (dominated rows are recomputed if ever re-asked, a pure
+                # performance trade the caches are allowed to make).
                 pruned_result = True
+                computed = pending[kept]
                 stats.model_evaluations += len(pending)
                 stats.vectorized_designs += len(pending)
                 stats.sharded_designs += len(pending)
@@ -601,82 +545,46 @@ class EvaluationEngine:
             finally:
                 self._drain_backend_faults()
         else:
-            columns = self._compute_columns(
-                pending, pending_matrix, n_cached=len(cached_rows)
+            columns = self._compute_columns(pending_keys, pending_matrix, n_cached)
+        if keys is not None and len(computed):
+            stats.column_memo_evictions += self._column_store.insert(
+                keys[computed].tolist(),
+                columns.objectives,
+                columns.feasible,
+                columns.violation_counts,
             )
-        if self.genotype_cache_enabled and pending:
-            # In pruned mode only surviving rows came back — only they can
-            # be memoised (dominated rows are recomputed if ever re-asked,
-            # a pure performance trade the caches are allowed to make).
-            if kept_pending is None:
-                computed_keys = pending
-            else:
-                computed_keys = [pending[int(row)] for row in kept_pending]
-            for key, row_objectives, row_feasible, row_violations in zip(
-                computed_keys,
-                columns.objectives.tolist(),
-                columns.feasible.tolist(),
-                columns.violation_counts.tolist(),
-            ):
-                self._column_memo_put(
-                    key,
-                    (
-                        tuple(row_objectives),
-                        bool(row_feasible),
-                        int(row_violations),
-                    ),
-                )
 
-        if pending:
-            n_objectives = columns.objectives.shape[1]
-        elif cached_rows:
-            n_objectives = len(next(iter(cached_rows.values()))[0])
-        else:
-            n_objectives = int(getattr(problem, "n_objectives", 0))
-        count = len(unique)
-        objectives = np.empty((count, n_objectives))
+        if len(computed):
+            parts.append(
+                (computed, columns.objectives, columns.feasible, columns.violation_counts)
+            )
+        count = len(matrix)
+        width = (
+            parts[0][1].shape[1] if parts else int(getattr(problem, "n_objectives", 0))
+        )
+        objectives = np.empty((count, width))
         feasible = np.empty(count, dtype=bool)
         violations = np.empty(count, dtype=np.int64)
+        for rows, *values in parts:
+            objectives[rows], feasible[rows], violations[rows] = values
         cached = np.zeros(count, dtype=bool)
-        cached_positions = np.fromiter(
-            cached_rows.keys(), dtype=np.int64, count=len(cached_rows)
-        )
-        cached[cached_positions] = True
-        if cached_rows:
-            cached_objectives, cached_feasible, cached_violations = zip(
-                *cached_rows.values()
-            )
-            objectives[cached_positions] = cached_objectives
-            feasible[cached_positions] = cached_feasible
-            violations[cached_positions] = cached_violations
-        rows = np.asarray(pending_rows, dtype=np.int64)
-        if pending:
-            if kept_pending is not None:
-                rows = rows[kept_pending]
-            objectives[rows] = columns.objectives
-            feasible[rows] = columns.feasible
-            violations[rows] = columns.violation_counts
+        cached[store_rows] = True
+        cached[design_rows] = True
+        selected = None
         if pruned_result:
             # Pruned result: only the candidate rows — cached rows (passed
             # through unpruned) plus the shard fronts — in distinct-genotype
-            # first-occurrence order; the duplicate expansion below never
-            # applies (duplicates collapse by contract).
-            selected = np.sort(
-                np.concatenate([cached_positions, rows if pending else rows[:0]])
-            )
+            # first-occurrence order; duplicates collapse by contract.
+            selected = np.sort(np.concatenate([store_rows, design_rows, computed]))
+        elif inverse is not None:
+            # Expand the distinct rows back to the (duplicated) request order.
+            selected = inverse
+        if selected is not None:
             matrix = matrix[selected]
             objectives = objectives[selected]
             feasible = feasible[selected]
             violations = violations[selected]
             cached = cached[selected]
-        elif positions is not None and count != len(keys):
-            # Expand the distinct rows back to the (duplicated) request order.
-            inverse = np.asarray([positions[key] for key in keys], dtype=np.int64)
-            matrix = matrix[inverse]
-            objectives = objectives[inverse]
-            feasible = feasible[inverse]
-            violations = violations[inverse]
-            cached = cached[inverse]
         stats.wall_time_s += time.perf_counter() - started
         return ColumnarBatchResult(
             genotypes=matrix,
@@ -708,13 +616,11 @@ class EvaluationEngine:
         fallback only triggers on cache-disabled engines.
         """
         problem = self._problem
-        keys = [tuple(row) for row in matrix.tolist()]
-        results: list["EvaluatedDesign | None"] = [None] * len(keys)
+        keys = None
+        results: list["EvaluatedDesign | None"] = [None] * len(matrix)
         if self.genotype_cache_enabled:
-            for index, key in enumerate(keys):
-                design = self._memo.get(key)
-                if design is not None:
-                    results[index] = design
+            keys = problem.space.design_keys(matrix)
+            results = list(map(self._memo.get, keys.tolist()))
         missing = [index for index, design in enumerate(results) if design is None]
         if missing:
             rows = np.asarray(missing, dtype=np.int64)
@@ -730,14 +636,12 @@ class EvaluationEngine:
                     ),
                 )
             else:
-                built = [problem.compute_design(keys[index]) for index in missing]
+                built = [problem.compute_design(g) for g in _tuples(matrix[rows])]
                 self.stats.model_evaluations += len(missing)
             self.stats.designs_materialised += len(missing)
             for index, design in zip(missing, built):
                 results[index] = design
-                if self.genotype_cache_enabled:
-                    self._memo[keys[index]] = design
-                self._shared_store(keys[index], design)
+            self._memoise(None if keys is None else keys[rows], built)
         return results
 
     def close(self) -> None:
@@ -771,8 +675,7 @@ class EvaluationEngine:
     def clear_caches(self) -> None:
         """Drop the genotype memos (the node cache lives with the problem)."""
         self._memo.clear()
-        self._column_memo.clear()
-        self._disk_keys.clear()
+        self._column_store.clear()
         self._segments_loaded.clear()
 
     @contextlib.contextmanager
@@ -812,22 +715,23 @@ class EvaluationEngine:
         return tuple(sorted(self._segments_loaded))
 
     def load_persistent_cache(self, cache_dir: str | Path | None = None) -> int:
-        """Bulk-memoise the bound problem's segment from the persistent tier.
+        """Bulk-load the bound problem's segment from the persistent tier.
 
         Loads the segment keyed by the problem's evaluation fingerprint
-        from ``cache_dir`` (default: the engine's configured ``cache_dir``)
-        and inserts its rows into the column-row memo, projected onto the
-        problem's objective components — the cached-row mask protocol then
-        serves them to every evaluation path, so a fully covered sweep
-        re-runs without a single model evaluation.  Rows already memoised
-        locally are left untouched (fresher or identical).  Returns the
-        number of rows loaded, also counted in
-        ``EngineStats.rows_loaded_from_disk``.
+        from ``cache_dir`` (default: the engine's configured ``cache_dir``),
+        keys its gene rows, projects its objectives onto the problem's
+        components and inserts the rows into the column store in one batch
+        — the cached-row mask protocol then serves them to every evaluation
+        path, so a fully covered sweep re-runs without a single model
+        evaluation.  Rows already memoised locally are left untouched
+        (fresher or identical).  Returns the number of rows loaded, also
+        counted in ``EngineStats.rows_loaded_from_disk``.
 
         A missing segment is a silent cold start; an unusable one (corrupt,
-        foreign fingerprint, incompatible components) warns with
-        :class:`CacheTierWarning` and starts cold.  Each segment file is
-        consumed at most once per engine (until :meth:`clear_caches`).
+        foreign fingerprint, incompatible components, gene rows outside the
+        bound space) warns with :class:`CacheTierWarning` and starts cold.
+        Each segment file is consumed at most once per engine (until
+        :meth:`clear_caches`).
         """
         directory = Path(cache_dir) if cache_dir is not None else self.cache_dir
         if directory is None:
@@ -855,34 +759,44 @@ class EvaluationEngine:
                 stacklevel=2,
             )
             return 0
-        loaded = 0
-        for genotype, row_objectives, row_feasible, row_violations in zip(
-            segment.genotypes.tolist(),
-            objectives.tolist(),
-            segment.feasible.tolist(),
-            segment.violation_counts.tolist(),
-        ):
-            key = tuple(genotype)
-            if key in self._column_memo or key in self._memo:
-                continue
-            self._column_memo_put(
-                key,
-                (tuple(row_objectives), bool(row_feasible), int(row_violations)),
+        space = self._problem.space
+        try:
+            keys = space.design_keys(space.index_matrix(segment.genotypes))
+        except ValueError as exc:
+            warnings.warn(
+                f"ignoring cache segment '{path}': its gene rows do not fit "
+                f"the bound design space ({exc}); starting cold",
+                CacheTierWarning,
+                stacklevel=2,
             )
-            self._disk_keys.add(key)
-            loaded += 1
-        self.stats.rows_loaded_from_disk += loaded
-        return loaded
+            return 0
+        # Segment rows are lexsorted by genotype — ascending, distinct keys —
+        # so the first-occurrence pass is a no-op on every segment the tier
+        # writes.
+        rows, _ = _distinct_rows(keys)
+        if rows is None:
+            rows = np.arange(len(keys))
+        rows = rows[~self._column_store.contains(keys[rows].tolist())]
+        rows = rows[~self._memo_holds(keys[rows])]
+        self.stats.column_memo_evictions += self._column_store.insert(
+            keys[rows].tolist(),
+            objectives[rows],
+            segment.feasible[rows],
+            segment.violation_counts[rows],
+            from_disk=True,
+        )
+        self.stats.rows_loaded_from_disk += len(rows)
+        return len(rows)
 
     def spill_persistent_cache(
         self, cache_dir: str | Path | None = None
     ) -> Path | None:
         """Spill the engine's memos to the persistent tier's segment.
 
-        Flattens the design memo into column rows, overlays the column-row
-        memo, and merges the union into the fingerprint's segment under
+        Exports the column store, appends the design memo's rows it does
+        not hold, and merges them into the fingerprint's segment under
         ``cache_dir`` (default: the engine's configured ``cache_dir``) —
-        see :func:`repro.engine.persist.spill_rows` for the merge rules.
+        see :func:`repro.engine.persist.spill_columns` for the merge rules.
         Returns the segment path, or ``None`` when the tier is inactive or
         there is nothing to write.
         """
@@ -895,17 +809,22 @@ class EvaluationEngine:
             return None
         assert self._fingerprint is not None
         assert self._objective_components is not None
-        rows: dict[tuple[int, ...], _ColumnRow] = {
-            key: _design_row(design) for key, design in self._memo.items()
-        }
-        rows.update(self._column_memo)
-        if not rows:
-            return None
-        return spill_rows(
+        keys, *columns = self._column_store.export()
+        if self._memo:
+            # Store rows come first, so they win the spill's genotype dedup.
+            flattened = _design_columns(list(self._memo.values()))
+            if keys:
+                flattened = [np.concatenate(pair) for pair in zip(columns, flattened)]
+            keys, columns = keys + list(self._memo), flattened
+        objectives, feasible, violations = columns
+        return spill_columns(
             directory,
             fingerprint=self._fingerprint,
             components=self._objective_components,
-            rows=rows,
+            genotypes=self._problem.space.key_genes(keys),
+            objectives=objectives,
+            feasible=feasible,
+            violation_counts=violations,
         )
 
     def _persistence_active(self) -> bool:
@@ -940,53 +859,90 @@ class EvaluationEngine:
 
     # ------------------------------------------------------------ internals
 
-    def _column_memo_hit(self, key: tuple[int, ...]) -> _ColumnRow | None:
-        """Column-memo lookup with LRU touch and persistent-hit accounting."""
-        row = self._column_memo.get(key)
-        if row is None:
-            return None
-        if self.column_memo_max_entries is not None:
-            self._column_memo.move_to_end(key)
-        if key in self._disk_keys:
-            self.stats.persistent_cache_hits += 1
-        return row
-
-    def _column_memo_put(self, key: tuple[int, ...], row: _ColumnRow) -> None:
-        """Column-memo insert, evicting the LRU row past the optional bound."""
-        memo = self._column_memo
-        memo[key] = row
-        bound = self.column_memo_max_entries
-        if bound is not None:
-            memo.move_to_end(key)
-            if len(memo) > bound:
-                evicted, _ = memo.popitem(last=False)
-                self._disk_keys.discard(evicted)
-                self.stats.column_memo_evictions += 1
-
-    def _shared_lookup(self, key: tuple[int, ...]) -> "EvaluatedDesign | None":
-        """Consult the cross-problem shared cache, when active."""
-        if self.shared_cache is None or self._fingerprint is None:
-            return None
-        assert self._objective_components is not None
-        return self.shared_cache.lookup(
-            self._fingerprint, key, self._objective_components
+    def _memo_holds(self, keys: np.ndarray) -> np.ndarray:
+        """Which keys the design memo holds."""
+        return np.fromiter(
+            map(self._memo.__contains__, keys.tolist()), dtype=bool, count=len(keys)
         )
 
-    def _shared_store(self, key: tuple[int, ...], design: "EvaluatedDesign") -> None:
-        """Publish a computed design to the cross-problem shared cache."""
+    def _store_lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Column-store slots of distinct keys (``-1`` on a miss).
+
+        Every hit counts as a genotype-cache hit, and a hit on a row loaded
+        off a cache segment also as a persistent-cache hit.
+        """
+        store = self._column_store
+        slots = store.lookup(keys.tolist())
+        hits = slots[slots >= 0]
+        self.stats.genotype_cache_hits += len(hits)
+        self.stats.persistent_cache_hits += int(store.from_disk(hits).sum())
+        return slots
+
+    def _shared_hits(self, keys: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+        """Which rows the cross-problem shared cache serves (memoised, and
+        counted as shared hits); all ``False`` when no cache is attached."""
+        hits = np.zeros(len(keys), dtype=bool)
+        if self.shared_cache is None or self._fingerprint is None:
+            return hits
+        assert self._objective_components is not None
+        for row, (key, genotype) in enumerate(zip(keys.tolist(), _tuples(matrix))):
+            design = self.shared_cache.lookup(
+                self._fingerprint, genotype, self._objective_components
+            )
+            if design is not None:
+                hits[row] = True
+                self._memo[key] = design
+        self.stats.shared_cache_hits += int(hits.sum())
+        return hits
+
+    def _serve_designs(self, keys: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+        """Serve distinct rows into the design memo from the caches.
+
+        The design memo first, then the column store — rows columnar sweeps
+        memoised as raw columns, materialised in one batch — then the shared
+        cache, each consulted only for the rows the previous missed.
+        Returns the served-row mask; every hit is counted.
+        """
+        served = self._memo_holds(keys)
+        self.stats.genotype_cache_hits += int(served.sum())
+        misses = np.flatnonzero(~served)
+        slots = self._store_lookup(keys[misses])
+        from_store = misses[slots >= 0]
+        served[from_store] = True
+        misses = np.flatnonzero(~served)
+        served[misses[self._shared_hits(keys[misses], matrix[misses])]] = True
+        if len(from_store):
+            self.materialise_rows(
+                matrix[from_store], *self._column_store.rows(slots[slots >= 0])
+            )
+        return served
+
+    def _memoise(
+        self, keys: np.ndarray | None, designs: Sequence["EvaluatedDesign"]
+    ) -> None:
+        """Memoise computed designs by key (``None`` when the memo is off)
+        and publish them to the shared cache, when one is active."""
+        if keys is not None:
+            self._memo.update(zip(keys.tolist(), designs))
         if self.shared_cache is None or self._fingerprint is None:
             return
         assert self._objective_components is not None
-        self.shared_cache.store(
-            self._fingerprint, key, self._objective_components, design
-        )
+        for design in designs:
+            self.shared_cache.store(
+                self._fingerprint, design.genotype, self._objective_components, design
+            )
 
     def _compute(
         self,
-        genotypes: Sequence[tuple[int, ...]],
-        unique: Sequence[tuple[int, ...]] | None = None,
-        cached_mask: Sequence[bool] | None = None,
+        genotypes: np.ndarray,
+        unique: np.ndarray | None = None,
+        cached_mask: np.ndarray | None = None,
     ) -> list["EvaluatedDesign"]:
+        """Compute designs for validated miss rows on the object path.
+
+        ``unique``/``cached_mask`` are the batch's distinct rows and the
+        cached-row mask over them (``genotypes`` are its false rows).
+        """
         vectorizable = (
             self.vectorized_enabled
             and self._problem is not None
@@ -998,20 +954,18 @@ class EvaluationEngine:
             # The cached-row mask protocol: every memoised row is skipped
             # before any column gather — including the degenerate all-cached
             # batch, which never invokes a kernel or touches a pool at all.
-            self.stats.rows_skipped_cached += sum(map(bool, cached_mask))
+            self.stats.rows_skipped_cached += int(cached_mask.sum())
         # All-cached (or empty) batches never reach a kernel or a pool: the
         # columnar paths would otherwise be invoked with a zero-row gather.
-        if not genotypes:
+        if not len(genotypes):
             return []
-        if self._problem is None:
-            raise RuntimeError("the engine must be bound to a problem first")
         # Problems advertising ``supports_cached_mask`` receive the batch's
         # distinct rows plus the mask (the cached-row protocol); others get
         # the pre-filtered miss rows — identical results either way.
         masked = (
             unique is not None
             and cached_mask is not None
-            and any(cached_mask)
+            and cached_mask.any()
             and getattr(self._problem, "supports_cached_mask", False)
         )
         if vectorizable and in_process:
@@ -1051,7 +1005,7 @@ class EvaluationEngine:
                 # ``genotypes`` holds exactly the miss rows the pool was
                 # asked for (with a mask, ``run_columns`` evaluates the
                 # mask's false rows — the same set, in the same order).
-                designs = self._degraded_designs(genotypes, exc)
+                designs = self._degraded_designs(_tuples(genotypes), exc)
                 self.stats.model_evaluations += len(designs)
                 return designs
             finally:
@@ -1060,7 +1014,7 @@ class EvaluationEngine:
             self.stats.vectorized_designs += len(designs)
             self.stats.sharded_designs += len(designs)
             return designs
-        designs = self._compute_scalar_chunks(genotypes)
+        designs = self._compute_scalar_chunks(_tuples(genotypes))
         self.stats.model_evaluations += len(designs)
         return designs
 
@@ -1137,11 +1091,11 @@ class EvaluationEngine:
                 self.stats.vectorized_designs += len(designs)
                 return designs
         self._warn_degraded("in-process scalar path", cause)
-        return [problem.compute_design(key) for key in pending]
+        return [problem.compute_design(genotype) for genotype in pending]
 
     def _degraded_columns(
         self,
-        pending: Sequence[tuple[int, ...]],
+        pending_keys: np.ndarray | None,
         pending_matrix: np.ndarray,
         cause: BaseException,
     ) -> WbsnBatchColumns:
@@ -1170,51 +1124,32 @@ class EvaluationEngine:
                 pass
             else:
                 self._warn_degraded("in-process serial kernel", cause)
-                self.stats.vectorized_designs += len(pending)
+                self.stats.vectorized_designs += len(pending_matrix)
                 return columns
         self._warn_degraded("in-process scalar path", cause)
-        designs = [problem.compute_design(key) for key in pending]
-        if self.genotype_cache_enabled:
-            self._memo.update(zip(pending, designs))
-        for key, design in zip(pending, designs):
-            self._shared_store(key, design)
-        rows = [_design_row(design) for design in designs]
-        return WbsnBatchColumns(
-            objectives=np.asarray([row[0] for row in rows], dtype=float),
-            feasible=np.asarray([row[1] for row in rows], dtype=bool),
-            violation_counts=np.asarray([row[2] for row in rows], dtype=np.int64),
-        )
-
-    def _materialise_column_keys(
-        self, keys: Sequence[tuple[int, ...]]
-    ) -> list["EvaluatedDesign"]:
-        """Materialise designs for keys memoised as raw column rows."""
-        rows = [self._column_memo[key] for key in keys]
-        return self.materialise_rows(
-            self._problem.space.index_matrix(keys),
-            np.asarray([row[0] for row in rows], dtype=float),
-            np.asarray([row[1] for row in rows], dtype=bool),
-            np.asarray([row[2] for row in rows], dtype=np.int64),
-        )
+        designs = [problem.compute_design(g) for g in _tuples(pending_matrix)]
+        self._memoise(pending_keys, designs)
+        return WbsnBatchColumns(*_design_columns(designs))
 
     def _compute_columns(
         self,
-        pending: Sequence[tuple[int, ...]],
+        pending_keys: np.ndarray | None,
         pending_matrix: np.ndarray,
         n_cached: int,
     ) -> WbsnBatchColumns:
-        """Compute raw column rows for a batch's miss keys (any path).
+        """Compute raw column rows for a batch's miss rows (any path).
 
         The columnar sibling of :meth:`_compute`: the in-process kernel and
         the sharded backend return their columns untouched, and the scalar
         fallback flattens per-design results into columns (memoising the
-        computed designs so their materialisation later is free).
-        ``pending_matrix`` holds the miss keys as already-validated index
-        rows — the kernel paths consume it directly, so the batch matrix is
-        bounds-checked once, not per path.
+        computed designs under ``pending_keys`` so their materialisation
+        later is free).  ``pending_matrix`` holds the miss rows as
+        already-validated index rows — the kernel paths consume it
+        directly, so the batch matrix is bounds-checked once, not per path.
         """
         stats = self.stats
         problem = self._problem
+        count = len(pending_matrix)
         vectorizable = self.vectorized_enabled and getattr(
             problem, "supports_vectorized", False
         )
@@ -1224,12 +1159,12 @@ class EvaluationEngine:
             # Cached rows never reach a column gather, exactly like the
             # cached-row mask of the object path.
             stats.rows_skipped_cached += n_cached
-        if not pending:
+        if not count:
             return WbsnBatchColumns.empty(0)
         if vectorizable and in_process and hasattr(problem, "compute_columns_batch"):
             faults.maybe_fire("kernel")
             columns = problem.compute_columns_batch(pending_matrix)
-            stats.vectorized_designs += len(pending)
+            stats.vectorized_designs += count
         elif vectorizable and sharded:
             try:
                 columns = self.backend.evaluate_columns_sharded(
@@ -1238,27 +1173,17 @@ class EvaluationEngine:
             except WorkerRecoveryExhausted as exc:
                 if not self.degrade_on_failure:
                     raise
-                columns = self._degraded_columns(pending, pending_matrix, exc)
+                columns = self._degraded_columns(pending_keys, pending_matrix, exc)
             else:
-                stats.vectorized_designs += len(pending)
-                stats.sharded_designs += len(pending)
+                stats.vectorized_designs += count
+                stats.sharded_designs += count
             finally:
                 self._drain_backend_faults()
         else:
-            designs = self._compute_scalar_chunks(pending)
-            if self.genotype_cache_enabled:
-                self._memo.update(zip(pending, designs))
-            for key, design in zip(pending, designs):
-                self._shared_store(key, design)
-            rows = [_design_row(design) for design in designs]
-            columns = WbsnBatchColumns(
-                objectives=np.asarray([row[0] for row in rows], dtype=float),
-                feasible=np.asarray([row[1] for row in rows], dtype=bool),
-                violation_counts=np.asarray(
-                    [row[2] for row in rows], dtype=np.int64
-                ),
-            )
-        stats.model_evaluations += len(pending)
+            designs = self._compute_scalar_chunks(_tuples(pending_matrix))
+            self._memoise(pending_keys, designs)
+            columns = WbsnBatchColumns(*_design_columns(designs))
+        stats.model_evaluations += count
         return columns
 
     def __getstate__(self) -> dict[str, Any]:
@@ -1267,8 +1192,7 @@ class EvaluationEngine:
         # stay home.
         state = self.__dict__.copy()
         state["_memo"] = {}
-        state["_column_memo"] = OrderedDict()
-        state["_disk_keys"] = set()
+        state["_column_store"] = ColumnStore(self.column_memo_max_entries)
         state["_segments_loaded"] = set()
         state["shared_cache"] = None
         # Workers must never write segments of their own (the parent owns
@@ -1277,15 +1201,46 @@ class EvaluationEngine:
         return state
 
 
-def _design_row(design: "EvaluatedDesign") -> _ColumnRow:
-    """Flatten a memoised design into a raw column row.
+def _tuples(matrix: np.ndarray) -> list[tuple[int, ...]]:
+    """Gene-index rows as genotype tuples (the scalar path's currency)."""
+    return list(map(tuple, matrix.tolist()))
+
+
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """First-occurrence rows of a batch's distinct keys, in request order,
+    and each request row's index among them — ``(None, None)`` when every
+    key is distinct (ascending keys, a sweep chunk, are detected without a
+    sort)."""
+    if len(keys) < 2 or (keys[1:] > keys[:-1]).all():
+        return None, None
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if len(first) == len(keys):
+        return None, None
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.reshape(-1)]
+
+
+def _design_columns(
+    designs: Sequence["EvaluatedDesign"],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten designs into ``(objectives, feasible, violation_counts)``.
 
     Designs produced by the engine's compute paths always carry their
     violation count; for hand-built designs that predate the field the
     count is derived from feasibility (feasible means zero violations; an
     unknown infeasible row is recorded as one).
     """
-    violations = getattr(design, "violation_count", None)
-    if violations is None:
-        violations = 0 if design.feasible else 1
-    return (tuple(design.objectives), bool(design.feasible), int(violations))
+    violations = [getattr(design, "violation_count", None) for design in designs]
+    return (
+        np.asarray([design.objectives for design in designs], dtype=float),
+        np.asarray([design.feasible for design in designs], dtype=bool),
+        np.asarray(
+            [
+                (0 if design.feasible else 1) if count is None else count
+                for design, count in zip(designs, violations)
+            ],
+            dtype=np.int64,
+        ),
+    )

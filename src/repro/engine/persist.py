@@ -2,18 +2,20 @@
 
 The engine's caches make repeated campaigns cheap *within* a process; this
 module makes them cheap *across* processes.  Everything the engine knows
-about a problem's evaluations — the column-row memo of the columnar sweeps,
-the design memo, the cross-problem :class:`~repro.engine.cache.SharedGenotypeCache`
-records — can be spilled to disk as one **segment per evaluation
-fingerprint** and bulk-memoised back into a fresh engine, so a re-run of a
-sweep prunes cached columns without a single model evaluation.
+about a problem's evaluations — the id-keyed column store of the columnar
+sweeps, the design memo, the cross-problem
+:class:`~repro.engine.cache.SharedGenotypeCache` records — can be spilled
+to disk as one **segment per evaluation fingerprint** and bulk-loaded back
+into a fresh engine, so a re-run of a sweep prunes cached columns without a
+single model evaluation.
 
 Segment contents are the raw column arrays the engine already speaks —
 a genotype-index matrix, the penalised objective matrix, the feasibility and
 violation-count columns — never pickled ``EvaluatedDesign`` objects: loading
-is array deserialization plus dictionary inserts, and materialisation (when
-a caller wants objects at all) runs through the usual phenotype lookup
-tables.
+is array deserialization plus one batch insert into the engine's column
+store, spilling is one export of it merged by genotype with the stored
+rows, and materialisation (when a caller wants objects at all) runs through
+the usual phenotype lookup tables.
 
 On-disk layout, sharing the checkpoint module's framing and durability
 discipline (:func:`~repro.engine.checkpoint.pack_blob` /
@@ -79,6 +81,7 @@ __all__ = [
     "save_segment",
     "load_segment",
     "load_segment_if_valid",
+    "spill_columns",
     "spill_rows",
     "spill_shared_cache",
 ]
@@ -569,31 +572,35 @@ def load_segment_if_valid(
     return segment
 
 
-def spill_rows(
+def spill_columns(
     cache_dir: str | Path,
     *,
     fingerprint: bytes,
     components: tuple[str, ...],
-    rows: Mapping[tuple[int, ...], _Row],
+    genotypes: np.ndarray,
+    objectives: np.ndarray,
+    feasible: np.ndarray,
+    violation_counts: np.ndarray,
 ) -> Path | None:
     """Spill column rows into a fingerprint's segment, merging what's there.
 
-    An existing valid segment with the same component set is unioned in
+    Rows are keyed by genotype: the first of repeated new rows is kept, and
+    an existing valid segment with the same component set is unioned in
     (the new rows win on conflicts — both sides computed the same floats,
-    so the choice is cosmetic).  Component sets follow the shared cache's
-    richest-record rule: a spill *wider* than the stored segment replaces
-    it outright (narrow rows cannot be widened), a spill *narrower* than
-    (or incomparable with) the stored segment is a no-op — the richer
-    segment keeps serving both problems by projection.  An existing
-    invalid segment is warned about (:class:`CacheTierWarning`) and
-    overwritten.
+    so the choice is cosmetic).  Component sets follow the shared
+    cache's richest-record rule: a spill *wider* than the stored segment
+    replaces it outright (narrow rows cannot be widened), a spill
+    *narrower* than (or incomparable with) the stored segment is a no-op —
+    the richer segment keeps serving both problems by projection.  An
+    existing invalid segment is warned about (:class:`CacheTierWarning`)
+    and overwritten.
 
     Returns the segment path, or ``None`` when there was nothing to write.
     """
-    if not rows:
+    if not len(genotypes):
         return None
     path = segment_path(cache_dir, fingerprint)
-    existing = None
+    columns = (genotypes, objectives, feasible, violation_counts)
     if path.exists():
         existing = load_segment_if_valid(path, fingerprint=fingerprint)
         if existing is not None and existing.components != components:
@@ -605,21 +612,62 @@ def spill_rows(
                 # Narrower or incomparable: the stored segment keeps serving
                 # both problems (by projection, or first writer wins).
                 return path
-    merged: dict[tuple[int, ...], _Row] = existing.rows() if existing else {}
-    merged.update(rows)
-    n_objectives = len(components)
-    keys = list(merged)
+        if existing is not None and len(existing):
+            old = (
+                existing.genotypes,
+                existing.objectives,
+                existing.feasible,
+                existing.violation_counts,
+            )
+            columns = tuple(map(np.concatenate, zip(columns, old)))
+    genotypes, objectives, feasible, violation_counts = _first_rows(columns)
     return save_segment(
         cache_dir,
         fingerprint=fingerprint,
         components=components,
-        genotypes=np.asarray(keys, dtype=np.int64).reshape(len(keys), -1),
+        genotypes=genotypes,
+        objectives=objectives,
+        feasible=feasible,
+        violation_counts=violation_counts,
+    )
+
+
+def _first_rows(columns: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    """Keep the first row of each genotype (``columns[0]``), sorted by it."""
+    genotypes = np.asarray(columns[0], dtype=np.int64)
+    # The sort is stable, so each genotype's first row leads its run.
+    order = np.lexsort(genotypes.T[::-1])
+    ordered = genotypes[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    keep = order[first]
+    return [np.asarray(column)[keep] for column in columns]
+
+
+def spill_rows(
+    cache_dir: str | Path,
+    *,
+    fingerprint: bytes,
+    components: tuple[str, ...],
+    rows: Mapping[tuple[int, ...], _Row],
+) -> Path | None:
+    """:func:`spill_columns` for a ``genotype -> (objectives, feasible,
+    violations)`` mapping."""
+    if not rows:
+        return None
+    count = len(rows)
+    values = list(rows.values())
+    return spill_columns(
+        cache_dir,
+        fingerprint=fingerprint,
+        components=components,
+        genotypes=np.asarray(list(rows), dtype=np.int64).reshape(count, -1),
         objectives=np.asarray(
-            [merged[key][0] for key in keys], dtype=np.float64
-        ).reshape(len(keys), n_objectives),
-        feasible=np.asarray([merged[key][1] for key in keys], dtype=bool),
+            [value[0] for value in values], dtype=np.float64
+        ).reshape(count, len(components)),
+        feasible=np.asarray([value[1] for value in values], dtype=bool),
         violation_counts=np.asarray(
-            [merged[key][2] for key in keys], dtype=np.int64
+            [value[2] for value in values], dtype=np.int64
         ),
     )
 

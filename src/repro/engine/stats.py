@@ -90,13 +90,17 @@ class EngineStats:
         node_cache_evictions: per-node stage results evicted by the LRU
             bound of the node cache.
         column_memo_evictions: column rows evicted by the LRU bound of the
-            engine's column-row memo (``column_memo_max_entries``).
-        rows_loaded_from_disk: column rows bulk-memoised from a persistent
+            engine's id-keyed column store (``column_memo_max_entries``).
+        rows_loaded_from_disk: column rows bulk-loaded from a persistent
             cache segment (:mod:`repro.engine.persist`) — warm-start
             capacity loaded, whether or not a sweep ever requests it.
         persistent_cache_hits: genotype requests answered by a column row
             that came off disk (a subset of ``genotype_cache_hits``; the
-            warm-start sweep's "no model was touched" evidence).
+            warm-start sweep's "no model was touched" evidence).  Every
+            such request counts, not only a row's first: a warm 8,192-row
+            sweep counts 8,192, plus one for the problem's construction
+            probe.  A repeat of a genotype within one batch counts as an
+            ordinary genotype-cache hit.
         batches: number of ``evaluate_many`` invocations.
         wall_time_s: wall-clock time spent inside the engine.
         array_backend: name of the array-backend namespace

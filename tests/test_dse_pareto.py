@@ -419,3 +419,120 @@ class TestFrontCoverageVectorized:
         assert front_coverage(reference, candidates) == _reference_front_coverage(
             reference, candidates
         )
+
+
+def _archive(points) -> np.ndarray:
+    """A mutually non-dominated archive: the front of ``points``."""
+    points = np.asarray(points, dtype=float)
+    return points[pareto_front_indices(points)] if len(points) else points
+
+
+def _defined_running_front(archive, candidates) -> list[int]:
+    """``running_front_indices`` by its definition: the front of the pool
+    ``[archive; candidates]``, extracted by the blockwise reference."""
+    pool = np.concatenate([archive, candidates], axis=0)
+    with use_skyline(False):
+        return pareto_front_indices(pool) if len(pool) else []
+
+
+def _grid_sets(width: int):
+    cell = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.nan])
+    rows = st.lists(
+        st.lists(cell, min_size=width, max_size=width), min_size=0, max_size=30
+    )
+    return st.tuples(rows, rows).map(
+        lambda pair: tuple(
+            np.asarray(side, dtype=float).reshape(-1, width) for side in pair
+        )
+    )
+
+
+class TestRunningFrontDefinition:
+    """``running_front_indices`` against its definition, so a bug in its
+    candidate pre-filter cannot hide behind the skyline toggle."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(sets=st.integers(1, 4).flatmap(_grid_sets))
+    def test_hypothesis_grids_with_nans_and_duplicates(self, sets):
+        archive, candidates = _archive(sets[0]), sets[1]
+        assert running_front_indices(archive, candidates) == (
+            _defined_running_front(archive, candidates)
+        )
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_large_chunks_with_nans_and_archived_duplicates(self, width):
+        rng = np.random.default_rng(41 + width)
+        archive = _archive(rng.integers(0, 6, size=(400, width)).astype(float))
+        candidates = rng.integers(0, 6, size=(900, width)).astype(float)
+        candidates[::7] = archive[rng.integers(0, len(archive), 129)]
+        candidates[3::50, width - 1] = np.nan
+        nan_archive = np.concatenate([archive, [[np.nan] * width]], axis=0)
+        for front in (archive, nan_archive):
+            assert running_front_indices(front, candidates) == (
+                _defined_running_front(front, candidates)
+            )
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_a_chunk_the_archive_beats_entirely(self, width):
+        rng = np.random.default_rng(width)
+        archive = _archive(rng.random((300, width)))
+        beaten = np.concatenate([archive + 0.5, archive], axis=0)
+        assert running_front_indices(archive, beaten) == list(range(len(archive)))
+        assert _defined_running_front(archive, beaten) == list(range(len(archive)))
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_empty_archive(self, width):
+        rng = np.random.default_rng(7 * width)
+        candidates = rng.integers(0, 4, size=(300, width)).astype(float)
+        candidates[::11, 0] = np.nan
+        empty = np.empty((0, width))
+        assert running_front_indices(empty, candidates) == (
+            _defined_running_front(empty, candidates)
+        )
+
+
+def _deb_peel(points) -> list[list[int]]:
+    """The classic fast non-dominated sort (Deb et al.), on ``dominates``."""
+    count = len(points)
+    dominated: list[list[int]] = [[] for _ in range(count)]
+    dominators = [0] * count
+    for p in range(count):
+        for q in range(count):
+            if dominates(points[p], points[q]):
+                dominated[p].append(q)
+            elif dominates(points[q], points[p]):
+                dominators[p] += 1
+    fronts = [[p for p in range(count) if dominators[p] == 0]]
+    while fronts[-1]:
+        released = []
+        for p in fronts[-1]:
+            for q in dominated[p]:
+                dominators[q] -= 1
+                if dominators[q] == 0:
+                    released.append(q)
+        fronts.append(released)
+    return fronts[:-1]
+
+
+class TestNonDominatedSortReference:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        points=st.integers(1, 4).flatmap(
+            lambda width: st.lists(
+                st.lists(
+                    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+                    min_size=width,
+                    max_size=width,
+                ),
+                min_size=1,
+                max_size=40,
+            )
+        )
+    )
+    def test_hypothesis_fronts_and_order_match_the_classic_peel(self, points):
+        assert non_dominated_sort(points) == _deb_peel(points)
+
+    @settings(max_examples=60, deadline=None)
+    @given(points=_points)
+    def test_hypothesis_continuous_points(self, points):
+        assert non_dominated_sort(points) == _deb_peel(points)

@@ -657,3 +657,62 @@ class TestDseResultThroughputClamp:
 
         result = DseResult(front=(), evaluations=100, wall_clock_s=2.0)
         assert result.evaluations_per_second == 50.0
+
+
+class TestSpacesBeyondInt64Ids:
+    """A 12-node case-study space holds 2**65 designs: its design ids do not
+    fit ``int64`` (``encode_ids`` raises), yet every memo keys it exactly."""
+
+    @staticmethod
+    def problem(**engine_options) -> WbsnDseProblem:
+        return WbsnDseProblem(
+            build_case_study_evaluator(n_nodes=12),
+            engine=EvaluationEngine(**engine_options),
+        )
+
+    @staticmethod
+    def columns(batch):
+        return (
+            batch.genotypes.tolist(),
+            batch.objectives.tolist(),
+            batch.feasible.tolist(),
+            batch.violation_counts.tolist(),
+        )
+
+    def test_space_is_beyond_int64_ids(self):
+        space = self.problem().space
+        assert space.size == 2**65
+        with pytest.raises(ValueError, match="int64"):
+            space.encode_ids([])
+
+    def test_nsga2_matches_an_uncached_engine(self):
+        settings = Nsga2Settings(population_size=8, generations=3, seed=5)
+        cached = run_algorithm(Nsga2(self.problem(), settings))
+        uncached = run_algorithm(
+            Nsga2(self.problem(genotype_cache=False), settings)
+        )
+        assert [(d.genotype, d.objectives) for d in cached.front] == [
+            (d.genotype, d.objectives) for d in uncached.front
+        ]
+        assert cached.engine_stats.genotype_cache_hits > 0
+
+    def test_columnar_batch_with_duplicates_and_memo_hits(self, tmp_path):
+        cached = self.problem(cache_dir=tmp_path)
+        uncached = self.problem(genotype_cache=False)
+        top = [card - 1 for card in cached.space.cardinalities.tolist()]
+        genotypes = [tuple(top), (0,) * len(top), tuple(top[:-1] + [0])]
+        cached.evaluate_batch_columns(genotypes[:1])  # a column-store hit
+        batch = genotypes + genotypes[::-1]  # duplicates and the probe
+        result = cached.evaluate_batch_columns(batch)
+        assert self.columns(result) == self.columns(
+            uncached.evaluate_batch_columns(batch)
+        )
+        assert result.cached.tolist() == [True, True, False, False, True, True]
+        # Exact keys survive a spill and a warm start in a fresh engine.
+        cached.engine.close()
+        warm = self.problem(cache_dir=tmp_path)
+        assert warm.engine.stats.rows_loaded_from_disk == len(genotypes)
+        assert self.columns(warm.evaluate_batch_columns(batch)) == self.columns(
+            result
+        )
+        assert warm.engine.stats.model_evaluations == 0

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import textwrap
 import warnings
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -436,6 +438,33 @@ class TestWarmStartSweeps:
         assert segment.components == COMPONENTS
         assert len(segment) == 64
 
+    def test_out_of_range_genes_cold_start(self, tmp_path):
+        # A segment under the problem's real fingerprint whose rows do not
+        # fit the bound space (a gene past its domain) is unusable as a
+        # whole: warn, load nothing, sweep cold to the reference front.
+        probe = beacon_problem(EvaluationEngine())
+        genotypes = np.asarray(
+            list(probe.space.enumerate_genotypes())[:2], dtype=np.int64
+        )
+        genotypes[1, 0] = probe.space.domains[0].cardinality
+        save_segment(
+            tmp_path,
+            fingerprint=probe.evaluation_fingerprint(),
+            components=COMPONENTS,
+            genotypes=genotypes,
+            objectives=np.zeros((2, len(COMPONENTS))),
+            feasible=np.ones(2, dtype=bool),
+            violation_counts=np.zeros(2, dtype=np.int64),
+        )
+
+        engine = EvaluationEngine(cache_dir=tmp_path)
+        with pytest.warns(CacheTierWarning, match="design space"):
+            problem = beacon_problem(engine)
+        assert engine.stats.rows_loaded_from_disk == 0
+        result = run_algorithm(ExhaustiveSearch(problem, chunk_size=16))
+        assert front_signature(result.front) == reference_front("beacon")
+        assert engine.stats.model_evaluations == 64
+
 
 # --------------------------------------------------------------------------
 # Fault injection: corrupted segments cold-start, kills leak no tmp files.
@@ -658,12 +687,18 @@ class TestColumnMemoBound:
 
     def test_eviction_is_least_recently_used(self):
         engine = EvaluationEngine(column_memo_max_entries=2)
-        row = ((1.0,), True, 0)
-        engine._column_memo_put((1,), row)
-        engine._column_memo_put((2,), row)
-        assert engine._column_memo_hit((1,)) is row  # touch (1,)
-        engine._column_memo_put((3,), row)  # evicts (2,), the LRU entry
-        assert set(engine._column_memo) == {(1,), (3,)}
+        problem = beacon_problem(engine)
+        # Three genotypes other than the construction probe (all zeros),
+        # which lives in the design memo rather than the column store.
+        first, second, third = list(problem.space.enumerate_genotypes())[1:4]
+        problem.evaluate_batch_columns([first])
+        problem.evaluate_batch_columns([second])
+        assert problem.evaluate_batch_columns([first]).cached.tolist() == [True]
+        problem.evaluate_batch_columns([third])  # evicts second, the LRU row
+        survivors = problem.space.design_keys(
+            problem.space.index_matrix([first, third])
+        )
+        assert set(engine._column_store.export()[0]) == set(survivors.tolist())
         assert engine.stats.column_memo_evictions == 1
 
     def test_bounded_sweep_keeps_the_front(self):
@@ -672,7 +707,7 @@ class TestColumnMemoBound:
             ExhaustiveSearch(beacon_problem(engine), chunk_size=16)
         )
         assert front_signature(result.front) == reference_front("beacon")
-        assert len(engine._column_memo) <= 8
+        assert len(engine._column_store) <= 8
         assert engine.stats.column_memo_evictions > 0
 
     def test_bounded_warm_start_recomputes_evicted_rows(self, tmp_path):
@@ -684,6 +719,140 @@ class TestColumnMemoBound:
         assert front_signature(result.front) == reference_front("beacon")
         assert engine.stats.column_memo_evictions > 0
         assert engine.stats.model_evaluations > 0
+
+
+class TestColumnStoreModel:
+    """The engine's id-keyed column store against an ``OrderedDict`` model.
+
+    Random sequences of columnar batches, object-path batches, single
+    evaluations and segment loads drive a real engine and a plain-Python
+    model of the memo semantics side by side: a column-row memo in LRU
+    order (a hit refreshes recency, the least recently used rows go first,
+    the bound holds after every batch), a design memo that starts with the
+    construction probe, and from-disk flags.  Hits, ``cached`` flags, every
+    cache counter and the surviving keys must match the model exactly.
+    """
+
+    _truth: dict = {}
+
+    @classmethod
+    def truth(cls, genotypes) -> dict:
+        """Uncached ``genotype -> (objectives, feasible, violations)``."""
+        if not cls._truth:
+            problem = beacon_problem(EvaluationEngine(genotype_cache=False))
+            batch = problem.evaluate_batch_columns(genotypes)
+            cls._truth.update(
+                (genotype, (tuple(objectives), feasible, violations))
+                for genotype, objectives, feasible, violations in zip(
+                    genotypes,
+                    batch.objectives.tolist(),
+                    batch.feasible.tolist(),
+                    batch.violation_counts.tolist(),
+                )
+            )
+        return cls._truth
+
+    @pytest.mark.parametrize("bound", [None, 1, 4, 16])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_sequences_match_the_model(self, tmp_path, seed, bound):
+        rng = random.Random(seed)
+        engine = EvaluationEngine(column_memo_max_entries=bound)
+        problem = beacon_problem(engine)
+        space = problem.space
+        genotypes = list(space.enumerate_genotypes())
+        truth = self.truth(genotypes)
+        store: OrderedDict = OrderedDict()  # genotype -> came off disk
+        memo = {genotypes[0]}  # the construction probe's design
+        expected = dict(hits=0, persistent=0, evictions=0, loaded=0)
+        before = engine.stats.snapshot()
+
+        def store_hit(genotype):
+            expected["hits"] += 1
+            expected["persistent"] += store[genotype]
+            if bound is not None:
+                store.move_to_end(genotype)
+
+        def insert(rows, from_disk):
+            for genotype in rows:
+                store[genotype] = from_disk
+                if bound is not None and len(store) > bound:
+                    store.popitem(last=False)
+                    expected["evictions"] += 1
+
+        for step in range(30):
+            choice = rng.random()
+            batch = [rng.choice(genotypes) for _ in range(rng.randint(0, 12))]
+            if choice < 0.15:
+                rows = sorted(set(batch))  # segments are lexsorted
+                directory = tmp_path / f"segment-{step}"
+                if rows:
+                    save_segment(
+                        directory,
+                        fingerprint=problem.evaluation_fingerprint(),
+                        components=COMPONENTS,
+                        **column_arrays({row: truth[row] for row in rows}),
+                    )
+                fresh = [row for row in rows if row not in store and row not in memo]
+                insert(fresh, True)
+                expected["loaded"] += len(fresh)
+                assert engine.load_persistent_cache(directory) == len(fresh)
+            elif choice < 0.3:
+                genotype = batch[0] if batch else genotypes[-1]
+                if genotype in memo:
+                    expected["hits"] += 1
+                elif genotype in store:
+                    store_hit(genotype)
+                memo.add(genotype)
+                design = problem.evaluate(genotype)
+                assert (design.objectives, design.feasible) == truth[genotype][:2]
+            elif choice < 0.45:
+                # Object path: duplicates, then the design memo, then the
+                # column store (hits materialised into the design memo).
+                for index, genotype in enumerate(batch):
+                    if genotype in batch[:index] or genotype in memo:
+                        expected["hits"] += 1
+                    elif genotype in store:
+                        store_hit(genotype)
+                memo.update(batch)
+                designs = problem.evaluate_batch(batch)
+                assert [(d.objectives, d.feasible) for d in designs] == [
+                    truth[genotype][:2] for genotype in batch
+                ]
+            else:
+                # Columnar path: duplicates, then the column store, then the
+                # design memo; misses are inserted after the lookups.
+                flags: dict = {}
+                pending = []
+                for genotype in batch:
+                    if genotype in flags:
+                        expected["hits"] += 1
+                        continue
+                    flags[genotype] = genotype in store or genotype in memo
+                    if genotype in store:
+                        store_hit(genotype)
+                    elif genotype in memo:
+                        expected["hits"] += 1
+                    else:
+                        pending.append(genotype)
+                insert(pending, False)
+                result = problem.evaluate_batch_columns(batch)
+                assert result.cached.tolist() == [flags[g] for g in batch]
+                assert [
+                    (tuple(objectives), feasible, violations)
+                    for objectives, feasible, violations in zip(
+                        result.objectives.tolist(),
+                        result.feasible.tolist(),
+                        result.violation_counts.tolist(),
+                    )
+                ] == [truth[genotype] for genotype in batch]
+            delta = engine.stats.snapshot() - before
+            assert delta.genotype_cache_hits == expected["hits"]
+            assert delta.persistent_cache_hits == expected["persistent"]
+            assert delta.column_memo_evictions == expected["evictions"]
+            assert delta.rows_loaded_from_disk == expected["loaded"]
+            assert len(engine._column_store) == len(store)
+            keys = engine._column_store.export()[0]
+            assert set(map(tuple, space.key_genes(keys).tolist())) == set(store)
 
 
 class TestPruneCacheDir:

@@ -10,13 +10,16 @@ running-front pruning is order-identical to the one-shot front extraction.
 
 This file pins that contract property-style, across seeds, chunk sizes,
 resume-from-checkpoint and both MAC families (beacon-enabled GTS and
-unslotted CSMA/CA).
+unslotted CSMA/CA).  The exhaustive sweep's id-range chunks are pinned the
+same way, against its per-chunk object path.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.dse.exhaustive import ExhaustiveSearch
 from repro.dse.problem import WbsnDseProblem, csma_mac_parameterisation
 from repro.dse.random_search import RandomSearch
 from repro.dse.runner import run_algorithm
@@ -283,3 +286,96 @@ class TestStreamingResumeParity:
             checkpoint_path=str(path),
         ).run()
         assert front_signature(resumed) == front_signature(reference)
+
+
+#: Chunk sizes of the id-range tests, as offsets from the space size where
+#: they depend on it: single rows, a prime, one chunk larger than the
+#: space, and the space size itself, one below and five above.
+_EXHAUSTIVE_CHUNKS = {
+    "1": lambda size: 1,
+    "7": lambda size: 7,
+    "1000": lambda size: 1000,
+    "size-1": lambda size: size - 1,
+    "size": lambda size: size,
+    "size+5": lambda size: size + 5,
+}
+
+
+def _recording(problem):
+    """Record every batch the columnar sweep hands the problem."""
+    batches = []
+    evaluate = problem.evaluate_batch_columns
+
+    def record(genotypes, **kwargs):
+        batches.append(genotypes)
+        return evaluate(genotypes, **kwargs)
+
+    problem.evaluate_batch_columns = record
+    return batches
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+class TestExhaustiveIdRangeChunks:
+    """Columnar sweeps evaluate design-id ranges decoded into int matrices;
+    their fronts match the object path's tuple enumeration bitwise."""
+
+    @pytest.mark.parametrize("chunk", sorted(_EXHAUSTIVE_CHUNKS))
+    def test_id_range_chunks_match_the_object_path(self, family, chunk):
+        reference = ExhaustiveSearch(
+            FAMILIES[family](), chunk_size=16, columnar=False
+        ).run()
+        problem = FAMILIES[family]()
+        size = problem.space.size
+        chunk_size = _EXHAUSTIVE_CHUNKS[chunk](size)
+        batches = _recording(problem)
+        front = ExhaustiveSearch(problem, chunk_size=chunk_size).run()
+        assert front_signature(front) == front_signature(reference)
+        for batch in batches:
+            assert isinstance(batch, np.ndarray)
+            assert batch.dtype.kind == "i" and batch.ndim == 2
+        assert [len(batch) for batch in batches[:-1]] == [chunk_size] * (
+            len(batches) - 1
+        )
+        ids = problem.space.encode_ids(np.concatenate(batches))
+        assert ids.tolist() == list(range(size))
+
+    def test_resume_continues_at_the_cursor_under_another_chunk_size(
+        self, family, tmp_path
+    ):
+        reference = ExhaustiveSearch(
+            FAMILIES[family](), chunk_size=16, columnar=False
+        ).run()
+        path = tmp_path / "sweep.ckpt"
+        plan = FaultPlan(
+            [FaultSpec(site="checkpoint-saved", action="raise", at=(1,))]
+        )
+        with inject_faults(plan), pytest.raises(InjectedFault):
+            ExhaustiveSearch(
+                FAMILIES[family](),
+                chunk_size=7,
+                checkpoint_every=1,
+                checkpoint_path=path,
+            ).run()
+        problem = FAMILIES[family]()
+        batches = _recording(problem)
+        resumed = ExhaustiveSearch(
+            problem, chunk_size=13, checkpoint_every=1, checkpoint_path=path
+        ).run()
+        assert front_signature(resumed) == front_signature(reference)
+        # Two 7-row chunks were absorbed before the abort: the resumed sweep
+        # starts at id 14 and never revisits an earlier id.
+        ids = problem.space.encode_ids(np.concatenate(batches))
+        assert ids.tolist() == list(range(14, problem.space.size))
+        assert [len(batch) for batch in batches[:-1]] == [13] * (len(batches) - 1)
+
+
+def test_columnar_sweep_of_a_space_beyond_int64_ids_fails_before_any_work():
+    problem = WbsnDseProblem(
+        build_case_study_evaluator(n_nodes=12), engine=EvaluationEngine()
+    )
+    assert problem.space.size >= 2**63
+    before = problem.engine.stats.snapshot()
+    search = ExhaustiveSearch(problem, max_configurations=problem.space.size)
+    with pytest.raises(ValueError, match="int64"):
+        search.run()
+    assert (problem.engine.stats.snapshot() - before).genotype_requests == 0
