@@ -684,7 +684,7 @@ def test_default_engine_sweep(reporter, tmp_path):
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    memoised = len(engine._column_store) + engine.genotype_cache_size
+    memoised = len(engine._column_store)
     bytes_per_row = retained / memoised
 
     space_size = problem.space.size
@@ -1009,7 +1009,7 @@ def main() -> None:
                 for entry in caught
             ),
             front_size=len(result.front),
-            designs_materialised=int(result.designs_materialised),
+            designs_materialised=int(result.engine_stats.designs_materialised),
             model_evaluations=int(result.model_evaluations),
             wall_clock_s=result.wall_clock_s,
         )

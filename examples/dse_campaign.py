@@ -70,8 +70,8 @@ def main(cache_dir: str | None = None, cache_budget_mb: float | None = None) -> 
     )
     print(
         "evaluation-engine caches: "
-        f"genotype hit rate {result.genotype_cache_hit_rate * 100:.0f}%, "
-        f"node-stage hit rate {result.node_cache_hit_rate * 100:.0f}%"
+        f"genotype hit rate {result.engine_stats.genotype_cache_hit_rate * 100:.0f}%, "
+        f"node-stage hit rate {result.engine_stats.node_cache_hit_rate * 100:.0f}%"
     )
     if cache_dir is not None:
         # The engine loads the segment at bind time (before the timed run),

@@ -40,9 +40,8 @@ cache) is right for single evaluations and tiny batches; the columnar path
 wins as soon as batches reach tens of genotypes, because the per-candidate
 Python and allocation overhead collapses into a handful of array operations.
 
-Two hooks serve the engine's scale-out layer: ``evaluate_columns`` accepts a
-*cached-row mask* (memoised rows are dropped before any table gather — warm
-batches cost nothing beyond the mask test), and ``shareable_tables`` /
+The engine hands ``evaluate_columns`` only its cache misses, so warm rows
+never reach a table gather.  ``shareable_tables`` /
 ``adopt_shared_tables`` let the sharded backend
 (:mod:`repro.engine.sharded`) move the compiled lookup tables into a
 ``multiprocessing.shared_memory`` arena so worker-process kernels gather
@@ -74,7 +73,6 @@ __all__ = [
     "WbsnBatchColumns",
     "WbsnVectorizedKernel",
     "as_row_indices",
-    "cached_miss_rows",
 ]
 
 
@@ -93,20 +91,6 @@ def as_row_indices(rows: Any) -> np.ndarray:
 
 class VectorizedUnsupported(TypeError):
     """Raised when a problem's components cannot take the columnar fast path."""
-
-
-def cached_miss_rows(n_rows: int, cached_mask: Any) -> np.ndarray:
-    """Validate a cached-row mask and return the miss-row indices.
-
-    The single definition of the cached-row mask protocol's shape rule,
-    shared by every layer that applies a mask (the kernel, the problem's
-    batch decode, the sharded backend): one boolean per batch row, ``True``
-    meaning the caller already holds the row's result.
-    """
-    mask = np.asarray(cached_mask, dtype=bool)
-    if mask.shape != (n_rows,):
-        raise ValueError("cached_mask must hold one flag per batch row")
-    return np.flatnonzero(~mask)
 
 
 @dataclass(frozen=True)
@@ -415,30 +399,15 @@ class WbsnVectorizedKernel:
         """Number of objective components produced per candidate."""
         return len(self.objective_components)
 
-    def evaluate_columns(
-        self, index_matrix: np.ndarray, cached_mask: np.ndarray | None = None
-    ) -> WbsnBatchColumns:
-        """Evaluate a validated index matrix into objective/feasibility columns.
+    def evaluate_columns(self, index_matrix: np.ndarray) -> WbsnBatchColumns:
+        """Evaluate a validated ``(batch, genes)`` gene-index matrix into
+        objective/feasibility columns.
 
-        Args:
-            index_matrix: validated ``(batch, genes)`` gene-index matrix.
-            cached_mask: optional boolean column marking rows whose results
-                the caller already holds (genotype-cache hits).  Masked rows
-                are never gathered — the kernel compacts the matrix to the
-                miss rows before touching any value lookup table, so cached
-                rows only ever cost their (integer) slot in the index
-                matrix, never the float column gathers or kernel stages.
-                The returned columns then cover only the miss rows, in
-                their original relative order.
-
-        An empty miss set (zero-row matrix, or a mask that is ``True``
-        everywhere) short-circuits into empty columns without invoking any
-        kernel stage — no zero-length gathers reach NumPy.
+        The engine hands the kernel its cache misses only, so cached rows
+        never reach a column gather.  A zero-row matrix short-circuits into
+        empty columns without invoking any kernel stage — no zero-length
+        gathers reach NumPy.
         """
-        if cached_mask is not None:
-            # The cache-aware gather: memoised rows are dropped before any
-            # column table is read.
-            index_matrix = index_matrix[cached_miss_rows(len(index_matrix), cached_mask)]
         if len(index_matrix) == 0:
             return WbsnBatchColumns.empty(self.n_objectives)
         xp = self._xp

@@ -26,7 +26,6 @@ from repro.core.vectorized import (
     VectorizedUnsupported,
     WbsnBatchColumns,
     WbsnVectorizedKernel,
-    cached_miss_rows,
 )
 from repro.dse.space import DesignSpace, ParameterDomain
 from repro.engine import (
@@ -482,11 +481,6 @@ class WbsnDseProblem(OptimizationProblem):
         self.vectorized_kernel = kernel
         self.engine.stats.array_backend = kernel.backend_name
 
-    #: the engine may hand :meth:`compute_designs_batch` a ``cached_mask``
-    #: (the genotype-cache-aware kernel protocol); problems without this
-    #: flag receive pre-filtered miss rows instead.
-    supports_cached_mask = True
-
     @property
     def supports_vectorized(self) -> bool:
         """Whether a columnar kernel is compiled for this problem."""
@@ -537,55 +531,23 @@ class WbsnDseProblem(OptimizationProblem):
             return None
         return hashlib.sha256(payload).digest()
 
-    def compute_designs_batch(
-        self,
-        genotypes: Sequence[Sequence[int]],
-        cached_mask: Sequence[bool] | None = None,
-    ) -> list[EvaluatedDesign]:
+    def compute_columns_batch(
+        self, genotypes: Sequence[Sequence[int]]
+    ) -> WbsnBatchColumns:
         """Raw columnar evaluation of a batch (no run accounting).
 
         The batched counterpart of :meth:`compute_design`: the compiled
-        kernel evaluates every genotype column-wise, and design objects are
-        materialised only here, from the kernel's phenotype lookup tables
-        (repeated knob settings share one frozen configuration instance).
-
-        ``cached_mask`` is the genotype-cache-aware protocol: a boolean flag
-        per genotype marking rows the caller already holds memoised results
-        for.  Masked rows never reach the column gather and produce no
-        design — the returned list covers the miss rows only, in their
-        original relative order.  An all-cached (or empty) batch returns
-        ``[]`` without invoking the kernel at all.
+        kernel evaluates every genotype column-wise and returns the
+        objective / feasibility / violation columns as-is — the engine
+        threads them through its caches and Pareto pruning, and
+        :meth:`materialise_designs` builds objects for the rows a caller
+        asks for.  An empty batch returns empty columns without invoking
+        the kernel.
         """
         kernel = self.vectorized_kernel
         if kernel is None:
             raise RuntimeError("this problem has no compiled vectorized kernel")
         matrix = self.space.index_matrix(genotypes)
-        if cached_mask is not None:
-            matrix = matrix[cached_miss_rows(len(matrix), cached_mask)]
-        if len(matrix) == 0:
-            return []
-        batch = kernel.evaluate_columns(matrix)
-        return self.materialise_designs(matrix, batch)
-
-    def compute_columns_batch(
-        self,
-        genotypes: Sequence[Sequence[int]],
-        cached_mask: Sequence[bool] | None = None,
-    ) -> WbsnBatchColumns:
-        """Raw columnar evaluation of a batch, *without* materialisation.
-
-        The columns-only sibling of :meth:`compute_designs_batch`: the same
-        kernel call and cached-row mask protocol, but the objective /
-        feasibility / violation columns are returned as-is — the engine's
-        columnar result path threads them through Pareto pruning and
-        materialises only the survivors.
-        """
-        kernel = self.vectorized_kernel
-        if kernel is None:
-            raise RuntimeError("this problem has no compiled vectorized kernel")
-        matrix = self.space.index_matrix(genotypes)
-        if cached_mask is not None:
-            matrix = matrix[cached_miss_rows(len(matrix), cached_mask)]
         if len(matrix) == 0:
             return WbsnBatchColumns.empty(kernel.n_objectives)
         return kernel.evaluate_columns(matrix)
@@ -595,20 +557,25 @@ class WbsnDseProblem(OptimizationProblem):
     ) -> list[EvaluatedDesign]:
         """Build design objects from a validated index matrix and its columns.
 
-        Shared by the in-process fast path and the sharded backend (whose
-        workers return raw columns — this is the only place worker results
-        become :class:`EvaluatedDesign` objects, so phenotype decoding and
-        object allocation always stay in the parent process).
+        The only place the engine turns column rows into
+        :class:`EvaluatedDesign` objects, whichever path computed them, so
+        phenotype decoding and object allocation always stay in the parent
+        process.  Phenotypes come from the kernel's lookup tables (repeated
+        knob settings share one frozen configuration instance) or, without
+        a compiled kernel, from :meth:`decode` — never from a model call.
         """
         kernel = self.vectorized_kernel
-        if kernel is None:
-            raise RuntimeError("this problem has no compiled vectorized kernel")
-        node_columns, mac_column = kernel.phenotype_columns(matrix)
+        if kernel is not None:
+            node_columns, mac_column = kernel.phenotype_columns(matrix)
+            node_config_rows = zip(*node_columns)
+        else:
+            decoded = [self.decode(genotype) for genotype in matrix.tolist()]
+            node_config_rows = (tuple(nodes) for nodes, _ in decoded)
+            mac_column = [mac_config for _, mac_config in decoded]
         genotype_rows = map(tuple, matrix.tolist())
         objective_rows = map(tuple, batch.objectives.tolist())
         feasible_flags = batch.feasible.tolist()
         violation_rows = batch.violation_counts.tolist()
-        node_config_rows = zip(*node_columns)
         return [
             EvaluatedDesign(
                 genotype=genotype,

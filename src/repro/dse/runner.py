@@ -39,8 +39,9 @@ class DseResult:
         front: the non-dominated designs returned by the algorithm.
         evaluations: designs served to the algorithm (cache hits included).
         wall_clock_s: host time spent by the run.
-        engine_stats: engine counter deltas for this run (``None`` when the
-            problem is not engine-backed).
+        engine_stats: engine counter deltas for this run — cache hit rates,
+            worker recovery, disk loads, materialised designs (``None`` when
+            the problem is not engine-backed).
     """
 
     front: tuple[EvaluatedDesign, ...]
@@ -78,111 +79,6 @@ class DseResult:
         if self.wall_clock_s <= 0:
             return 0.0
         return self.model_evaluations / self.wall_clock_s
-
-    @property
-    def sharded_designs(self) -> int:
-        """Model evaluations computed by the sharded columnar backend."""
-        if self.engine_stats is None:
-            return 0
-        return self.engine_stats.sharded_designs
-
-    @property
-    def rows_skipped_cached(self) -> int:
-        """Batch rows the cached-row mask let the columnar kernels skip."""
-        if self.engine_stats is None:
-            return 0
-        return self.engine_stats.rows_skipped_cached
-
-    @property
-    def rows_pruned_in_workers(self) -> int:
-        """Batch rows dominated inside their own shard and pruned worker-side.
-
-        Non-zero only for columnar sweeps over the sharded backend: those
-        rows were evaluated but never shipped back, so parent-side archive
-        merges scaled with the shard front sizes, not the space size.
-        """
-        if self.engine_stats is None:
-            return 0
-        return self.engine_stats.rows_pruned_in_workers
-
-    @property
-    def designs_materialised(self) -> int:
-        """Design objects built from raw columns on the columnar result path.
-
-        Columnar sweeps materialise only their surviving designs, so this
-        tracks the front size — ``0`` for object-path runs.
-        """
-        if self.engine_stats is None:
-            return 0
-        return self.engine_stats.designs_materialised
-
-    @property
-    def worker_failures(self) -> int:
-        """Worker-pool failures (crashes, timeouts, escaped exceptions)
-        observed — and recovered from or degraded around — during the run."""
-        if self.engine_stats is None:
-            return 0
-        return self.engine_stats.worker_failures
-
-    @property
-    def batches_retried(self) -> int:
-        """Batch attempts re-dispatched onto a fresh pool after a failure."""
-        if self.engine_stats is None:
-            return 0
-        return self.engine_stats.batches_retried
-
-    @property
-    def degraded_batches(self) -> int:
-        """Batches served by the in-process degradation ladder after their
-        backend exhausted its retry policy (results identical either way)."""
-        if self.engine_stats is None:
-            return 0
-        return self.engine_stats.degraded_batches
-
-    @property
-    def retry_wait_seconds(self) -> float:
-        """Wall-clock time spent in exponential backoff between retries."""
-        if self.engine_stats is None:
-            return 0.0
-        return self.engine_stats.retry_wait_seconds
-
-    @property
-    def rows_loaded_from_disk(self) -> int:
-        """Column rows bulk-memoised from a persistent cache segment before
-        the sweep ran (``run_algorithm(cache_dir=...)`` warm starts)."""
-        if self.engine_stats is None:
-            return 0
-        return self.engine_stats.rows_loaded_from_disk
-
-    @property
-    def persistent_cache_hits(self) -> int:
-        """Genotype requests answered by rows that came off disk — the
-        warm-start evidence that no model was touched for them."""
-        if self.engine_stats is None:
-            return 0
-        return self.engine_stats.persistent_cache_hits
-
-    @property
-    def genotype_cache_hit_rate(self) -> float:
-        """Fraction of served designs answered by the genotype memo cache."""
-        if self.engine_stats is None:
-            return 0.0
-        return self.engine_stats.genotype_cache_hit_rate
-
-    @property
-    def node_cache_hit_rate(self) -> float:
-        """Fraction of per-node stage requests served by the node cache."""
-        if self.engine_stats is None:
-            return 0.0
-        return self.engine_stats.node_cache_hit_rate
-
-    @property
-    def array_backend(self) -> str:
-        """Array-backend namespace that computed the columnar kernels'
-        columns during the run (``""`` for scalar/object-path runs)."""
-        if self.engine_stats is None:
-            return ""
-        return self.engine_stats.array_backend
 
     @property
     def objective_vectors(self) -> list[tuple[float, ...]]:

@@ -6,11 +6,12 @@ per second.  This package is the layer that turns the raw model into a
 serving component every search algorithm shares:
 
 * :mod:`repro.engine.engine` — :class:`EvaluationEngine`, the genotype-level
-  memo cache and the batch API ``evaluate_many`` routing misses to either
-  the vectorized fast path or a pluggable scalar execution backend; its
-  columnar sibling ``evaluate_many_columnar`` serves the same batch as a
-  :class:`ColumnarBatchResult` of raw columns so sweeps can prune before
-  materialising any design object;
+  column store and the batch API ``evaluate_many_columnar``, which routes
+  misses to either the vectorized fast path or a pluggable scalar
+  execution backend and serves the batch as a :class:`ColumnarBatchResult`
+  of raw columns, so sweeps can prune before materialising any design
+  object (``evaluate_many`` / ``evaluate`` build designs from the rows on
+  demand);
 * :mod:`repro.engine.cache` — :class:`CachedNetworkEvaluator`, the node-level
   cache over the evaluator's pure per-node stage, optionally bounded by an
   LRU eviction policy (``max_entries``); and :class:`SharedGenotypeCache`,
@@ -28,8 +29,8 @@ serving component every search algorithm shares:
   in-process kernel);
 * :mod:`repro.engine.stats` — :class:`EngineStats`, separating designs served
   from raw model work (and scalar from vectorized from sharded work, plus
-  the rows the cached-row mask let the kernels skip) so cache-aware
-  throughput can be reported honestly;
+  the cached rows the kernels never saw) so cache-aware throughput can be
+  reported honestly;
 * :mod:`repro.engine.faults` — the deterministic fault-injection harness
   (:class:`FaultPlan`/:class:`FaultSpec`): seedable worker kills, hangs,
   in-kernel raises and checkpoint corruption, driven through explicit hooks
@@ -51,14 +52,15 @@ the engine's in-process ladder — serial kernel, then scalar — with bitwise
 identical results, announced by an :class:`EngineDegradationWarning` and
 counted in :class:`EngineStats`.
 
-Three evaluation paths, one contract: batch misses go to the problem's
+One batch path, three compute paths below it, one contract: every batch
+goes through ``evaluate_many_columnar``, whose misses go to the problem's
 compiled columnar kernel (:mod:`repro.core.vectorized`) when it offers one —
 whole batches evaluated with NumPy array kernels, in-process by default or
 sharded over shared memory with ``backend="sharded"``, the right choice for
 sweeps and population-based search — and to the scalar per-design path
-otherwise (single evaluations, problems without a kernel, non-columnar
-process backends).  All paths are floating-point-identical, so the choice is
-purely about throughput.
+otherwise (problems without a kernel, non-columnar process backends).
+Single evaluations are computed in-process by the scalar model.  All paths
+are floating-point-identical, so the choice is purely about throughput.
 
 Two cache levels, two reuse patterns: the *genotype* cache pays off when the
 same full configuration recurs (elitist populations, annealing walks
@@ -109,7 +111,6 @@ from repro.engine.persist import (
     remove_orphaned_tmp_siblings,
     save_segment,
     segment_path,
-    spill_shared_cache,
 )
 from repro.engine.sharded import ShardedVectorizedBackend
 from repro.engine.stats import EngineStats
@@ -149,5 +150,4 @@ __all__ = [
     "load_segment_if_valid",
     "prune_cache_dir",
     "remove_orphaned_tmp_siblings",
-    "spill_shared_cache",
 ]

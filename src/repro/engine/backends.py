@@ -17,30 +17,28 @@ A backend turns chunks of genotypes into evaluated designs:
   overhead usually exceeds the model cost.
 * :class:`~repro.engine.sharded.ShardedVectorizedBackend` (name
   ``"sharded"``) is the multi-core counterpart of the *vectorized* fast
-  path: the engine places the batch genotype-index matrix in
-  ``multiprocessing.shared_memory``, the backend splits the miss rows into
+  path: a batch's miss rows are placed in
+  ``multiprocessing.shared_memory``, the backend splits them into
   per-worker shards, and each worker runs the compiled NumPy column kernel
   on its shard — gathering only its own rows from one shared column store
   (the kernel's lookup tables live in a shared-memory arena too).  Workers
   ship back raw objective/feasibility columns, never design objects, and
   the parent reassembles them in submission order, so fronts stay bitwise
   identical to the serial kernel.  Prefer it over ``"serial"`` only for
-  large batches (thousands of rows per ``evaluate_many`` call) on a
-  multi-core host; below that, pool dispatch overhead dominates and the
-  in-process kernel wins.
+  large batches (thousands of miss rows per batch) on a multi-core host;
+  below that, pool dispatch overhead dominates and the in-process kernel
+  wins.
 
 Workers are deliberately chunked: one future per genotype would drown the
 pool in IPC, so the engine groups genotypes and each future evaluates a whole
 chunk against the worker's warm cache (the sharded backend shards *rows of
 one column store* instead of chunking genotype objects).
 
-**Cached-row mask protocol:** ``EvaluationEngine.evaluate_many`` hands the
-columnar paths a boolean mask of memoised rows alongside the batch
-(``compute_designs_batch(genotypes, cached_mask=...)`` down to
-``WbsnVectorizedKernel.evaluate_columns``).  Masked rows are dropped before
-any column table is gathered, so a warm batch skips even the gather; an
-all-cached batch never invokes a kernel or touches a pool at all.  The rows
-spared this way are counted in ``EngineStats.rows_skipped_cached``.
+Backends only ever see a batch's cache misses: the engine serves cached
+rows from its column store before dispatching, so a warm batch skips even
+the column gather and an all-cached batch never invokes a kernel or touches
+a pool at all (the rows spared this way are counted in
+``EngineStats.rows_skipped_cached``).
 
 **Failure semantics:** pool-dispatching backends own the first rung of the
 fault-tolerance ladder.  Every batch dispatch runs under a

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import replace
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -209,6 +209,23 @@ class ColumnStore:
         self._dead = 0
 
 
+def component_columns(
+    stored: tuple[str, ...], requested: tuple[str, ...]
+) -> list[int] | None:
+    """Positions of the requested objective components among the stored ones.
+
+    The projection rule of every cache that serves one problem's objectives
+    to another (the shared cache and the persistent tier): a request is
+    served only when its components are a subset of the stored ones, by
+    selecting and reordering already computed floats — the infeasibility
+    penalty is per-component, so penalised vectors project exactly.
+    ``None`` when the request is not a subset (a miss is always safe).
+    """
+    if not set(requested) <= set(stored):
+        return None
+    return [stored.index(name) for name in requested]
+
+
 def _grown(array: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """A zero-filled array of ``shape`` holding ``array`` in its first rows."""
     grown = np.zeros(shape, dtype=array.dtype)
@@ -238,10 +255,9 @@ class SharedGenotypeCache:
 
     Instances are plain dictionaries shared by reference between engines;
     they are intentionally not pickled to worker processes (workers only
-    compute, the parent owns the caches).  Records outlive the process
-    through the persistent cache tier:
-    :func:`repro.engine.persist.spill_shared_cache` flattens them into
-    per-fingerprint column segments a fresh engine warm-starts from.
+    compute, the parent owns the caches).  The rows a shared cache serves
+    an engine land in that engine's column store, so they outlive the
+    process through its persistent cache tier.
 
     Args:
         max_entries: optional bound on the number of shared records.  The
@@ -281,12 +297,12 @@ class SharedGenotypeCache:
         stored_components, design = record
         if stored_components == components:
             return design
-        if not set(components) <= set(stored_components):
+        columns = component_columns(stored_components, components)
+        if columns is None:
             return None
-        projected = tuple(
-            design.objectives[stored_components.index(name)] for name in components
+        return replace(
+            design, objectives=tuple(design.objectives[i] for i in columns)
         )
-        return replace(design, objectives=projected)
 
     def store(
         self,
@@ -320,19 +336,6 @@ class SharedGenotypeCache:
             if len(self._records) > self.max_entries:
                 self._records.popitem(last=False)
                 self.evictions += 1
-
-    def iter_records(
-        self,
-    ) -> "Iterator[tuple[bytes, tuple[int, ...], tuple[str, ...], EvaluatedDesign]]":
-        """Iterate ``(fingerprint, genotype, components, design)`` records.
-
-        The spill path of the persistent cache tier
-        (:func:`repro.engine.persist.spill_shared_cache`) flattens these
-        into per-fingerprint column segments; iteration does not refresh
-        LRU recency (a spill is a snapshot, not a use).
-        """
-        for (fingerprint, genotype), (components, design) in self._records.items():
-            yield fingerprint, genotype, components, design
 
     def clear(self) -> None:
         """Drop every shared record."""

@@ -6,21 +6,22 @@ owns every cross-cutting evaluation concern:
 * **genotype memo cache** — identical genotypes requested twice (within a
   run or across algorithms sharing one problem) are served without touching
   the model; this replaces the private caches the algorithms used to carry.
-  Every memo is keyed by the packed design id of the genotype
+  The memo is one :class:`~repro.engine.cache.ColumnStore` of raw column
+  rows keyed by the packed design id of the genotype
   (:meth:`~repro.dse.space.DesignSpace.design_keys`), computed once per
-  batch from the validated index matrix.  Raw column rows live in one
-  id-keyed :class:`~repro.engine.cache.ColumnStore` that looks up, inserts,
-  bulk-loads and exports whole batches at a time; design objects built on
-  the object path live in a design memo beside it;
+  batch from the validated index matrix.  The store looks up, inserts,
+  bulk-loads and exports whole batches at a time, and
+  ``column_memo_max_entries`` bounds every row it holds;
 * **cross-problem shared cache** (optional) — engines given one
   :class:`~repro.engine.cache.SharedGenotypeCache` instance serve each
   other's computed designs when their problems report the same evaluator
   fingerprint, with objective vectors projected onto each problem's
   component set (the Figure-5 full/baseline pair shares one cache this
-  way); it is consulted only for the rows both local memos miss;
+  way); it is consulted only for the rows the column store misses, and the
+  rows it serves are inserted into the store;
 * **persistent cache tier** (optional) — an engine given a ``cache_dir``
   bulk-loads the on-disk column segment of its problem's evaluation
-  fingerprint into the column store at bind time and spills its memos back
+  fingerprint into the column store at bind time and spills the store back
   on close (:mod:`repro.engine.persist`), so repeated campaigns warm-start
   across processes — a fully covered sweep re-runs without any model
   evaluation, bitwise identical to its cold run;
@@ -29,43 +30,46 @@ owns every cross-cutting evaluation concern:
   :class:`~repro.engine.cache.CachedNetworkEvaluator` (optionally bounded by
   an LRU policy), so distinct candidates that share per-node knob settings
   reuse node energy/quality/MAC results;
-* **batching** — :meth:`EvaluationEngine.evaluate_many` deduplicates a batch,
-  and dispatches only the misses to one of two compute paths;
-* **columnar results** — :meth:`EvaluationEngine.evaluate_many_columnar`
-  serves the same batch as a :class:`ColumnarBatchResult` of raw columns
+* **batching into columns** — :meth:`EvaluationEngine.evaluate_many_columnar`
+  deduplicates a batch, serves its cached rows and dispatches only the
+  misses, returning a :class:`ColumnarBatchResult` of raw columns
   (objective matrix, feasibility mask, violation column, genotype-index
   rows): search algorithms prune directly on the columns and materialise
   design objects only for the survivors
-  (:meth:`ColumnarBatchResult.materialise`, counted in
-  ``EngineStats.designs_materialised``), removing the dominant parent-side
-  cost of large sweeps;
+  (:meth:`ColumnarBatchResult.materialise`), removing the dominant
+  parent-side cost of large sweeps;
+* **design objects on demand** — :meth:`EvaluationEngine.evaluate_many` is
+  that batch materialised in full, and :meth:`EvaluationEngine.evaluate`
+  serves one genotype from the store, the shared cache or one in-process
+  ``compute_design``.  Designs are never memoised: each one is built from
+  its row by ``problem.materialise_designs`` (phenotype lookup, no model
+  call) and counted in ``EngineStats.designs_materialised``;
 * **instrumentation** — an :class:`~repro.engine.stats.EngineStats` instance
   separating designs served from raw model work, and scalar from vectorized
   work.
 
-Three compute paths serve a batch of genotype-cache misses:
+One method, :meth:`EvaluationEngine._compute_columns`, dispatches a batch's
+misses to one of three compute paths:
 
-* the **vectorized fast path** (default, when the problem opts in by
-  exposing ``compute_designs_batch`` / ``supports_vectorized``): the whole
-  miss set is evaluated column-wise by the problem's compiled NumPy kernel
-  (:mod:`repro.core.vectorized`) in one call — the right choice for batch
-  workloads (exhaustive sweeps, NSGA-II generations, speculative annealing).
-  The kernel receives a boolean mask of memoised rows, so warm batches skip
-  even the column gather (counted in ``EngineStats.rows_skipped_cached``);
-* the **sharded vectorized path** (``backend="sharded"``): the same kernel,
-  but the batch index matrix is placed in shared memory and its miss rows
-  are sharded across a worker pool
+* the **in-process kernel** (default, when the problem opts in by exposing
+  ``compute_columns_batch`` / ``supports_vectorized``): the whole miss set
+  is evaluated column-wise by the problem's compiled NumPy kernel
+  (:mod:`repro.core.vectorized`) in one call.  Cached rows never reach the
+  column gather (counted in ``EngineStats.rows_skipped_cached``);
+* the **sharded kernel** (``backend="sharded"``): the same kernel, but the
+  miss matrix is placed in shared memory and sharded across a worker pool
   (:class:`~repro.engine.sharded.ShardedVectorizedBackend`) — multi-core
   column kernels for huge uncached batches, reassembled in submission order
-  and therefore bitwise identical to the in-process kernel;
+  and therefore bitwise identical to the in-process kernel.  With the
+  ``prune_to_front`` hint, workers also prune their shards before shipping
+  columns back;
 * the **scalar path**: misses are chunked and dispatched to a pluggable
   execution backend (``"serial"`` in-process, ``"process"`` pool — see
   :mod:`repro.engine.backends`), computing one design at a time through the
-  node-stage cache.  Single-genotype requests (:meth:`EvaluationEngine.evaluate`)
-  always take this path, as do problems without a kernel and engines with a
-  non-columnar, non-serial backend.
+  node-stage cache, then flattened into columns.  Problems without a kernel
+  and engines with a non-columnar, non-serial backend take this path.
 
-Both paths are floating-point-identical by construction (the parity suite
+All paths are floating-point-identical by construction (the parity suite
 enforces it), so switching between them is a pure performance decision.
 
 Pool failures never change results either: a batch whose backend exhausts
@@ -73,12 +77,13 @@ its :class:`~repro.engine.backends.RetryPolicy` is served by the in-process
 **degradation ladder** (serial kernel, then scalar path — see
 ``degrade_on_failure``), and backend recovery counters are drained into the
 engine's stats after every dispatch, so worker crashes, retries and
-degradations all surface in ``EngineStats``/``DseResult``.
+degradations all surface in ``EngineStats``.
 
-The engine computes raw designs through ``problem.compute_design`` /
-``problem.compute_designs_batch``, which must be *pure* genotype evaluations
-(no history, no counters) — run accounting stays in the problem layer, which
-is what keeps cached and uncached runs bitwise identical.
+The engine computes raw results through ``problem.compute_design`` /
+``problem.compute_columns_batch`` and builds designs through
+``problem.materialise_designs``, which must be *pure* (no history, no
+counters) — run accounting stays in the problem layer, which is what keeps
+cached and uncached runs bitwise identical.
 """
 
 from __future__ import annotations
@@ -133,10 +138,10 @@ class ColumnarBatchResult:
         feasible: per-row feasibility flags.
         violation_counts: violated model constraints per row (the scalar
             evaluation's ``len(violations)``).
-        cached: per-row flags — ``True`` where a memo, the shared cache or
-            the persistent tier served the row, with no model call in the
-            producing batch (a repeat of a row computed in the same batch
-            is ``False``).
+        cached: per-row flags — ``True`` where the column store, the shared
+            cache or the persistent tier served the row, with no model call
+            in the producing batch (a repeat of a row computed in the same
+            batch is ``False``).
     """
 
     genotypes: np.ndarray
@@ -181,10 +186,9 @@ class ColumnarBatchResult:
     def materialise(self, indices: Any | None = None) -> list["EvaluatedDesign"]:
         """Build design objects for the selected rows (all rows by default).
 
-        Lazy by design: rows already memoised as designs by the producing
-        engine are served as-is; the rest are materialised through
-        ``problem.materialise_designs`` (phenotype lookup tables, no model
-        re-evaluation) and counted in ``EngineStats.designs_materialised``.
+        Every selected row is built through ``problem.materialise_designs``
+        (phenotype lookup, no model re-evaluation) and counted in
+        ``EngineStats.designs_materialised``.
         """
         if indices is None:
             rows = np.arange(len(self))
@@ -202,7 +206,7 @@ class EvaluationEngine:
     """Batched, two-level-cached evaluation of genotypes.
 
     Args:
-        genotype_cache: memoise whole designs by genotype.
+        genotype_cache: memoise every computed row by genotype.
         node_cache: let the problem's node-level cache store per-node stages
             (the problem reads this flag when wrapping its evaluator).
         node_cache_max_entries: optional LRU bound on the node-level cache
@@ -227,7 +231,7 @@ class EvaluationEngine:
             ``EngineStats.degraded_batches`` and announced with an
             :class:`~repro.engine.backends.EngineDegradationWarning`.
             ``False`` propagates the failure to the caller.
-        chunk_size: genotypes per backend work unit in ``evaluate_many``.
+        chunk_size: genotypes per backend work unit on the scalar path.
         stats: counters to feed; a private instance is created if omitted.
         shared_cache: a :class:`~repro.engine.cache.SharedGenotypeCache`
             shared (by reference) with other engines whose problems have the
@@ -237,19 +241,18 @@ class EvaluationEngine:
             ``evaluation_fingerprint`` / ``objective_components``; silently
             inactive otherwise.
         column_memo_max_entries: optional LRU bound on the id-keyed column
-            store (:class:`~repro.engine.cache.ColumnStore`, the columnar
-            twin of the design memo).  A hit refreshes a row's recency;
-            after every batch the least-recently-used rows beyond the bound
-            are evicted, each counted in
-            ``EngineStats.column_memo_evictions`` (an eviction only costs a
-            future recompute — it can never change results).  ``None``
-            keeps the store unbounded.
+            store (:class:`~repro.engine.cache.ColumnStore`), the engine's
+            one memo.  A hit refreshes a row's recency; after every insert
+            the least-recently-used rows beyond the bound are evicted, each
+            counted in ``EngineStats.column_memo_evictions`` (an eviction
+            only costs a future recompute — it can never change results).
+            ``None`` keeps the store unbounded.
         cache_dir: directory of the persistent cache tier
             (:mod:`repro.engine.persist`).  At :meth:`bind` the engine
             bulk-loads the problem's fingerprint segment (if one exists)
             into the column store, so sweeps warm-start without a single
             model evaluation; at :meth:`close` (and through
-            ``run_algorithm(cache_dir=...)``) the memos are spilled back.
+            ``run_algorithm(cache_dir=...)``) the store is spilled back.
             Unusable segments warn (:class:`CacheTierWarning`) and the
             engine starts cold.  Requires the genotype cache and a
             fingerprintable problem; inactive (with a warning) otherwise.
@@ -291,11 +294,8 @@ class EvaluationEngine:
         )
         self.stats = stats if stats is not None else EngineStats()
         self.shared_cache = shared_cache
-        # Both memos are keyed by design id (see ``DesignSpace.design_keys``).
-        self._memo: dict[int, "EvaluatedDesign"] = {}
-        # Columnar twin of the design memo: raw column rows, so cached rows
-        # re-enter pruning as columns without an object round-trip (see
-        # :meth:`evaluate_many_columnar`).
+        # The one memo: raw column rows keyed by design id (see
+        # ``DesignSpace.design_keys``); designs are built from it on demand.
         self._column_store = ColumnStore(column_memo_max_entries)
         # Segment paths already consumed, so repeated warm-start requests
         # (constructor cache_dir plus runner cache_dir) load once.
@@ -310,9 +310,13 @@ class EvaluationEngine:
         """Attach the engine to the problem whose designs it computes."""
         if self._problem is not None and self._problem is not problem:
             raise RuntimeError("the engine is already bound to another problem")
-        if not hasattr(problem, "compute_design"):
+        if not (
+            hasattr(problem, "compute_design")
+            and hasattr(problem, "materialise_designs")
+        ):
             raise TypeError(
-                "the problem must expose a pure 'compute_design(genotype)' method"
+                "the problem must expose pure 'compute_design(genotype)' and "
+                "'materialise_designs(matrix, columns)' methods"
             )
         self._problem = problem
         kernel = getattr(problem, "vectorized_kernel", None)
@@ -341,71 +345,43 @@ class EvaluationEngine:
 
     @property
     def genotype_cache_size(self) -> int:
-        """Number of memoised designs."""
-        return len(self._memo)
+        """Number of memoised rows (the column store's size)."""
+        return len(self._column_store)
 
     def evaluate(self, genotype: Sequence[int]) -> "EvaluatedDesign":
-        """Evaluate one genotype, serving it from the memo cache if possible.
+        """Evaluate one genotype: the column store, then the shared cache,
+        then one in-process model evaluation.
 
-        Single-genotype requests are always computed in-process: dispatching
-        one evaluation to a worker pool costs more than the model itself.
+        A stored row is materialised into a design; a shared-cache hit or a
+        computed design is inserted into the store.  Misses are computed
+        through ``problem.compute_design``: dispatching one evaluation to a
+        worker pool, or to a one-row kernel call, costs more than the model
+        itself.
         """
         started = time.perf_counter()
         self.stats.genotype_requests += 1
-        keys = None
-        design = None
-        if self.genotype_cache_enabled:
+        if not self.genotype_cache_enabled:
+            design = self._compute_design(genotype)
+        else:
             space = self._problem.space
             matrix = space.index_matrix([genotype])
             keys = space.design_keys(matrix)
-            if self._serve_designs(keys, matrix)[0]:
-                design = self._memo[keys.tolist()[0]]
-        if design is None:
-            design = self._problem.compute_design(tuple(int(g) for g in genotype))
-            self.stats.model_evaluations += 1
-            self._memoise(keys, [design])
+            slots = self._store_lookup(keys)
+            if slots[0] >= 0:
+                self.stats.wall_time_s += time.perf_counter() - started
+                return self.materialise_rows(matrix, *self._column_store.rows(slots))[0]
+            _, shared = self._shared_designs(matrix)
+            design = shared[0] if shared else self._compute_design(genotype)
+            self._insert(keys, *_design_columns([design]))
         self.stats.wall_time_s += time.perf_counter() - started
         return design
 
     def evaluate_many(
         self, genotypes: Sequence[Sequence[int]]
     ) -> list["EvaluatedDesign"]:
-        """Evaluate a batch of genotypes, preserving the input order.
-
-        With the genotype cache enabled the batch is deduplicated first —
-        repeated genotypes are computed once and count as cache hits — and
-        only the misses travel to the execution backend, in chunks of
-        :attr:`chunk_size`.
-        """
-        started = time.perf_counter()
-        if self._problem is None:
-            raise RuntimeError("the engine must be bound to a problem first")
-        stats = self.stats
-        stats.batches += 1
-        stats.genotype_requests += len(genotypes)
-        space = self._problem.space
-        matrix = space.index_matrix(genotypes)
-        if not self.genotype_cache_enabled:
-            # Without the memo there is nothing to key by: every row is
-            # computed as-is, duplicates included.
-            results = self._compute(matrix)
-            stats.wall_time_s += time.perf_counter() - started
-            return results
-        request_keys = space.design_keys(matrix)
-        first_rows, _ = _distinct_rows(request_keys)
-        keys, distinct = request_keys, matrix
-        if first_rows is not None:
-            stats.genotype_cache_hits += len(request_keys) - len(first_rows)
-            keys, distinct = request_keys[first_rows], matrix[first_rows]
-        # One row per *distinct* genotype, plus the cached-row mask handed
-        # to the columnar paths, so memoised rows skip even the column gather.
-        cached = self._serve_designs(keys, distinct)
-        pending = np.flatnonzero(~cached)
-        computed = self._compute(distinct[pending], distinct, cached)
-        self._memoise(keys[pending], computed)
-        results = list(map(self._memo.__getitem__, request_keys.tolist()))
-        stats.wall_time_s += time.perf_counter() - started
-        return results
+        """Evaluate a batch of genotypes into designs, preserving the input
+        order: :meth:`evaluate_many_columnar` materialised in full."""
+        return self.evaluate_many_columnar(genotypes).materialise()
 
     def evaluate_many_columnar(
         self,
@@ -416,27 +392,16 @@ class EvaluationEngine:
     ) -> ColumnarBatchResult:
         """Evaluate a batch into raw column rows, preserving the input order.
 
-        The columnar counterpart of :meth:`evaluate_many`: the same dedup
-        and cache consultation per distinct genotype, but results stay flat
-        columns — objective matrix, feasibility mask, violation column,
-        genotype-index rows — and no :class:`EvaluatedDesign` is built until
-        the caller's :meth:`ColumnarBatchResult.materialise`.  All three
-        compute paths feed it: the in-process kernel and the sharded backend
-        hand their columns straight through, while the scalar fallback
-        computes per-design results and flattens them into columns (those
-        designs are memoised, so their later materialisation is free).
-
-        The batch is keyed once: design ids of the validated index matrix,
-        deduplicated with one sort, looked up in the id-keyed column store
-        as a whole, and cached rows are gathered column-wise.  Store hits
-        re-enter pruning as columns without an object round-trip and are
-        counted in ``EngineStats.rows_skipped_cached`` exactly like the
-        cached-row mask of the object path.  Rows only ever memoised as
-        designs (e.g. by :meth:`evaluate`) are flattened from the stored
-        design.  Misses reach the kernel in first-occurrence request order,
-        and their rows are inserted into the store.  Columnar results are
-        not published to the cross-problem shared cache (only materialised
-        designs are).
+        With the genotype cache enabled the batch is keyed once — design
+        ids of the validated index matrix, deduplicated with one sort
+        (repeated genotypes are computed once and count as cache hits) —
+        then looked up in the id-keyed column store as a whole, and the
+        store's misses in the shared cache.  Cached rows are gathered
+        column-wise and counted in ``EngineStats.rows_skipped_cached``;
+        only the misses reach :meth:`_compute_columns`, in first-occurrence
+        request order, and their rows are inserted into the store.  No
+        :class:`EvaluatedDesign` is built until the caller's
+        :meth:`ColumnarBatchResult.materialise`.
 
         ``prune_to_front=True`` is a *hint* for chunked sweeps: when the
         batch runs on a worker-pruning backend (``backend="sharded"`` with a
@@ -467,10 +432,10 @@ class EvaluationEngine:
         # paths receive their (pre-validated) miss rows as a slice of it.
         matrix = problem.space.index_matrix(genotypes)
         # Without the memo there is nothing to key by: every row is computed
-        # as-is, duplicates included (mirrors ``evaluate_many``).
+        # as-is, duplicates included.
         keys = inverse = None
         pending = np.arange(len(matrix))
-        store_rows = design_rows = pending[:0]
+        store_rows = shared_rows = pending[:0]
         parts = []  # cached rows: (distinct rows, objectives, feasible, violations)
         if self.genotype_cache_enabled:
             keys = problem.space.design_keys(matrix)
@@ -478,83 +443,40 @@ class EvaluationEngine:
             if first_rows is not None:
                 stats.genotype_cache_hits += len(keys) - len(first_rows)
                 matrix, keys = matrix[first_rows], keys[first_rows]
-            # The column store first, then the design memo, then the shared
-            # cache — each consulted only for the rows the previous missed.
+            # The column store first, then the shared cache for its misses.
             slots = self._store_lookup(keys)
             store_rows = np.flatnonzero(slots >= 0)
-            misses = np.flatnonzero(slots < 0)
-            memo = self._memo_holds(keys[misses])
-            stats.genotype_cache_hits += int(memo.sum())
-            misses, design_rows = misses[~memo], misses[memo]
-            shared = self._shared_hits(keys[misses], matrix[misses])
-            pending = misses[~shared]
-            design_rows = np.sort(np.concatenate([design_rows, misses[shared]]))
-            # Gathered now: inserting this batch's misses may evict rows.
+            pending = np.flatnonzero(slots < 0)
+            # Gathered now: inserting this batch's new rows may evict rows.
             if len(store_rows):
                 rows = self._column_store.rows(slots[store_rows])
                 parts.append((store_rows, *rows))
-            if len(design_rows):
-                designs = map(self._memo.__getitem__, keys[design_rows].tolist())
-                parts.append((design_rows, *_design_columns(list(designs))))
-        pending_keys = None if keys is None else keys[pending]
+            if self._sharing and len(pending):
+                hits, designs = self._shared_designs(matrix[pending])
+                shared_rows, pending = pending[hits], np.delete(pending, hits)
+                if designs:
+                    columns = _design_columns(designs)
+                    self._insert(keys[shared_rows], *columns)
+                    parts.append((shared_rows, *columns))
         pending_matrix = matrix if len(pending) == len(matrix) else matrix[pending]
-        n_cached = len(store_rows) + len(design_rows)
-        prune_capable = (
-            prune_to_front
-            and self.vectorized_enabled
-            and getattr(problem, "supports_vectorized", False)
-            and getattr(self.backend, "supports_worker_pruning", False)
+        columns, kept = self._compute_columns(
+            pending_matrix,
+            len(matrix) - len(pending),
+            prune_to_front=prune_to_front,
+            include_infeasible=include_infeasible,
         )
-        computed = pending
-        # ``pruned_result`` is set only by a *successful* worker-pruned call:
-        # a batch degraded after recovery exhaustion comes back as full
-        # (unpruned) columns and must be assembled under the full-batch
-        # contract even though the caller asked for pruning.
-        pruned_result = False
-        if prune_capable and len(pending):
-            # Worker-side pruning: shards ship back only their local
-            # per-feasibility-class fronts, so the parent never touches a
-            # dominated row.  Counter bookkeeping mirrors _compute_columns's
-            # sharded branch (prune_capable implies that dispatch).
-            stats.rows_skipped_cached += n_cached
-            try:
-                columns, kept, rows_pruned = (
-                    self.backend.evaluate_front_columns_sharded(
-                        problem,
-                        pending_matrix,
-                        include_infeasible=include_infeasible,
-                    )
-                )
-            except WorkerRecoveryExhausted as exc:
-                if not self.degrade_on_failure:
-                    raise
-                columns = self._degraded_columns(
-                    pending_keys, pending_matrix, exc
-                )
-                stats.model_evaluations += len(pending)
-            else:
-                # Only surviving rows came back — only they can be memoised
-                # (dominated rows are recomputed if ever re-asked, a pure
-                # performance trade the caches are allowed to make).
-                pruned_result = True
-                computed = pending[kept]
-                stats.model_evaluations += len(pending)
-                stats.vectorized_designs += len(pending)
-                stats.sharded_designs += len(pending)
-                stats.rows_pruned_in_workers += int(rows_pruned)
-            finally:
-                self._drain_backend_faults()
-        else:
-            columns = self._compute_columns(pending_keys, pending_matrix, n_cached)
-        if keys is not None and len(computed):
-            stats.column_memo_evictions += self._column_store.insert(
-                keys[computed].tolist(),
-                columns.objectives,
-                columns.feasible,
-                columns.violation_counts,
-            )
-
+        # Only the rows that came back can be memoised (rows pruned in the
+        # workers are recomputed if ever re-asked, a pure performance trade
+        # the caches are allowed to make).
+        computed = pending if kept is None else pending[kept]
         if len(computed):
+            if keys is not None:
+                self._insert(
+                    keys[computed],
+                    columns.objectives,
+                    columns.feasible,
+                    columns.violation_counts,
+                )
             parts.append(
                 (computed, columns.objectives, columns.feasible, columns.violation_counts)
             )
@@ -569,13 +491,13 @@ class EvaluationEngine:
             objectives[rows], feasible[rows], violations[rows] = values
         cached = np.zeros(count, dtype=bool)
         cached[store_rows] = True
-        cached[design_rows] = True
+        cached[shared_rows] = True
         selected = None
-        if pruned_result:
+        if kept is not None:
             # Pruned result: only the candidate rows — cached rows (passed
             # through unpruned) plus the shard fronts — in distinct-genotype
             # first-occurrence order; duplicates collapse by contract.
-            selected = np.sort(np.concatenate([store_rows, design_rows, computed]))
+            selected = np.sort(np.concatenate([store_rows, shared_rows, computed]))
         elif inverse is not None:
             # Expand the distinct rows back to the (duplicated) request order.
             selected = inverse
@@ -602,54 +524,36 @@ class EvaluationEngine:
         feasible: np.ndarray,
         violation_counts: np.ndarray,
     ) -> list["EvaluatedDesign"]:
-        """Build design objects for validated column rows, memo-aware.
+        """Build design objects for validated column rows.
 
-        Rows whose designs the genotype memo already holds are served as-is
-        (no new object, not counted); the rest are materialised from the
-        columns through ``problem.materialise_designs`` — phenotype lookup
-        tables only, never a model re-evaluation — counted in
-        ``EngineStats.designs_materialised``, memoised, and published to the
-        shared cache.  Problems without a compiled kernel fall back to
-        ``problem.compute_design`` for rows the memo cannot serve (a real
-        model evaluation, counted as such) — with the genotype cache on,
-        the scalar columnar path memoises every computed design, so this
-        fallback only triggers on cache-disabled engines.
+        Every row is built through ``problem.materialise_designs`` —
+        phenotype lookup only, never a model re-evaluation — counted in
+        ``EngineStats.designs_materialised``, and published to the shared
+        cache when one is active.
         """
-        problem = self._problem
-        keys = None
-        results: list["EvaluatedDesign | None"] = [None] * len(matrix)
-        if self.genotype_cache_enabled:
-            keys = problem.space.design_keys(matrix)
-            results = list(map(self._memo.get, keys.tolist()))
-        missing = [index for index, design in enumerate(results) if design is None]
-        if missing:
-            rows = np.asarray(missing, dtype=np.int64)
-            if getattr(problem, "supports_vectorized", False) and hasattr(
-                problem, "materialise_designs"
-            ):
-                built = problem.materialise_designs(
-                    matrix[rows],
-                    WbsnBatchColumns(
-                        objectives=objectives[rows],
-                        feasible=feasible[rows],
-                        violation_counts=violation_counts[rows],
-                    ),
-                )
-            else:
-                built = [problem.compute_design(g) for g in _tuples(matrix[rows])]
-                self.stats.model_evaluations += len(missing)
-            self.stats.designs_materialised += len(missing)
-            for index, design in zip(missing, built):
-                results[index] = design
-            self._memoise(None if keys is None else keys[rows], built)
-        return results
+        if not len(matrix):
+            return []
+        started = time.perf_counter()
+        designs = self._problem.materialise_designs(
+            matrix,
+            WbsnBatchColumns(
+                objectives=objectives,
+                feasible=feasible,
+                violation_counts=violation_counts,
+            ),
+        )
+        self.stats.designs_materialised += len(designs)
+        self._publish(designs)
+        self.stats.wall_time_s += time.perf_counter() - started
+        return designs
 
     def close(self) -> None:
         """Release backend resources (worker pools, shared memory).
 
-        An engine configured with ``cache_dir`` spills its memos to the
-        persistent tier first, so everything the engine computed survives
-        the process (spill failures warn — closing must not mask results).
+        An engine configured with ``cache_dir`` spills its column store to
+        the persistent tier first, so everything the engine computed
+        survives the process (spill failures warn — closing must not mask
+        results).
         """
         if self.cache_dir is not None and self._problem is not None:
             try:
@@ -673,8 +577,7 @@ class EvaluationEngine:
         self.close()
 
     def clear_caches(self) -> None:
-        """Drop the genotype memos (the node cache lives with the problem)."""
-        self._memo.clear()
+        """Drop the genotype memo (the node cache lives with the problem)."""
         self._column_store.clear()
         self._segments_loaded.clear()
 
@@ -721,11 +624,11 @@ class EvaluationEngine:
         from ``cache_dir`` (default: the engine's configured ``cache_dir``),
         keys its gene rows, projects its objectives onto the problem's
         components and inserts the rows into the column store in one batch
-        — the cached-row mask protocol then serves them to every evaluation
-        path, so a fully covered sweep re-runs without a single model
-        evaluation.  Rows already memoised locally are left untouched
-        (fresher or identical).  Returns the number of rows loaded, also
-        counted in ``EngineStats.rows_loaded_from_disk``.
+        — every later request then finds them there, so a fully covered
+        sweep re-runs without a single model evaluation.  Rows the store
+        already holds are left untouched (fresher or identical).  Returns
+        the number of rows loaded, also counted in
+        ``EngineStats.rows_loaded_from_disk``.
 
         A missing segment is a silent cold start; an unusable one (corrupt,
         foreign fingerprint, incompatible components, gene rows outside the
@@ -777,9 +680,8 @@ class EvaluationEngine:
         if rows is None:
             rows = np.arange(len(keys))
         rows = rows[~self._column_store.contains(keys[rows].tolist())]
-        rows = rows[~self._memo_holds(keys[rows])]
-        self.stats.column_memo_evictions += self._column_store.insert(
-            keys[rows].tolist(),
+        self._insert(
+            keys[rows],
             objectives[rows],
             segment.feasible[rows],
             segment.violation_counts[rows],
@@ -791,14 +693,13 @@ class EvaluationEngine:
     def spill_persistent_cache(
         self, cache_dir: str | Path | None = None
     ) -> Path | None:
-        """Spill the engine's memos to the persistent tier's segment.
+        """Spill the engine's column store to the persistent tier's segment.
 
-        Exports the column store, appends the design memo's rows it does
-        not hold, and merges them into the fingerprint's segment under
-        ``cache_dir`` (default: the engine's configured ``cache_dir``) —
-        see :func:`repro.engine.persist.spill_columns` for the merge rules.
-        Returns the segment path, or ``None`` when the tier is inactive or
-        there is nothing to write.
+        Exports the store and merges its rows into the fingerprint's
+        segment under ``cache_dir`` (default: the engine's configured
+        ``cache_dir``) — see :func:`repro.engine.persist.spill_columns` for
+        the merge rules.  Returns the segment path, or ``None`` when the
+        tier is inactive or there is nothing to write.
         """
         directory = Path(cache_dir) if cache_dir is not None else self.cache_dir
         if directory is None:
@@ -809,14 +710,7 @@ class EvaluationEngine:
             return None
         assert self._fingerprint is not None
         assert self._objective_components is not None
-        keys, *columns = self._column_store.export()
-        if self._memo:
-            # Store rows come first, so they win the spill's genotype dedup.
-            flattened = _design_columns(list(self._memo.values()))
-            if keys:
-                flattened = [np.concatenate(pair) for pair in zip(columns, flattened)]
-            keys, columns = keys + list(self._memo), flattened
-        objectives, feasible, violations = columns
+        keys, objectives, feasible, violations = self._column_store.export()
         return spill_columns(
             directory,
             fingerprint=self._fingerprint,
@@ -859,12 +753,6 @@ class EvaluationEngine:
 
     # ------------------------------------------------------------ internals
 
-    def _memo_holds(self, keys: np.ndarray) -> np.ndarray:
-        """Which keys the design memo holds."""
-        return np.fromiter(
-            map(self._memo.__contains__, keys.tolist()), dtype=bool, count=len(keys)
-        )
-
     def _store_lookup(self, keys: np.ndarray) -> np.ndarray:
         """Column-store slots of distinct keys (``-1`` on a miss).
 
@@ -878,53 +766,48 @@ class EvaluationEngine:
         self.stats.persistent_cache_hits += int(store.from_disk(hits).sum())
         return slots
 
-    def _shared_hits(self, keys: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-        """Which rows the cross-problem shared cache serves (memoised, and
-        counted as shared hits); all ``False`` when no cache is attached."""
-        hits = np.zeros(len(keys), dtype=bool)
-        if self.shared_cache is None or self._fingerprint is None:
-            return hits
+    def _insert(
+        self,
+        keys: np.ndarray,
+        objectives: np.ndarray,
+        feasible: np.ndarray,
+        violation_counts: np.ndarray,
+        *,
+        from_disk: bool = False,
+    ) -> None:
+        """Insert rows the store does not hold, counting evictions."""
+        self.stats.column_memo_evictions += self._column_store.insert(
+            keys.tolist(), objectives, feasible, violation_counts, from_disk=from_disk
+        )
+
+    @property
+    def _sharing(self) -> bool:
+        """Whether the cross-problem shared cache is active for this engine."""
+        return self.shared_cache is not None and self._fingerprint is not None
+
+    def _shared_designs(
+        self, matrix: np.ndarray
+    ) -> tuple[list[int], list["EvaluatedDesign"]]:
+        """Rows of ``matrix`` the shared cache serves, and their designs
+        (counted as shared hits); empty when no cache is active."""
+        rows: list[int] = []
+        designs: list["EvaluatedDesign"] = []
+        if not self._sharing:
+            return rows, designs
         assert self._objective_components is not None
-        for row, (key, genotype) in enumerate(zip(keys.tolist(), _tuples(matrix))):
+        for row, genotype in enumerate(_tuples(matrix)):
             design = self.shared_cache.lookup(
                 self._fingerprint, genotype, self._objective_components
             )
             if design is not None:
-                hits[row] = True
-                self._memo[key] = design
-        self.stats.shared_cache_hits += int(hits.sum())
-        return hits
+                rows.append(row)
+                designs.append(design)
+        self.stats.shared_cache_hits += len(rows)
+        return rows, designs
 
-    def _serve_designs(self, keys: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-        """Serve distinct rows into the design memo from the caches.
-
-        The design memo first, then the column store — rows columnar sweeps
-        memoised as raw columns, materialised in one batch — then the shared
-        cache, each consulted only for the rows the previous missed.
-        Returns the served-row mask; every hit is counted.
-        """
-        served = self._memo_holds(keys)
-        self.stats.genotype_cache_hits += int(served.sum())
-        misses = np.flatnonzero(~served)
-        slots = self._store_lookup(keys[misses])
-        from_store = misses[slots >= 0]
-        served[from_store] = True
-        misses = np.flatnonzero(~served)
-        served[misses[self._shared_hits(keys[misses], matrix[misses])]] = True
-        if len(from_store):
-            self.materialise_rows(
-                matrix[from_store], *self._column_store.rows(slots[slots >= 0])
-            )
-        return served
-
-    def _memoise(
-        self, keys: np.ndarray | None, designs: Sequence["EvaluatedDesign"]
-    ) -> None:
-        """Memoise computed designs by key (``None`` when the memo is off)
-        and publish them to the shared cache, when one is active."""
-        if keys is not None:
-            self._memo.update(zip(keys.tolist(), designs))
-        if self.shared_cache is None or self._fingerprint is None:
+    def _publish(self, designs: Sequence["EvaluatedDesign"]) -> None:
+        """Publish designs to the shared cache, when one is active."""
+        if not self._sharing:
             return
         assert self._objective_components is not None
         for design in designs:
@@ -932,91 +815,79 @@ class EvaluationEngine:
                 self._fingerprint, design.genotype, self._objective_components, design
             )
 
-    def _compute(
-        self,
-        genotypes: np.ndarray,
-        unique: np.ndarray | None = None,
-        cached_mask: np.ndarray | None = None,
-    ) -> list["EvaluatedDesign"]:
-        """Compute designs for validated miss rows on the object path.
+    def _compute_design(self, genotype: Sequence[int]) -> "EvaluatedDesign":
+        """One in-process model evaluation, published to the shared cache."""
+        design = self._problem.compute_design(tuple(int(g) for g in genotype))
+        self.stats.model_evaluations += 1
+        self._publish([design])
+        return design
 
-        ``unique``/``cached_mask`` are the batch's distinct rows and the
-        cached-row mask over them (``genotypes`` are its false rows).
+    def _compute_columns(
+        self,
+        matrix: np.ndarray,
+        n_cached: int,
+        *,
+        prune_to_front: bool = False,
+        include_infeasible: bool = True,
+    ) -> tuple[WbsnBatchColumns, np.ndarray | None]:
+        """Compute column rows for a batch's validated miss rows (any path).
+
+        The engine's one dispatch: the in-process kernel and the sharded
+        backend return their columns untouched, and the scalar path
+        flattens per-design results into columns.  ``n_cached`` is the
+        number of the batch's rows the caches served.  Returns the columns
+        and ``kept``: ``None`` for one row per miss, or the ascending
+        positions of the rows a worker-pruning backend shipped back (see
+        ``prune_to_front`` in :meth:`evaluate_many_columnar`).  A batch the
+        pool could not serve degrades to :meth:`_degraded_columns`, which
+        always returns full columns.
         """
-        vectorizable = (
-            self.vectorized_enabled
-            and self._problem is not None
-            and getattr(self._problem, "supports_vectorized", False)
+        stats = self.stats
+        problem = self._problem
+        count = len(matrix)
+        vectorizable = self.vectorized_enabled and getattr(
+            problem, "supports_vectorized", False
         )
         in_process = getattr(self.backend, "in_process", False)
         sharded = getattr(self.backend, "supports_columns", False)
-        if vectorizable and (in_process or sharded) and cached_mask is not None:
-            # The cached-row mask protocol: every memoised row is skipped
-            # before any column gather — including the degenerate all-cached
-            # batch, which never invokes a kernel or touches a pool at all.
-            self.stats.rows_skipped_cached += int(cached_mask.sum())
-        # All-cached (or empty) batches never reach a kernel or a pool: the
-        # columnar paths would otherwise be invoked with a zero-row gather.
-        if not len(genotypes):
-            return []
-        # Problems advertising ``supports_cached_mask`` receive the batch's
-        # distinct rows plus the mask (the cached-row protocol); others get
-        # the pre-filtered miss rows — identical results either way.
-        masked = (
-            unique is not None
-            and cached_mask is not None
-            and cached_mask.any()
-            and getattr(self._problem, "supports_cached_mask", False)
-        )
-        if vectorizable and in_process:
-            # Columnar fast path: the whole miss set in one kernel call,
-            # handing the kernel the cached-row mask so memoised rows skip
-            # even the column gather.
-            faults.maybe_fire("kernel")
-            if masked:
-                designs = list(
-                    self._problem.compute_designs_batch(
-                        unique, cached_mask=cached_mask
+        if vectorizable and (in_process or sharded):
+            # Cached rows never reach a column gather.
+            stats.rows_skipped_cached += n_cached
+        if not count:
+            # All-cached (or empty) batches never reach a kernel or a pool.
+            return WbsnBatchColumns.empty(0), None
+        kept = None
+        try:
+            if vectorizable and in_process:
+                faults.maybe_fire("kernel")
+                columns = problem.compute_columns_batch(matrix)
+                stats.vectorized_designs += count
+            elif vectorizable and sharded:
+                if prune_to_front and getattr(
+                    self.backend, "supports_worker_pruning", False
+                ):
+                    # Worker-side pruning: shards ship back only their local
+                    # per-feasibility-class fronts, so the parent never
+                    # touches a dominated row.
+                    columns, kept, pruned = self.backend.evaluate_front_columns_sharded(
+                        problem, matrix, include_infeasible=include_infeasible
                     )
-                )
-            else:
-                designs = list(self._problem.compute_designs_batch(genotypes))
-            self.stats.model_evaluations += len(designs)
-            self.stats.vectorized_designs += len(designs)
-            return designs
-        if vectorizable and sharded:
-            # Sharded columnar path: the batch matrix goes to shared memory,
-            # the miss rows are sharded across the backend's workers, and
-            # the reassembled columns are materialised in submission order.
-            try:
-                if masked:
-                    designs = list(
-                        self.backend.run_columns(
-                            self._problem, unique, cached_mask=cached_mask
-                        )
-                    )
+                    stats.rows_pruned_in_workers += int(pruned)
                 else:
-                    designs = list(
-                        self.backend.run_columns(self._problem, genotypes)
-                    )
-            except WorkerRecoveryExhausted as exc:
-                if not self.degrade_on_failure:
-                    raise
-                # ``genotypes`` holds exactly the miss rows the pool was
-                # asked for (with a mask, ``run_columns`` evaluates the
-                # mask's false rows — the same set, in the same order).
-                designs = self._degraded_designs(_tuples(genotypes), exc)
-                self.stats.model_evaluations += len(designs)
-                return designs
-            finally:
-                self._drain_backend_faults()
-            self.stats.model_evaluations += len(designs)
-            self.stats.vectorized_designs += len(designs)
-            self.stats.sharded_designs += len(designs)
-            return designs
-        designs = self._compute_scalar_chunks(_tuples(genotypes))
-        self.stats.model_evaluations += len(designs)
-        return designs
+                    columns = self.backend.evaluate_columns_sharded(problem, matrix)
+                stats.vectorized_designs += count
+                stats.sharded_designs += count
+            else:
+                designs = self._compute_scalar_chunks(_tuples(matrix))
+                columns = WbsnBatchColumns(*_design_columns(designs))
+        except WorkerRecoveryExhausted as exc:
+            if not self.degrade_on_failure:
+                raise
+            columns, kept = self._degraded_columns(matrix, exc), None
+        finally:
+            self._drain_backend_faults()
+        stats.model_evaluations += count
+        return columns, kept
 
     def _compute_scalar_chunks(
         self, genotypes: Sequence[tuple[int, ...]]
@@ -1026,16 +897,8 @@ class EvaluationEngine:
             genotypes[start : start + self.chunk_size]
             for start in range(0, len(genotypes), self.chunk_size)
         ]
-        try:
-            chunk_results = self.backend.run_chunks(self._problem, chunks)
-        except WorkerRecoveryExhausted as exc:
-            if not self.degrade_on_failure:
-                raise
-            return self._degraded_designs(genotypes, exc)
-        finally:
-            self._drain_backend_faults()
         designs: list["EvaluatedDesign"] = []
-        for chunk_designs, delta in chunk_results:
+        for chunk_designs, delta in self.backend.run_chunks(self._problem, chunks):
             designs.extend(chunk_designs)
             if delta is not None:
                 self.stats.merge(delta)
@@ -1044,7 +907,7 @@ class EvaluationEngine:
     def _drain_backend_faults(self) -> None:
         """Merge the backend's failure/recovery counters into the stats.
 
-        Called after every pool dispatch (success or not), so retries that
+        Called after every dispatch (success or not), so retries that
         eventually succeeded are counted too.  Serial backends have no
         counters to drain.
         """
@@ -1064,16 +927,18 @@ class EvaluationEngine:
             stacklevel=4,
         )
 
-    def _degraded_designs(
-        self, pending: Sequence[tuple[int, ...]], cause: BaseException
-    ) -> list["EvaluatedDesign"]:
+    def _degraded_columns(
+        self, matrix: np.ndarray, cause: BaseException
+    ) -> WbsnBatchColumns:
         """Serve a batch the worker pool could not, on the in-process ladder.
 
         First rung: the in-process serial kernel (the same compiled column
         kernel the pool would have run, so columns are bitwise identical).
         Second rung, when the kernel itself fails or the problem has none:
         the in-process scalar path — one ``compute_design`` per genotype,
-        never through a pool.  The caller counts ``model_evaluations``;
+        never through a pool.  Returns *full* (unpruned) columns for every
+        row — a caller that asked for worker-side pruning falls back to the
+        full-batch contract.  The caller counts ``model_evaluations``;
         kernel-rung work is counted here as ``vectorized_designs``.
         """
         self.stats.degraded_batches += 1
@@ -1081,117 +946,24 @@ class EvaluationEngine:
         if self.vectorized_enabled and getattr(problem, "supports_vectorized", False):
             try:
                 faults.maybe_fire("kernel")
-                designs = list(problem.compute_designs_batch(pending))
+                columns = problem.compute_columns_batch(matrix)
             except (KeyboardInterrupt, SystemExit):
                 raise
             except Exception:
                 pass
             else:
                 self._warn_degraded("in-process serial kernel", cause)
-                self.stats.vectorized_designs += len(designs)
-                return designs
-        self._warn_degraded("in-process scalar path", cause)
-        return [problem.compute_design(genotype) for genotype in pending]
-
-    def _degraded_columns(
-        self,
-        pending_keys: np.ndarray | None,
-        pending_matrix: np.ndarray,
-        cause: BaseException,
-    ) -> WbsnBatchColumns:
-        """Columnar sibling of :meth:`_degraded_designs` (same ladder).
-
-        Returns *full* (unpruned) columns for every pending row — a caller
-        that asked for worker-side pruning must fall back to the full-batch
-        contract.  The scalar rung memoises its computed designs exactly
-        like the scalar branch of :meth:`_compute_columns`, so later
-        materialisation of survivors stays free.  The caller counts
-        ``model_evaluations``.
-        """
-        self.stats.degraded_batches += 1
-        problem = self._problem
-        if (
-            self.vectorized_enabled
-            and getattr(problem, "supports_vectorized", False)
-            and hasattr(problem, "compute_columns_batch")
-        ):
-            try:
-                faults.maybe_fire("kernel")
-                columns = problem.compute_columns_batch(pending_matrix)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception:
-                pass
-            else:
-                self._warn_degraded("in-process serial kernel", cause)
-                self.stats.vectorized_designs += len(pending_matrix)
+                self.stats.vectorized_designs += len(matrix)
                 return columns
         self._warn_degraded("in-process scalar path", cause)
-        designs = [problem.compute_design(g) for g in _tuples(pending_matrix)]
-        self._memoise(pending_keys, designs)
+        designs = [problem.compute_design(g) for g in _tuples(matrix)]
         return WbsnBatchColumns(*_design_columns(designs))
 
-    def _compute_columns(
-        self,
-        pending_keys: np.ndarray | None,
-        pending_matrix: np.ndarray,
-        n_cached: int,
-    ) -> WbsnBatchColumns:
-        """Compute raw column rows for a batch's miss rows (any path).
-
-        The columnar sibling of :meth:`_compute`: the in-process kernel and
-        the sharded backend return their columns untouched, and the scalar
-        fallback flattens per-design results into columns (memoising the
-        computed designs under ``pending_keys`` so their materialisation
-        later is free).  ``pending_matrix`` holds the miss rows as
-        already-validated index rows — the kernel paths consume it
-        directly, so the batch matrix is bounds-checked once, not per path.
-        """
-        stats = self.stats
-        problem = self._problem
-        count = len(pending_matrix)
-        vectorizable = self.vectorized_enabled and getattr(
-            problem, "supports_vectorized", False
-        )
-        in_process = getattr(self.backend, "in_process", False)
-        sharded = getattr(self.backend, "supports_columns", False)
-        if vectorizable and (in_process or sharded) and n_cached:
-            # Cached rows never reach a column gather, exactly like the
-            # cached-row mask of the object path.
-            stats.rows_skipped_cached += n_cached
-        if not count:
-            return WbsnBatchColumns.empty(0)
-        if vectorizable and in_process and hasattr(problem, "compute_columns_batch"):
-            faults.maybe_fire("kernel")
-            columns = problem.compute_columns_batch(pending_matrix)
-            stats.vectorized_designs += count
-        elif vectorizable and sharded:
-            try:
-                columns = self.backend.evaluate_columns_sharded(
-                    problem, pending_matrix
-                )
-            except WorkerRecoveryExhausted as exc:
-                if not self.degrade_on_failure:
-                    raise
-                columns = self._degraded_columns(pending_keys, pending_matrix, exc)
-            else:
-                stats.vectorized_designs += count
-                stats.sharded_designs += count
-            finally:
-                self._drain_backend_faults()
-        else:
-            designs = self._compute_scalar_chunks(_tuples(pending_matrix))
-            self._memoise(pending_keys, designs)
-            columns = WbsnBatchColumns(*_design_columns(designs))
-        stats.model_evaluations += count
-        return columns
-
     def __getstate__(self) -> dict[str, Any]:
-        # Worker processes only need the compute path; the memos (and the
-        # shared cache) can be large and are owned by the parent, so they
-        # stay home.
+        # Worker processes only need the compute path; the memo (and the
+        # shared cache) can be large and is owned by the parent, so it
+        # stays home.
         state = self.__dict__.copy()
-        state["_memo"] = {}
         state["_column_store"] = ColumnStore(self.column_memo_max_entries)
         state["_segments_loaded"] = set()
         state["shared_cache"] = None

@@ -2,9 +2,7 @@
 
 The engine's caches make repeated campaigns cheap *within* a process; this
 module makes them cheap *across* processes.  Everything the engine knows
-about a problem's evaluations — the id-keyed column store of the columnar
-sweeps, the design memo, the cross-problem
-:class:`~repro.engine.cache.SharedGenotypeCache` records — can be spilled
+about a problem's evaluations — its id-keyed column store — can be spilled
 to disk as one **segment per evaluation fingerprint** and bulk-loaded back
 into a fresh engine, so a re-run of a sweep prunes cached columns without a
 single model evaluation.
@@ -57,15 +55,13 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from repro.engine import faults
+from repro.engine.cache import component_columns
 from repro.engine.checkpoint import atomic_write_bytes, pack_blob, unpack_blob
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
-    from repro.engine.cache import SharedGenotypeCache
 
 __all__ = [
     "SEGMENT_VERSION",
@@ -83,7 +79,6 @@ __all__ = [
     "load_segment_if_valid",
     "spill_columns",
     "spill_rows",
-    "spill_shared_cache",
 ]
 
 #: File magic — identifies a WBSN cache segment before any parsing.
@@ -156,10 +151,8 @@ class CacheSegment:
         """
         if components == self.components:
             return self.objectives
-        if not set(components) <= set(self.components):
-            return None
-        columns = [self.components.index(name) for name in components]
-        return self.objectives[:, columns]
+        columns = component_columns(self.components, components)
+        return None if columns is None else self.objectives[:, columns]
 
     def rows(self) -> dict[tuple[int, ...], _Row]:
         """The segment as a ``genotype key -> column row`` mapping."""
@@ -440,8 +433,8 @@ def save_segment(
     The write is atomic and durably ordered (see
     :func:`~repro.engine.checkpoint.atomic_write_bytes`); the cache
     directory is created on demand.  Rows are sorted by genotype before
-    serialization, so equal row sets produce byte-identical segments
-    regardless of insertion order.
+    serialization, keeping the first row of a repeated genotype, so equal
+    row sets produce byte-identical segments regardless of insertion order.
     """
     arrays = {
         name: np.ascontiguousarray(array, dtype=dtype)
@@ -457,9 +450,19 @@ def save_segment(
             f"objective matrix has {arrays['objectives'].shape[1]} columns "
             f"for {len(components)} components"
         )
-    order = np.lexsort(arrays["genotypes"].T[::-1]) if counts["genotypes"] else None
-    if order is not None:
-        arrays = {name: array[order] for name, array in arrays.items()}
+    if counts["genotypes"]:
+        # One stable sort orders the rows and leads each genotype's run with
+        # its first row; each column is gathered once, dropping the repeats.
+        order = np.lexsort(arrays["genotypes"].T[::-1])
+        genotypes = arrays["genotypes"][order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (genotypes[1:] != genotypes[:-1]).any(axis=1)
+        if not first.all():
+            order, genotypes = order[first], genotypes[first]
+        arrays = {
+            name: genotypes if name == "genotypes" else array[order]
+            for name, array in arrays.items()
+        }
     payload = encode_column_block(
         _COLUMNS,
         arrays,
@@ -620,7 +623,8 @@ def spill_columns(
                 existing.violation_counts,
             )
             columns = tuple(map(np.concatenate, zip(columns, old)))
-    genotypes, objectives, feasible, violation_counts = _first_rows(columns)
+    genotypes, objectives, feasible, violation_counts = columns
+    # ``save_segment`` sorts by genotype and keeps each genotype's first row.
     return save_segment(
         cache_dir,
         fingerprint=fingerprint,
@@ -630,18 +634,6 @@ def spill_columns(
         feasible=feasible,
         violation_counts=violation_counts,
     )
-
-
-def _first_rows(columns: tuple[np.ndarray, ...]) -> list[np.ndarray]:
-    """Keep the first row of each genotype (``columns[0]``), sorted by it."""
-    genotypes = np.asarray(columns[0], dtype=np.int64)
-    # The sort is stable, so each genotype's first row leads its run.
-    order = np.lexsort(genotypes.T[::-1])
-    ordered = genotypes[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    keep = order[first]
-    return [np.asarray(column)[keep] for column in columns]
 
 
 def spill_rows(
@@ -670,43 +662,3 @@ def spill_rows(
             [value[2] for value in values], dtype=np.int64
         ),
     )
-
-
-def spill_shared_cache(
-    cache: "SharedGenotypeCache", cache_dir: str | Path
-) -> list[Path]:
-    """Spill a shared cache's records into one segment per fingerprint.
-
-    A segment stores a single objective matrix, so for each fingerprint the
-    richest component set present is chosen and every record whose
-    components are a superset of it is flattened in, projected onto the
-    chosen order.  Records with narrower (or incomparable) component sets
-    are skipped — a miss is always safe, and with the shipped problems'
-    nested objective sets (full ⊃ baseline) the richest records dominate.
-    """
-    grouped: dict[bytes, dict[tuple[int, ...], tuple[tuple[str, ...], object]]] = {}
-    for fingerprint, genotype, components, design in cache.iter_records():
-        grouped.setdefault(fingerprint, {})[genotype] = (components, design)
-    paths: list[Path] = []
-    for fingerprint, records in grouped.items():
-        chosen = max(
-            {components for components, _ in records.values()},
-            key=lambda components: (len(components), components),
-        )
-        rows: dict[tuple[int, ...], _Row] = {}
-        for genotype, (components, design) in records.items():
-            if not set(chosen) <= set(components):
-                continue
-            objectives = tuple(
-                design.objectives[components.index(name)] for name in chosen
-            )
-            violations = getattr(design, "violation_count", None)
-            if violations is None:
-                violations = 0 if design.feasible else 1
-            rows[genotype] = (objectives, bool(design.feasible), int(violations))
-        path = spill_rows(
-            cache_dir, fingerprint=fingerprint, components=chosen, rows=rows
-        )
-        if path is not None:
-            paths.append(path)
-    return paths

@@ -8,28 +8,22 @@ the same partition-the-column-store shape large physics DAQ systems use
 (split one shared store across workers instead of shipping objects per
 item):
 
-1. the parent places the batch genotype-index matrix in a
-   ``multiprocessing.shared_memory`` segment (one per ``evaluate_many``
-   batch) and the kernel's compiled column tables in a second, long-lived
-   segment (the :class:`SharedArrayArena`, built once per pool);
-2. the miss rows of the batch — rows the genotype cache could not serve,
-   after the engine's cached-row mask is applied — are split into
-   per-worker shards;
-3. each worker gathers *only its shard's rows* from the shared matrix
-   (the cache-aware gather: memoised rows are never read), runs the
-   compiled :class:`~repro.core.vectorized.WbsnVectorizedKernel` on the
-   gathered block, and ships back raw objective/feasibility/violation
+1. the parent places a batch's miss rows — the rows the engine's caches
+   could not serve — in a ``multiprocessing.shared_memory`` segment (one
+   per batch) and the kernel's compiled column tables in a second,
+   long-lived segment (the :class:`SharedArrayArena`, built once per pool);
+2. the miss rows are split into per-worker shards;
+3. each worker gathers *only its shard's rows* from the shared matrix,
+   runs the compiled :class:`~repro.core.vectorized.WbsnVectorizedKernel`
+   on the gathered block, and ships back raw objective/feasibility/violation
    columns — never per-design Python objects;
 4. the parent concatenates the shard columns in submission order, so
    results are bitwise identical to the serial kernel (row sharding is safe
    by construction: every kernel stage is elementwise across the batch
-   axis; reductions only run across nodes).  On the object path
-   (``evaluate_many``) the columns are then materialised into
-   :class:`~repro.dse.problem.EvaluatedDesign` objects from the problem's
-   phenotype tables; on the columnar result path
-   (``evaluate_many_columnar``) they travel onwards *as columns*, all the
-   way into Pareto pruning, and only front survivors are ever
-   materialised.
+   axis; reductions only run across nodes).  The columns travel onwards
+   *as columns* through the engine's column store, all the way into Pareto
+   pruning, and only the designs a caller asks for are ever materialised
+   (in the parent, from the problem's phenotype tables).
 
 The backend subclasses :class:`~repro.engine.backends.ProcessBackend`, so a
 problem *without* a compiled kernel still gets the chunked scalar path on
@@ -48,7 +42,7 @@ import math
 import pickle
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -290,8 +284,8 @@ class ShardedVectorizedBackend(ProcessBackend):
 
     name = "sharded"
     in_process = False
-    #: engines route vectorized batches through :meth:`run_columns` when the
-    #: backend advertises this flag
+    #: engines route vectorized miss rows through
+    #: :meth:`evaluate_columns_sharded` when the backend advertises this flag
     supports_columns = True
     #: engines route ``prune_to_front`` columnar batches through
     #: :meth:`evaluate_front_columns_sharded` when the backend advertises
@@ -313,63 +307,24 @@ class ShardedVectorizedBackend(ProcessBackend):
 
     # ----------------------------------------------------------------- API
 
-    def run_columns(
-        self,
-        problem: Any,
-        genotypes: Sequence[tuple[int, ...]],
-        cached_mask: np.ndarray | None = None,
-    ) -> list[Any]:
-        """Evaluate a batch's miss rows on the pool, preserving row order.
-
-        The full batch index matrix is published once in shared memory; the
-        miss rows (``cached_mask`` false, or all rows without a mask) are
-        sharded across the workers, and the concatenated shard columns are
-        materialised into designs by the parent.  Returns one design per
-        miss row, in the rows' original relative order — an all-cached or
-        empty batch returns ``[]`` without touching the pool.
-        """
-        from repro.core.vectorized import cached_miss_rows
-
-        matrix = problem.space.index_matrix(genotypes)
-        if cached_mask is not None:
-            miss_rows = cached_miss_rows(len(matrix), cached_mask)
-        else:
-            miss_rows = np.arange(len(matrix))
-        if miss_rows.size == 0:
-            return []
-        columns = self.evaluate_columns_sharded(problem, matrix, miss_rows)
-        return problem.materialise_designs(matrix[miss_rows], columns)
-
-    def evaluate_columns_sharded(
-        self,
-        problem: Any,
-        matrix: np.ndarray,
-        miss_rows: np.ndarray | None = None,
-    ) -> Any:
+    def evaluate_columns_sharded(self, problem: Any, matrix: np.ndarray) -> Any:
         """Columns-only sharded evaluation of a validated index matrix.
 
-        The parallel core of :meth:`run_columns`, exposed separately so the
-        benchmark suite can compare it against the in-process kernel without
-        the (parent-side, inherently serial) design materialisation.
-        Returns the concatenated
-        :class:`~repro.core.vectorized.WbsnBatchColumns` of the requested
-        rows, in row order.
+        The engine hands over a batch's miss rows; they are published once
+        in shared memory, split into per-worker shards, and the shard
+        columns are concatenated in submission order.  Returns the
+        :class:`~repro.core.vectorized.WbsnBatchColumns` of every row, in
+        row order.
         """
         from repro.core.vectorized import WbsnBatchColumns
 
-        if miss_rows is None:
-            miss_rows = np.arange(len(matrix))
-        if miss_rows.size == 0:
+        if len(matrix) == 0:
             # Same contract as the in-process kernel: an empty miss set
             # produces empty columns without touching the pool (a zero-byte
             # shared-memory segment cannot even be created).
             kernel = getattr(problem, "vectorized_kernel", None)
             return WbsnBatchColumns.empty(getattr(kernel, "n_objectives", 0))
-        shards = [
-            shard
-            for shard in np.array_split(miss_rows, self._shard_count(miss_rows.size))
-            if shard.size
-        ]
+        shards = self._shards(len(matrix))
         # The batch matrix segment is created once and survives recovery
         # attempts (workers re-attach it by name on every dispatch); the
         # ``finally`` guarantees it is released even when recovery is
@@ -378,7 +333,7 @@ class ShardedVectorizedBackend(ProcessBackend):
         try:
             view = np.ndarray(matrix.shape, dtype=matrix.dtype, buffer=shm.buf)
             view[...] = matrix
-            # Submission order == miss-row order, so plain concatenation
+            # Submission order == row order, so plain concatenation
             # reassembles the batch exactly as the serial kernel would have
             # produced it.
             results = self._dispatch_with_recovery(
@@ -406,7 +361,6 @@ class ShardedVectorizedBackend(ProcessBackend):
         self,
         problem: Any,
         matrix: np.ndarray,
-        miss_rows: np.ndarray | None = None,
         include_infeasible: bool = True,
     ) -> tuple[Any, np.ndarray, int]:
         """Sharded columns-only evaluation, pruned to local fronts in-worker.
@@ -419,7 +373,7 @@ class ShardedVectorizedBackend(ProcessBackend):
         boundary, so the parent-side merge input is bounded by the sum of
         the shard front sizes, not by the batch size.  Returns the
         concatenated surviving :class:`~repro.core.vectorized.WbsnBatchColumns`,
-        the survivors' positions into ``miss_rows`` (ascending — per-shard
+        the survivors' row positions in ``matrix`` (ascending — per-shard
         fronts are ascending-position subsets and shards are concatenated in
         submission order) and the total number of rows pruned in workers.
 
@@ -437,17 +391,11 @@ class ShardedVectorizedBackend(ProcessBackend):
         """
         from repro.core.vectorized import WbsnBatchColumns
 
-        if miss_rows is None:
-            miss_rows = np.arange(len(matrix))
-        if miss_rows.size == 0:
+        if len(matrix) == 0:
             kernel = getattr(problem, "vectorized_kernel", None)
             empty = WbsnBatchColumns.empty(getattr(kernel, "n_objectives", 0))
             return empty, np.empty(0, dtype=np.int64), 0
-        shards = [
-            shard
-            for shard in np.array_split(miss_rows, self._shard_count(miss_rows.size))
-            if shard.size
-        ]
+        shards = self._shards(len(matrix))
         shm = shared_memory.SharedMemory(create=True, size=matrix.nbytes)
         try:
             view = np.ndarray(matrix.shape, dtype=matrix.dtype, buffer=shm.buf)
@@ -488,9 +436,11 @@ class ShardedVectorizedBackend(ProcessBackend):
 
     # ------------------------------------------------------------ internals
 
-    def _shard_count(self, rows: int) -> int:
+    def _shards(self, rows: int) -> list[np.ndarray]:
+        """Row indices ``0..rows-1`` split into non-empty per-worker shards."""
         by_floor = math.ceil(rows / self.min_rows_per_shard)
-        return max(1, min(self.max_workers, by_floor))
+        count = max(1, min(self.max_workers, by_floor))
+        return [shard for shard in np.array_split(np.arange(rows), count) if shard.size]
 
     def _terminate_pool(self) -> None:
         # ``_ensure_executor`` builds a fresh arena alongside the fresh pool;

@@ -38,22 +38,23 @@ class EngineStats:
     Attributes:
         genotype_requests: designs served through the engine (cache hits
             included).
-        genotype_cache_hits: requests answered by the genotype memo cache.
+        genotype_cache_hits: requests answered by the engine's column store
+            (or by a repeat of a genotype within one batch).
         shared_cache_hits: requests answered by the cross-problem shared
             genotype cache (counted separately from the local memo; the
-            served design is then memoised locally, so repeats become
-            ordinary genotype-cache hits).
+            served row is then inserted into the column store, so repeats
+            become ordinary genotype-cache hits).
         model_evaluations: full-network model evaluations actually computed
-            (through either evaluation path).
+            (through any compute path).
         vectorized_designs: model evaluations computed by a columnar kernel,
             in-process or sharded (a subset of ``model_evaluations``).
         sharded_designs: model evaluations computed by the sharded
             shared-memory columnar backend (a subset of
             ``vectorized_designs``; zero when every kernel call ran
             in-process).
-        rows_skipped_cached: batch rows the cached-row mask protocol let the
-            columnar paths skip — memoised rows never reach the column
-            gather (see ``WbsnVectorizedKernel.evaluate_columns``).
+        rows_skipped_cached: batch rows the caches served before a kernel
+            dispatch (in-process or sharded) — they never reach the column
+            gather, which only ever sees a batch's misses.
         rows_pruned_in_workers: batch rows dominated inside their own shard
             and pruned by the worker-side-pruning protocol
             (``ShardedVectorizedBackend.evaluate_front_columns_sharded``):
@@ -61,14 +62,15 @@ class EngineStats:
             ``sharded_designs``) but never shipped back to the parent, so
             the parent-side archive merge of a pruned batch sees only
             Σ(shard front sizes) rows, not the batch size.
-        designs_materialised: ``EvaluatedDesign`` objects built from raw
-            column rows on the columnar result path
-            (``EvaluationEngine.evaluate_many_columnar`` /
-            ``ColumnarBatchResult.materialise``).  Columnar sweeps prune on
-            raw objective columns and materialise only survivors, so this
-            counter should track the front size, not the batch size; rows
-            served from the design memo are not re-materialised and are not
-            counted.
+        designs_materialised: ``EvaluatedDesign`` objects built from column
+            rows by ``problem.materialise_designs`` — by
+            ``ColumnarBatchResult.materialise`` (so by every
+            ``EvaluationEngine.evaluate_many``) and by
+            ``EvaluationEngine.evaluate`` on a column-store hit.  Designs
+            are never memoised, so a row materialised twice counts twice.
+            Columnar sweeps prune on raw objective columns and materialise
+            only survivors, so on a sweep this counter tracks the front
+            size, not the space.
         worker_failures: worker-pool failures observed by the execution
             backends (a worker crash breaking the pool, a batch future
             timing out, an exception escaping a worker task).  Each failure
@@ -101,7 +103,9 @@ class EngineStats:
             sweep counts 8,192, plus one for the problem's construction
             probe.  A repeat of a genotype within one batch counts as an
             ordinary genotype-cache hit.
-        batches: number of ``evaluate_many`` invocations.
+        batches: number of batch evaluations
+            (``EvaluationEngine.evaluate_many_columnar`` calls, including
+            the one behind every ``evaluate_many``).
         wall_time_s: wall-clock time spent inside the engine.
         array_backend: name of the array-backend namespace
             (:mod:`repro.core.array_backend`) that computed the columnar

@@ -245,10 +245,11 @@ def main() -> Fig5Result:
         f"{result.nsga2_result.evaluations_per_second:.0f} served/s, "
         f"{result.nsga2_result.model_evaluations_per_second:.0f} model eval/s)"
     )
+    nsga2_stats = result.nsga2_result.engine_stats
     print(
         "engine caches (NSGA-II run): "
-        f"genotype hit rate {result.nsga2_result.genotype_cache_hit_rate * 100:.0f}%, "
-        f"node-stage hit rate {result.nsga2_result.node_cache_hit_rate * 100:.0f}%"
+        f"genotype hit rate {nsga2_stats.genotype_cache_hit_rate * 100:.0f}%, "
+        f"node-stage hit rate {nsga2_stats.node_cache_hit_rate * 100:.0f}%"
     )
     print(
         f"baseline front size: {len(result.baseline_front_full_objectives)} "

@@ -79,18 +79,6 @@ def front_signature(front):
     return [(d.genotype, d.objectives, d.feasible) for d in front]
 
 
-def expected_materialised(problem, front):
-    """Front designs a fresh cached engine must *build* (vs serve).
-
-    ``WbsnDseProblem.__init__`` probes the all-zeros genotype through the
-    engine, memoising its design; if that genotype lands on the front, the
-    columnar path serves the memoised object instead of materialising a new
-    one, and ``designs_materialised`` is one short of the front size.
-    """
-    probe = tuple(0 for _ in range(len(problem.space)))
-    return sum(1 for design in front if design.genotype != probe)
-
-
 class TestSweepParity:
     """Columnar on vs off: identical fronts, membership and ordering."""
 
@@ -129,9 +117,7 @@ class TestSweepParity:
             # Worker column kernels computed every miss; survivors only were
             # materialised, parent-side.
             assert stats.sharded_designs > 0
-            assert stats.designs_materialised == expected_materialised(
-                problem, sharded
-            )
+            assert stats.designs_materialised == len(sharded)
             # The sweep's prune hint made the workers drop dominated rows
             # before shipping — without moving the front.
             assert stats.rows_pruned_in_workers > 0
@@ -184,10 +170,7 @@ class Test8192CaseStudyParity:
             columnar_problem, chunk_size=2048, columnar=True
         ).run()
         assert front_signature(reference) == front_signature(columnar)
-        assert (
-            columnar_problem.engine.stats.designs_materialised
-            == expected_materialised(columnar_problem, columnar)
-        )
+        assert columnar_problem.engine.stats.designs_materialised == len(columnar)
 
         with EvaluationEngine(backend="sharded", max_workers=2) as engine:
             sharded_problem = sweep_problem(scenario, engine)
@@ -196,9 +179,7 @@ class Test8192CaseStudyParity:
             ).run()
             assert front_signature(reference) == front_signature(sharded)
             assert engine.stats.sharded_designs > 0
-            assert engine.stats.designs_materialised == expected_materialised(
-                sharded_problem, sharded
-            )
+            assert engine.stats.designs_materialised == len(sharded)
             # On 8192 designs the shard fronts are tiny: almost every
             # evaluated row is pruned worker-side.
             assert engine.stats.rows_pruned_in_workers > 7000
@@ -224,16 +205,15 @@ class TestLazyMaterialisation:
             assert problem.space.size == 8192
             front = ExhaustiveSearch(problem, chunk_size=2048, columnar=True).run()
             stats = engine.stats
-            assert stats.designs_materialised == expected_materialised(
-                problem, front
-            )
+            assert stats.designs_materialised == len(front)
             assert 0 < len(front) < 100
             # Every swept row went through the kernel as columns.
             assert stats.vectorized_designs >= problem.space.size - 1
 
     def test_warm_sweep_serves_cached_rows_as_columns(self):
-        """Cached rows re-enter pruning as raw rows — no new objects, no
-        kernel work, and ``rows_skipped_cached`` keeps counting."""
+        """Cached rows re-enter pruning as raw rows — no kernel work, only
+        the front built as objects, and ``rows_skipped_cached`` keeps
+        counting."""
         problem = beacon_problem()
         engine = problem.engine
         first = ExhaustiveSearch(problem, columnar=True).run()
@@ -245,16 +225,13 @@ class TestLazyMaterialisation:
         # memoised column row.
         assert delta.rows_skipped_cached == problem.space.size
         assert delta.model_evaluations == 0
-        # The front designs were materialised by the first sweep and are
-        # served from the design memo afterwards.
-        assert delta.designs_materialised == 0
+        # Designs are never memoised: the warm sweep builds its front again.
+        assert delta.designs_materialised == len(second)
 
     def test_random_search_materialises_exactly_the_front(self):
         problem = beacon_problem()
         front = RandomSearch(problem, samples=120, seed=2, columnar=True).run()
-        assert problem.engine.stats.designs_materialised == expected_materialised(
-            problem, front
-        )
+        assert problem.engine.stats.designs_materialised == len(front)
 
     def test_recording_problems_reject_the_columnar_batch_api(self):
         problem = beacon_problem(record_evaluations=True)
@@ -264,51 +241,34 @@ class TestLazyMaterialisation:
         assert problem.evaluations == 0
         assert problem.history == []
 
-    def test_scalar_fallback_materialises_nothing_new(self):
-        """The scalar path computes design objects anyway and memoises them,
-        so columnar materialisation serves the memo — zero new objects."""
+    def test_scalar_fallback_materialises_exactly_the_front(self):
+        """The scalar path flattens its design objects into column rows, so
+        a kernel-less sweep, too, builds only its front from the rows."""
         problem = beacon_problem(vectorized=False)
         front = ExhaustiveSearch(problem, columnar=True).run()
         assert front
-        assert problem.engine.stats.designs_materialised == 0
+        assert problem.engine.stats.designs_materialised == len(front)
 
     def test_columnar_rows_warm_the_object_path(self):
         """Designs memoised as raw column rows serve ``evaluate_batch`` /
         ``evaluate`` too — materialised on demand, never recomputed."""
         problem = beacon_problem()
         engine = problem.engine
-        front = ExhaustiveSearch(problem, columnar=True).run()
-        in_memo = len(front) + (
-            0
-            if any(
-                design.genotype == tuple(0 for _ in range(len(problem.space)))
-                for design in front
-            )
-            else 1  # the constructor probe
-        )
+        ExhaustiveSearch(problem, columnar=True).run()
         before = engine.stats.snapshot()
         genotypes = list(problem.space.enumerate_genotypes())
         designs = problem.evaluate_batch(genotypes)
         delta = engine.stats.snapshot() - before
         assert delta.model_evaluations == 0
         assert delta.genotype_cache_hits == problem.space.size
-        assert delta.designs_materialised == problem.space.size - in_memo
+        assert delta.designs_materialised == problem.space.size
         # Single evaluations hit the column memo as well.
         before = engine.stats.snapshot()
         single = problem.evaluate(genotypes[-1])
         delta = engine.stats.snapshot() - before
         assert delta.model_evaluations == 0
+        assert delta.designs_materialised == 1
         assert single.objectives == designs[-1].objectives
-
-    def test_compute_columns_batch_honours_the_cached_mask(self):
-        problem = beacon_problem()
-        genotypes = list(problem.space.enumerate_genotypes())[:8]
-        full = problem.compute_columns_batch(genotypes)
-        mask = np.asarray([index % 2 == 0 for index in range(8)])
-        misses = problem.compute_columns_batch(genotypes, cached_mask=mask)
-        np.testing.assert_array_equal(misses.objectives, full.objectives[~mask])
-        np.testing.assert_array_equal(misses.feasible, full.feasible[~mask])
-        assert len(problem.compute_columns_batch(genotypes, cached_mask=[True] * 8)) == 0
 
     def test_materialised_designs_carry_their_violation_count(self):
         problem = beacon_problem()

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dse.exhaustive import ExhaustiveSearch
 from repro.dse.nsga2 import Nsga2, Nsga2Settings
-from repro.dse.problem import WbsnDseProblem
+from repro.dse.problem import WbsnDseProblem, csma_mac_parameterisation
 from repro.dse.random_search import RandomSearch
 from repro.dse.runner import run_algorithm
 from repro.dse.simulated_annealing import (
@@ -40,8 +43,32 @@ def small_problem(**kwargs) -> WbsnDseProblem:
     return WbsnDseProblem(evaluator, **SMALL_DOMAINS, **kwargs)
 
 
+def small_csma_problem(**kwargs) -> WbsnDseProblem:
+    evaluator = build_csma_case_study_evaluator(n_nodes=2, applications=("dwt", "cs"))
+    return WbsnDseProblem(
+        evaluator,
+        compression_ratios=SMALL_DOMAINS["compression_ratios"],
+        frequencies_hz=SMALL_DOMAINS["frequencies_hz"],
+        mac_parameterisation=csma_mac_parameterisation(
+            payload_bytes=(60, 80), backoff_exponent_pairs=((3, 5), (4, 6))
+        ),
+        **kwargs,
+    )
+
+
 def front_signature(front):
     return sorted((design.genotype, design.objectives) for design in front)
+
+
+def design_fields(design):
+    """Every field of a design, for field-by-field comparisons."""
+    return (
+        design.genotype,
+        design.objectives,
+        design.feasible,
+        design.violation_count,
+        design.phenotype,
+    )
 
 
 class TestEngineStats:
@@ -120,7 +147,7 @@ class TestEvaluationEngine:
         first = problem.engine.evaluate(genotype)
         hits_before = problem.engine.stats.genotype_cache_hits
         second = problem.engine.evaluate(genotype)
-        assert second is first
+        assert second == first
         assert problem.engine.stats.genotype_cache_hits == hits_before + 1
 
     def test_evaluate_many_preserves_order_and_dedupes(self):
@@ -130,11 +157,35 @@ class TestEvaluationEngine:
         designs = problem.engine.evaluate_many(genotypes)
         delta = problem.engine.stats.snapshot() - stats_before
         assert [design.genotype for design in designs] == genotypes
-        assert designs[0] is designs[2]
+        assert designs[0] == designs[2]
         # The probe already cached genotype 0: 1 stored hit + 1 duplicate hit.
         assert delta.genotype_requests == 3
         assert delta.genotype_cache_hits == 2
         assert delta.model_evaluations == 1
+
+    def test_kernel_less_batches_evaluate_each_distinct_miss_once(self):
+        problem = small_problem(vectorized=False)
+        engine = problem.engine
+        genotypes = list(problem.space.enumerate_genotypes())
+        # The probe (genotypes[0]) is cached; 2 and 5 repeat in the batch.
+        batch = [genotypes[2], genotypes[0], genotypes[5], genotypes[2]]
+        before = engine.stats.snapshot()
+        designs = engine.evaluate_many(batch + [genotypes[5], genotypes[9]])
+        delta = engine.stats.snapshot() - before
+        assert delta.model_evaluations == 3
+        assert [design.genotype for design in designs] == batch + [
+            genotypes[5],
+            genotypes[9],
+        ]
+        # Building designs from rows touches neither the model nor the
+        # node stages underneath it.
+        result = engine.evaluate_many_columnar(batch)
+        before = engine.stats.snapshot()
+        result.materialise()
+        delta = engine.stats.snapshot() - before
+        assert delta.model_evaluations == 0
+        assert delta.node_stage_requests == 0
+        assert delta.designs_materialised == len(batch)
 
     def test_disabled_genotype_cache_recomputes(self):
         problem = small_problem(
@@ -176,6 +227,46 @@ class TestEvaluationEngine:
         ]
         # Worker node-stage counters travel back with each chunk.
         assert process.engine.stats.node_model_calls > 0
+
+
+class TestOneEvaluationPath:
+    """``evaluate_many`` is the columnar batch materialised in full, and
+    every design it serves equals a direct ``compute_design``."""
+
+    _problems: dict = {}
+
+    @classmethod
+    def problem(cls, family, genotype_cache, vectorized):
+        key = (family, genotype_cache, vectorized)
+        if key not in cls._problems:
+            build = small_problem if family == "beacon" else small_csma_problem
+            cls._problems[key] = build(
+                engine=EvaluationEngine(genotype_cache=genotype_cache),
+                vectorized=vectorized,
+            )
+        return cls._problems[key]
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("genotype_cache", [True, False])
+    @pytest.mark.parametrize("family", ["beacon", "csma"])
+    @settings(max_examples=20, deadline=None)
+    @given(ids=st.lists(st.integers(min_value=0, max_value=63), max_size=24))
+    def test_designs_match_the_scalar_model(
+        self, family, genotype_cache, vectorized, ids
+    ):
+        problem = self.problem(family, genotype_cache, vectorized)
+        assert problem.space.size == 64
+        # Duplicates are drawn often: 24 ids over 64 designs.
+        matrix = problem.space.decode_ids(np.asarray(ids, dtype=np.int64))
+        genotypes = list(map(tuple, matrix.tolist()))
+        designs = problem.engine.evaluate_many(genotypes)
+        assert list(map(design_fields, designs)) == [
+            design_fields(problem.compute_design(genotype)) for genotype in genotypes
+        ]
+        columnar = problem.engine.evaluate_many_columnar(genotypes).materialise()
+        assert list(map(design_fields, columnar)) == list(
+            map(design_fields, designs)
+        )
 
 
 class TestProblemAccounting:
@@ -278,8 +369,8 @@ class TestFigure5ProblemCaching:
         assert result.evaluations > 0
         assert result.model_evaluations <= result.evaluations
         assert result.evaluations_per_second >= result.model_evaluations_per_second
-        assert 0.0 <= result.genotype_cache_hit_rate <= 1.0
-        assert 0.0 <= result.node_cache_hit_rate <= 1.0
+        assert 0.0 <= result.engine_stats.genotype_cache_hit_rate <= 1.0
+        assert 0.0 <= result.engine_stats.node_cache_hit_rate <= 1.0
 
 
 class TestSharedGenotypeCache:

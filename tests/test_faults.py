@@ -223,8 +223,8 @@ class TestWorkerRecovery:
         assert engine.stats.batches_retried == 1
         assert engine.stats.degraded_batches == 0
         assert engine.stats.retry_wait_seconds > 0
-        assert result.worker_failures == 1
-        assert result.batches_retried == 1
+        assert result.engine_stats.worker_failures == 1
+        assert result.engine_stats.batches_retried == 1
 
     def test_killed_worker_breaks_the_pool_and_is_retried(self, family):
         plan = FaultPlan([FaultSpec(site="shard", action="kill", at=(0,))])
@@ -243,7 +243,7 @@ class TestWorkerRecovery:
             result, engine = sharded_sweep(family, retry_policy=FAST_RETRIES)
         assert front_signature(result.front) == reference_front(family)
         assert engine.stats.degraded_batches > 0
-        assert result.degraded_batches == engine.stats.degraded_batches
+        assert result.engine_stats.degraded_batches == engine.stats.degraded_batches
         # Nothing ever came back from the pool, but the kernel served
         # every design in-process.
         assert engine.stats.sharded_designs == 0

@@ -76,7 +76,10 @@ def test_random_batches_are_bit_identical(scenario, seed):
     rng = np.random.default_rng(seed)
     genotypes = [vectorized.space.random_genotype(rng) for _ in range(BATCH)]
 
-    batch = vectorized.compute_designs_batch(genotypes)
+    matrix = vectorized.space.index_matrix(genotypes)
+    batch = vectorized.materialise_designs(
+        matrix, vectorized.compute_columns_batch(matrix)
+    )
     columns = vectorized.vectorized_kernel.evaluate_columns(
         vectorized.space.index_matrix(genotypes)
     )
@@ -270,10 +273,7 @@ def test_fuzz_exercises_both_feasibility_outcomes():
         vectorized, _ = build_pair(scenario)
         rng = np.random.default_rng(FUZZ_SEEDS[0])
         genotypes = [vectorized.space.random_genotype(rng) for _ in range(BATCH)]
-        flags = {
-            design.feasible
-            for design in vectorized.compute_designs_batch(genotypes)
-        }
+        flags = set(vectorized.compute_columns_batch(genotypes).feasible.tolist())
         assert flags == {True, False}, scenario
 
 

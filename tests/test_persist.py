@@ -40,6 +40,7 @@ from repro.engine import (
     EvaluationEngine,
     FaultPlan,
     FaultSpec,
+    SharedGenotypeCache,
     inject_faults,
     load_segment,
     load_segment_if_valid,
@@ -365,8 +366,32 @@ class TestWarmStartSweeps:
         assert warm.model_evaluations == 0
         # The construction probe (computed before the run, outside the tier)
         # is already memoised, so 63 of the 64 rows come off disk.
-        assert warm.rows_loaded_from_disk == 63
-        assert warm.persistent_cache_hits == 63
+        assert warm.engine_stats.rows_loaded_from_disk == 63
+        assert warm.engine_stats.persistent_cache_hits == 63
+
+    def test_shared_cache_rows_reach_the_segment(self, tmp_path):
+        shared = SharedGenotypeCache()
+        publisher = beacon_problem(EvaluationEngine(shared_cache=shared))
+        genotypes = list(publisher.space.enumerate_genotypes())[:8]
+        reference = publisher.evaluate_batch_columns(genotypes)
+        publisher.evaluate_batch(genotypes)  # materialising publishes
+        consumer = beacon_problem(EvaluationEngine(shared_cache=shared))
+        consumer.evaluate_batch_columns(genotypes[:6])
+        consumer.evaluate(genotypes[7])
+        assert consumer.engine.stats.model_evaluations == 0
+        assert consumer.engine.stats.shared_cache_hits == 7  # probe included
+        segment = load_segment(consumer.engine.spill_persistent_cache(tmp_path))
+        served = genotypes[:6] + genotypes[7:]
+        assert segment.rows() == {
+            genotype: (tuple(objectives), feasible, violations)
+            for genotype, objectives, feasible, violations in zip(
+                genotypes,
+                reference.objectives.tolist(),
+                reference.feasible.tolist(),
+                reference.violation_counts.tolist(),
+            )
+            if genotype in served
+        }
 
     def test_runner_rejects_engineless_problems(self):
         class EnginelessProblem:
@@ -689,17 +714,28 @@ class TestColumnMemoBound:
         engine = EvaluationEngine(column_memo_max_entries=2)
         problem = beacon_problem(engine)
         # Three genotypes other than the construction probe (all zeros),
-        # which lives in the design memo rather than the column store.
+        # whose row the store holds from the start.
         first, second, third = list(problem.space.enumerate_genotypes())[1:4]
         problem.evaluate_batch_columns([first])
-        problem.evaluate_batch_columns([second])
+        problem.evaluate_batch_columns([second])  # evicts the probe
         assert problem.evaluate_batch_columns([first]).cached.tolist() == [True]
         problem.evaluate_batch_columns([third])  # evicts second, the LRU row
         survivors = problem.space.design_keys(
             problem.space.index_matrix([first, third])
         )
         assert set(engine._column_store.export()[0]) == set(survivors.tolist())
-        assert engine.stats.column_memo_evictions == 1
+        assert engine.stats.column_memo_evictions == 2
+
+    def test_bound_covers_object_path_batches(self):
+        engine = EvaluationEngine(column_memo_max_entries=100)
+        problem = WbsnDseProblem(build_case_study_evaluator(), engine=engine)
+        # 5,000 distinct genotypes, none of them the all-zeros probe.
+        genotypes = problem.space.decode_ids(1 + 7919 * np.arange(5000))
+        designs = problem.evaluate_batch(genotypes)
+        assert [d.genotype for d in designs] == list(map(tuple, genotypes.tolist()))
+        assert len(engine._column_store) == engine.genotype_cache_size == 100
+        # 5,000 rows plus the probe's went in, 100 stayed.
+        assert engine.stats.column_memo_evictions == 5001 - 100
 
     def test_bounded_sweep_keeps_the_front(self):
         engine = EvaluationEngine(column_memo_max_entries=8)
@@ -726,11 +762,11 @@ class TestColumnStoreModel:
 
     Random sequences of columnar batches, object-path batches, single
     evaluations and segment loads drive a real engine and a plain-Python
-    model of the memo semantics side by side: a column-row memo in LRU
+    model of the memo semantics side by side: one column-row memo in LRU
     order (a hit refreshes recency, the least recently used rows go first,
-    the bound holds after every batch), a design memo that starts with the
-    construction probe, and from-disk flags.  Hits, ``cached`` flags, every
-    cache counter and the surviving keys must match the model exactly.
+    the bound holds after every batch) that starts with the construction
+    probe's row, and from-disk flags.  Hits, ``cached`` flags, every cache
+    counter and the surviving keys must match the model exactly.
     """
 
     _truth: dict = {}
@@ -761,8 +797,8 @@ class TestColumnStoreModel:
         space = problem.space
         genotypes = list(space.enumerate_genotypes())
         truth = self.truth(genotypes)
-        store: OrderedDict = OrderedDict()  # genotype -> came off disk
-        memo = {genotypes[0]}  # the construction probe's design
+        # genotype -> came off disk; the construction probe's row first.
+        store: OrderedDict = OrderedDict({genotypes[0]: False})
         expected = dict(hits=0, persistent=0, evictions=0, loaded=0)
         before = engine.stats.snapshot()
 
@@ -792,59 +828,50 @@ class TestColumnStoreModel:
                         components=COMPONENTS,
                         **column_arrays({row: truth[row] for row in rows}),
                     )
-                fresh = [row for row in rows if row not in store and row not in memo]
+                fresh = [row for row in rows if row not in store]
                 insert(fresh, True)
                 expected["loaded"] += len(fresh)
                 assert engine.load_persistent_cache(directory) == len(fresh)
             elif choice < 0.3:
                 genotype = batch[0] if batch else genotypes[-1]
-                if genotype in memo:
-                    expected["hits"] += 1
-                elif genotype in store:
+                if genotype in store:
                     store_hit(genotype)
-                memo.add(genotype)
+                else:
+                    insert([genotype], False)
                 design = problem.evaluate(genotype)
                 assert (design.objectives, design.feasible) == truth[genotype][:2]
-            elif choice < 0.45:
-                # Object path: duplicates, then the design memo, then the
-                # column store (hits materialised into the design memo).
-                for index, genotype in enumerate(batch):
-                    if genotype in batch[:index] or genotype in memo:
-                        expected["hits"] += 1
-                    elif genotype in store:
-                        store_hit(genotype)
-                memo.update(batch)
-                designs = problem.evaluate_batch(batch)
-                assert [(d.objectives, d.feasible) for d in designs] == [
-                    truth[genotype][:2] for genotype in batch
-                ]
             else:
-                # Columnar path: duplicates, then the column store, then the
-                # design memo; misses are inserted after the lookups.
+                # Object and columnar batches share one path: duplicates,
+                # then the column store; misses are inserted after the
+                # lookups.
                 flags: dict = {}
                 pending = []
                 for genotype in batch:
                     if genotype in flags:
                         expected["hits"] += 1
                         continue
-                    flags[genotype] = genotype in store or genotype in memo
+                    flags[genotype] = genotype in store
                     if genotype in store:
                         store_hit(genotype)
-                    elif genotype in memo:
-                        expected["hits"] += 1
                     else:
                         pending.append(genotype)
                 insert(pending, False)
-                result = problem.evaluate_batch_columns(batch)
-                assert result.cached.tolist() == [flags[g] for g in batch]
-                assert [
-                    (tuple(objectives), feasible, violations)
-                    for objectives, feasible, violations in zip(
-                        result.objectives.tolist(),
-                        result.feasible.tolist(),
-                        result.violation_counts.tolist(),
-                    )
-                ] == [truth[genotype] for genotype in batch]
+                if choice < 0.45:
+                    designs = problem.evaluate_batch(batch)
+                    assert [(d.objectives, d.feasible) for d in designs] == [
+                        truth[genotype][:2] for genotype in batch
+                    ]
+                else:
+                    result = problem.evaluate_batch_columns(batch)
+                    assert result.cached.tolist() == [flags[g] for g in batch]
+                    assert [
+                        (tuple(objectives), feasible, violations)
+                        for objectives, feasible, violations in zip(
+                            result.objectives.tolist(),
+                            result.feasible.tolist(),
+                            result.violation_counts.tolist(),
+                        )
+                    ] == [truth[genotype] for genotype in batch]
             delta = engine.stats.snapshot() - before
             assert delta.genotype_cache_hits == expected["hits"]
             assert delta.persistent_cache_hits == expected["persistent"]

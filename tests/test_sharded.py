@@ -208,16 +208,13 @@ class TestDegenerateBatches:
             assert len({front_signature([d])[0] for d in designs}) == 1
 
     def test_zero_length_gather_never_reaches_the_kernel(self):
-        """The kernel itself early-returns on an empty or fully masked batch."""
+        """The kernel itself early-returns on an empty batch."""
         problem = beacon_problem(EvaluationEngine())
         kernel = problem.vectorized_kernel
         empty = kernel.evaluate_columns(problem.space.index_matrix([]))
         assert empty.objectives.shape == (0, problem.n_objectives)
-        matrix = problem.space.index_matrix([(0, 0, 0, 0, 0, 0)])
-        masked = kernel.evaluate_columns(matrix, cached_mask=np.array([True]))
-        assert masked.objectives.shape == (0, problem.n_objectives)
-        assert masked.feasible.shape == (0,)
-        assert masked.violation_counts.shape == (0,)
+        assert empty.feasible.shape == (0,)
+        assert empty.violation_counts.shape == (0,)
 
 
 class TestSharedArrayArena:
@@ -282,7 +279,7 @@ class TestResourceLifecycle:
             ExhaustiveSearch(problem, chunk_size=16), close_engine=True
         )
         assert result.front
-        assert result.sharded_designs > 0
+        assert result.engine_stats.sharded_designs > 0
         assert engine.backend._executor is None
         assert engine.backend._arena is None
 
@@ -513,7 +510,7 @@ class TestWorkerSidePruning:
             result = run_algorithm(
                 ExhaustiveSearch(problem, chunk_size=16, columnar=True)
             )
-            assert result.rows_pruned_in_workers > 0
-            assert result.rows_pruned_in_workers == (
+            assert result.engine_stats.rows_pruned_in_workers > 0
+            assert result.engine_stats.rows_pruned_in_workers == (
                 engine.stats.rows_pruned_in_workers
             )

@@ -142,7 +142,7 @@ class TestStreamingFrontParity:
         result = run_algorithm(
             RandomSearch(problem, samples=60, seed=1, chunk_size=8)
         )
-        assert result.designs_materialised == len(result.front)
+        assert result.engine_stats.designs_materialised == len(result.front)
 
     def test_scalar_path_still_matches_columnar(self, family):
         columnar = RandomSearch(FAMILIES[family](), samples=40, seed=2).run()
@@ -164,7 +164,7 @@ class TestRunnerBackendThreading:
             RandomSearch(beacon_problem(), samples=40, seed=4),
             array_backend="numpy",
         )
-        assert result.array_backend == "numpy"
+        assert result.engine_stats.array_backend == "numpy"
         assert front_signature(result.front) == front_signature(
             reference.front
         )

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.vectorized import WbsnBatchColumns
 from repro.dse.exhaustive import ExhaustiveSearch
 from repro.dse.nsga2 import Nsga2, Nsga2Settings
 from repro.dse.pareto import (
@@ -67,7 +68,10 @@ class TestWbsnParity:
         vectorized, scalar = case_study_pair(baseline=baseline)
         rng = np.random.default_rng(7)
         genotypes = [vectorized.space.random_genotype(rng) for _ in range(256)]
-        batch = vectorized.compute_designs_batch(genotypes)
+        matrix = vectorized.space.index_matrix(genotypes)
+        batch = vectorized.materialise_designs(
+            matrix, vectorized.compute_columns_batch(matrix)
+        )
         for genotype, fast in zip(genotypes, batch):
             slow = scalar.compute_design(genotype)
             assert fast.genotype == slow.genotype
@@ -113,7 +117,7 @@ class TestWbsnParity:
         _, scalar = case_study_pair()
         assert not scalar.supports_vectorized
         with pytest.raises(RuntimeError):
-            scalar.compute_designs_batch([(0,) * len(scalar.space)])
+            scalar.compute_columns_batch([(0,) * len(scalar.space)])
 
 
 class TestAlgorithmParity:
@@ -196,19 +200,27 @@ class SyntheticVectorProblem(OptimizationProblem):
             phenotype={"x": x, "y": y},
         )
 
-    def compute_designs_batch(self, genotypes):
+    def compute_columns_batch(self, genotypes):
         self.batch_calls += 1
         matrix = self.space.index_matrix(genotypes)
         first = matrix[:, 0] + matrix[:, 1]
-        objectives = np.stack([first.astype(float), 14.0 - first], axis=1)
+        return WbsnBatchColumns(
+            objectives=np.stack([first.astype(float), 14.0 - first], axis=1),
+            feasible=np.ones(len(matrix), dtype=bool),
+            violation_counts=np.zeros(len(matrix), dtype=np.int64),
+        )
+
+    def materialise_designs(self, matrix, batch):
         return [
             EvaluatedDesign(
                 genotype=tuple(row),
                 objectives=tuple(objective_row),
-                feasible=True,
+                feasible=feasible,
                 phenotype={"x": row[0], "y": row[1]},
             )
-            for row, objective_row in zip(matrix.tolist(), objectives.tolist())
+            for row, objective_row, feasible in zip(
+                matrix.tolist(), batch.objectives.tolist(), batch.feasible.tolist()
+            )
         ]
 
 
