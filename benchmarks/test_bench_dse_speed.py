@@ -738,10 +738,17 @@ def test_artifact_writer_rejects_non_finite_numbers(tmp_path, monkeypatch):
 def test_fig5_pair_shares_one_genotype_cache(reporter):
     """Cross-problem cache reuse on the Figure-5 full/baseline pair.
 
-    The baseline exploration re-uses designs the full-model run already
+    The baseline exploration re-uses rows the full-model run already
     computed (same evaluator fingerprint, objectives projected), so its
     model-evaluation count must drop against private caches; the measured
     hit-rate improvement is recorded in ``BENCH_dse_speed.json``.
+
+    A columnar exhaustive pair on the 8,192-design sweep space gates the
+    columnar path: the full sweep publishes every row it computes, so the
+    baseline sweep run after it must perform **no** model evaluation, and
+    both fronts must equal private-cache runs.  The bytes the shared cache
+    retains per row (``tracemalloc``) share the engine store's
+    ``MAX_RETAINED_BYTES_PER_ROW`` gate.
     """
     settings = Nsga2Settings(population_size=32, generations=10, seed=3)
 
@@ -782,6 +789,37 @@ def test_fig5_pair_shares_one_genotype_cache(reporter):
     assert shared_model < private_model
     assert shared_hit_rate > private_hit_rate
 
+    def sweep_problem(evaluator, shared):
+        return WbsnDseProblem(
+            evaluator, **SWEEP_DOMAINS, engine=EvaluationEngine(shared_cache=shared)
+        )
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sweep_cache = SharedGenotypeCache()
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        full = sweep_problem(build_case_study_evaluator(), sweep_cache)
+        full_sweep_front = _front_signature(ExhaustiveSearch(full).run())
+        del full  # drop the engine's own store: only the shared rows remain
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    shared_rows = len(sweep_cache)
+    shared_bytes_per_row = retained / shared_rows
+    baseline = sweep_problem(build_baseline_evaluator(), sweep_cache)
+    baseline_sweep_front = _front_signature(ExhaustiveSearch(baseline).run())
+    sweep_stats = baseline.engine.stats
+    space_size = baseline.space.size
+    private_full = ExhaustiveSearch(
+        sweep_problem(build_case_study_evaluator(), None)
+    ).run()
+    private_baseline = ExhaustiveSearch(
+        sweep_problem(build_baseline_evaluator(), None)
+    ).run()
+
     _merge_artifact(
         {
             "fig5_shared_cache": {
@@ -794,6 +832,11 @@ def test_fig5_pair_shares_one_genotype_cache(reporter):
                 "baseline_hit_rate_shared": shared_hit_rate,
                 "hit_rate_improvement": shared_hit_rate - private_hit_rate,
                 "model_evaluations_saved": int(private_model - shared_model),
+                "columnar_sweep_space_size": space_size,
+                "columnar_baseline_model_evaluations": sweep_stats.model_evaluations,
+                "columnar_baseline_shared_cache_hits": sweep_stats.shared_cache_hits,
+                "shared_rows": shared_rows,
+                "shared_retained_bytes_per_row": shared_bytes_per_row,
             }
         }
     )
@@ -804,8 +847,17 @@ def test_fig5_pair_shares_one_genotype_cache(reporter):
             f"{shared_model} shared ({shared_hits} served cross-problem)",
             f"baseline cache hit rate: {private_hit_rate * 100:.0f}% -> "
             f"{shared_hit_rate * 100:.0f}%",
+            f"columnar exhaustive pair ({space_size} designs): baseline "
+            f"computes {sweep_stats.model_evaluations} rows, "
+            f"{sweep_stats.shared_cache_hits} shared hits (gate: 0 computed)",
+            f"shared cache retains {shared_bytes_per_row:.0f} B per row over "
+            f"{shared_rows} rows (gate {MAX_RETAINED_BYTES_PER_ROW} B)",
         ],
     )
+    assert sweep_stats.model_evaluations == 0
+    assert full_sweep_front == _front_signature(private_full)
+    assert baseline_sweep_front == _front_signature(private_baseline)
+    assert shared_bytes_per_row <= MAX_RETAINED_BYTES_PER_ROW
 
 
 @pytest.mark.paper_figure("dse-speed")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import warnings
 from itertools import islice
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from repro.dse.pareto import running_front_indices
 from repro.dse.problem import EvaluatedDesign, OptimizationProblem
 from repro.engine import faults
 from repro.engine.checkpoint import (
+    CheckpointWarning,
     SweepCheckpoint,
     load_checkpoint_if_valid,
     save_checkpoint,
@@ -37,46 +38,13 @@ class ExhaustiveCapWarning(UserWarning):
     configurations by accident is loud rather than silent."""
 
 
-def _archive_checkpoint(
-    algorithm: str,
-    problem: OptimizationProblem,
-    archive,
-    any_feasible: bool,
-    cursor: int,
-    rng_state=None,
-    extra: dict | None = None,
-) -> SweepCheckpoint:
-    """Snapshot a running columnar archive into a checkpoint record.
-
-    Shared by the exhaustive and random sweeps: the archive travels as raw
-    column arrays (the design objects are rebuilt from the problem's
-    phenotype tables on resume, bitwise identically), plus the cursor into
-    the sweep's deterministic genotype stream and the archive-reset flag.
-    """
-    if archive is None:
-        genotypes = np.empty((0, 0), dtype=np.int64)
-        objectives = np.empty((0, 0))
-        feasible = np.empty(0, dtype=bool)
-        violations = np.empty(0, dtype=np.int64)
-    else:
-        genotypes = archive.genotypes
-        objectives = archive.objectives
-        feasible = archive.feasible
-        violations = archive.violation_counts
-    fingerprint_hook = getattr(problem, "evaluation_fingerprint", None)
-    return SweepCheckpoint(
-        algorithm=algorithm,
-        space_size=problem.space.size,
-        cursor=cursor,
-        any_feasible=any_feasible,
-        genotypes=genotypes,
-        objectives=objectives,
-        feasible=feasible,
-        violation_counts=violations,
-        rng_state=rng_state,
-        fingerprint=fingerprint_hook() if callable(fingerprint_hook) else None,
-        extra=extra or {},
-    )
+#: Checkpoint columns of a running archive that holds no row yet.
+_NO_ROWS = (
+    np.empty((0, 0), dtype=np.int64),
+    np.empty((0, 0)),
+    np.empty(0, dtype=bool),
+    np.empty(0, dtype=np.int64),
+)
 
 
 def _restore_archive(problem: OptimizationProblem, checkpoint: SweepCheckpoint):
@@ -93,6 +61,135 @@ def _restore_archive(problem: OptimizationProblem, checkpoint: SweepCheckpoint):
         cached=np.ones(len(checkpoint.genotypes), dtype=bool),
         _engine=problem.engine,
     )
+
+
+def _run_to_front(
+    sweep: Any,
+    chunks: Callable[[int], Iterator[tuple[Any, int]]],
+    rng_state: Any = None,
+    extra: dict | None = None,
+) -> list[EvaluatedDesign]:
+    """The columnar sweeps' running-front loop, shared by the exhaustive and
+    random sweeps: prune on raw objective columns and materialise only the
+    final front.
+
+    ``chunks(cursor)`` streams the sweep's genotype chunks from a cursor on,
+    each paired with the cursor after it.  Until the first feasible design
+    appears the archive tracks the front of the infeasible designs; the
+    first feasible one resets it.  After every chunk the archive goes to the
+    sweep's ``front_callback``.
+
+    With a ``checkpoint_path`` the sweep resumes from a valid checkpoint
+    written under the same ``rng_state`` and ``extra`` context (what pins a
+    stochastic sweep's draw stream), and saves its state every
+    ``checkpoint_every`` chunks and once at the end.  The archive travels as
+    raw column arrays (designs are rebuilt from the problem's phenotype
+    tables on resume, bitwise identically), with the cursor and the
+    archive-reset flag.
+    """
+    problem = sweep.problem
+    path = sweep.checkpoint_path
+    extra = extra or {}
+    archive = None  # ColumnarBatchResult of the running front
+    any_feasible = False
+    cursor = 0
+    if path is not None:
+        hook = getattr(problem, "evaluation_fingerprint", None)
+        fingerprint = hook() if callable(hook) else None
+        restored = load_checkpoint_if_valid(
+            path,
+            algorithm=sweep.checkpoint_algorithm,
+            space_size=problem.space.size,
+            fingerprint=fingerprint,
+        )
+        if restored is not None and (restored.rng_state, restored.extra) != (
+            rng_state,
+            extra,
+        ):
+            warnings.warn(
+                "ignoring checkpoint: it was written by a sweep with a "
+                "different seed or sample budget; starting cold",
+                CheckpointWarning,
+                stacklevel=3,
+            )
+        elif restored is not None:
+            # The rows already absorbed are in the restored archive; the
+            # sweep resumes at the checkpoint's cursor, in order.
+            archive = _restore_archive(problem, restored)
+            any_feasible = restored.any_feasible
+            cursor = restored.cursor
+
+    def save() -> None:
+        genotypes, objectives, feasible, violations = (
+            _NO_ROWS
+            if archive is None
+            else (
+                archive.genotypes,
+                archive.objectives,
+                archive.feasible,
+                archive.violation_counts,
+            )
+        )
+        save_checkpoint(
+            path,
+            SweepCheckpoint(
+                algorithm=sweep.checkpoint_algorithm,
+                space_size=problem.space.size,
+                cursor=cursor,
+                any_feasible=any_feasible,
+                genotypes=genotypes,
+                objectives=objectives,
+                feasible=feasible,
+                violation_counts=violations,
+                rng_state=rng_state,
+                fingerprint=fingerprint,
+                extra=extra,
+            ),
+        )
+        # Fault-injection seam: resumable-sweep tests SIGKILL (or abort)
+        # the run here, at a known persisted state.
+        faults.maybe_fire("checkpoint-saved")
+
+    stream = chunks(cursor)
+    for chunks_done, (chunk, cursor) in enumerate(stream, start=1):
+        # ``prune_to_front`` lets a worker-pruning backend drop each shard's
+        # dominated rows before they ever reach this process — the archive
+        # merge below then scales with the shard front sizes, not the chunk
+        # size.  Chunks are distinct genotypes, so the pruned result's
+        # duplicates-collapse contract is vacuous here; on other backends
+        # the hint is a no-op and the merge sees the full chunk.  Once a
+        # feasible design exists, infeasible rows can never re-enter the
+        # archive, so workers may drop them outright.
+        batch = problem.evaluate_batch_columns(
+            chunk,
+            prune_to_front=True,
+            include_infeasible=not any_feasible,
+        )
+        feasible_rows = np.flatnonzero(batch.feasible)
+        if feasible_rows.size and not any_feasible:
+            # First feasible design seen: drop the infeasible archive.
+            archive = None
+            any_feasible = True
+        candidates = batch.take(feasible_rows) if any_feasible else batch
+        if archive is None:
+            front_objectives = candidates.objectives[:0]
+            pool = candidates
+        else:
+            front_objectives = archive.objectives
+            pool = archive.concatenate([archive, candidates])
+        indices = running_front_indices(front_objectives, candidates.objectives)
+        archive = pool.take(indices)
+        if sweep.front_callback is not None:
+            sweep.front_callback(archive, cursor)
+        if path is not None and chunks_done % sweep.checkpoint_every == 0:
+            save()
+    if path is not None:
+        # Always persist the terminal state: a resume of a completed sweep
+        # then rebuilds the front without re-evaluating anything.
+        save()
+    if archive is None or len(archive) == 0:
+        return []
+    return archive.materialise()
 
 
 class ExhaustiveSearch:
@@ -218,104 +315,24 @@ class ExhaustiveSearch:
             raise ValueError(
                 "front streaming is only supported by the columnar sweep"
             )
-        if columnar:
-            # Columnar chunks are design-id ranges: a space too large for
-            # int64 ids raises here, before any work (it could never finish).
-            self.problem.space.decode_ids(np.arange(0))
-            return self._run_columnar()
-        return self._run_objects()
+        if not columnar:
+            return self._run_objects()
+        # Columnar chunks are design-id ranges: a space too large for int64
+        # ids raises here, before any work (it could never finish).
+        self.problem.space.decode_ids(np.arange(0))
+        return _run_to_front(self, self._chunks)
 
     # ------------------------------------------------------- columnar sweep
 
-    def _run_columnar(self) -> list[EvaluatedDesign]:
-        """Prune on raw objective columns; materialise only the final front."""
-        archive = None  # ColumnarBatchResult of the running front
-        any_feasible = False
-        # The next design id: ids count the row-major enumeration, so the
-        # cursor is also the number of genotypes consumed so far.
-        cursor = 0
-        chunks_done = 0
+    def _chunks(self, cursor: int) -> Iterator[tuple[np.ndarray, int]]:
+        """Id-range chunks from ``cursor`` on, each with the next id after
+        it: ids count the row-major enumeration, so the cursor is also the
+        number of genotypes consumed so far."""
         space = self.problem.space
-        size = space.size
-        if self.checkpoint_path is not None:
-            restored = load_checkpoint_if_valid(
-                self.checkpoint_path,
-                algorithm=self.checkpoint_algorithm,
-                space_size=size,
-                fingerprint=self._fingerprint(),
-            )
-            if restored is not None:
-                # The rows already absorbed are in the restored archive; the
-                # sweep resumes at the checkpoint's next id, in order.
-                archive = _restore_archive(self.problem, restored)
-                any_feasible = restored.any_feasible
-                cursor = restored.cursor
-        while cursor < size:
-            stop = min(cursor + self.chunk_size, size)
-            chunk = space.decode_ids(np.arange(cursor, stop))
-            # ``prune_to_front`` lets a worker-pruning backend drop each
-            # shard's dominated rows before they ever reach this process —
-            # the archive merge below then scales with the shard front
-            # sizes, not the chunk size.  Enumerated chunks are distinct
-            # genotypes, so the pruned result's duplicates-collapse contract
-            # is vacuous here; on other backends the hint is a no-op and the
-            # merge sees the full chunk.  Once a feasible design exists,
-            # infeasible rows can never re-enter the archive, so workers may
-            # drop them outright.
-            batch = self.problem.evaluate_batch_columns(
-                chunk,
-                prune_to_front=True,
-                include_infeasible=not any_feasible,
-            )
-            feasible_rows = np.flatnonzero(batch.feasible)
-            if feasible_rows.size and not any_feasible:
-                # First feasible design seen: drop the infeasible archive.
-                archive = None
-                any_feasible = True
-            candidates = batch.take(feasible_rows) if any_feasible else batch
-            if archive is None:
-                front_objectives = candidates.objectives[:0]
-                pool = candidates
-            else:
-                front_objectives = archive.objectives
-                pool = archive.concatenate([archive, candidates])
-            indices = running_front_indices(front_objectives, candidates.objectives)
-            archive = pool.take(indices)
+        while cursor < space.size:
+            stop = min(cursor + self.chunk_size, space.size)
+            yield space.decode_ids(np.arange(cursor, stop)), stop
             cursor = stop
-            chunks_done += 1
-            if self.front_callback is not None:
-                self.front_callback(archive, cursor)
-            if (
-                self.checkpoint_path is not None
-                and chunks_done % self.checkpoint_every == 0
-            ):
-                self._save_checkpoint(archive, any_feasible, cursor)
-        if self.checkpoint_path is not None:
-            # Always persist the terminal state: a resume of a completed
-            # sweep then rebuilds the front without re-evaluating anything.
-            self._save_checkpoint(archive, any_feasible, cursor)
-        if archive is None or len(archive) == 0:
-            return []
-        return archive.materialise()
-
-    def _fingerprint(self) -> bytes | None:
-        hook = getattr(self.problem, "evaluation_fingerprint", None)
-        return hook() if callable(hook) else None
-
-    def _save_checkpoint(self, archive, any_feasible: bool, cursor: int) -> None:
-        save_checkpoint(
-            self.checkpoint_path,
-            _archive_checkpoint(
-                self.checkpoint_algorithm,
-                self.problem,
-                archive,
-                any_feasible,
-                cursor,
-            ),
-        )
-        # Fault-injection seam: resumable-sweep tests SIGKILL (or abort)
-        # the run here, at a known persisted state.
-        faults.maybe_fire("checkpoint-saved")
 
     # --------------------------------------------------------- object sweep
 

@@ -496,9 +496,9 @@ class WbsnDseProblem(OptimizationProblem):
         infeasibility penalty — but deliberately **not** the objective
         component selection, which is exactly what the Figure-5 full/baseline
         pair differs in.  The shared genotype cache
-        (:class:`~repro.engine.SharedGenotypeCache`) keys on it so designs
+        (:class:`~repro.engine.SharedGenotypeCache`) keys on it so rows
         computed by one problem can safely serve another, with objective
-        vectors projected per problem.  Returns ``None`` when the model is
+        columns projected per problem.  Returns ``None`` when the model is
         not canonically serialisable (no sharing, never wrong sharing).
         """
         raw = self.evaluator.wrapped

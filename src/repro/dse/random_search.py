@@ -2,22 +2,15 @@
 
 from __future__ import annotations
 
-import warnings
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.dse.exhaustive import _archive_checkpoint, _restore_archive
-from repro.dse.pareto import pareto_front_indices, running_front_indices
+from repro.dse.exhaustive import _run_to_front
+from repro.dse.pareto import pareto_front_indices
 from repro.dse.problem import EvaluatedDesign, OptimizationProblem
-from repro.engine import faults
-from repro.engine.checkpoint import (
-    CheckpointWarning,
-    load_checkpoint_if_valid,
-    save_checkpoint,
-)
 
 __all__ = ["RandomSearch"]
 
@@ -30,10 +23,14 @@ class RandomSearch:
     least match) its front.
 
     Problems advertising ``supports_columnar`` are swept columnar to the
-    front by default: the sampled batch is served as raw objective columns,
-    the front is extracted on the column matrix, and only the surviving
-    designs are ever materialised.  Fronts are bitwise identical with the
-    columnar path on or off (same floats, same pruning kernel).
+    front by default: distinct genotypes are drawn lazily in chunk-sized
+    blocks, each block is served as raw objective columns and pruned into
+    a running front, and only the final front's designs are ever
+    materialised — peak memory holds one chunk, the dedup seen-set and the
+    running front, never the full sample list.  Fronts are bitwise
+    identical with the columnar path on or off: the draw stream is shared,
+    and the chunked running-front pruning is order-identical to the
+    one-shot extraction of the object path.
 
     Args:
         problem: the optimisation problem to sample.
@@ -42,32 +39,23 @@ class RandomSearch:
         columnar: force the columnar path on (``True``, requires a problem
             with ``supports_columnar``) or off (``False``); ``None`` picks
             columnar whenever the problem supports it.
-        checkpoint_path: when set, the columnar sweep runs chunked (see
-            ``chunk_size``) and periodically persists its running state —
-            including the RNG state needed to redraw the identical sample
-            stream — so an interrupted run resumed with the same path
-            produces a front bitwise identical to an uninterrupted one
-            (see :mod:`repro.engine.checkpoint`).  Requires the columnar
-            path.
+        checkpoint_path: when set, the columnar sweep periodically
+            persists its running state — including the RNG state needed to
+            redraw the identical sample stream — so an interrupted run
+            resumed with the same path produces a front bitwise identical
+            to an uninterrupted one (see :mod:`repro.engine.checkpoint`).
+            Requires the columnar path.
         checkpoint_every: chunks between checkpoint writes.
-        chunk_size: distinct samples per evaluated block of the streaming
-            (and checkpointed) columnar sweep.
-        streaming: stream the columnar sweep (the default): distinct
-            genotypes are drawn lazily in chunk-sized blocks and pruned
-            into a running front, so peak memory holds one chunk, the
-            dedup seen-set and the running front — never the full sample
-            list.  ``False`` restores the materialised one-shot batch
-            (the parity reference, and the most rows per dispatch for
-            worker-pruning backends).  Fronts are bitwise identical either
-            way: the draw stream is shared and the chunked running-front
-            pruning is order-identical to the one-shot extraction.
+        chunk_size: distinct samples per evaluated block of the columnar
+            sweep (``chunk_size >= samples`` evaluates the whole sample as
+            one batch).
         front_callback: when set, called after every absorbed chunk of the
-            streaming sweep with the running archive (a
+            columnar sweep with the running archive (a
             ``ColumnarBatchResult``, or ``None`` while empty) and the count
             of distinct genotypes consumed — the same progress/cancellation
             hook as :class:`~repro.dse.exhaustive.ExhaustiveSearch`: an
             exception raised by the callback aborts the sweep between
-            chunks.  Requires the streaming columnar path.
+            chunks.  Requires the columnar path.
     """
 
     #: name stamped into checkpoints; a resume under a different algorithm
@@ -83,7 +71,6 @@ class RandomSearch:
         checkpoint_path: str | Path | None = None,
         checkpoint_every: int = 8,
         chunk_size: int = 1024,
-        streaming: bool = True,
         front_callback: Callable[[object, int], None] | None = None,
     ) -> None:
         if samples <= 0:
@@ -101,10 +88,9 @@ class RandomSearch:
             raise ValueError(
                 "checkpointing is only supported by the columnar sweep"
             )
-        if front_callback is not None and (columnar is False or not streaming):
+        if columnar is False and front_callback is not None:
             raise ValueError(
-                "front streaming is only supported by the streaming "
-                "columnar sweep"
+                "front streaming is only supported by the columnar sweep"
             )
         self.problem = problem
         self.samples = samples
@@ -112,7 +98,6 @@ class RandomSearch:
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
         self.chunk_size = chunk_size
-        self.streaming = streaming
         self.front_callback = front_callback
         self._rng = np.random.default_rng(seed)
         # Captured before any draw: a resumed run restores this state and
@@ -124,7 +109,7 @@ class RandomSearch:
         """Sample the space and return the feasible non-dominated designs.
 
         Evaluation consumes no randomness, so the draw stream is a function
-        of the initial RNG state alone — streaming, one-shot and resumed
+        of the initial RNG state alone — columnar, object-path and resumed
         runs all see the identical sequence of distinct genotypes and
         return bitwise-identical fronts.
         """
@@ -137,26 +122,18 @@ class RandomSearch:
             )
         if self.front_callback is not None and not columnar:
             raise ValueError(
-                "front streaming is only supported by the streaming "
-                "columnar sweep"
+                "front streaming is only supported by the columnar sweep"
             )
-        if columnar and (self.streaming or self.checkpoint_path is not None):
-            return self._run_streaming()
-        genotypes = list(self._draw_stream())
         if columnar:
-            # The sampled genotypes are already distinct, so the pruned
-            # result's duplicates-collapse contract is vacuous; a
-            # worker-pruning backend ships back only shard-local fronts and
-            # the extraction below runs on those few rows (other backends
-            # ignore the hint and the full batch is pruned here).
-            batch = self.problem.evaluate_batch_columns(
-                genotypes, prune_to_front=True
+            # The initial RNG state and the sample budget pin the draw
+            # stream a checkpoint cursor counts distinct genotypes of.
+            return _run_to_front(
+                self,
+                self._chunks,
+                rng_state=self._initial_rng_state,
+                extra={"samples": self.samples},
             )
-            feasible_rows = np.flatnonzero(batch.feasible)
-            pool = batch.take(feasible_rows) if feasible_rows.size else batch
-            front = pareto_front_indices(pool.objectives)
-            return pool.take(front).materialise()
-        evaluated = self.problem.evaluate_batch(genotypes)
+        evaluated = self.problem.evaluate_batch(list(self._draw_stream()))
         feasible = [design for design in evaluated if design.feasible] or evaluated
         front = pareto_front_indices([design.objectives for design in feasible])
         return [feasible[index] for index in front]
@@ -181,108 +158,18 @@ class RandomSearch:
             seen.add(genotype)
             yield genotype
 
-    def _run_streaming(self) -> list[EvaluatedDesign]:
-        """Chunked running-front sweep over the lazy draw stream.
+    def _chunks(self, cursor: int) -> Iterator[tuple[list[tuple[int, ...]], int]]:
+        """Chunks of the distinct draw stream after its first ``cursor``
+        genotypes, each with the count of distinct genotypes consumed.
 
-        The chunked running-front pruning keeps first-occurrence order and
-        mirrors the archive-reset semantics of the one-shot path (infeasible
-        rows compete only until the first feasible design appears), so its
-        final front is identical to the one-shot extraction — the parity
-        suite pins this.  With a ``checkpoint_path`` the sweep periodically
-        persists its resumable state; the checkpoint cursor counts *distinct*
-        genotypes consumed, and a resume replays the draw stream from the
-        initial RNG state, skipping the consumed prefix while rebuilding the
-        dedup seen-set.
+        The consumed prefix is replayed: raw draws are redrawn from the
+        initial RNG state and the distinct ones discarded, which both
+        rebuilds the dedup seen-set and positions the stream exactly where
+        an interrupted run stopped.
         """
-        archive = None
-        any_feasible = False
-        cursor = 0
-        if self.checkpoint_path is not None:
-            fingerprint_hook = getattr(
-                self.problem, "evaluation_fingerprint", None
-            )
-            restored = load_checkpoint_if_valid(
-                self.checkpoint_path,
-                algorithm=self.checkpoint_algorithm,
-                space_size=self.problem.space.size,
-                fingerprint=(
-                    fingerprint_hook() if callable(fingerprint_hook) else None
-                ),
-            )
-            if restored is not None:
-                if (
-                    restored.rng_state != self._initial_rng_state
-                    or restored.extra.get("samples") != self.samples
-                ):
-                    warnings.warn(
-                        "ignoring checkpoint: it was written by a random "
-                        "search with a different seed or sample budget; "
-                        "starting cold",
-                        CheckpointWarning,
-                        stacklevel=2,
-                    )
-                else:
-                    archive = _restore_archive(self.problem, restored)
-                    any_feasible = restored.any_feasible
-                    cursor = restored.cursor
         stream = self._draw_stream()
-        if cursor:
-            # Replay the consumed prefix: raw draws are redrawn from the
-            # initial RNG state and the distinct ones discarded, which both
-            # rebuilds the dedup seen-set and positions the stream exactly
-            # where the interrupted run stopped.
-            for _ in islice(stream, cursor):
-                pass
-        chunks_done = 0
-        position = cursor
-        while True:
-            chunk = list(islice(stream, self.chunk_size))
-            if not chunk:
-                break
-            position += len(chunk)
-            batch = self.problem.evaluate_batch_columns(
-                chunk,
-                prune_to_front=True,
-                include_infeasible=not any_feasible,
-            )
-            feasible_rows = np.flatnonzero(batch.feasible)
-            if feasible_rows.size and not any_feasible:
-                archive = None
-                any_feasible = True
-            candidates = batch.take(feasible_rows) if any_feasible else batch
-            if archive is None:
-                front_objectives = candidates.objectives[:0]
-                pool = candidates
-            else:
-                front_objectives = archive.objectives
-                pool = archive.concatenate([archive, candidates])
-            indices = running_front_indices(front_objectives, candidates.objectives)
-            archive = pool.take(indices)
-            chunks_done += 1
-            if self.front_callback is not None:
-                self.front_callback(archive, position)
-            if (
-                self.checkpoint_path is not None
-                and chunks_done % self.checkpoint_every == 0
-            ):
-                self._save_checkpoint(archive, any_feasible, position)
-        if self.checkpoint_path is not None:
-            self._save_checkpoint(archive, any_feasible, position)
-        if archive is None or len(archive) == 0:
-            return []
-        return archive.materialise()
-
-    def _save_checkpoint(self, archive, any_feasible: bool, cursor: int) -> None:
-        save_checkpoint(
-            self.checkpoint_path,
-            _archive_checkpoint(
-                self.checkpoint_algorithm,
-                self.problem,
-                archive,
-                any_feasible,
-                cursor,
-                rng_state=self._initial_rng_state,
-                extra={"samples": self.samples},
-            ),
-        )
-        faults.maybe_fire("checkpoint-saved")
+        for _ in islice(stream, cursor):
+            pass
+        while chunk := list(islice(stream, self.chunk_size)):
+            cursor += len(chunk)
+            yield chunk, cursor

@@ -15,10 +15,10 @@ serving component every search algorithm shares:
 * :mod:`repro.engine.cache` — :class:`CachedNetworkEvaluator`, the node-level
   cache over the evaluator's pure per-node stage, optionally bounded by an
   LRU eviction policy (``max_entries``); and :class:`SharedGenotypeCache`,
-  the cross-problem genotype cache keyed by evaluator fingerprints (problems
-  sharing evaluation semantics but differing in objective sets — the
-  Figure-5 full/baseline pair — serve each other's designs, projected onto
-  each problem's objective components);
+  the cross-problem column rows, one design-id-keyed store per evaluator
+  fingerprint (problems sharing evaluation semantics but differing in
+  objective sets — the Figure-5 full/baseline pair — serve each other's
+  computed rows, projected onto each problem's objective components);
 * :mod:`repro.engine.backends` — ``serial`` (default) and ``process``
   (chunked worker pool) execution backends for the scalar path;
 * :mod:`repro.engine.sharded` — :class:`ShardedVectorizedBackend`

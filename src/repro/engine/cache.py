@@ -6,10 +6,10 @@ Three caches live here:
   around a network evaluator;
 * :class:`ColumnStore` — the engine's memo of raw column rows, keyed by
   packed design ids and operated on whole batches at a time;
-* :class:`SharedGenotypeCache` — a cross-problem genotype-level cache keyed
-  by an evaluator fingerprint, letting problems that share evaluation
-  semantics but differ in objective sets (the Figure-5 full/baseline pair)
-  serve each other's computed designs.
+* :class:`SharedGenotypeCache` — cross-problem column rows, one
+  :class:`ColumnStore` per evaluator fingerprint, letting problems that
+  share evaluation semantics but differ in objective sets (the Figure-5
+  full/baseline pair) serve each other's computed rows.
 
 The per-node stage of :class:`~repro.core.evaluator.WBSNEvaluator` is a pure
 function of ``(node_index, chi_node, chi_mac)`` — all hashable, frozen
@@ -27,9 +27,8 @@ it depends on the whole configuration.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import replace
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Literal, Sequence
 
 import numpy as np
 
@@ -40,9 +39,6 @@ from repro.core.evaluator import (
     WBSNEvaluator,
 )
 from repro.engine.stats import EngineStats
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
-    from repro.dse.problem import EvaluatedDesign
 
 __all__ = ["CachedNetworkEvaluator", "ColumnStore", "SharedGenotypeCache"]
 
@@ -226,6 +222,25 @@ def component_columns(
     return [stored.index(name) for name in requested]
 
 
+def component_merge(
+    stored: tuple[str, ...] | None, incoming: tuple[str, ...]
+) -> Literal["union", "replace", "keep"]:
+    """How rows of ``incoming`` objective components join ``stored`` rows.
+
+    The merge rule of every cache that keeps one problem's rows for another
+    (the shared cache and the persistent tier): ``"union"`` when the
+    component tuples are equal; ``"replace"`` when nothing is stored or the
+    incoming set is strictly richer (narrow rows cannot be widened, and
+    dropping them only costs a recompute); ``"keep"`` the stored rows
+    otherwise — they already serve a narrower set by projection, and for
+    incomparable sets the first writer wins (lookups require a subset, so
+    the later problem simply misses).
+    """
+    if stored is None or set(incoming) > set(stored):
+        return "replace"
+    return "union" if incoming == stored else "keep"
+
+
 def _grown(array: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """A zero-filled array of ``shape`` holding ``array`` in its first rows."""
     grown = np.zeros(shape, dtype=array.dtype)
@@ -235,37 +250,42 @@ def _grown(array: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class SharedGenotypeCache:
-    """Cross-problem genotype cache keyed by evaluator fingerprints.
+    """Cross-problem column rows: one id-keyed store per evaluation fingerprint.
 
-    The keying rule: a record computed by one problem may serve another
+    The keying rule: rows computed by one problem may serve another
     problem's request only when both report the **same evaluation
     fingerprint** (same network model, same design-space layout, same
     infeasibility penalty — see ``WbsnDseProblem.evaluation_fingerprint``)
-    *and* the requester's objective components are a subset of the record's.
-    The served design is the stored one with its objective vector projected
-    onto the requested components — a pure reordering/selection of already
-    computed floats, so cross-problem reuse is bitwise invisible in the
-    resulting fronts.
+    *and* the requester's objective components are a subset of the stored
+    ones.  Equal fingerprints imply equal design spaces, so each
+    fingerprint's rows live in one :class:`ColumnStore` keyed by the packed
+    design ids every engine already computes.  Served rows are projected
+    onto the requested components (:func:`component_columns`) — a pure
+    selection of already computed floats, so cross-problem reuse is bitwise
+    invisible in the resulting fronts.
+
+    Engines publish the rows they compute as they memoise them; a published
+    component set joins the stored one by :func:`component_merge`.
 
     The Figure-5 pair is the motivating workload: the full three-objective
     problem and the energy/delay baseline share one evaluator fingerprint,
-    so every genotype the full model computes is a warm start for the
-    baseline exploration (the reverse direction misses, as baseline records
-    lack the quality component — a miss is always safe).
+    so every row the full model computes is a warm start for the baseline
+    exploration (the reverse direction misses, as baseline rows lack the
+    quality component — a miss is always safe).
 
-    Instances are plain dictionaries shared by reference between engines;
-    they are intentionally not pickled to worker processes (workers only
-    compute, the parent owns the caches).  The rows a shared cache serves
-    an engine land in that engine's column store, so they outlive the
-    process through its persistent cache tier.
+    Instances are shared by reference between engines; they are
+    intentionally not pickled to worker processes (workers only compute,
+    the parent owns the caches).  The rows a shared cache serves an engine
+    land in that engine's column store, so they outlive the process through
+    its persistent cache tier.
 
     Args:
-        max_entries: optional bound on the number of shared records.  The
-            cache outlives the problems it serves, so long campaigns over
-            huge spaces would otherwise grow it without bound; when set, the
-            least-recently-used record is evicted on overflow (an eviction
-            only costs a future recompute — it can never change results).
-            ``None`` keeps the cache unbounded.
+        max_entries: optional LRU bound on the rows of each fingerprint.
+            The cache outlives the problems it serves, so long campaigns
+            over huge spaces would otherwise grow it without bound; when
+            set, each fingerprint's least-recently-used rows are evicted on
+            overflow (an eviction only costs a future recompute — it can
+            never change results).  ``None`` keeps the cache unbounded.
     """
 
     def __init__(self, max_entries: int | None = None) -> None:
@@ -273,73 +293,72 @@ class SharedGenotypeCache:
             raise ValueError("max_entries must be positive (or None)")
         self.max_entries = max_entries
         self.evictions = 0
-        self._records: OrderedDict[
-            tuple[bytes, tuple[int, ...]],
-            tuple[tuple[str, ...], "EvaluatedDesign"],
-        ] = OrderedDict()
+        # fingerprint -> (stored objective components, rows keyed by design id)
+        self._stores: dict[bytes, tuple[tuple[str, ...], ColumnStore]] = {}
 
     def __len__(self) -> int:
-        return len(self._records)
+        return sum(len(store) for _, store in self._stores.values())
 
     def lookup(
-        self,
-        fingerprint: bytes,
-        genotype: tuple[int, ...],
-        components: tuple[str, ...],
-    ) -> "EvaluatedDesign | None":
-        """Serve a design for ``components``, projecting if necessary."""
-        key = (fingerprint, genotype)
-        record = self._records.get(key)
-        if record is None:
-            return None
-        if self.max_entries is not None:
-            self._records.move_to_end(key)
-        stored_components, design = record
-        if stored_components == components:
-            return design
-        columns = component_columns(stored_components, components)
+        self, fingerprint: bytes, keys: np.ndarray, components: tuple[str, ...]
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Serve the rows held for distinct design ids, projected onto
+        ``components``.
+
+        Returns ``(hits, (objectives, feasible, violation_counts))``: the
+        ascending positions in ``keys`` the cache serves, and their rows.
+        Hits refresh recency.  Nothing is served when the fingerprint's
+        rows lack a requested component.
+        """
+        entry = self._stores.get(fingerprint)
+        columns = None if entry is None else component_columns(entry[0], components)
         if columns is None:
-            return None
-        return replace(
-            design, objectives=tuple(design.objectives[i] for i in columns)
-        )
+            hits = np.empty(0, dtype=np.int64)
+            return hits, (np.empty((0, len(components))), hits.astype(bool), hits)
+        slots = entry[1].lookup(keys.tolist())
+        hits = np.flatnonzero(slots >= 0)
+        objectives, feasible, violations = entry[1].rows(slots[hits])
+        return hits, (objectives[:, columns], feasible, violations)
 
     def store(
         self,
         fingerprint: bytes,
-        genotype: tuple[int, ...],
+        keys: np.ndarray,
         components: tuple[str, ...],
-        design: "EvaluatedDesign",
+        objectives: np.ndarray,
+        feasible: np.ndarray,
+        violation_counts: np.ndarray,
     ) -> None:
-        """Publish a computed design, keeping the richest component set.
+        """Publish computed rows for distinct design ids.
 
-        A record is replaced only by a strict superset of its components;
-        for *incomparable* component sets (neither a subset of the other)
-        the first writer wins and the later problem simply never hits —
-        safe (lookups require a subset) but without cache benefit.  The
-        shipped problems only produce nested sets (full ⊃ baseline); a
-        union-merging store would be needed before adding problems with
-        disjoint objective slices.
+        The rows join the fingerprint's stored rows by
+        :func:`component_merge`.  On a union, keys already held keep their
+        row, but the store is still a *use* of them: their recency is
+        refreshed, so a hot, repeatedly published row outlives a cold one.
         """
-        key = (fingerprint, genotype)
-        existing = self._records.get(key)
-        if existing is not None and not set(existing[0]) < set(components):
-            # The stored record is kept, but the store is still a *use* of
-            # the key: refresh its LRU recency, or a hot, repeatedly
-            # re-stored record could be evicted before a cold one.
-            if self.max_entries is not None:
-                self._records.move_to_end(key)
+        if not len(keys):
             return
-        self._records[key] = (components, design)
-        if self.max_entries is not None:
-            self._records.move_to_end(key)
-            if len(self._records) > self.max_entries:
-                self._records.popitem(last=False)
-                self.evictions += 1
+        entry = self._stores.get(fingerprint)
+        rule = component_merge(None if entry is None else entry[0], components)
+        if rule == "keep":
+            return
+        if rule == "replace":
+            entry = self._stores[fingerprint] = (
+                components,
+                ColumnStore(self.max_entries),
+            )
+        store = entry[1]
+        fresh = np.flatnonzero(store.lookup(keys.tolist()) < 0)
+        self.evictions += store.insert(
+            keys[fresh].tolist(),
+            objectives[fresh],
+            feasible[fresh],
+            violation_counts[fresh],
+        )
 
     def clear(self) -> None:
-        """Drop every shared record."""
-        self._records.clear()
+        """Drop every shared row."""
+        self._stores.clear()
 
 
 class CachedNetworkEvaluator:

@@ -237,6 +237,23 @@ class SweepCheckpoint:
     extra: dict[str, Any] = field(default_factory=dict)
 
 
+#: The types a loaded checkpoint's fields must have: Python types, or the
+#: rank of an ``ndarray`` (``bool`` is never accepted as an ``int``).
+_FIELD_TYPES: dict[str, tuple[type, ...] | int] = {
+    "algorithm": (str,),
+    "space_size": (int,),
+    "cursor": (int,),
+    "any_feasible": (bool,),
+    "genotypes": 2,
+    "objectives": 2,
+    "feasible": 1,
+    "violation_counts": 1,
+    "rng_state": (dict, type(None)),
+    "fingerprint": (bytes, type(None)),
+    "extra": (dict,),
+}
+
+
 def save_checkpoint(path: str | Path, checkpoint: SweepCheckpoint) -> None:
     """Persist a checkpoint atomically (write-temporary, then rename).
 
@@ -257,9 +274,10 @@ def save_checkpoint(path: str | Path, checkpoint: SweepCheckpoint) -> None:
 def load_checkpoint(path: str | Path) -> SweepCheckpoint:
     """Load and validate a checkpoint, raising :class:`CheckpointError`.
 
-    Validation order: length, magic, version, checksum, payload unpickle —
-    each failure names what went wrong; none of them can crash the caller
-    with anything but :class:`CheckpointError`.
+    Validation order: length, magic, version, checksum, payload unpickle,
+    then every field's presence, type and array rank — each failure names
+    what went wrong; none of them can crash the caller with anything but
+    :class:`CheckpointError`.
     """
     path = Path(path)
     try:
@@ -284,6 +302,23 @@ def load_checkpoint(path: str | Path) -> SweepCheckpoint:
             f"checkpoint '{path}' holds a {type(checkpoint).__name__}, "
             "not a SweepCheckpoint"
         )
+    state = vars(checkpoint)
+    for name, expected in _FIELD_TYPES.items():
+        if name not in state:
+            raise CheckpointError(f"checkpoint '{path}' lacks its '{name}' field")
+        value = state[name]
+        if isinstance(expected, int):
+            valid = isinstance(value, np.ndarray) and value.ndim == expected
+        else:
+            valid = isinstance(value, expected) and (
+                bool in expected or not isinstance(value, bool)
+            )
+        if not valid:
+            rank = f" of rank {value.ndim}" if isinstance(value, np.ndarray) else ""
+            raise CheckpointError(
+                f"checkpoint '{path}' stores its '{name}' field as a "
+                f"{type(value).__name__}{rank}"
+            )
     return checkpoint
 
 
@@ -302,10 +337,20 @@ def load_checkpoint_if_valid(
     fingerprint, or whose state is internally inconsistent (a cursor past
     the space, archive columns with mismatched row counts), emits a
     :class:`CheckpointWarning` and returns ``None`` — resuming from it
-    would poison the front.
+    would poison the front.  So does any checkpoint when the resuming
+    problem offers no fingerprint (``None``): nothing then proves the file
+    was written for the same problem.
     """
     path = Path(path)
     if not path.exists():
+        return None
+    if fingerprint is None:
+        warnings.warn(
+            f"ignoring checkpoint '{path}': the resuming problem offers no "
+            "evaluation fingerprint to match it against; starting cold",
+            CheckpointWarning,
+            stacklevel=2,
+        )
         return None
     try:
         checkpoint = load_checkpoint(path)

@@ -14,11 +14,13 @@ owns every cross-cutting evaluation concern:
   ``column_memo_max_entries`` bounds every row it holds;
 * **cross-problem shared cache** (optional) — engines given one
   :class:`~repro.engine.cache.SharedGenotypeCache` instance serve each
-  other's computed designs when their problems report the same evaluator
-  fingerprint, with objective vectors projected onto each problem's
+  other's computed rows when their problems report the same evaluator
+  fingerprint, with objective columns projected onto each problem's
   component set (the Figure-5 full/baseline pair shares one cache this
-  way); it is consulted only for the rows the column store misses, and the
-  rows it serves are inserted into the store;
+  way).  Every row an engine computes is published, keyed by design id,
+  as it enters the column store; the shared cache is consulted in one
+  batched lookup for the rows the column store misses, and the rows it
+  serves are inserted into the store;
 * **persistent cache tier** (optional) — an engine given a ``cache_dir``
   bulk-loads the on-disk column segment of its problem's evaluation
   fingerprint into the column store at bind time and spills the store back
@@ -235,11 +237,11 @@ class EvaluationEngine:
         stats: counters to feed; a private instance is created if omitted.
         shared_cache: a :class:`~repro.engine.cache.SharedGenotypeCache`
             shared (by reference) with other engines whose problems have the
-            same evaluator fingerprint; designs computed by any of them are
-            served to all, projected onto each problem's objective
-            components.  Requires the genotype cache and a problem exposing
-            ``evaluation_fingerprint`` / ``objective_components``; silently
-            inactive otherwise.
+            same evaluator fingerprint; rows computed by any of them are
+            published when computed and served to all, projected onto each
+            problem's objective components.  Requires the genotype cache
+            and a problem exposing ``evaluation_fingerprint`` /
+            ``objective_components``; silently inactive otherwise.
         column_memo_max_entries: optional LRU bound on the id-keyed column
             store (:class:`~repro.engine.cache.ColumnStore`), the engine's
             one memo.  A hit refreshes a row's recency; after every insert
@@ -352,11 +354,11 @@ class EvaluationEngine:
         """Evaluate one genotype: the column store, then the shared cache,
         then one in-process model evaluation.
 
-        A stored row is materialised into a design; a shared-cache hit or a
-        computed design is inserted into the store.  Misses are computed
-        through ``problem.compute_design``: dispatching one evaluation to a
-        worker pool, or to a one-row kernel call, costs more than the model
-        itself.
+        A stored or shared row is materialised into a design (a shared row
+        is inserted into the store first); a computed design is memoised
+        and published.  Misses are computed through
+        ``problem.compute_design``: dispatching one evaluation to a worker
+        pool, or to a one-row kernel call, costs more than the model itself.
         """
         started = time.perf_counter()
         self.stats.genotype_requests += 1
@@ -367,12 +369,17 @@ class EvaluationEngine:
             matrix = space.index_matrix([genotype])
             keys = space.design_keys(matrix)
             slots = self._store_lookup(keys)
-            if slots[0] >= 0:
+            rows = self._column_store.rows(slots) if slots[0] >= 0 else None
+            if rows is None and self._sharing:
+                hits, shared = self._shared_lookup(keys)
+                if len(hits):
+                    rows = shared
+                    self._insert(keys, *rows)
+            if rows is not None:
                 self.stats.wall_time_s += time.perf_counter() - started
-                return self.materialise_rows(matrix, *self._column_store.rows(slots))[0]
-            _, shared = self._shared_designs(matrix)
-            design = shared[0] if shared else self._compute_design(genotype)
-            self._insert(keys, *_design_columns([design]))
+                return self.materialise_rows(matrix, *rows)[0]
+            design = self._compute_design(genotype)
+            self._insert_computed(keys, *_design_columns([design]))
         self.stats.wall_time_s += time.perf_counter() - started
         return design
 
@@ -452,12 +459,11 @@ class EvaluationEngine:
                 rows = self._column_store.rows(slots[store_rows])
                 parts.append((store_rows, *rows))
             if self._sharing and len(pending):
-                hits, designs = self._shared_designs(matrix[pending])
-                shared_rows, pending = pending[hits], np.delete(pending, hits)
-                if designs:
-                    columns = _design_columns(designs)
-                    self._insert(keys[shared_rows], *columns)
-                    parts.append((shared_rows, *columns))
+                hits, rows = self._shared_lookup(keys[pending])
+                if len(hits):
+                    shared_rows, pending = pending[hits], np.delete(pending, hits)
+                    self._insert(keys[shared_rows], *rows)
+                    parts.append((shared_rows, *rows))
         pending_matrix = matrix if len(pending) == len(matrix) else matrix[pending]
         columns, kept = self._compute_columns(
             pending_matrix,
@@ -471,7 +477,7 @@ class EvaluationEngine:
         computed = pending if kept is None else pending[kept]
         if len(computed):
             if keys is not None:
-                self._insert(
+                self._insert_computed(
                     keys[computed],
                     columns.objectives,
                     columns.feasible,
@@ -527,9 +533,8 @@ class EvaluationEngine:
         """Build design objects for validated column rows.
 
         Every row is built through ``problem.materialise_designs`` —
-        phenotype lookup only, never a model re-evaluation — counted in
-        ``EngineStats.designs_materialised``, and published to the shared
-        cache when one is active.
+        phenotype lookup only, never a model re-evaluation — and counted in
+        ``EngineStats.designs_materialised``.
         """
         if not len(matrix):
             return []
@@ -543,7 +548,6 @@ class EvaluationEngine:
             ),
         )
         self.stats.designs_materialised += len(designs)
-        self._publish(designs)
         self.stats.wall_time_s += time.perf_counter() - started
         return designs
 
@@ -780,46 +784,48 @@ class EvaluationEngine:
             keys.tolist(), objectives, feasible, violation_counts, from_disk=from_disk
         )
 
+    def _insert_computed(
+        self,
+        keys: np.ndarray,
+        objectives: np.ndarray,
+        feasible: np.ndarray,
+        violation_counts: np.ndarray,
+    ) -> None:
+        """Memoise rows this engine computed and publish them to the shared
+        cache, when one is active (served and disk-loaded rows are already
+        shared where they came from)."""
+        self._insert(keys, objectives, feasible, violation_counts)
+        if self._sharing:
+            self.shared_cache.store(
+                self._fingerprint,
+                keys,
+                self._objective_components,
+                objectives,
+                feasible,
+                violation_counts,
+            )
+
     @property
     def _sharing(self) -> bool:
         """Whether the cross-problem shared cache is active for this engine."""
         return self.shared_cache is not None and self._fingerprint is not None
 
-    def _shared_designs(
-        self, matrix: np.ndarray
-    ) -> tuple[list[int], list["EvaluatedDesign"]]:
-        """Rows of ``matrix`` the shared cache serves, and their designs
-        (counted as shared hits); empty when no cache is active."""
-        rows: list[int] = []
-        designs: list["EvaluatedDesign"] = []
-        if not self._sharing:
-            return rows, designs
-        assert self._objective_components is not None
-        for row, genotype in enumerate(_tuples(matrix)):
-            design = self.shared_cache.lookup(
-                self._fingerprint, genotype, self._objective_components
-            )
-            if design is not None:
-                rows.append(row)
-                designs.append(design)
-        self.stats.shared_cache_hits += len(rows)
-        return rows, designs
-
-    def _publish(self, designs: Sequence["EvaluatedDesign"]) -> None:
-        """Publish designs to the shared cache, when one is active."""
-        if not self._sharing:
-            return
-        assert self._objective_components is not None
-        for design in designs:
-            self.shared_cache.store(
-                self._fingerprint, design.genotype, self._objective_components, design
-            )
+    def _shared_lookup(
+        self, keys: np.ndarray
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Positions of the distinct ``keys`` the shared cache serves, and
+        their rows projected onto this problem's components (counted as
+        shared hits)."""
+        hits, rows = self.shared_cache.lookup(
+            self._fingerprint, keys, self._objective_components
+        )
+        self.stats.shared_cache_hits += len(hits)
+        return hits, rows
 
     def _compute_design(self, genotype: Sequence[int]) -> "EvaluatedDesign":
-        """One in-process model evaluation, published to the shared cache."""
+        """One in-process model evaluation."""
         design = self._problem.compute_design(tuple(int(g) for g in genotype))
         self.stats.model_evaluations += 1
-        self._publish([design])
         return design
 
     def _compute_columns(

@@ -60,7 +60,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.engine import faults
-from repro.engine.cache import component_columns
+from repro.engine.cache import component_columns, component_merge
 from repro.engine.checkpoint import atomic_write_bytes, pack_blob, unpack_blob
 
 __all__ = [
@@ -78,7 +78,6 @@ __all__ = [
     "load_segment",
     "load_segment_if_valid",
     "spill_columns",
-    "spill_rows",
 ]
 
 #: File magic — identifies a WBSN cache segment before any parsing.
@@ -99,9 +98,6 @@ _COLUMNS = (
     ("feasible", "|b1", 1),
     ("violation_counts", "<i8", 1),
 )
-
-#: The engine's column-row record: ``(objectives, feasible, violations)``.
-_Row = tuple[tuple[float, ...], bool, int]
 
 
 class CacheSegmentError(RuntimeError):
@@ -153,18 +149,6 @@ class CacheSegment:
             return self.objectives
         columns = component_columns(self.components, components)
         return None if columns is None else self.objectives[:, columns]
-
-    def rows(self) -> dict[tuple[int, ...], _Row]:
-        """The segment as a ``genotype key -> column row`` mapping."""
-        return {
-            tuple(genotype): (tuple(objectives), bool(feasible), int(violations))
-            for genotype, objectives, feasible, violations in zip(
-                self.genotypes.tolist(),
-                self.objectives.tolist(),
-                self.feasible.tolist(),
-                self.violation_counts.tolist(),
-            )
-        }
 
 
 def encode_column_block(
@@ -587,14 +571,14 @@ def spill_columns(
 ) -> Path | None:
     """Spill column rows into a fingerprint's segment, merging what's there.
 
-    Rows are keyed by genotype: the first of repeated new rows is kept, and
-    an existing valid segment with the same component set is unioned in
-    (the new rows win on conflicts — both sides computed the same floats,
-    so the choice is cosmetic).  Component sets follow the shared
-    cache's richest-record rule: a spill *wider* than the stored segment
-    replaces it outright (narrow rows cannot be widened), a spill
-    *narrower* than (or incomparable with) the stored segment is a no-op —
-    the richer segment keeps serving both problems by projection.  An
+    Rows are keyed by genotype, and the first of repeated new rows is kept.
+    The spilled components join an existing valid segment's by the shared
+    cache's rule (:func:`~repro.engine.cache.component_merge`): equal
+    component sets union the rows (the new rows win on conflicts — both
+    sides computed the same floats, so the choice is cosmetic); a *richer*
+    spill replaces the segment outright (narrow rows cannot be widened);
+    a narrower or incomparable spill is a no-op — the stored segment keeps
+    serving both problems by projection, or the first writer wins.  An
     existing invalid segment is warned about (:class:`CacheTierWarning`)
     and overwritten.
 
@@ -604,25 +588,22 @@ def spill_columns(
         return None
     path = segment_path(cache_dir, fingerprint)
     columns = (genotypes, objectives, feasible, violation_counts)
-    if path.exists():
-        existing = load_segment_if_valid(path, fingerprint=fingerprint)
-        if existing is not None and existing.components != components:
-            if set(components) > set(existing.components):
-                # A richer spill replaces the narrow segment outright (its
-                # rows cannot be widened, and a miss is always safe).
-                existing = None
-            else:
-                # Narrower or incomparable: the stored segment keeps serving
-                # both problems (by projection, or first writer wins).
-                return path
-        if existing is not None and len(existing):
-            old = (
-                existing.genotypes,
-                existing.objectives,
-                existing.feasible,
-                existing.violation_counts,
-            )
-            columns = tuple(map(np.concatenate, zip(columns, old)))
+    existing = (
+        load_segment_if_valid(path, fingerprint=fingerprint) if path.exists() else None
+    )
+    rule = component_merge(
+        None if existing is None else existing.components, components
+    )
+    if rule == "keep":
+        return path
+    if rule == "union" and len(existing):
+        old = (
+            existing.genotypes,
+            existing.objectives,
+            existing.feasible,
+            existing.violation_counts,
+        )
+        columns = tuple(map(np.concatenate, zip(columns, old)))
     genotypes, objectives, feasible, violation_counts = columns
     # ``save_segment`` sorts by genotype and keeps each genotype's first row.
     return save_segment(
@@ -633,32 +614,4 @@ def spill_columns(
         objectives=objectives,
         feasible=feasible,
         violation_counts=violation_counts,
-    )
-
-
-def spill_rows(
-    cache_dir: str | Path,
-    *,
-    fingerprint: bytes,
-    components: tuple[str, ...],
-    rows: Mapping[tuple[int, ...], _Row],
-) -> Path | None:
-    """:func:`spill_columns` for a ``genotype -> (objectives, feasible,
-    violations)`` mapping."""
-    if not rows:
-        return None
-    count = len(rows)
-    values = list(rows.values())
-    return spill_columns(
-        cache_dir,
-        fingerprint=fingerprint,
-        components=components,
-        genotypes=np.asarray(list(rows), dtype=np.int64).reshape(count, -1),
-        objectives=np.asarray(
-            [value[0] for value in values], dtype=np.float64
-        ).reshape(count, len(components)),
-        feasible=np.asarray([value[1] for value in values], dtype=bool),
-        violation_counts=np.asarray(
-            [value[2] for value in values], dtype=np.int64
-        ),
     )

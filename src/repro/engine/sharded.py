@@ -42,7 +42,7 @@ import math
 import pickle
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -316,46 +316,10 @@ class ShardedVectorizedBackend(ProcessBackend):
         :class:`~repro.core.vectorized.WbsnBatchColumns` of every row, in
         row order.
         """
-        from repro.core.vectorized import WbsnBatchColumns
-
-        if len(matrix) == 0:
-            # Same contract as the in-process kernel: an empty miss set
-            # produces empty columns without touching the pool (a zero-byte
-            # shared-memory segment cannot even be created).
-            kernel = getattr(problem, "vectorized_kernel", None)
-            return WbsnBatchColumns.empty(getattr(kernel, "n_objectives", 0))
-        shards = self._shards(len(matrix))
-        # The batch matrix segment is created once and survives recovery
-        # attempts (workers re-attach it by name on every dispatch); the
-        # ``finally`` guarantees it is released even when recovery is
-        # exhausted mid-batch, so a dying worker cannot leak the segment.
-        shm = shared_memory.SharedMemory(create=True, size=matrix.nbytes)
-        try:
-            view = np.ndarray(matrix.shape, dtype=matrix.dtype, buffer=shm.buf)
-            view[...] = matrix
-            # Submission order == row order, so plain concatenation
-            # reassembles the batch exactly as the serial kernel would have
-            # produced it.
-            results = self._dispatch_with_recovery(
-                problem,
-                _evaluate_shard,
-                [
-                    (shm.name, matrix.shape, matrix.dtype.str, shard)
-                    for shard in shards
-                ],
-                batch_label="sharded column batch",
-            )
-        finally:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
-        return WbsnBatchColumns(
-            objectives=np.concatenate([r[0] for r in results], axis=0),
-            feasible=np.concatenate([r[1] for r in results], axis=0),
-            violation_counts=np.concatenate([r[2] for r in results], axis=0),
+        _, columns, _ = self._evaluate_shards(
+            problem, matrix, _evaluate_shard, (), "sharded column batch"
         )
+        return columns
 
     def evaluate_front_columns_sharded(
         self,
@@ -389,43 +353,19 @@ class ShardedVectorizedBackend(ProcessBackend):
         witnessed by an earlier-or-dominating survivor — so downstream
         archives are bitwise identical, membership and ordering.
         """
-        from repro.core.vectorized import WbsnBatchColumns
-
-        if len(matrix) == 0:
-            kernel = getattr(problem, "vectorized_kernel", None)
-            empty = WbsnBatchColumns.empty(getattr(kernel, "n_objectives", 0))
-            return empty, np.empty(0, dtype=np.int64), 0
-        shards = self._shards(len(matrix))
-        shm = shared_memory.SharedMemory(create=True, size=matrix.nbytes)
-        try:
-            view = np.ndarray(matrix.shape, dtype=matrix.dtype, buffer=shm.buf)
-            view[...] = matrix
-            results = self._dispatch_with_recovery(
-                problem,
-                _evaluate_shard_front,
-                [
-                    (shm.name, matrix.shape, matrix.dtype.str, shard, include_infeasible)
-                    for shard in shards
-                ],
-                batch_label="sharded front batch",
-            )
-        finally:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
+        shards, columns, results = self._evaluate_shards(
+            problem,
+            matrix,
+            _evaluate_shard_front,
+            (include_infeasible,),
+            "sharded front batch",
+        )
         offsets = np.cumsum([0] + [len(shard) for shard in shards[:-1]])
         kept = np.concatenate(
-            [offset + result[3] for offset, result in zip(offsets, results)]
+            [np.empty(0, dtype=np.int64)]
+            + [offset + result[3] for offset, result in zip(offsets, results)]
         )
-        columns = WbsnBatchColumns(
-            objectives=np.concatenate([r[0] for r in results], axis=0),
-            feasible=np.concatenate([r[1] for r in results], axis=0),
-            violation_counts=np.concatenate([r[2] for r in results], axis=0),
-        )
-        rows_pruned = sum(result[4] for result in results)
-        return columns, kept, rows_pruned
+        return columns, kept, sum(result[4] for result in results)
 
     def close(self) -> None:
         """Shut the pool down and unlink the shared table arena."""
@@ -435,6 +375,57 @@ class ShardedVectorizedBackend(ProcessBackend):
             self._arena = None
 
     # ------------------------------------------------------------ internals
+
+    def _evaluate_shards(
+        self,
+        problem: Any,
+        matrix: np.ndarray,
+        task: Callable[..., tuple],
+        task_args: tuple,
+        batch_label: str,
+    ) -> tuple[list[np.ndarray], Any, list[tuple]]:
+        """Publish ``matrix`` in shared memory and run
+        ``task(name, shape, dtype, shard, *task_args)`` over its shards.
+
+        Returns the shards, their columns concatenated in submission order
+        (= row order) and the raw per-shard results.  An empty matrix never
+        touches the pool (a zero-byte segment cannot even be created).
+        """
+        from repro.core.vectorized import WbsnBatchColumns
+
+        if len(matrix) == 0:
+            kernel = getattr(problem, "vectorized_kernel", None)
+            return [], WbsnBatchColumns.empty(getattr(kernel, "n_objectives", 0)), []
+        shards = self._shards(len(matrix))
+        # The batch matrix segment is created once and survives recovery
+        # attempts (workers re-attach it by name on every dispatch); the
+        # ``finally`` guarantees it is released even when recovery is
+        # exhausted mid-batch, so a dying worker cannot leak the segment.
+        shm = shared_memory.SharedMemory(create=True, size=matrix.nbytes)
+        try:
+            view = np.ndarray(matrix.shape, dtype=matrix.dtype, buffer=shm.buf)
+            view[...] = matrix
+            results = self._dispatch_with_recovery(
+                problem,
+                task,
+                [
+                    (shm.name, matrix.shape, matrix.dtype.str, shard, *task_args)
+                    for shard in shards
+                ],
+                batch_label=batch_label,
+            )
+        finally:
+            shm.close()
+            try:
+                shm.unlink()
+            except FileNotFoundError:  # pragma: no cover - already unlinked
+                pass
+        columns = WbsnBatchColumns(
+            objectives=np.concatenate([r[0] for r in results], axis=0),
+            feasible=np.concatenate([r[1] for r in results], axis=0),
+            violation_counts=np.concatenate([r[2] for r in results], axis=0),
+        )
+        return shards, columns, results
 
     def _shards(self, rows: int) -> list[np.ndarray]:
         """Row indices ``0..rows-1`` split into non-empty per-worker shards."""

@@ -8,7 +8,7 @@ state both the effective serving rate and the raw model rate:
 * ``genotype_requests`` / ``genotype_cache_hits`` — requests answered by the
   genotype-level memo cache without touching the model at all;
 * ``shared_cache_hits`` — requests answered by a cross-problem
-  :class:`~repro.engine.cache.SharedGenotypeCache` (designs computed by
+  :class:`~repro.engine.cache.SharedGenotypeCache` (rows computed by
   another problem with the same evaluator fingerprint, projected onto this
   problem's objective components);
 * ``model_evaluations`` — full-network evaluations actually computed
@@ -41,9 +41,10 @@ class EngineStats:
         genotype_cache_hits: requests answered by the engine's column store
             (or by a repeat of a genotype within one batch).
         shared_cache_hits: requests answered by the cross-problem shared
-            genotype cache (counted separately from the local memo; the
-            served row is then inserted into the column store, so repeats
-            become ordinary genotype-cache hits).
+            genotype cache with a row another engine computed (counted
+            separately from the local memo; the served row is then inserted
+            into the column store, so repeats become ordinary genotype-cache
+            hits).
         model_evaluations: full-network model evaluations actually computed
             (through any compute path).
         vectorized_designs: model evaluations computed by a columnar kernel,

@@ -641,6 +641,113 @@ class TestSharedGenotypeCache:
                 == reference.evaluate(genotype).objectives
             )
 
+    def _full(self, engine):
+        return WbsnDseProblem(
+            build_case_study_evaluator(n_nodes=2, applications=("dwt", "cs")),
+            **self.SMALL,
+            engine=engine,
+        )
+
+    def _baseline(self, engine):
+        return WbsnDseProblem(
+            build_baseline_evaluator(n_nodes=2), **self.SMALL, engine=engine
+        )
+
+    def test_columnar_sweeps_share_every_computed_row(self):
+        shared = SharedGenotypeCache()
+        full, baseline = self._pair(shared)
+        ExhaustiveSearch(full, chunk_size=16).run()
+        front = ExhaustiveSearch(baseline, chunk_size=16).run()
+        # The probe comes from the full problem's probe, every other row
+        # from its sweep: the columnar sweep publishes all it computes,
+        # not only the front it materialises.
+        assert baseline.engine.stats.model_evaluations == 0
+        assert baseline.engine.stats.shared_cache_hits == baseline.space.size
+        private = ExhaustiveSearch(
+            self._baseline(EvaluationEngine()), chunk_size=16
+        ).run()
+        assert front_signature(front) == front_signature(private)
+
+    def test_richer_rows_replace_narrow_ones(self):
+        shared = SharedGenotypeCache()
+        first = self._baseline(EvaluationEngine(shared_cache=shared))
+        ExhaustiveSearch(first, chunk_size=16).run()
+        full = self._full(EvaluationEngine(shared_cache=shared))
+        ExhaustiveSearch(full, chunk_size=16).run()
+        # Narrow rows cannot serve the full problem: it computes every row,
+        # and its richer rows replace the baseline's.
+        assert full.engine.stats.model_evaluations == full.space.size
+        assert full.engine.stats.shared_cache_hits == 0
+        fresh = self._baseline(EvaluationEngine(shared_cache=shared))
+        ExhaustiveSearch(fresh, chunk_size=16).run()
+        assert fresh.engine.stats.model_evaluations == 0
+        # A narrower publish after a richer one changes nothing.
+        fingerprint = full.evaluation_fingerprint()
+        keys = np.arange(full.space.size)
+        components = full.objective_components
+        hits, rows = shared.lookup(fingerprint, keys, components)
+        shared.store(
+            fingerprint,
+            keys,
+            fresh.objective_components,
+            np.zeros((len(keys), 2)),
+            np.zeros(len(keys), dtype=bool),
+            np.ones(len(keys), dtype=np.int64),
+        )
+        again_hits, again = shared.lookup(fingerprint, keys, components)
+        assert len(shared) == full.space.size
+        assert again_hits.tolist() == hits.tolist() == keys.tolist()
+        for before, after in zip(rows, again):
+            assert before.tobytes() == after.tobytes()
+
+    def test_rows_loaded_from_a_segment_are_not_published(self, tmp_path):
+        with EvaluationEngine(cache_dir=tmp_path) as engine:
+            ExhaustiveSearch(self._full(engine), chunk_size=16).run()
+        shared = SharedGenotypeCache()
+        warm = self._full(EvaluationEngine(cache_dir=tmp_path, shared_cache=shared))
+        ExhaustiveSearch(warm, chunk_size=16).run()
+        # The segment already shares its rows: nothing was computed, so
+        # nothing was published.
+        assert warm.engine.stats.model_evaluations == 0
+        assert len(shared) == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        max_entries=st.sampled_from([None, 1, 4]),
+        batches=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(st.integers(0, 63), min_size=1, max_size=24),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_bounded_shared_cache_serves_exact_rows(self, max_entries, batches):
+        shared = SharedGenotypeCache(max_entries=max_entries)
+        full, baseline = self._pair(shared)
+        private = self._baseline(EvaluationEngine())
+        for full_turn, ids in batches:
+            problem = full if full_turn else baseline
+            genotypes = problem.space.decode_ids(np.asarray(ids))
+            before = problem.engine.stats.snapshot()
+            result = problem.engine.evaluate_many_columnar(genotypes)
+            delta = problem.engine.stats.snapshot() - before
+            assert (
+                delta.model_evaluations
+                + delta.genotype_cache_hits
+                + delta.shared_cache_hits
+                == delta.genotype_requests
+            )
+            if not full_turn:
+                reference = private.engine.evaluate_many_columnar(genotypes)
+                assert result.objectives.tobytes() == reference.objectives.tobytes()
+                assert result.feasible.tolist() == reference.feasible.tolist()
+                assert (
+                    result.violation_counts.tolist()
+                    == reference.violation_counts.tolist()
+                )
+
     def test_invalid_shared_cache_bound_rejected(self):
         with pytest.raises(ValueError):
             SharedGenotypeCache(max_entries=0)
@@ -686,41 +793,48 @@ class TestSharedGenotypeCache:
 
 
 class TestSharedCacheLruRecency:
-    """Regression: re-storing a hot record must refresh its LRU position."""
+    """Regression: re-storing a hot row must refresh its LRU position."""
 
-    @staticmethod
-    def _design(tag: int):
-        from repro.dse.problem import EvaluatedDesign
+    COMPONENTS = ("energy",)
 
-        return EvaluatedDesign(
-            genotype=(tag,), objectives=(float(tag),), feasible=True, phenotype={}
+    def _store(self, cache, key: int) -> None:
+        """Publish one row under design id ``key`` (its objective is ``key``)."""
+        cache.store(
+            b"fp",
+            np.array([key]),
+            self.COMPONENTS,
+            np.array([[float(key)]]),
+            np.ones(1, dtype=bool),
+            np.zeros(1, dtype=np.int64),
         )
+
+    def _held(self, cache, key: int) -> bool:
+        hits, _ = cache.lookup(b"fp", np.array([key]), self.COMPONENTS)
+        return len(hits) == 1
 
     def test_refreshed_record_outlives_a_cold_one(self):
         cache = SharedGenotypeCache(max_entries=2)
-        components = ("energy",)
-        hot, cold, newcomer = (b"fp", (0,)), (b"fp", (1,)), (b"fp", (2,))
-        cache.store(*hot, components, self._design(0))
-        cache.store(*cold, components, self._design(1))
-        # Re-store the hot key (same component set: the record is kept, but
+        hot, cold, newcomer = 0, 1, 2
+        self._store(cache, hot)
+        self._store(cache, cold)
+        # Re-store the hot key (same component set: the row is kept, but
         # the store is a use and must refresh recency).
-        cache.store(*hot, components, self._design(0))
-        cache.store(*newcomer, components, self._design(2))
+        self._store(cache, hot)
+        self._store(cache, newcomer)
         assert cache.evictions == 1
         # The cold key was evicted, the refreshed hot key survived.
-        assert cache.lookup(b"fp", (0,), components) is not None
-        assert cache.lookup(b"fp", (1,), components) is None
-        assert cache.lookup(b"fp", (2,), components) is not None
+        assert self._held(cache, hot)
+        assert not self._held(cache, cold)
+        assert self._held(cache, newcomer)
 
     def test_eviction_order_without_refresh_is_plain_fifo_of_use(self):
         cache = SharedGenotypeCache(max_entries=2)
-        components = ("energy",)
-        cache.store(b"fp", (0,), components, self._design(0))
-        cache.store(b"fp", (1,), components, self._design(1))
-        cache.store(b"fp", (2,), components, self._design(2))
-        assert cache.lookup(b"fp", (0,), components) is None
-        assert cache.lookup(b"fp", (1,), components) is not None
-        assert cache.lookup(b"fp", (2,), components) is not None
+        self._store(cache, 0)
+        self._store(cache, 1)
+        self._store(cache, 2)
+        assert not self._held(cache, 0)
+        assert self._held(cache, 1)
+        assert self._held(cache, 2)
 
 
 class TestDseResultThroughputClamp:

@@ -818,6 +818,54 @@ class TestRandomSearchCheckpointing:
             )
 
 
+class TestFingerprintlessResume:
+    """Without an evaluation fingerprint nothing proves a checkpoint belongs
+    to the resuming problem, so it never resumes one."""
+
+    @staticmethod
+    def lambda_mac_problem(n_nodes: int, **node_domains) -> WbsnDseProblem:
+        from repro.dse.problem import MacParameterisation
+        from repro.dse.space import ParameterDomain
+
+        mac = MacParameterisation(
+            name="beacon",
+            domains=(
+                ParameterDomain("mac.payload_bytes", (60, 80)),
+                ParameterDomain("mac.orders", ((4, 4), (4, 6))),
+            ),
+            # A lambda factory does not pickle: no fingerprint.
+            config_factory=lambda payload, orders: WbsnDseProblem.build_mac_config(
+                payload, orders
+            ),
+        )
+        return WbsnDseProblem(
+            build_case_study_evaluator(
+                n_nodes=n_nodes, applications=("dwt", "cs")[:n_nodes]
+            ),
+            mac_parameterisation=mac,
+            engine=EvaluationEngine(),
+            **node_domains,
+        )
+
+    def test_equal_size_spaces_never_splice_fronts(self, tmp_path):
+        path = tmp_path / "sweep.ckpt"
+        one_node = dict(
+            compression_ratios=(0.2, 0.3, 0.4, 0.5),
+            frequencies_hz=(1e6, 2e6, 4e6, 8e6),
+        )
+        wide = self.lambda_mac_problem(2, **NODE_DOMAINS)  # 6 genes
+        narrow = self.lambda_mac_problem(1, **one_node)  # 4 genes
+        assert wide.space.size == narrow.space.size == 64
+        assert wide.evaluation_fingerprint() is None
+        assert narrow.evaluation_fingerprint() is None
+        ExhaustiveSearch(wide, checkpoint_path=path).run()
+        with pytest.warns(CheckpointWarning, match="fingerprint"):
+            front = ExhaustiveSearch(narrow, checkpoint_path=path).run()
+        assert {len(design.genotype) for design in front} == {4}
+        cold = ExhaustiveSearch(self.lambda_mac_problem(1, **one_node)).run()
+        assert front_signature(front) == front_signature(cold)
+
+
 class TestRunnerIntegration:
     def test_checkpoint_path_requires_algorithm_support(self):
         class NoCheckpoints:

@@ -55,7 +55,7 @@ from repro.engine.persist import (
     SEGMENT_VERSION,
     list_segments,
     remove_orphaned_tmp_siblings,
-    spill_rows,
+    spill_columns,
 )
 from repro.experiments.casestudy import build_case_study_evaluator
 
@@ -91,6 +91,30 @@ def column_arrays(rows, components=COMPONENTS):
             [rows[key][2] for key in keys], dtype=np.int64
         ),
     )
+
+
+def spill(cache_dir, rows, components=COMPONENTS, fingerprint=FP):
+    """``spill_columns`` of a row mapping."""
+    return spill_columns(
+        cache_dir,
+        fingerprint=fingerprint,
+        components=components,
+        **column_arrays(rows, components),
+    )
+
+
+def segment_rows(segment):
+    """A segment as a ``genotype key -> (objectives, feasible, violations)``
+    mapping."""
+    return {
+        tuple(genotype): (tuple(objectives), bool(feasible), int(violations))
+        for genotype, objectives, feasible, violations in zip(
+            segment.genotypes.tolist(),
+            segment.objectives.tolist(),
+            segment.feasible.tolist(),
+            segment.violation_counts.tolist(),
+        )
+    }
 
 
 def baseline_problem(engine: EvaluationEngine) -> WbsnDseProblem:
@@ -144,7 +168,7 @@ class TestSegmentFormat:
         assert loaded.fingerprint == FP
         assert loaded.components == COMPONENTS
         assert len(loaded) == len(ROWS)
-        assert loaded.rows() == ROWS
+        assert segment_rows(loaded) == ROWS
         # Rows are lexsorted by genotype regardless of insertion order.
         assert loaded.genotypes.tolist() == [[0, 0], [0, 1], [1, 0]]
         # The loaded arrays are read-only views into the file's memory map.
@@ -273,60 +297,56 @@ class TestSegmentFormat:
 class TestSpillMergeRules:
     def test_empty_rows_write_nothing(self, tmp_path):
         assert (
-            spill_rows(tmp_path, fingerprint=FP, components=COMPONENTS, rows={})
+            spill_columns(
+                tmp_path,
+                fingerprint=FP,
+                components=COMPONENTS,
+                genotypes=np.empty((0, 2), dtype=np.int64),
+                objectives=np.empty((0, len(COMPONENTS))),
+                feasible=np.empty(0, dtype=bool),
+                violation_counts=np.empty(0, dtype=np.int64),
+            )
             is None
         )
         assert not list(tmp_path.iterdir())
 
     def test_same_components_union_new_rows_win(self, tmp_path):
-        spill_rows(tmp_path, fingerprint=FP, components=COMPONENTS, rows=ROWS)
+        spill(tmp_path, ROWS)
         update = {
             (0, 1): ((9.0, 9.0, 9.0), True, 0),  # conflicting key
             (2, 2): ((0.5, 0.5, 0.5), True, 0),  # fresh key
         }
-        path = spill_rows(
-            tmp_path, fingerprint=FP, components=COMPONENTS, rows=update
-        )
-        merged = load_segment(path).rows()
+        path = spill(tmp_path, update)
+        merged = segment_rows(load_segment(path))
         assert len(merged) == 4
         assert merged[(0, 1)] == update[(0, 1)]
         assert merged[(0, 0)] == ROWS[(0, 0)]
 
     def test_richer_spill_replaces_a_narrow_segment(self, tmp_path):
         narrow = {(0, 0): ((1.0, 3.0), True, 0)}
-        spill_rows(
-            tmp_path, fingerprint=FP, components=("energy", "delay"), rows=narrow
-        )
-        path = spill_rows(
-            tmp_path, fingerprint=FP, components=COMPONENTS, rows=ROWS
-        )
+        spill(tmp_path, narrow, components=("energy", "delay"))
+        path = spill(tmp_path, ROWS)
         segment = load_segment(path)
         assert segment.components == COMPONENTS
         # Narrow rows cannot be widened: they are dropped with the segment.
-        assert segment.rows() == ROWS
+        assert segment_rows(segment) == ROWS
 
     def test_narrower_spill_is_a_noop(self, tmp_path):
-        spill_rows(tmp_path, fingerprint=FP, components=COMPONENTS, rows=ROWS)
+        spill(tmp_path, ROWS)
         narrow = {(5, 5): ((1.0, 3.0), True, 0)}
-        path = spill_rows(
-            tmp_path, fingerprint=FP, components=("energy", "delay"), rows=narrow
-        )
+        path = spill(tmp_path, narrow, components=("energy", "delay"))
         segment = load_segment(path)
         assert segment.components == COMPONENTS
-        assert segment.rows() == ROWS
+        assert segment_rows(segment) == ROWS
 
     def test_incomparable_spill_is_a_noop(self, tmp_path):
         first = {(0, 0): ((1.0, 3.0), True, 0)}
-        spill_rows(
-            tmp_path, fingerprint=FP, components=("energy", "delay"), rows=first
-        )
+        spill(tmp_path, first, components=("energy", "delay"))
         other = {(1, 1): ((2.0, 4.0), True, 0)}
-        path = spill_rows(
-            tmp_path, fingerprint=FP, components=("energy", "quality"), rows=other
-        )
+        path = spill(tmp_path, other, components=("energy", "quality"))
         segment = load_segment(path)
         assert segment.components == ("energy", "delay")
-        assert segment.rows() == first
+        assert segment_rows(segment) == first
 
 
 # --------------------------------------------------------------------------
@@ -382,7 +402,7 @@ class TestWarmStartSweeps:
         assert consumer.engine.stats.shared_cache_hits == 7  # probe included
         segment = load_segment(consumer.engine.spill_persistent_cache(tmp_path))
         served = genotypes[:6] + genotypes[7:]
-        assert segment.rows() == {
+        assert segment_rows(segment) == {
             genotype: (tuple(objectives), feasible, violations)
             for genotype, objectives, feasible, violations in zip(
                 genotypes,
@@ -532,10 +552,7 @@ class TestSegmentFaultInjection:
         probe = beacon_problem(EvaluationEngine())
         fingerprint = probe.evaluation_fingerprint()
         rows = {(0,) * len(probe.space.domains): ((1.0, 2.0, 3.0), True, 0)}
-        foreign = spill_rows(
-            tmp_path / "other", fingerprint=OTHER_FP, components=COMPONENTS,
-            rows=rows,
-        )
+        foreign = spill(tmp_path / "other", rows, fingerprint=OTHER_FP)
         os.replace(foreign, segment_path(tmp_path, fingerprint))
 
         engine = EvaluationEngine(cache_dir=tmp_path)

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import pickle
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +32,21 @@ from hypothesis import strategies as st
 from repro.dse.random_search import RandomSearch
 from repro.dse.runner import run_algorithm
 from repro.engine import (
+    CheckpointError,
     EvaluationEngine,
     FaultPlan,
     FaultSpec,
     RetryPolicy,
+    SweepCheckpoint,
     inject_faults,
+    load_checkpoint,
 )
-from repro.engine.checkpoint import pack_blob
+from repro.engine.checkpoint import (
+    CHECKPOINT_VERSION,
+    MAGIC as CHECKPOINT_MAGIC,
+    load_checkpoint_if_valid,
+    pack_blob,
+)
 from repro.engine.persist import (
     SEGMENT_MAGIC,
     SEGMENT_VERSION,
@@ -922,6 +932,44 @@ def _framed(magic: bytes, version: int):
     return lambda payload: pack_blob(magic, version, payload)
 
 
+#: A valid checkpoint payload, for the mutation and truncation fuzz.
+_CHECKPOINT_PAYLOAD = pickle.dumps(
+    SweepCheckpoint(
+        algorithm="exhaustive",
+        space_size=64,
+        cursor=32,
+        any_feasible=True,
+        genotypes=np.arange(12, dtype=np.int64).reshape(3, 4),
+        objectives=np.linspace(0.0, 1.0, 9).reshape(3, 3),
+        feasible=np.array([True, False, True]),
+        violation_counts=np.array([0, 2, 0], dtype=np.int64),
+        rng_state={"state": 123},
+        fingerprint=b"fp",
+        extra={"samples": 10},
+    ),
+    protocol=pickle.HIGHEST_PROTOCOL,
+)
+
+
+def _mutated_checkpoint(edits: list[tuple[int, int]]) -> bytes:
+    payload = bytearray(_CHECKPOINT_PAYLOAD)
+    for position, value in edits:
+        payload[position % len(payload)] = value
+    return bytes(payload)
+
+
+_FUZZ_CHECKPOINTS = st.one_of(
+    st.lists(
+        st.tuples(st.integers(0, len(_CHECKPOINT_PAYLOAD)), st.integers(0, 255)),
+        min_size=1,
+        max_size=4,
+    ).map(_mutated_checkpoint),
+    st.integers(0, len(_CHECKPOINT_PAYLOAD)).map(
+        lambda size: _CHECKPOINT_PAYLOAD[:size]
+    ),
+)
+
+
 class TestDecoderFuzz:
     @settings(max_examples=300, deadline=None)
     @given(data=_FUZZ_BYTES)
@@ -963,6 +1011,30 @@ class TestDecoderFuzz:
                 load_segment(path)
             except CacheSegmentError:
                 pass
+
+    # Mutated pickles can make CPython print unraisable ``SystemError``
+    # lines; those are printed, never raised.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.one_of(
+            _FUZZ_BYTES,
+            _FUZZ_BYTES.map(_framed(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)),
+            _FUZZ_CHECKPOINTS.map(_framed(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)),
+        )
+    )
+    def test_checkpoint_loader_only_raises_checkpoint_error(self, data):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "fuzz.ckpt"
+            path.write_bytes(data)
+            try:
+                load_checkpoint(path)
+            except CheckpointError:
+                pass
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                load_checkpoint_if_valid(
+                    path, algorithm="exhaustive", space_size=64, fingerprint=b"fp"
+                )
 
 
 # --------------------------------------------------------------------------

@@ -126,14 +126,13 @@ class TestStreamingFrontParity:
         self, family, seed, chunk_size
     ):
         reference = RandomSearch(
-            FAMILIES[family](), samples=60, seed=seed, streaming=False
+            FAMILIES[family](), samples=60, seed=seed, columnar=False
         ).run()
         streamed = RandomSearch(
             FAMILIES[family](),
             samples=60,
             seed=seed,
             chunk_size=chunk_size,
-            streaming=True,
         ).run()
         assert front_signature(streamed) == front_signature(reference)
 
@@ -198,7 +197,7 @@ class TestStreamingResumeParity:
         self, family, tmp_path
     ):
         reference = RandomSearch(
-            FAMILIES[family](), samples=72, seed=9, streaming=False
+            FAMILIES[family](), samples=72, seed=9, columnar=False
         ).run()
         path = tmp_path / "rs.ckpt"
         plan = FaultPlan(
@@ -262,7 +261,7 @@ class TestStreamingResumeParity:
         """Chunk size is a performance knob, not part of the draw stream:
         resuming with a different chunk size must not change the front."""
         reference = RandomSearch(
-            FAMILIES[family](), samples=72, seed=9, streaming=False
+            FAMILIES[family](), samples=72, seed=9, columnar=False
         ).run()
         path = tmp_path / "rs.ckpt"
         plan = FaultPlan(
