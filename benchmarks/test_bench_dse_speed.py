@@ -637,9 +637,11 @@ def test_default_engine_sweep(reporter, tmp_path):
     engine, and on fresh engines warm-started from the segment a cold sweep
     spilled.  Wall clocks and designs/s land in ``BENCH_dse_speed.json``
     (``default_engine_sweep``) without a timing gate: the cached/uncached
-    ratio moves too much between back-to-back runs to gate.  The **hard
-    gate** is memory: the bytes the engine retains per memoised row after
-    the cold sweep, measured with ``tracemalloc``, must stay at or below
+    ratio moves too much between back-to-back runs to gate.  The entry
+    also records, ungated, the column kernel alone on one 8,192-row chunk
+    (best of 5) and its stage-table entry count.  The **hard gate** is
+    memory: the bytes the engine retains per memoised row after the cold
+    sweep, measured with ``tracemalloc``, must stay at or below
     ``MAX_RETAINED_BYTES_PER_ROW``.  All three fronts must be identical.
     """
     cache_dir = tmp_path / "segments"
@@ -687,6 +689,15 @@ def test_default_engine_sweep(reporter, tmp_path):
     memoised = len(engine._column_store)
     bytes_per_row = retained / memoised
 
+    # The column kernel alone on one sweep chunk (recorded, not gated).
+    kernel = problem.vectorized_kernel
+    chunk = problem.space.decode_ids(range(DEFAULT_ENGINE_CHUNK))
+    kernel_chunk_s = float("inf")
+    for _ in range(5):
+        started = time.perf_counter()
+        kernel.evaluate_columns(chunk)
+        kernel_chunk_s = min(kernel_chunk_s, time.perf_counter() - started)
+
     space_size = problem.space.size
     _merge_artifact(
         {
@@ -702,6 +713,8 @@ def test_default_engine_sweep(reporter, tmp_path):
                 "memoised_rows": memoised,
                 "retained_bytes_per_row": bytes_per_row,
                 "front_size": len(cached_front),
+                "kernel_chunk_ms": kernel_chunk_s * 1e3,
+                "kernel_stage_table_entries": kernel.stage_table_entries,
             }
         }
     )
@@ -711,6 +724,9 @@ def test_default_engine_sweep(reporter, tmp_path):
             f"default engine: {cached_s:.3f} s ({space_size / cached_s:.0f}/s)",
             f"uncached engine: {uncached_s:.3f} s ({space_size / uncached_s:.0f}/s)",
             f"warm start: {warm_s:.3f} s ({space_size / warm_s:.0f}/s)",
+            f"column kernel alone: {kernel_chunk_s * 1e3:.2f} ms per "
+            f"{DEFAULT_ENGINE_CHUNK}-row chunk (best of 5), "
+            f"{kernel.stage_table_entries} stage-table entries",
             f"retained per memoised row: {bytes_per_row:.0f} B over {memoised} "
             f"rows (gate {MAX_RETAINED_BYTES_PER_ROW} B)",
         ],
@@ -1007,15 +1023,31 @@ def test_pruning_kernel_speedup_and_dispatch(reporter):
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
 
 #: Child process of the streaming-sweep bench.  Peak RSS must come from the
-#: sweep alone, so each run lives in its own interpreter and self-reports
-#: ``getrusage(RUSAGE_SELF).ru_maxrss`` — the parent's high-water mark
-#: carries every previously run test and would swamp the measurement.
+#: sweep alone, so each run lives in its own interpreter and self-reports its
+#: own high-water mark, ``VmHWM`` from ``/proc/self/status``.  On Linux
+#: ``getrusage(RUSAGE_SELF).ru_maxrss`` would not do: a child's value keeps
+#: the peak of the process it was forked from — here the pytest parent,
+#: which carries every previously run test — so every child would report
+#: the parent's peak.  ``ru_maxrss`` is only the fallback where ``/proc`` is
+#: absent.
 _STREAMING_WORKER = '''\
 import json
 import resource
 import sys
 import warnings
 from itertools import islice
+
+
+def peak_rss_kb() -> int:
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])  # reported in kB
+    except OSError:
+        pass
+    # Linux reports ru_maxrss in kilobytes.
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
 def main() -> None:
@@ -1065,8 +1097,7 @@ def main() -> None:
             model_evaluations=int(result.model_evaluations),
             wall_clock_s=result.wall_clock_s,
         )
-    # Linux reports ru_maxrss in kilobytes.
-    report["peak_rss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    report["peak_rss_kb"] = peak_rss_kb()
     print(json.dumps(report))
 
 

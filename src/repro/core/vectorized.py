@@ -3,33 +3,44 @@
 The scalar :class:`~repro.core.evaluator.WBSNEvaluator` allocates a tower of
 frozen dataclasses per candidate — fine for one evaluation, wasteful for the
 tens of thousands the design-space exploration pushes through a batch.  This
-module "compiles" everything static about a problem once — the per-node
-descriptions, the per-domain value lookup tables, the distinct MAC
-configurations — into column arrays, and then evaluates an entire batch of
-genotypes with NumPy array kernels:
+module "compiles" everything static about a problem once and then evaluates
+an entire batch of genotypes with a handful of NumPy array operations.
 
-1. genotypes are validated into an integer index matrix ``(batch, genes)``;
-2. per-domain lookup tables turn gene columns into value columns (compression
-   ratios, clock frequencies) and the MAC genes into a row index into a
-   precompiled per-configuration table;
-3. the application models produce ``phi_out`` / resource usage / PRD columns
+The model factors by node: a node's energy, quality loss and radio time
+(equations (3)-(7)) depend only on that node's own knobs and on the MAC
+configuration.  Only slot assignment, the delay bound (9) and the balanced
+aggregate (8) couple the nodes.  The kernel exploits that split:
+
+1. at compile time, for every node, the application models
    (:class:`~repro.core.application.VectorizedApplicationModel`), the MAC
-   model produces ``Omega`` / ``Psi`` columns
-   (:class:`~repro.core.mac_abstraction.VectorizedMACModel`), the node energy
-   model evaluates equations (3)-(7) column-wise, and the slot-assignment /
-   delay-bound / equation-(8) aggregation stages run on ``(batch, nodes)``
-   matrices;
+   per-node quantities (:class:`~repro.core.mac_abstraction.VectorizedMACModel`),
+   the node energy model and the radio's transmission time run **once** over
+   every (knob combination × MAC configuration) pair of that node.  The
+   results are kept as node-major **stage tables** of total energy, quality
+   loss, required transmission time and violation count.  Size rule: per
+   node, knob combinations × MAC configurations rows (4 × 32 = 128 per node
+   on the 131,072-design sweep space, 32 × 32 = 1,024 on the default
+   space), concatenated over the nodes;
+2. a batch's ``(batch, genes)`` gene-index matrix becomes one
+   ``(nodes, batch)`` matrix of stage-table rows — the node's table offset,
+   plus its knob combination times the MAC configuration count, plus the
+   MAC configuration — and each quantity is one gather from its table;
+3. slot assignment, the delay bound and the equation-(8) aggregation run on
+   the gathered matrices, with the per-MAC-configuration scalars gathered
+   through the same MAC index;
 4. the caller materialises result objects only for the designs it keeps —
    this module returns plain column arrays, never per-design objects.
 
-**Invariant:** every kernel mirrors the scalar model operation for operation
-(same order, same epsilons, multiplication instead of ``pow``), so the fast
-path is floating-point-identical to the scalar path — same seed, same fronts,
-bit for bit — which the parity suite in ``tests/test_vectorized.py``
-enforces.  When a problem's components do not implement the column protocols
-the compile step raises :class:`VectorizedUnsupported` and callers fall back
-to the scalar path.  MAC column support is discovered through the pluggable
-``column_kernels`` hook of the MAC abstraction
+**Invariant:** every stage mirrors the scalar model operation for operation
+(same order, same epsilons, multiplication instead of ``pow``), and a stage
+table entry is the very float the per-row evaluation would compute (the
+stages are elementwise), so the fast path is floating-point-identical to the
+scalar path — same seed, same fronts, bit for bit — which the parity suite
+in ``tests/test_vectorized.py`` enforces.  When a problem's components do not
+implement the column protocols the compile step raises
+:class:`VectorizedUnsupported` and callers fall back to the scalar path.
+MAC column support is discovered through the pluggable ``column_kernels``
+hook of the MAC abstraction
 (:func:`~repro.core.mac_abstraction.resolve_mac_column_kernels`) — the kernel
 never names a concrete MAC model, so both the beacon-enabled 802.15.4 model
 and the unslotted CSMA/CA model (and any future protocol advertising
@@ -43,7 +54,7 @@ Python and allocation overhead collapses into a handful of array operations.
 The engine hands ``evaluate_columns`` only its cache misses, so warm rows
 never reach a table gather.  ``shareable_tables`` /
 ``adopt_shared_tables`` let the sharded backend
-(:mod:`repro.engine.sharded`) move the compiled lookup tables into a
+(:mod:`repro.engine.sharded`) move the stage and MAC tables into a
 ``multiprocessing.shared_memory`` arena so worker-process kernels gather
 from one shared copy.
 """
@@ -74,6 +85,14 @@ __all__ = [
     "WbsnVectorizedKernel",
     "as_row_indices",
 ]
+
+#: The per-node stage tables, by shared-table slot name.
+_STAGE_TABLES = (
+    "stage.energy_w",
+    "stage.quality_loss",
+    "stage.required_time_s",
+    "stage.violations",
+)
 
 
 def as_row_indices(rows: Any) -> np.ndarray:
@@ -134,51 +153,32 @@ class WbsnBatchColumns:
 
 @dataclass(frozen=True)
 class _NodePlan:
-    """Compiled per-node lookup tables and column hooks."""
+    """One node's knob layout and phenotype lookup table."""
 
-    description: NodeDescription
-    application: VectorizedApplicationModel
-    #: ``(column name, genotype position, value lookup table)`` per knob
-    columns: tuple[tuple[str, int, np.ndarray], ...]
-    #: name of the column carrying the microcontroller frequency
-    frequency_column: str
-    #: node-config objects over the flattened cross product of the knobs
-    config_objects: np.ndarray
-    #: stride per knob used to flatten gene indices into ``config_objects``
+    #: genotype position of each knob
+    positions: tuple[int, ...]
+    #: row-major stride of each knob over the node's knob combinations
     strides: tuple[int, ...]
-
-    def group_key(self) -> tuple:
-        """Nodes sharing this key evaluate as one ``(batch, group)`` matrix."""
-        return (
-            id(self.application),
-            id(self.description.energy_model),
-            self.description.sampling_rate_hz,
-            self.description.sample_width_bytes,
-            tuple(name for name, _, _ in self.columns),
-        )
-
-    def tables_equal(self, other: "_NodePlan") -> bool:
-        """Whether two plans share identical value lookup tables."""
-        return all(
-            np.array_equal(mine, theirs)
-            for (_, _, mine), (_, _, theirs) in zip(self.columns, other.columns)
-        )
+    #: node-config objects over the flattened knob combinations
+    config_objects: np.ndarray
 
 
 class WbsnVectorizedKernel:
     """Compiled columnar evaluator of one WBSN exploration problem.
 
     Build instances through :meth:`compile`, which validates that every
-    component supports the column protocols and precomputes the lookup
-    tables.  The kernel is stateless after compilation and therefore safe to
-    share (and to pickle alongside its problem).
+    component supports the column protocols and precomputes the stage and
+    MAC tables.  The kernel is stateless after compilation and therefore
+    safe to share (and to pickle alongside its problem).
     """
 
     def __init__(
         self,
         *,
-        network: WBSNEvaluator,
+        theta: float,
+        delay_mode: str,
         node_plans: Sequence[_NodePlan],
+        stage_tables: Mapping[str, np.ndarray],
         mac_positions: Sequence[int],
         mac_strides: Sequence[int],
         mac_configs: Sequence[Any],
@@ -198,21 +198,10 @@ class WbsnVectorizedKernel:
         # processes re-resolve the namespace on unpickle.
         self._xp = resolve_backend(array_namespace)
         self.backend_name = backend_name(self._xp)
-        self._network = network
+        self._theta = theta
+        self._delay_mode = delay_mode
         self._node_plans = tuple(node_plans)
-        # Nodes sharing application/platform/tables evaluate as one matrix:
-        # the case-study networks collapse to one group per firmware, so the
-        # per-node Python overhead becomes per-*group*.
-        groups: dict[tuple, list[int]] = {}
-        for index, plan in enumerate(self._node_plans):
-            key = plan.group_key()
-            members = groups.setdefault(key, [])
-            if members and not self._node_plans[members[0]].tables_equal(plan):
-                # Same models but different knob tables: keep separate.
-                groups[key + (index,)] = [index]
-                continue
-            members.append(index)
-        self._node_groups = tuple(tuple(members) for members in groups.values())
+        self._stage_tables = dict(stage_tables)
         self._mac_positions = tuple(mac_positions)
         self._mac_strides = tuple(mac_strides)
         self._mac_configs = tuple(mac_configs)
@@ -224,6 +213,24 @@ class WbsnVectorizedKernel:
         self._max_assignable_time_per_second = max_assignable_time_per_second
         self.objective_components = objective_components
         self.infeasibility_penalty = infeasibility_penalty
+        # Stage-table row of node n for a batch row: offset[n] plus, per
+        # knob k, gene[positions[k, n]] * strides[k, n] (strides scaled by
+        # the MAC configuration count), plus the MAC configuration.  Nodes
+        # with fewer knobs pad with a zero stride.
+        n_mac = len(self._mac_configs)
+        knob_count = max(len(plan.positions) for plan in self._node_plans)
+        positions = np.zeros((knob_count, len(self._node_plans)), dtype=np.int64)
+        strides = np.zeros_like(positions)
+        offsets = np.zeros(len(self._node_plans), dtype=np.int64)
+        offset = 0
+        for node, plan in enumerate(self._node_plans):
+            positions[: len(plan.positions), node] = plan.positions
+            strides[: len(plan.strides), node] = [s * n_mac for s in plan.strides]
+            offsets[node] = offset
+            offset += len(plan.config_objects) * n_mac
+        self._knob_positions = self._xp.asarray(positions)
+        self._knob_strides = self._xp.asarray(strides)
+        self._node_offsets = self._xp.asarray(offsets)
 
     # ------------------------------------------------------------ compile
 
@@ -297,62 +304,10 @@ class WbsnVectorizedKernel:
                 "node_parameters must describe every node of the network"
             )
 
-        node_plans: list[_NodePlan] = []
-        for index, (description, parameters) in enumerate(
-            zip(network.nodes, node_parameters)
-        ):
-            application = description.application
-            if not isinstance(application, VectorizedApplicationModel):
-                raise VectorizedUnsupported(
-                    f"application {type(application).__name__} has no column kernels"
-                )
-            if frequency_column not in parameters:
-                raise VectorizedUnsupported(
-                    f"node {index} does not expose the '{frequency_column}' column"
-                )
-            columns: list[tuple[str, int, np.ndarray]] = []
-            for name, position in parameters.items():
-                table = domains[position].float_values
-                if table is None:
-                    raise VectorizedUnsupported(
-                        f"domain at position {position} is not numeric"
-                    )
-                # Lookup tables live on the compile-time backend (a no-op
-                # view for NumPy, a device upload for accelerator backends).
-                columns.append((name, position, xp.asarray(table)))
-            # Phenotype lookup: one config object per combination of the
-            # node's knobs, addressed by the flattened gene indices.
-            cardinalities = [len(domains[pos].values) for _, pos, _ in columns]
-            strides = _strides(cardinalities)
-            objects = np.empty(int(np.prod(cardinalities)), dtype=object)
-            for flat, combo in enumerate(np.ndindex(*cardinalities)):
-                values = {
-                    name: domains[pos].values[gene]
-                    for (name, pos, _), gene in zip(columns, combo)
-                }
-                config = node_config_factory(index, values)
-                # The scalar path validates every configuration it evaluates;
-                # the batch path validates the (finite) table of reachable
-                # configurations once, here, so both paths reject the same
-                # inputs.
-                description.application.validate_config(config)
-                objects[flat] = config
-            node_plans.append(
-                _NodePlan(
-                    description=description,
-                    application=application,
-                    columns=tuple(columns),
-                    frequency_column=frequency_column,
-                    config_objects=objects,
-                    strides=strides,
-                )
-            )
-
         # Distinct MAC configurations: cross product of the MAC domains,
         # with per-configuration scalars computed through the exact scalar
         # model methods (bit-identical by construction).
         mac_cardinalities = [len(domains[pos].values) for pos in mac_positions]
-        mac_strides = _strides(mac_cardinalities)
         mac_configs: list[Any] = []
         for combo in np.ndindex(*mac_cardinalities):
             values = [
@@ -364,29 +319,98 @@ class WbsnVectorizedKernel:
         mac_config_objects = np.empty(len(mac_configs), dtype=object)
         mac_config_objects[:] = mac_configs
         mac_table = mac_columns.compile_mac_table(mac_configs, xp=xp)
-        base_time_unit = xp.asarray(
-            [mac_protocol.base_time_unit_s(c) for c in mac_configs], dtype=float
-        )
-        control_time = xp.asarray(
-            [mac_protocol.control_time_per_second(c) for c in mac_configs],
-            dtype=float,
-        )
-        max_assignable = xp.asarray(
-            [mac_protocol.max_assignable_time_per_second(c) for c in mac_configs],
-            dtype=float,
-        )
+
+        node_plans: list[_NodePlan] = []
+        stage_parts: list[tuple[np.ndarray, ...]] = []
+        for index, (description, parameters) in enumerate(
+            zip(network.nodes, node_parameters)
+        ):
+            if not isinstance(description.application, VectorizedApplicationModel):
+                raise VectorizedUnsupported(
+                    f"application {type(description.application).__name__} "
+                    "has no column kernels"
+                )
+            if frequency_column not in parameters:
+                raise VectorizedUnsupported(
+                    f"node {index} does not expose the '{frequency_column}' column"
+                )
+            tables: dict[str, np.ndarray] = {}
+            for name, position in parameters.items():
+                table = domains[position].float_values
+                if table is None:
+                    raise VectorizedUnsupported(
+                        f"domain at position {position} is not numeric"
+                    )
+                tables[name] = xp.asarray(table)
+            # Phenotype lookup: one config object per combination of the
+            # node's knobs, addressed by the flattened gene indices.
+            positions = tuple(parameters.values())
+            cardinalities = [len(domains[pos].values) for pos in positions]
+            objects = np.empty(int(np.prod(cardinalities)), dtype=object)
+            for flat, combo in enumerate(np.ndindex(*cardinalities)):
+                values = {
+                    name: domains[pos].values[gene]
+                    for (name, pos), gene in zip(parameters.items(), combo)
+                }
+                config = node_config_factory(index, values)
+                # The scalar path validates every configuration it evaluates;
+                # the batch path validates the (finite) table of reachable
+                # configurations once, here, so both paths reject the same
+                # inputs.
+                description.application.validate_config(config)
+                objects[flat] = config
+            node_plans.append(
+                _NodePlan(
+                    positions=positions,
+                    strides=_strides(cardinalities),
+                    config_objects=objects,
+                )
+            )
+            # The node's stage-table rows: every knob combination (row-major,
+            # like the phenotype table) times every MAC configuration.
+            genes = np.indices(cardinalities).reshape(len(cardinalities), -1)
+            config_columns = {
+                name: xp.repeat(tables[name][xp.asarray(column)], len(mac_configs))
+                for name, column in zip(parameters, genes)
+            }
+            mac_index = xp.tile(xp.arange(len(mac_configs)), len(objects))
+            stage_parts.append(
+                _node_stage_columns(
+                    description,
+                    config_columns,
+                    config_columns[frequency_column],
+                    mac_columns,
+                    mac_table,
+                    mac_index,
+                    xp=xp,
+                )
+            )
+
         return cls(
-            network=network,
+            theta=network.theta,
+            delay_mode=network.delay_mode,
             node_plans=node_plans,
+            stage_tables={
+                name: xp.concatenate(parts)
+                for name, parts in zip(_STAGE_TABLES, zip(*stage_parts))
+            },
             mac_positions=mac_positions,
-            mac_strides=mac_strides,
+            mac_strides=_strides(mac_cardinalities),
             mac_configs=mac_configs,
             mac_config_objects=mac_config_objects,
             mac_columns=mac_columns,
             mac_table=mac_table,
-            base_time_unit_s=base_time_unit,
-            control_time_per_second=control_time,
-            max_assignable_time_per_second=max_assignable,
+            base_time_unit_s=xp.asarray(
+                [mac_protocol.base_time_unit_s(c) for c in mac_configs], dtype=float
+            ),
+            control_time_per_second=xp.asarray(
+                [mac_protocol.control_time_per_second(c) for c in mac_configs],
+                dtype=float,
+            ),
+            max_assignable_time_per_second=xp.asarray(
+                [mac_protocol.max_assignable_time_per_second(c) for c in mac_configs],
+                dtype=float,
+            ),
             objective_components=tuple(objective_components),
             infeasibility_penalty=float(infeasibility_penalty),
             array_namespace=xp,
@@ -412,107 +436,41 @@ class WbsnVectorizedKernel:
             return WbsnBatchColumns.empty(self.n_objectives)
         xp = self._xp
         index_matrix = xp.asarray(index_matrix)
-        network = self._network
-        batch = len(index_matrix)
-        node_count = len(self._node_plans)
         mac_index = self._mac_flat_index(index_matrix, xp=xp)
-        base_time_unit = self._base_time_unit_s[mac_index]
-        control_time = self._control_time_per_second[mac_index]
-        max_assignable = self._max_assignable_time_per_second[mac_index]
-        mac_columns = self._mac_columns
-
-        energy_columns: list[np.ndarray | None] = [None] * node_count
-        quality_columns: list[np.ndarray | None] = [None] * node_count
-        required_matrix = xp.empty((batch, node_count))
-        violations = xp.zeros(batch, dtype=np.int64)
-        for members in self._node_groups:
-            plan = self._node_plans[members[0]]
-            description = plan.description
-            # One gathered (batch, group) matrix per knob: every elementwise
-            # kernel below then serves the whole group in one pass.
-            config_columns = {
-                name: xp.stack(
-                    [
-                        table[index_matrix[:, position]]
-                        for _, position, table in (
-                            self._node_plans[m].columns[knob] for m in members
-                        )
-                    ],
-                    axis=1,
-                )
-                for knob, (name, _, _) in enumerate(plan.columns)
-            }
-            app = plan.application.application_columns(
-                description.input_stream_bytes_per_second, config_columns
-            )
-            mac_quantities = mac_columns.per_node_quantity_columns(
-                app.output_stream_bytes_per_second,
-                self._mac_table,
-                mac_index[:, None],
-                xp=xp,
-            )
-            energy = description.energy_model.evaluate_columns(
-                sampling_rate_hz=description.sampling_rate_hz,
-                microcontroller_frequency_hz=config_columns[plan.frequency_column],
-                duty_cycle=app.duty_cycle,
-                memory_accesses_per_second=app.memory_accesses_per_second,
-                memory_bytes=app.memory_bytes,
-                output_stream_bytes_per_second=app.output_stream_bytes_per_second,
-                mac=mac_quantities,
-                xp=xp,
-            )
-            energy_total = energy.total_w
-            required = description.energy_model.radio.transmission_time_columns(
-                app.output_stream_bytes_per_second
-                + mac_quantities.data_overhead_bytes_per_second
-            )
-            for position, node in enumerate(members):
-                energy_columns[node] = energy_total[:, position]
-                quality_columns[node] = app.quality_loss[:, position]
-                required_matrix[:, node] = required[:, position]
-            schedulable = app.duty_cycle <= 1.0
-            violations += xp.where(schedulable, 0, 1).sum(axis=1)
-            fits_memory = xp.less_equal(
-                app.memory_bytes, description.energy_model.ram_bytes
-            )
-            if np.ndim(fits_memory) == 0:
-                # Constant footprint: one verdict for the whole group.
-                violations += 0 if bool(fits_memory) else len(members)
-            else:
-                violations += xp.where(fits_memory, 0, 1).sum(axis=1)
+        # One (nodes, batch) matrix of stage-table rows, then one gather per
+        # quantity.
+        rows = self._node_offsets[:, None] + mac_index
+        genes = index_matrix.T
+        for positions, strides in zip(self._knob_positions, self._knob_strides):
+            rows += genes[positions] * strides[:, None]
+        energy, quality, required, node_violations = (
+            self._stage_tables[name][rows] for name in _STAGE_TABLES
+        )
 
         assignment = assign_transmission_interval_columns(
-            required_matrix,
-            base_time_unit,
-            control_time,
-            max_assignable,
+            required.T,
+            self._base_time_unit_s[mac_index],
+            self._control_time_per_second[mac_index],
+            self._max_assignable_time_per_second[mac_index],
             xp=xp,
         )
-        violations += xp.where(assignment.feasible, 0, 1)
-        delays = mac_columns.worst_case_delay_columns(
-            assignment.slot_counts, self._mac_table, mac_index, xp=xp
-        )
-
+        violations = node_violations.sum(axis=0) + xp.where(assignment.feasible, 0, 1)
+        theta = self._theta
         components = {
-            "energy": lambda: balanced_aggregate_columns(
-                energy_columns, network.theta, xp=xp
-            ),
-            "quality": lambda: balanced_aggregate_columns(
-                quality_columns, network.theta, xp=xp
-            ),
+            "energy": lambda: balanced_aggregate_columns(energy, theta, xp=xp),
+            "quality": lambda: balanced_aggregate_columns(quality, theta, xp=xp),
             "delay": lambda: network_delay_metric_columns(
-                [delays[:, i] for i in range(delays.shape[1])],
-                network.delay_mode,
+                self._mac_columns.worst_case_delay_columns(
+                    assignment.slot_counts, self._mac_table, mac_index, xp=xp
+                ).T,
+                self._delay_mode,
                 xp=xp,
             ),
         }
         feasible = violations == 0
-        objective_columns = [
-            components[name]() for name in self.objective_components
-        ]
         penalised = [
             xp.where(feasible, column, column + self.infeasibility_penalty)
-            for column in objective_columns
+            for column in (components[name]() for name in self.objective_components)
         ]
         return WbsnBatchColumns(
             objectives=xp.stack(penalised, axis=1),
@@ -533,25 +491,31 @@ class WbsnVectorizedKernel:
         node_columns: list[np.ndarray] = []
         for plan in self._node_plans:
             flat = np.zeros(len(index_matrix), dtype=np.int64)
-            for (name, position, _), stride in zip(plan.columns, plan.strides):
+            for position, stride in zip(plan.positions, plan.strides):
                 flat += index_matrix[:, position] * stride
             node_columns.append(plan.config_objects[flat])
         return node_columns, self._mac_config_objects[self._mac_flat_index(index_matrix)]
+
+    @property
+    def stage_table_entries(self) -> int:
+        """Entries per stage table: over all nodes, knob combinations × MAC
+        configurations."""
+        return len(self._stage_tables[_STAGE_TABLES[0]])
 
     # ------------------------------------------- shared-memory table hooks
 
     def shareable_tables(self) -> dict[str, np.ndarray]:
         """The kernel's numeric column tables, as one flat named mapping.
 
-        These are every float table a batch evaluation gathers from: the
-        per-node knob lookup tables, the per-MAC-configuration scalar tables
-        and the compiled MAC table columns.  The sharded shared-memory
-        backend (:class:`~repro.engine.sharded.ShardedVectorizedBackend`)
-        packs them into one ``multiprocessing.shared_memory`` arena so every
-        worker's gathers read a single shared copy; feed the attached views
-        back through :meth:`adopt_shared_tables`.  Object tables (the
-        phenotype lookup objects) are deliberately excluded — workers return
-        raw columns and never materialise designs.
+        These are every table a batch evaluation gathers from: the per-node
+        stage tables, the per-MAC-configuration scalar tables and the
+        compiled MAC table columns.  The sharded shared-memory backend
+        (:class:`~repro.engine.sharded.ShardedVectorizedBackend`) packs them
+        into one ``multiprocessing.shared_memory`` arena so every worker's
+        gathers read a single shared copy; feed the attached views back
+        through :meth:`adopt_shared_tables`.  Object tables (the phenotype
+        lookup objects) are deliberately excluded — workers return raw
+        columns and never materialise designs.
         """
         tables: dict[str, np.ndarray] = {
             "mac.base_time_unit_s": self._base_time_unit_s,
@@ -559,10 +523,8 @@ class WbsnVectorizedKernel:
             "mac.max_assignable_time_per_second": (
                 self._max_assignable_time_per_second
             ),
+            **self._stage_tables,
         }
-        for node, plan in enumerate(self._node_plans):
-            for knob, (_, _, table) in enumerate(plan.columns):
-                tables[f"node{node}.knob{knob}"] = table
         if is_dataclass(self._mac_table):
             for field in fields(self._mac_table):
                 value = getattr(self._mac_table, field.name)
@@ -590,16 +552,9 @@ class WbsnVectorizedKernel:
             "mac.max_assignable_time_per_second",
             self._max_assignable_time_per_second,
         )
-        plans = []
-        for node, plan in enumerate(self._node_plans):
-            columns = tuple(
-                (name, position, tables.get(f"node{node}.knob{knob}", table))
-                for knob, (name, position, table) in enumerate(plan.columns)
-            )
-            plans.append(replace(plan, columns=columns))
-        # The group structure is index-based and the replacement tables hold
-        # identical values, so the compiled grouping stays valid as-is.
-        self._node_plans = tuple(plans)
+        self._stage_tables = {
+            name: tables.get(name, table) for name, table in self._stage_tables.items()
+        }
         if is_dataclass(self._mac_table):
             updates = {
                 field.name: tables[f"mac_table.{field.name}"]
@@ -631,6 +586,55 @@ class WbsnVectorizedKernel:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._xp = resolve_backend(self.backend_name)
+
+
+def _node_stage_columns(
+    description: NodeDescription,
+    config_columns: Mapping[str, np.ndarray],
+    frequency_hz: np.ndarray,
+    mac_columns: VectorizedMACModel,
+    mac_table: Any,
+    mac_index: np.ndarray,
+    *,
+    xp: ModuleType,
+) -> tuple[np.ndarray, ...]:
+    """One node's stage columns over aligned knob and MAC-index columns.
+
+    Returns, in :data:`_STAGE_TABLES` order, the node's total energy,
+    quality loss, required transmission time and violated node constraints
+    (schedulability, memory fit), each one entry per input row.
+    """
+    app = description.application.application_columns(
+        description.input_stream_bytes_per_second, config_columns
+    )
+    mac_quantities = mac_columns.per_node_quantity_columns(
+        app.output_stream_bytes_per_second, mac_table, mac_index, xp=xp
+    )
+    energy_model = description.energy_model
+    energy = energy_model.evaluate_columns(
+        sampling_rate_hz=description.sampling_rate_hz,
+        microcontroller_frequency_hz=frequency_hz,
+        duty_cycle=app.duty_cycle,
+        memory_accesses_per_second=app.memory_accesses_per_second,
+        memory_bytes=app.memory_bytes,
+        output_stream_bytes_per_second=app.output_stream_bytes_per_second,
+        mac=mac_quantities,
+        xp=xp,
+    )
+    required = energy_model.radio.transmission_time_columns(
+        app.output_stream_bytes_per_second
+        + mac_quantities.data_overhead_bytes_per_second
+    )
+    violations = xp.where(app.duty_cycle <= 1.0, 0, 1) + xp.where(
+        xp.less_equal(app.memory_bytes, energy_model.ram_bytes), 0, 1
+    )
+    shape = (len(mac_index),)
+    return (
+        xp.broadcast_to(energy.total_w, shape),
+        xp.broadcast_to(app.quality_loss, shape),
+        xp.broadcast_to(required, shape),
+        xp.broadcast_to(violations, shape).astype(np.int64),
+    )
 
 
 def _strides(cardinalities: Sequence[int]) -> tuple[int, ...]:

@@ -467,7 +467,7 @@ class WbsnDseProblem(OptimizationProblem):
 
         The runner-level seam entry point
         (``run_algorithm(array_backend=...)``): the kernel is recompiled so
-        its knob/MAC tables live on the new backend, and the resolved
+        its stage/MAC tables live on the new backend, and the resolved
         backend name is restamped on the engine stats.  Only available for
         problems that compiled a vectorized kernel in the first place.
         """

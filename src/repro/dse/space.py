@@ -81,6 +81,10 @@ def encode_ids(genotypes: Any, cardinalities: Sequence[int]) -> np.ndarray:
 def decode_ids(ids: Any, cardinalities: Sequence[int]) -> np.ndarray:
     """Unpack a 1-D array of design ids into an ``(ids, genes)`` matrix.
 
+    The matrix is column-major (a transposed gene-major array): each gene
+    column is contiguous, computed by one scalar floor division and one
+    scalar remainder over the ids.
+
     Raises :class:`ValueError` on non-integer or multi-dimensional input and
     on an id outside ``[0, size)``.
     """
@@ -95,7 +99,12 @@ def decode_ids(ids: Any, cardinalities: Sequence[int]) -> np.ndarray:
         raise ValueError(f"design ids must be integers, got {ids.dtype}")
     if ids.min() < 0 or ids.max() >= size:
         raise ValueError(f"design id out of range [0, {size})")
-    return (ids.astype(np.int64)[:, None] // strides) % cardinalities
+    ids = ids.astype(np.int64, copy=False)
+    genes = np.empty((len(cardinalities), len(ids)), dtype=np.int64)
+    for column, stride, cardinality in zip(genes, strides, cardinalities):
+        np.floor_divide(ids, stride, out=column)
+        np.remainder(column, cardinality, out=column)
+    return genes.T
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,10 @@ violation-count columns — never pickled ``EvaluatedDesign`` objects: loading
 is array deserialization plus one batch insert into the engine's column
 store, spilling is one export of it merged by genotype with the stored
 rows, and materialisation (when a caller wants objects at all) runs through
-the usual phenotype lookup tables.
+the usual phenotype lookup tables.  A spill reads, merges and rewrites its
+segment under an exclusive ``flock`` of the cache directory, so writers
+spilling one fingerprint at once — processes or threads — keep each
+other's rows.
 
 On-disk layout, sharing the checkpoint module's framing and durability
 discipline (:func:`~repro.engine.checkpoint.pack_blob` /
@@ -47,6 +50,7 @@ suite.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import mmap
@@ -55,9 +59,14 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    fcntl = None
 
 from repro.engine import faults
 from repro.engine.cache import component_columns, component_merge
@@ -582,36 +591,68 @@ def spill_columns(
     existing invalid segment is warned about (:class:`CacheTierWarning`)
     and overwritten.
 
+    The read, the merge and the write run under an exclusive lock on the
+    cache directory (:func:`_directory_lock`), so concurrent spills into one
+    segment — from other processes or threads — each merge the rows the
+    previous one wrote instead of dropping them.
+
     Returns the segment path, or ``None`` when there was nothing to write.
     """
     if not len(genotypes):
         return None
-    path = segment_path(cache_dir, fingerprint)
+    directory = Path(cache_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    path = segment_path(directory, fingerprint)
     columns = (genotypes, objectives, feasible, violation_counts)
-    existing = (
-        load_segment_if_valid(path, fingerprint=fingerprint) if path.exists() else None
-    )
-    rule = component_merge(
-        None if existing is None else existing.components, components
-    )
-    if rule == "keep":
-        return path
-    if rule == "union" and len(existing):
-        old = (
-            existing.genotypes,
-            existing.objectives,
-            existing.feasible,
-            existing.violation_counts,
+    with _directory_lock(directory):
+        existing = (
+            load_segment_if_valid(path, fingerprint=fingerprint)
+            if path.exists()
+            else None
         )
-        columns = tuple(map(np.concatenate, zip(columns, old)))
-    genotypes, objectives, feasible, violation_counts = columns
-    # ``save_segment`` sorts by genotype and keeps each genotype's first row.
-    return save_segment(
-        cache_dir,
-        fingerprint=fingerprint,
-        components=components,
-        genotypes=genotypes,
-        objectives=objectives,
-        feasible=feasible,
-        violation_counts=violation_counts,
-    )
+        rule = component_merge(
+            None if existing is None else existing.components, components
+        )
+        if rule == "keep":
+            return path
+        if rule == "union" and len(existing):
+            old = (
+                existing.genotypes,
+                existing.objectives,
+                existing.feasible,
+                existing.violation_counts,
+            )
+            columns = tuple(map(np.concatenate, zip(columns, old)))
+        genotypes, objectives, feasible, violation_counts = columns
+        # ``save_segment`` sorts by genotype and keeps each genotype's first
+        # row.
+        return save_segment(
+            directory,
+            fingerprint=fingerprint,
+            components=components,
+            genotypes=genotypes,
+            objectives=objectives,
+            feasible=feasible,
+            violation_counts=violation_counts,
+        )
+
+
+@contextlib.contextmanager
+def _directory_lock(directory: Path) -> Iterator[None]:
+    """Hold an exclusive advisory ``flock`` on the cache directory itself.
+
+    The lock lives on a descriptor of the directory, so no lock file ever
+    appears among the segments.  ``flock`` locks belong to the open file
+    description, so two threads of one process exclude each other as well
+    as two processes do.  Closing the descriptor releases the lock; on
+    platforms without ``fcntl`` the block runs unlocked.
+    """
+    if fcntl is None:  # pragma: no cover - non-POSIX platforms
+        yield
+        return
+    descriptor = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(descriptor, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(descriptor)

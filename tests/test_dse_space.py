@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dse.space import DesignSpace, ParameterDomain
+from repro.dse.space import DesignSpace, ParameterDomain, decode_ids
 
 
 def _space() -> DesignSpace:
@@ -125,6 +127,37 @@ class TestDesignIds:
         np.testing.assert_array_equal(space.decode_ids(ids), matrix)
         # Sequences of gene rows pack exactly like the matrix.
         np.testing.assert_array_equal(space.encode_ids(matrix.tolist()), ids)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cardinalities=st.lists(
+            st.integers(min_value=1, max_value=2**20), min_size=1, max_size=3
+        ),
+        near_limit=st.booleans(),
+        rows=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_decode_matches_the_reference_formula(
+        self, cardinalities, near_limit, rows, seed
+    ):
+        if near_limit:
+            # Stretch the leading domain: the space sits just below 2**63.
+            cardinalities[0] = (2**63 - 1) // math.prod(cardinalities[1:])
+        size = math.prod(cardinalities)
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, size, size=rows, dtype=np.int64)
+        ids[0] = size - 1
+        strides = np.asarray(
+            [math.prod(cardinalities[i + 1 :]) for i in range(len(cardinalities))],
+            dtype=np.int64,
+        )
+        expected = (ids[:, None] // strides) % np.asarray(cardinalities)
+        got = decode_ids(ids, cardinalities)
+        assert got.dtype == np.int64 and got.shape == (rows, len(cardinalities))
+        np.testing.assert_array_equal(got, expected)
+        # Unsigned ids decode the same.
+        unsigned = decode_ids(ids.astype(np.uint64), cardinalities)
+        np.testing.assert_array_equal(unsigned, expected)
 
     @pytest.mark.parametrize(
         "cardinalities", [(3, 2, 4), (1, 5, 1, 2), (7,), (2, 2, 2, 2, 2, 2)]

@@ -23,6 +23,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import threading
 import warnings
 from collections import OrderedDict
 from pathlib import Path
@@ -48,6 +49,7 @@ from repro.engine import (
     save_segment,
     segment_path,
 )
+from repro.engine import persist
 from repro.engine.checkpoint import pack_blob
 from repro.engine.persist import (
     SEGMENT_MAGIC,
@@ -616,6 +618,138 @@ class TestSegmentFaultInjection:
         warm = sweep(warm_engine)
         assert front_signature(warm.front) == reference_front("beacon")
         assert warm_engine.stats.model_evaluations == 0
+
+
+# --------------------------------------------------------------------------
+# Concurrent spills: every writer's rows survive.
+
+#: A spill writer: evaluates its quarter of the 64-design space, waits until
+#: every writer is ready, then spills.  Its segment write waits until every
+#: writer has read the segment (or a second has passed), so spills without
+#: mutual exclusion all merge into the same stale segment.
+_SPILL_WRITER = """
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from test_faults import beacon_problem
+from repro.engine import EvaluationEngine, persist
+
+writer, writers = int(sys.argv[1]), int(sys.argv[2])
+cache, barrier = Path(sys.argv[3]), Path(sys.argv[4])
+
+
+def arrive(stage, timeout_s):
+    (barrier / f"{stage}-{writer}").touch()
+    deadline = time.monotonic() + timeout_s
+    while len(list(barrier.glob(f"{stage}-*"))) < writers:
+        if time.monotonic() > deadline:
+            return
+        time.sleep(0.005)
+
+
+save_segment = persist.save_segment
+
+
+def save_after_every_read(*args, **kwargs):
+    arrive("read", 1.0)
+    return save_segment(*args, **kwargs)
+
+
+persist.save_segment = save_after_every_read
+engine = EvaluationEngine(cache_dir=cache)
+problem = beacon_problem(engine)
+quarter = problem.space.size // writers
+ids = np.arange(writer * quarter, (writer + 1) * quarter)
+problem.evaluate_batch_columns(problem.space.decode_ids(ids))
+arrive("ready", 60.0)
+engine.close()
+"""
+
+
+class TestConcurrentSpills:
+    def test_simultaneous_spills_keep_every_writers_rows(self, tmp_path):
+        writers = 4
+        cache, barrier = tmp_path / "cache", tmp_path / "barrier"
+        barrier.mkdir()
+        processes = [
+            subprocess.Popen(
+                [
+                    sys.executable,
+                    "-c",
+                    _SPILL_WRITER,
+                    str(writer),
+                    str(writers),
+                    str(cache),
+                    str(barrier),
+                ],
+                env=subprocess_env(),
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for writer in range(writers)
+        ]
+        for process in processes:
+            _, stderr = process.communicate(timeout=120)
+            assert process.returncode == 0, stderr
+        assert len(list(barrier.glob("read-*"))) == writers
+
+        # A fresh engine loads the union of the four disjoint quarters.
+        names = [path.name for path in cache.iterdir()]
+        assert len(names) == 1 and names[0].endswith(SEGMENT_SUFFIX), names
+        warm_engine = EvaluationEngine(cache_dir=cache)
+        warm = sweep(warm_engine)
+        assert warm_engine.stats.rows_loaded_from_disk == 64
+        assert warm_engine.stats.model_evaluations == 0
+        assert front_signature(warm.front) == reference_front("beacon")
+
+    def test_threads_spilling_at_once_keep_every_row(self, tmp_path, monkeypatch):
+        # The lock is the directory descriptor's flock, which excludes two
+        # threads of one process as well.  Each write again waits until
+        # every writer has read (or the barrier times out because the
+        # writers are serialised).
+        writers = 8
+        barrier = threading.Barrier(writers)
+        save_segment = persist.save_segment
+
+        def save_after_every_read(*args, **kwargs):
+            try:
+                barrier.wait(timeout=1.0)
+            except threading.BrokenBarrierError:
+                pass
+            return save_segment(*args, **kwargs)
+
+        monkeypatch.setattr(persist, "save_segment", save_after_every_read)
+        rows = [
+            {
+                (writer, gene): ((float(writer), float(gene), 0.0), True, 0)
+                for gene in range(4)
+            }
+            for writer in range(writers)
+        ]
+        errors: list[Exception] = []
+
+        def writer_spill(writer_rows):
+            try:
+                spill(tmp_path, writer_rows)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=writer_spill, args=(writer_rows,))
+            for writer_rows in rows
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+        union = {key: row for writer_rows in rows for key, row in writer_rows.items()}
+        assert segment_rows(load_segment(segment_path(tmp_path, FP))) == union
 
 
 # --------------------------------------------------------------------------
