@@ -157,7 +157,7 @@ def _front_signature(front):
 
 
 def _uncached_engine():
-    return EvaluationEngine(genotype_cache=False, node_cache=False)
+    return EvaluationEngine(genotype_cache=False)
 
 
 @pytest.mark.paper_figure("dse-speed")
@@ -483,7 +483,7 @@ def test_sharded_exhaustive_sweep_never_falls_back(reporter):
     sweep_times = []
     columns_times = []
     with EvaluationEngine(
-        genotype_cache=False, node_cache=False, backend="sharded", max_workers=workers
+        genotype_cache=False, backend="sharded", max_workers=workers
     ) as engine:
         problem = WbsnDseProblem(
             build_case_study_evaluator(), **SWEEP_DOMAINS, engine=engine
@@ -1064,7 +1064,7 @@ def main() -> None:
     # O(space) memory, which is exactly what this bench must rule out.
     problem = WbsnDseProblem(
         build_case_study_evaluator(n_nodes=spec["n_nodes"]),
-        engine=EvaluationEngine(genotype_cache=False, node_cache=False),
+        engine=EvaluationEngine(genotype_cache=False),
     )
     report = {"mode": spec["mode"], "space_size": problem.space.size}
     if spec["mode"] == "baseline":

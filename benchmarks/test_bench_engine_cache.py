@@ -1,11 +1,9 @@
 """Benchmark ENGINE-CACHE — cached vs uncached NSGA-II exploration throughput.
 
-The evaluation engine memoises two levels of the analytical model: whole
-designs by genotype and the pure per-node stage by ``(node, chi_node,
-chi_mac)``.  On the Figure-5 case study the per-node knob settings repeat
-massively across candidates, so a cached exploration should (a) execute
-measurably fewer raw model evaluations than the designs it serves, with a
-node-stage cache hit rate above 30 %, and (b) return bitwise-identical
+The evaluation engine memoises whole designs by genotype.  An elitist
+NSGA-II run on the Figure-5 case study re-requests many genotypes, so a
+cached exploration should (a) execute measurably fewer raw model
+evaluations than the designs it serves, and (b) return bitwise-identical
 fronts — caching is a pure optimisation, never a semantic change.
 """
 
@@ -26,10 +24,10 @@ def _run(cached: bool):
     engine = (
         EvaluationEngine()
         if cached
-        else EvaluationEngine(genotype_cache=False, node_cache=False)
+        else EvaluationEngine(genotype_cache=False)
     )
-    # This benchmark measures the *scalar* path's cache levels; the columnar
-    # fast path (benchmarked in test_bench_dse_speed) bypasses node stages.
+    # This benchmark measures the *scalar* path's genotype cache; the
+    # columnar fast path is benchmarked in test_bench_dse_speed.
     problem = WbsnDseProblem(
         build_case_study_evaluator(theta=0.5), engine=engine, vectorized=False
     )
@@ -51,9 +49,6 @@ def test_cached_nsga2_throughput(benchmark, reporter):
             f"model evaluations: cached {stats.model_evaluations} vs "
             f"uncached {uncached.engine_stats.model_evaluations}",
             f"genotype-cache hit rate: {stats.genotype_cache_hit_rate * 100:.0f}%",
-            f"node-stage cache hit rate: {stats.node_cache_hit_rate * 100:.0f}% "
-            f"({stats.node_model_calls} raw node calls for "
-            f"{stats.node_stage_requests} stage requests)",
             f"throughput: {result.evaluations_per_second:.0f} served/s vs "
             f"{uncached.evaluations_per_second:.0f} uncached",
         ],
@@ -67,6 +62,4 @@ def test_cached_nsga2_throughput(benchmark, reporter):
     assert result.evaluations == uncached.evaluations
     # ...but the cached run does measurably less raw model work.
     assert stats.model_evaluations < result.evaluations
-    assert stats.node_cache_hit_rate > 0.30
-    assert stats.node_model_calls < stats.node_stage_requests
     assert uncached.engine_stats.model_evaluations == uncached.evaluations

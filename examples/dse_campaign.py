@@ -48,8 +48,8 @@ from repro.shimmer import BatteryModel
 
 def main(cache_dir: str | None = None, cache_budget_mb: float | None = None) -> None:
     evaluator = build_case_study_evaluator()
-    # Engines own real resources (worker pools, shared-memory segments with
-    # the "process"/"sharded" backends); run_algorithm(close_engine=True)
+    # Engines own real resources (a worker pool and shared-memory segments
+    # with the "sharded" backend); run_algorithm(close_engine=True)
     # releases them deterministically when the run finishes, even on failure.
     # With a cache_dir the engine also warm-starts from (and, on close,
     # spills to) the persistent cache tier, so repeated campaigns reuse
@@ -69,9 +69,8 @@ def main(cache_dir: str | None = None, cache_budget_mb: float | None = None) -> 
         f"{result.model_evaluations} raw model evaluations)"
     )
     print(
-        "evaluation-engine caches: "
-        f"genotype hit rate {result.engine_stats.genotype_cache_hit_rate * 100:.0f}%, "
-        f"node-stage hit rate {result.engine_stats.node_cache_hit_rate * 100:.0f}%"
+        "evaluation-engine cache: "
+        f"genotype hit rate {result.engine_stats.genotype_cache_hit_rate * 100:.0f}%"
     )
     if cache_dir is not None:
         # The engine loads the segment at bind time (before the timed run),

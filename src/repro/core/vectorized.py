@@ -46,8 +46,8 @@ never names a concrete MAC model, so both the beacon-enabled 802.15.4 model
 and the unslotted CSMA/CA model (and any future protocol advertising
 kernels) take the same fast path.
 
-When does each path win?  The scalar path (plus the engine's node-stage
-cache) is right for single evaluations and tiny batches; the columnar path
+When does each path win?  The scalar path is right for single evaluations
+and tiny batches; the columnar path
 wins as soon as batches reach tens of genotypes, because the per-candidate
 Python and allocation overhead collapses into a handful of array operations.
 

@@ -19,8 +19,8 @@ minutes instead of months.  This package provides the exploration machinery:
 
 Every algorithm evaluates through the shared
 :class:`~repro.engine.EvaluationEngine` (see :mod:`repro.engine`): problems
-expose a batch path (``evaluate_batch``) backed by a genotype memo cache and
-a node-level result cache, and the runner reports cache-aware throughput.
+expose a batch path (``evaluate_batch``) backed by a genotype memo cache,
+and the runner reports cache-aware throughput.
 """
 
 from repro.dse.space import DesignSpace, ParameterDomain

@@ -11,7 +11,7 @@ produced first (selection and variation never look at a child's objectives)
 and then evaluated as one batch through
 :meth:`~repro.dse.problem.OptimizationProblem.evaluate_batch`, so the shared
 evaluation engine can deduplicate, serve cache hits and push the misses
-through its vectorized fast path (or its scalar execution backend).
+through its vectorized fast path (or the scalar model).
 Duplicate-genotype memoisation is the engine's job — the algorithm no longer
 carries a private cache.  Selection itself leans on the NumPy Pareto kernels
 of :mod:`repro.dse.pareto`: non-dominated sorting and crowding run on

@@ -28,11 +28,7 @@ from repro.core.vectorized import (
     WbsnVectorizedKernel,
 )
 from repro.dse.space import DesignSpace, ParameterDomain
-from repro.engine import (
-    CachedNetworkEvaluator,
-    ColumnarBatchResult,
-    EvaluationEngine,
-)
+from repro.engine import ColumnarBatchResult, EvaluationEngine
 from repro.mac802154.config import Ieee802154MacConfig
 from repro.mac802154.csma import CsmaMacConfig
 from repro.shimmer.platform import ShimmerNodeConfig
@@ -239,7 +235,7 @@ class WbsnDseProblem(OptimizationProblem):
             (used by the Figure 5 experiment to extract the overall
             non-dominated set seen during a run).
         engine: the :class:`~repro.engine.EvaluationEngine` routing every
-            evaluation (a private serial engine with both cache levels is
+            evaluation (a private serial engine with the genotype cache is
             created if omitted).
         vectorized: compile the columnar fast-path kernel for this problem
             so the engine can evaluate whole batches with NumPy array
@@ -266,12 +262,7 @@ class WbsnDseProblem(OptimizationProblem):
         array_backend: str | ModuleType | None = None,
     ) -> None:
         self.engine = engine if engine is not None else EvaluationEngine()
-        self.evaluator = CachedNetworkEvaluator(
-            evaluator,
-            stats=self.engine.stats,
-            enabled=self.engine.node_cache_enabled,
-            max_entries=self.engine.node_cache_max_entries,
-        )
+        self.evaluator = evaluator
         self.n_nodes = len(evaluator.nodes)
         self.compression_ratios = tuple(compression_ratios)
         self.frequencies_hz = tuple(frequencies_hz)
@@ -501,8 +492,7 @@ class WbsnDseProblem(OptimizationProblem):
         columns projected per problem.  Returns ``None`` when the model is
         not canonically serialisable (no sharing, never wrong sharing).
         """
-        raw = self.evaluator.wrapped
-        network = getattr(raw, "full_evaluator", raw)
+        network = getattr(self.evaluator, "full_evaluator", self.evaluator)
         try:
             payload = pickle.dumps(
                 (
@@ -601,8 +591,7 @@ class WbsnDseProblem(OptimizationProblem):
         self, array_backend: str | ModuleType | None = None
     ) -> WbsnVectorizedKernel | None:
         """Compile the columnar kernel, or fall back for unsupported models."""
-        raw = self.evaluator.wrapped
-        network = getattr(raw, "full_evaluator", raw)
+        network = getattr(self.evaluator, "full_evaluator", self.evaluator)
         mac_domain_count = len(self.mac_parameterisation.domains)
         try:
             return WbsnVectorizedKernel.compile(

@@ -6,7 +6,7 @@ many designs from cache, so the result distinguishes *designs served* (the
 ``evaluations`` counter every algorithm consumes) from *model evaluations*
 (genotype-cache misses that actually ran the model), and reports both
 throughputs; the attached :class:`~repro.engine.EngineStats` delta also
-carries the node-level cache counters underneath.
+carries the engine's path and recovery counters.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Shared evaluation engine: batching, two-level caching, instrumentation.
+"""Shared evaluation engine: batching, caching, instrumentation.
 
 The paper's product is evaluation throughput — an analytical model fast
 enough to let multi-objective search sweep thousands of WBSN configurations
@@ -7,23 +7,23 @@ serving component every search algorithm shares:
 
 * :mod:`repro.engine.engine` — :class:`EvaluationEngine`, the genotype-level
   column store and the batch API ``evaluate_many_columnar``, which routes
-  misses to either the vectorized fast path or a pluggable scalar
-  execution backend and serves the batch as a :class:`ColumnarBatchResult`
-  of raw columns, so sweeps can prune before materialising any design
-  object (``evaluate_many`` / ``evaluate`` build designs from the rows on
-  demand);
-* :mod:`repro.engine.cache` — :class:`CachedNetworkEvaluator`, the node-level
-  cache over the evaluator's pure per-node stage, optionally bounded by an
-  LRU eviction policy (``max_entries``); and :class:`SharedGenotypeCache`,
-  the cross-problem column rows, one design-id-keyed store per evaluator
-  fingerprint (problems sharing evaluation semantics but differing in
-  objective sets — the Figure-5 full/baseline pair — serve each other's
-  computed rows, projected onto each problem's objective components);
-* :mod:`repro.engine.backends` — ``serial`` (default) and ``process``
-  (chunked worker pool) execution backends for the scalar path;
+  misses to the problem's column kernel (in-process or on the worker pool)
+  or, for problems without one, to the in-process scalar model, and serves
+  the batch as a :class:`ColumnarBatchResult` of raw columns, so sweeps can
+  prune before materialising any design object (``evaluate_many`` /
+  ``evaluate`` build designs from the rows on demand);
+* :mod:`repro.engine.cache` — the :class:`~repro.engine.cache.ColumnStore` memo and
+  :class:`SharedGenotypeCache`, the cross-problem column rows, one
+  design-id-keyed store per evaluator fingerprint (problems sharing
+  evaluation semantics but differing in objective sets — the Figure-5
+  full/baseline pair — serve each other's computed rows, projected onto
+  each problem's objective components);
+* :mod:`repro.engine.backends` — the backend names (``"serial"``, no pool,
+  the default; ``"sharded"``, the worker pool) and the pool's failure
+  vocabulary (:class:`RetryPolicy` and the recovery errors);
 * :mod:`repro.engine.sharded` — :class:`ShardedVectorizedBackend`
-  (``backend="sharded"``), the multi-core columnar path: batch index
-  matrices and the kernel's column tables live in
+  (``backend="sharded"``), the one worker pool and the multi-core columnar
+  path: batch index matrices and the kernel's column tables live in
   ``multiprocessing.shared_memory``, miss rows are sharded across workers,
   and results are reassembled in submission order (bitwise identical to the
   in-process kernel);
@@ -44,8 +44,8 @@ serving component every search algorithm shares:
   checkpoint module's atomic-write and validation discipline, so repeated
   campaigns warm-start across processes with bitwise-identical fronts.
 
-Failure semantics: pool-dispatching backends retry failed batches on fresh
-pools under a configurable :class:`RetryPolicy` (exponential backoff,
+Failure semantics: the worker pool retries failed batches on fresh pools
+under a configurable :class:`RetryPolicy` (exponential backoff,
 optional per-batch deadline raising :class:`EngineTimeoutError`); a batch
 that exhausts its attempts (:class:`WorkerRecoveryExhausted`) degrades to
 the engine's in-process ladder — serial kernel, then scalar — with bitwise
@@ -57,33 +57,26 @@ goes through ``evaluate_many_columnar``, whose misses go to the problem's
 compiled columnar kernel (:mod:`repro.core.vectorized`) when it offers one —
 whole batches evaluated with NumPy array kernels, in-process by default or
 sharded over shared memory with ``backend="sharded"``, the right choice for
-sweeps and population-based search — and to the scalar per-design path
-otherwise (problems without a kernel, non-columnar process backends).
-Single evaluations are computed in-process by the scalar model.  All paths
-are floating-point-identical, so the choice is purely about throughput.
+sweeps and population-based search — and to the in-process scalar model,
+one design at a time, otherwise.  Single evaluations are computed
+in-process by the scalar model.  All paths are floating-point-identical,
+so the choice is purely about throughput.
 
-Two cache levels, two reuse patterns: the *genotype* cache pays off when the
-same full configuration recurs (elitist populations, annealing walks
-revisiting states, cross-algorithm runs on one problem); the *node* cache
-pays off between *distinct* configurations that share per-node knob settings
-on the scalar path — two candidates differing in one node's compression
-ratio share every other node's energy/quality/MAC results.  The node cache
-never fields vectorized requests (the kernel recomputes columns wholesale,
-cheaper than hashing per-node keys).  Pick the ``process`` backend only for
-large batches of expensive evaluations; the analytical model is usually too
-cheap for IPC to win (see :mod:`repro.engine.backends`).
+The genotype cache pays off when the same full configuration recurs
+(elitist populations, annealing walks revisiting states, cross-algorithm
+runs on one problem).  Reuse *between* distinct configurations that share
+per-node knob settings is compiled into the column kernel instead: its
+stage tables hold every per-node result once (:mod:`repro.core.vectorized`).
 """
 
 from repro.engine.backends import (
     EngineDegradationWarning,
     EngineTimeoutError,
-    ProcessBackend,
     RetryPolicy,
-    SerialBackend,
     WorkerRecoveryExhausted,
     make_backend,
 )
-from repro.engine.cache import CachedNetworkEvaluator, SharedGenotypeCache
+from repro.engine.cache import SharedGenotypeCache
 from repro.engine.checkpoint import (
     CheckpointError,
     CheckpointWarning,
@@ -118,11 +111,8 @@ from repro.engine.stats import EngineStats
 __all__ = [
     "EvaluationEngine",
     "ColumnarBatchResult",
-    "CachedNetworkEvaluator",
     "SharedGenotypeCache",
     "EngineStats",
-    "SerialBackend",
-    "ProcessBackend",
     "ShardedVectorizedBackend",
     "make_backend",
     "RetryPolicy",

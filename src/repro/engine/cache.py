@@ -1,46 +1,23 @@
 """Caching building blocks of the evaluation engine.
 
-Three caches live here:
+Two caches live here:
 
-* :class:`CachedNetworkEvaluator` — the node-level (per-stage) cache wrapped
-  around a network evaluator;
 * :class:`ColumnStore` — the engine's memo of raw column rows, keyed by
   packed design ids and operated on whole batches at a time;
 * :class:`SharedGenotypeCache` — cross-problem column rows, one
   :class:`ColumnStore` per evaluator fingerprint, letting problems that
   share evaluation semantics but differ in objective sets (the Figure-5
   full/baseline pair) serve each other's computed rows.
-
-The per-node stage of :class:`~repro.core.evaluator.WBSNEvaluator` is a pure
-function of ``(node_index, chi_node, chi_mac)`` — all hashable, frozen
-dataclasses — and it dominates the cost of a full-network evaluation.  During
-an exploration the same per-node knob settings recur massively across
-candidates (two candidates that differ only in node 3's compression ratio
-share five of six node stages), so memoising the stage avoids most of the raw
-model work.  The :class:`CachedNetworkEvaluator` mirrors the evaluator API
-(``nodes`` / ``evaluate`` / ``objective_vector``) and can therefore be dropped
-in anywhere a plain evaluator is used; the network-aggregation stage (slot
-assignment, delay bound, objective aggregation) is recomputed every time, as
-it depends on the whole configuration.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from itertools import repeat
-from typing import Any, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
-from repro.core.baseline import EnergyDelayBaselineEvaluator
-from repro.core.evaluator import (
-    NetworkEvaluation,
-    NodeStageResult,
-    WBSNEvaluator,
-)
-from repro.engine.stats import EngineStats
-
-__all__ = ["CachedNetworkEvaluator", "ColumnStore", "SharedGenotypeCache"]
+__all__ = ["ColumnStore", "SharedGenotypeCache"]
 
 #: Recency stamp of a dead (evicted) arena slot: never the least recent.
 _DEAD = np.iinfo(np.int64).max
@@ -359,112 +336,3 @@ class SharedGenotypeCache:
     def clear(self) -> None:
         """Drop every shared row."""
         self._stores.clear()
-
-
-class CachedNetworkEvaluator:
-    """Evaluator wrapper memoising the pure per-node stage.
-
-    Args:
-        evaluator: a :class:`~repro.core.evaluator.WBSNEvaluator` or
-            :class:`~repro.core.baseline.EnergyDelayBaselineEvaluator`; the
-            wrapper keeps the wrapped evaluator's objective vector, so the
-            baseline stays a two-objective model.
-        stats: counters to feed (``node_stage_requests``, ``node_cache_hits``,
-            ``node_model_calls``); a private instance is created if omitted.
-        enabled: when ``False`` the wrapper still counts raw model calls but
-            never stores nor serves cached stages (used by cache-ablation
-            runs, which must reproduce the uncached behaviour exactly).
-        max_entries: optional bound on the number of memoised stages.  When
-            set, the cache evicts its least-recently-used entry on overflow
-            (long campaigns over huge spaces otherwise grow the cache without
-            bound); evictions are counted in
-            ``stats.node_cache_evictions``.  ``None`` keeps the cache
-            unbounded.
-    """
-
-    def __init__(
-        self,
-        evaluator: WBSNEvaluator | EnergyDelayBaselineEvaluator,
-        stats: EngineStats | None = None,
-        enabled: bool = True,
-        max_entries: int | None = None,
-    ) -> None:
-        if max_entries is not None and max_entries <= 0:
-            raise ValueError("max_entries must be positive (or None)")
-        self._evaluator = evaluator
-        # The baseline delegates its model machinery to the full evaluator;
-        # the node-stage split lives there.
-        self._network: WBSNEvaluator = getattr(evaluator, "full_evaluator", evaluator)
-        self.stats = stats if stats is not None else EngineStats()
-        self.enabled = enabled
-        self.max_entries = max_entries
-        self._cache: OrderedDict[tuple[int, Any, Any], NodeStageResult] = OrderedDict()
-
-    # ------------------------------------------------------------------ API
-
-    @property
-    def nodes(self):
-        """The node descriptions of the wrapped evaluator."""
-        return self._evaluator.nodes
-
-    @property
-    def wrapped(self) -> WBSNEvaluator | EnergyDelayBaselineEvaluator:
-        """The evaluator this wrapper caches for."""
-        return self._evaluator
-
-    @property
-    def cache_size(self) -> int:
-        """Number of memoised per-node stage results."""
-        return len(self._cache)
-
-    def clear_cache(self) -> None:
-        """Drop every memoised node stage."""
-        self._cache.clear()
-
-    def evaluate(
-        self, node_configs: Sequence[Any], mac_config: Any
-    ) -> NetworkEvaluation:
-        """Evaluate a candidate, reusing memoised per-node stages."""
-        network = self._network
-        if len(node_configs) != len(network.nodes):
-            raise ValueError(
-                f"expected {len(network.nodes)} node configurations, "
-                f"got {len(node_configs)}"
-            )
-        network.mac_protocol.validate_config(mac_config)
-        stats = self.stats
-        stages: list[NodeStageResult] = []
-        for index, node_config in enumerate(node_configs):
-            stats.node_stage_requests += 1
-            key = (index, node_config, mac_config)
-            stage = self._cache.get(key) if self.enabled else None
-            if stage is None:
-                stage = network.evaluate_node_stage(index, node_config, mac_config)
-                stats.node_model_calls += 1
-                if self.enabled:
-                    self._cache[key] = stage
-                    if (
-                        self.max_entries is not None
-                        and len(self._cache) > self.max_entries
-                    ):
-                        self._cache.popitem(last=False)
-                        stats.node_cache_evictions += 1
-            else:
-                if self.max_entries is not None:
-                    self._cache.move_to_end(key)
-                stats.node_cache_hits += 1
-            stages.append(stage)
-        return network.aggregate(stages, mac_config)
-
-    def objective_vector(self, evaluation: NetworkEvaluation) -> tuple[float, ...]:
-        """The wrapped evaluator's objective vector (2 or 3 components)."""
-        return tuple(self._evaluator.objective_vector(evaluation))
-
-    # ------------------------------------------------------------- pickling
-
-    def __getstate__(self) -> dict[str, Any]:
-        # Worker processes rebuild their own node cache; shipping the parent's
-        # (potentially large) cache would only bloat the pickled payload.
-        state = self.__dict__.copy()
-        state["_cache"] = OrderedDict()
-        return state

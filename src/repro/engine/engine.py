@@ -27,11 +27,6 @@ owns every cross-cutting evaluation concern:
   on close (:mod:`repro.engine.persist`), so repeated campaigns warm-start
   across processes — a fully covered sweep re-runs without any model
   evaluation, bitwise identical to its cold run;
-* **node-level cache** — below a genotype miss, the pure per-node stage of
-  the evaluator is memoised by the problem's
-  :class:`~repro.engine.cache.CachedNetworkEvaluator` (optionally bounded by
-  an LRU policy), so distinct candidates that share per-node knob settings
-  reuse node energy/quality/MAC results;
 * **batching into columns** — :meth:`EvaluationEngine.evaluate_many_columnar`
   deduplicates a batch, serves its cached rows and dispatches only the
   misses, returning a :class:`ColumnarBatchResult` of raw columns
@@ -53,32 +48,32 @@ owns every cross-cutting evaluation concern:
 One method, :meth:`EvaluationEngine._compute_columns`, dispatches a batch's
 misses to one of three compute paths:
 
-* the **in-process kernel** (default, when the problem opts in by exposing
-  ``compute_columns_batch`` / ``supports_vectorized``): the whole miss set
-  is evaluated column-wise by the problem's compiled NumPy kernel
-  (:mod:`repro.core.vectorized`) in one call.  Cached rows never reach the
-  column gather (counted in ``EngineStats.rows_skipped_cached``);
+* the **scalar loop**, for problems without a compiled kernel: one
+  in-process ``problem.compute_design`` per miss, flattened into columns —
+  on either backend, since shipping single designs to a pool costs more
+  than the model;
+* the **in-process kernel** (the default ``"serial"`` backend, when the
+  problem opts in by exposing ``compute_columns_batch`` /
+  ``supports_vectorized``): the whole miss set is evaluated column-wise by
+  the problem's compiled NumPy kernel (:mod:`repro.core.vectorized`) in one
+  call.  Cached rows never reach the column gather (counted in
+  ``EngineStats.rows_skipped_cached``);
 * the **sharded kernel** (``backend="sharded"``): the same kernel, but the
-  miss matrix is placed in shared memory and sharded across a worker pool
+  miss matrix is placed in shared memory and sharded across the worker pool
   (:class:`~repro.engine.sharded.ShardedVectorizedBackend`) — multi-core
   column kernels for huge uncached batches, reassembled in submission order
   and therefore bitwise identical to the in-process kernel.  With the
   ``prune_to_front`` hint, workers also prune their shards before shipping
-  columns back;
-* the **scalar path**: misses are chunked and dispatched to a pluggable
-  execution backend (``"serial"`` in-process, ``"process"`` pool — see
-  :mod:`repro.engine.backends`), computing one design at a time through the
-  node-stage cache, then flattened into columns.  Problems without a kernel
-  and engines with a non-columnar, non-serial backend take this path.
+  columns back.
 
 All paths are floating-point-identical by construction (the parity suite
 enforces it), so switching between them is a pure performance decision.
 
-Pool failures never change results either: a batch whose backend exhausts
+Pool failures never change results either: a batch whose pool exhausts
 its :class:`~repro.engine.backends.RetryPolicy` is served by the in-process
-**degradation ladder** (serial kernel, then scalar path — see
-``degrade_on_failure``), and backend recovery counters are drained into the
-engine's stats after every dispatch, so worker crashes, retries and
+**degradation ladder** (serial kernel, then the scalar loop — see
+``degrade_on_failure``), and the pool's recovery counters are drained into
+the engine's stats after every dispatch, so worker crashes, retries and
 degradations all surface in ``EngineStats``.
 
 The engine computes raw results through ``problem.compute_design`` /
@@ -103,7 +98,6 @@ from repro.core.vectorized import WbsnBatchColumns, as_row_indices
 from repro.engine import faults
 from repro.engine.backends import (
     EngineDegradationWarning,
-    ExecutionBackend,
     RetryPolicy,
     WorkerRecoveryExhausted,
     make_backend,
@@ -119,6 +113,7 @@ from repro.engine.stats import EngineStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
     from repro.dse.problem import EvaluatedDesign
+    from repro.engine.sharded import ShardedVectorizedBackend
 
 __all__ = ["ColumnarBatchResult", "EvaluationEngine"]
 
@@ -205,35 +200,27 @@ class ColumnarBatchResult:
 
 
 class EvaluationEngine:
-    """Batched, two-level-cached evaluation of genotypes.
+    """Batched, cached evaluation of genotypes.
 
     Args:
         genotype_cache: memoise every computed row by genotype.
-        node_cache: let the problem's node-level cache store per-node stages
-            (the problem reads this flag when wrapping its evaluator).
-        node_cache_max_entries: optional LRU bound on the node-level cache
-            (the problem reads it when wrapping its evaluator); ``None``
-            keeps the cache unbounded.
-        vectorized: route batch misses through the problem's columnar kernel
-            when it offers one (in-process for the serial backend, sharded
-            across workers for the ``"sharded"`` backend).  ``False`` forces
-            the scalar path everywhere — results are identical either way.
-        backend: ``"serial"``, ``"process"``, ``"sharded"`` or a backend
-            instance (``max_workers`` must be ``None`` with an instance).
-        max_workers: pool size for the ``"process"``/``"sharded"`` backends.
-        retry_policy: recovery budget of the pool-dispatching backends (see
+        backend: ``"serial"`` (no pool: every miss is computed in-process),
+            ``"sharded"`` (the worker pool for kernel batches) or a
+            :class:`~repro.engine.sharded.ShardedVectorizedBackend` instance
+            (``max_workers`` must be ``None`` with an instance).
+        max_workers: pool size of the ``"sharded"`` backend.
+        retry_policy: recovery budget of the worker pool (see
             :class:`~repro.engine.backends.RetryPolicy`); ``None`` keeps the
-            backend default.  Like ``max_workers``, only valid when the
-            engine constructs the backend from a name.
-        degrade_on_failure: when a batch exhausts the backend's retry policy
+            pool's default.  Like ``max_workers``, only valid when the
+            engine constructs the pool from a name.
+        degrade_on_failure: when a batch exhausts the pool's retry policy
             (:class:`~repro.engine.backends.WorkerRecoveryExhausted`), serve
             it on the in-process degradation ladder — serial kernel, then
-            scalar path — instead of propagating.  Results are bitwise
+            the scalar loop — instead of propagating.  Results are bitwise
             identical on every rung; each degraded batch is counted in
             ``EngineStats.degraded_batches`` and announced with an
             :class:`~repro.engine.backends.EngineDegradationWarning`.
             ``False`` propagates the failure to the caller.
-        chunk_size: genotypes per backend work unit on the scalar path.
         stats: counters to feed; a private instance is created if omitted.
         shared_cache: a :class:`~repro.engine.cache.SharedGenotypeCache`
             shared (by reference) with other engines whose problems have the
@@ -264,32 +251,20 @@ class EvaluationEngine:
         self,
         *,
         genotype_cache: bool = True,
-        node_cache: bool = True,
-        node_cache_max_entries: int | None = None,
-        vectorized: bool = True,
-        backend: str | ExecutionBackend = "serial",
+        backend: "str | ShardedVectorizedBackend" = "serial",
         max_workers: int | None = None,
         retry_policy: RetryPolicy | None = None,
         degrade_on_failure: bool = True,
-        chunk_size: int = 64,
         stats: EngineStats | None = None,
         shared_cache: SharedGenotypeCache | None = None,
         column_memo_max_entries: int | None = None,
         cache_dir: str | Path | None = None,
     ) -> None:
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
-        if node_cache_max_entries is not None and node_cache_max_entries <= 0:
-            raise ValueError("node_cache_max_entries must be positive (or None)")
         if column_memo_max_entries is not None and column_memo_max_entries <= 0:
             raise ValueError("column_memo_max_entries must be positive (or None)")
         self.genotype_cache_enabled = bool(genotype_cache)
-        self.node_cache_enabled = bool(node_cache)
-        self.node_cache_max_entries = node_cache_max_entries
         self.column_memo_max_entries = column_memo_max_entries
-        self.vectorized_enabled = bool(vectorized)
         self.degrade_on_failure = bool(degrade_on_failure)
-        self.chunk_size = chunk_size
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.backend = make_backend(
             backend, max_workers=max_workers, retry_policy=retry_policy
@@ -326,9 +301,10 @@ class EvaluationEngine:
             # Surface which array-backend namespace computes the columns so
             # throughput reports can attribute runs to a backend.
             self.stats.array_backend = getattr(kernel, "backend_name", "")
-        if self.genotype_cache_enabled and (
-            self.shared_cache is not None or self.cache_dir is not None
-        ):
+        if self.genotype_cache_enabled:
+            # The shared cache and the persistent tier key rows by the
+            # problem's fingerprint; resolving it once here (one pickle and
+            # one hash) serves both, and a tier first used after bind.
             fingerprint_hook = getattr(problem, "evaluation_fingerprint", None)
             components = getattr(problem, "objective_components", None)
             if callable(fingerprint_hook) and components:
@@ -411,7 +387,7 @@ class EvaluationEngine:
         :meth:`ColumnarBatchResult.materialise`.
 
         ``prune_to_front=True`` is a *hint* for chunked sweeps: when the
-        batch runs on a worker-pruning backend (``backend="sharded"`` with a
+        batch's misses run on the worker pool (``backend="sharded"`` with a
         vectorized problem), every worker prunes its own shard to its local
         per-feasibility-class fronts before shipping columns back, and the
         result holds only the surviving rows — cached rows (passed through
@@ -419,9 +395,9 @@ class EvaluationEngine:
         first-occurrence order (duplicates collapse; pruned rows counted in
         ``EngineStats.rows_pruned_in_workers``).  Any row the pruned result
         omits is dominated by (or duplicates) a row it contains, so archive
-        merges over it produce bitwise-identical fronts.  On every other
-        backend the hint is a no-op and the full batch contract holds, so
-        callers must still prune whatever they receive.
+        merges over it produce bitwise-identical fronts.  Everywhere else
+        the hint is a no-op and the full batch contract holds, so callers
+        must still prune whatever they receive.
         ``include_infeasible=False`` additionally lets workers drop
         infeasible rows outright — only pass it when infeasible rows can no
         longer matter (the caller's archive already holds a feasible
@@ -552,7 +528,7 @@ class EvaluationEngine:
         return designs
 
     def close(self) -> None:
-        """Release backend resources (worker pools, shared memory).
+        """Release the worker pool and its shared memory, if any.
 
         An engine configured with ``cache_dir`` spills its column store to
         the persistent tier first, so everything the engine computed
@@ -570,41 +546,40 @@ class EvaluationEngine:
                     CacheTierWarning,
                     stacklevel=2,
                 )
-        self.backend.close()
+        if self.backend is not None:
+            self.backend.close()
 
     def __enter__(self) -> "EvaluationEngine":
         """Engines are context managers: leaving the block releases the
-        backend's pools and shared-memory segments deterministically."""
+        worker pool and its shared-memory segments deterministically."""
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
     def clear_caches(self) -> None:
-        """Drop the genotype memo (the node cache lives with the problem)."""
+        """Drop the genotype memo."""
         self._column_store.clear()
         self._segments_loaded.clear()
 
     @contextlib.contextmanager
     def deadline_scope(self, seconds: float | None) -> Any:
-        """Propagate an outer deadline into the backend's retry policy.
+        """Propagate an outer deadline into the worker pool's retry policy.
 
-        Inside the scope, pool-dispatching backends clamp their
+        Inside the scope, the pool clamps its
         ``RetryPolicy.batch_timeout_s`` so every allowed attempt (timeouts
         plus backoff) fits within ``seconds`` — a hung worker then surfaces
         as an :class:`~repro.engine.backends.EngineTimeoutError` and (with
         ``degrade_on_failure``) degrades to the in-process ladder *before*
-        the deadline instead of blocking past it.  In-process backends have
-        no pool to interrupt, so the scope is a no-op there — callers
-        enforce their deadline at dispatch boundaries instead (the DSE
-        service checks before and after every batch and between sweep
-        chunks).
+        the deadline instead of blocking past it.  A serial engine has no
+        pool to interrupt, so the scope is a no-op there — callers enforce
+        their deadline at dispatch boundaries instead (the DSE service
+        checks before and after every batch and between sweep chunks).
         """
-        scope = getattr(self.backend, "deadline_scope", None)
-        if seconds is None or scope is None:
+        if self.backend is None:
             yield
             return
-        with scope(seconds):
+        with self.backend.deadline_scope(seconds):
             yield
 
     # -------------------------------------------------- persistent cache tier
@@ -736,16 +711,7 @@ class EvaluationEngine:
                 stacklevel=3,
             )
             return False
-        if self._fingerprint is None and self._problem is not None:
-            # Engines without a shared cache or constructor cache_dir only
-            # learn their fingerprint when the tier is first used (e.g.
-            # ``run_algorithm(cache_dir=...)`` on a plain engine).
-            fingerprint_hook = getattr(self._problem, "evaluation_fingerprint", None)
-            components = getattr(self._problem, "objective_components", None)
-            if callable(fingerprint_hook) and components:
-                self._fingerprint = fingerprint_hook()
-                self._objective_components = tuple(components)
-        if self._fingerprint is None or self._objective_components is None:
+        if self._fingerprint is None:
             warnings.warn(
                 "the bound problem offers no evaluation fingerprint; "
                 "the persistent cache tier is inactive",
@@ -838,100 +804,77 @@ class EvaluationEngine:
     ) -> tuple[WbsnBatchColumns, np.ndarray | None]:
         """Compute column rows for a batch's validated miss rows (any path).
 
-        The engine's one dispatch: the in-process kernel and the sharded
-        backend return their columns untouched, and the scalar path
-        flattens per-design results into columns.  ``n_cached`` is the
-        number of the batch's rows the caches served.  Returns the columns
-        and ``kept``: ``None`` for one row per miss, or the ascending
-        positions of the rows a worker-pruning backend shipped back (see
-        ``prune_to_front`` in :meth:`evaluate_many_columnar`).  A batch the
-        pool could not serve degrades to :meth:`_degraded_columns`, which
-        always returns full columns.
+        The engine's one dispatch: without a kernel, the scalar loop; with
+        a kernel and no pool, the in-process kernel; with a kernel and a
+        pool, the sharded kernel.  ``n_cached`` is the number of the
+        batch's rows the caches served.  Returns the columns and ``kept``:
+        ``None`` for one row per miss, or the ascending positions of the
+        rows the workers shipped back after pruning (see ``prune_to_front``
+        in :meth:`evaluate_many_columnar`).  A batch the pool could not
+        serve degrades to :meth:`_degraded_columns`, which always returns
+        full columns.
         """
         stats = self.stats
-        problem = self._problem
         count = len(matrix)
-        vectorizable = self.vectorized_enabled and getattr(
-            problem, "supports_vectorized", False
-        )
-        in_process = getattr(self.backend, "in_process", False)
-        sharded = getattr(self.backend, "supports_columns", False)
-        if vectorizable and (in_process or sharded):
+        kernel = getattr(self._problem, "supports_vectorized", False)
+        if kernel:
             # Cached rows never reach a column gather.
             stats.rows_skipped_cached += n_cached
         if not count:
             # All-cached (or empty) batches never reach a kernel or a pool.
             return WbsnBatchColumns.empty(0), None
         kept = None
-        try:
-            if vectorizable and in_process:
-                faults.maybe_fire("kernel")
-                columns = problem.compute_columns_batch(matrix)
-                stats.vectorized_designs += count
-            elif vectorizable and sharded:
-                if prune_to_front and getattr(
-                    self.backend, "supports_worker_pruning", False
-                ):
-                    # Worker-side pruning: shards ship back only their local
-                    # per-feasibility-class fronts, so the parent never
-                    # touches a dominated row.
-                    columns, kept, pruned = self.backend.evaluate_front_columns_sharded(
-                        problem, matrix, include_infeasible=include_infeasible
-                    )
-                    stats.rows_pruned_in_workers += int(pruned)
-                else:
-                    columns = self.backend.evaluate_columns_sharded(problem, matrix)
-                stats.vectorized_designs += count
-                stats.sharded_designs += count
-            else:
-                designs = self._compute_scalar_chunks(_tuples(matrix))
-                columns = WbsnBatchColumns(*_design_columns(designs))
-        except WorkerRecoveryExhausted as exc:
-            if not self.degrade_on_failure:
-                raise
-            columns, kept = self._degraded_columns(matrix, exc), None
-        finally:
-            self._drain_backend_faults()
+        if not kernel:
+            columns = self._scalar_columns(matrix)
+        elif self.backend is None:
+            columns = self._kernel_columns(matrix)
+        else:
+            try:
+                columns, kept = self._sharded_columns(
+                    matrix, prune_to_front, include_infeasible
+                )
+            except WorkerRecoveryExhausted as exc:
+                if not self.degrade_on_failure:
+                    raise
+                columns, kept = self._degraded_columns(matrix, exc), None
+            finally:
+                # Retries that eventually succeeded are counted too.
+                drained = self.backend.drain_fault_counters()
+                stats.worker_failures += drained.worker_failures
+                stats.batches_retried += drained.batches_retried
+                stats.retry_wait_seconds += drained.retry_wait_seconds
         stats.model_evaluations += count
         return columns, kept
 
-    def _compute_scalar_chunks(
-        self, genotypes: Sequence[tuple[int, ...]]
-    ) -> list["EvaluatedDesign"]:
-        """Per-design evaluation through the backend, in chunked work units."""
-        chunks = [
-            genotypes[start : start + self.chunk_size]
-            for start in range(0, len(genotypes), self.chunk_size)
-        ]
-        designs: list["EvaluatedDesign"] = []
-        for chunk_designs, delta in self.backend.run_chunks(self._problem, chunks):
-            designs.extend(chunk_designs)
-            if delta is not None:
-                self.stats.merge(delta)
-        return designs
+    def _scalar_columns(self, matrix: np.ndarray) -> WbsnBatchColumns:
+        """The scalar loop: one in-process ``compute_design`` per row."""
+        designs = [self._problem.compute_design(g) for g in _tuples(matrix)]
+        return WbsnBatchColumns(*_design_columns(designs))
 
-    def _drain_backend_faults(self) -> None:
-        """Merge the backend's failure/recovery counters into the stats.
+    def _kernel_columns(self, matrix: np.ndarray) -> WbsnBatchColumns:
+        """The problem's column kernel, in-process."""
+        faults.maybe_fire("kernel")
+        columns = self._problem.compute_columns_batch(matrix)
+        self.stats.vectorized_designs += len(matrix)
+        return columns
 
-        Called after every dispatch (success or not), so retries that
-        eventually succeeded are counted too.  Serial backends have no
-        counters to drain.
-        """
-        drain = getattr(self.backend, "drain_fault_counters", None)
-        if drain is None:
-            return
-        counters = drain()
-        self.stats.worker_failures += counters.worker_failures
-        self.stats.batches_retried += counters.batches_retried
-        self.stats.retry_wait_seconds += counters.retry_wait_seconds
-
-    def _warn_degraded(self, path: str, cause: BaseException) -> None:
-        warnings.warn(
-            f"worker recovery exhausted — batch degraded to the {path} "
-            f"(results identical, throughput reduced): {cause}",
-            EngineDegradationWarning,
-            stacklevel=4,
-        )
+    def _sharded_columns(
+        self, matrix: np.ndarray, prune_to_front: bool, include_infeasible: bool
+    ) -> tuple[WbsnBatchColumns, np.ndarray | None]:
+        """The column kernel on the worker pool; under ``prune_to_front``
+        the workers ship back only their shards' local per-feasibility-class
+        fronts, so the parent never touches a dominated row."""
+        kept = None
+        if prune_to_front:
+            columns, kept, pruned = self.backend.evaluate_front_columns_sharded(
+                self._problem, matrix, include_infeasible=include_infeasible
+            )
+            self.stats.rows_pruned_in_workers += int(pruned)
+        else:
+            columns = self.backend.evaluate_columns_sharded(self._problem, matrix)
+        self.stats.vectorized_designs += len(matrix)
+        self.stats.sharded_designs += len(matrix)
+        return columns, kept
 
     def _degraded_columns(
         self, matrix: np.ndarray, cause: BaseException
@@ -940,30 +883,27 @@ class EvaluationEngine:
 
         First rung: the in-process serial kernel (the same compiled column
         kernel the pool would have run, so columns are bitwise identical).
-        Second rung, when the kernel itself fails or the problem has none:
-        the in-process scalar path — one ``compute_design`` per genotype,
-        never through a pool.  Returns *full* (unpruned) columns for every
-        row — a caller that asked for worker-side pruning falls back to the
-        full-batch contract.  The caller counts ``model_evaluations``;
-        kernel-rung work is counted here as ``vectorized_designs``.
+        Second rung, when the kernel itself fails: the scalar loop, never
+        through a pool.  Returns *full* (unpruned) columns for every row —
+        a caller that asked for worker-side pruning falls back to the
+        full-batch contract.  The caller counts ``model_evaluations``.
         """
         self.stats.degraded_batches += 1
-        problem = self._problem
-        if self.vectorized_enabled and getattr(problem, "supports_vectorized", False):
-            try:
-                faults.maybe_fire("kernel")
-                columns = problem.compute_columns_batch(matrix)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception:
-                pass
-            else:
-                self._warn_degraded("in-process serial kernel", cause)
-                self.stats.vectorized_designs += len(matrix)
-                return columns
-        self._warn_degraded("in-process scalar path", cause)
-        designs = [problem.compute_design(g) for g in _tuples(matrix)]
-        return WbsnBatchColumns(*_design_columns(designs))
+        try:
+            columns = self._kernel_columns(matrix)
+            path = "in-process serial kernel"
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception:
+            columns = self._scalar_columns(matrix)
+            path = "in-process scalar path"
+        warnings.warn(
+            f"worker recovery exhausted — batch degraded to the {path} "
+            f"(results identical, throughput reduced): {cause}",
+            EngineDegradationWarning,
+            stacklevel=4,
+        )
+        return columns
 
     def __getstate__(self) -> dict[str, Any]:
         # Worker processes only need the compute path; the memo (and the

@@ -22,9 +22,6 @@ Sites wired into the stack:
     with the parent's monotonically increasing *submission id* (retried
     shards get fresh ids, so a fault pinned to submission *n* fires exactly
     once even across retries);
-``"chunk"``
-    the scalar :class:`~repro.engine.backends.ProcessBackend` counterpart,
-    fired per chunk submission inside the worker;
 ``"kernel"``
     fired in the parent immediately before an in-process columnar kernel
     call — drives the serial-kernel → scalar degradation rung;

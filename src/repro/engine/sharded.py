@@ -2,11 +2,10 @@
 
 The columnar fast path (:mod:`repro.core.vectorized`) evaluates a whole
 batch of genotypes with NumPy array kernels, but only in the calling
-process; the scalar :class:`~repro.engine.backends.ProcessBackend` spreads
-work over cores, but one design at a time.  This module combines the two —
-the same partition-the-column-store shape large physics DAQ systems use
-(split one shared store across workers instead of shipping objects per
-item):
+process.  :class:`ShardedVectorizedBackend` — the engine's one worker pool
+— spreads that kernel over cores with the same partition-the-column-store
+shape large physics DAQ systems use (split one shared store across workers
+instead of shipping objects per item):
 
 1. the parent places a batch's miss rows — the rows the engine's caches
    could not serve — in a ``multiprocessing.shared_memory`` segment (one
@@ -25,11 +24,13 @@ item):
    pruning, and only the designs a caller asks for are ever materialised
    (in the parent, from the problem's phenotype tables).
 
-The backend subclasses :class:`~repro.engine.backends.ProcessBackend`, so a
-problem *without* a compiled kernel still gets the chunked scalar path on
-the same pool — but the engine counts the two separately
-(``EngineStats.sharded_designs`` covers only kernel work), which is what
-lets the benchmark gate fail on a silent fallback to the scalar path.
+The pool runs column kernels only: a problem *without* a compiled kernel
+never reaches it (the engine computes its rows in-process), and
+``EngineStats.sharded_designs`` counts only the rows worker kernels
+computed, which is what lets the benchmark gate fail on a silent fallback
+to the in-process paths.  The pool also owns the engine's one recovery
+loop: a retry policy, pool teardown, the batch deadline and the fault
+counters (see :mod:`repro.engine.backends` for the failure semantics).
 
 Shared-memory segments and the worker pool are real resources: close the
 backend (or use the owning :class:`~repro.engine.EvaluationEngine` as a
@@ -38,17 +39,27 @@ context manager) to release them deterministically.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import pickle
-from dataclasses import dataclass
+import time
+import weakref
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeoutError
+from dataclasses import dataclass, replace
 from multiprocessing import shared_memory
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.engine import backends as _backends
 from repro.engine import faults
-from repro.engine.backends import ProcessBackend, RetryPolicy
+from repro.engine.backends import (
+    EngineTimeoutError,
+    FaultCounters,
+    RetryPolicy,
+    WorkerRecoveryExhausted,
+)
 
 __all__ = ["SharedArrayArena", "ShardedVectorizedBackend"]
 
@@ -160,9 +171,9 @@ def attach_arena_views(
 
 
 # --------------------------------------------------------------------------
-# Worker side.  The problem travels once through the pool initialiser (like
-# the scalar process backend); the kernel's tables are then rebound to the
-# arena views so every worker gathers from the same physical store.
+# Worker side.  The problem travels once through the pool initialiser; the
+# kernel's tables are then rebound to the arena views so every worker
+# gathers from the same physical store.
 
 _WORKER_KERNEL: Any = None
 _WORKER_ARENA: shared_memory.SharedMemory | None = None
@@ -170,21 +181,16 @@ _WORKER_ARENA: shared_memory.SharedMemory | None = None
 
 def _init_sharded_worker(
     payload: bytes,
-    arena_name: str | None,
-    manifest: Mapping[str, _ArenaSlot] | None,
+    arena_name: str,
+    manifest: Mapping[str, _ArenaSlot],
     fault_plan: "faults.FaultPlan | None" = None,
 ) -> None:
     global _WORKER_KERNEL, _WORKER_ARENA
     if fault_plan is not None:
         faults.install_fault_plan(fault_plan)
-    problem = pickle.loads(payload)
-    # The scalar chunk path (kernel-less problems) reuses the plain process
-    # machinery, so its worker global must point at the same problem.
-    _backends._WORKER_PROBLEM = problem
-    _WORKER_KERNEL = getattr(problem, "vectorized_kernel", None)
-    if arena_name is not None and manifest is not None and _WORKER_KERNEL is not None:
-        _WORKER_ARENA, views = attach_arena_views(arena_name, manifest)
-        _WORKER_KERNEL.adopt_shared_tables(views)
+    _WORKER_KERNEL = pickle.loads(payload).vectorized_kernel
+    _WORKER_ARENA, views = attach_arena_views(arena_name, manifest)
+    _WORKER_KERNEL.adopt_shared_tables(views)
 
 
 def _evaluate_shard(
@@ -199,9 +205,6 @@ def _evaluate_shard(
     # resubmitted under fresh ids, so a fault pinned to one submission fires
     # exactly once even across recovery attempts.
     faults.maybe_fire("shard", submission)
-    kernel = _WORKER_KERNEL
-    if kernel is None:  # pragma: no cover - guarded by the engine
-        raise RuntimeError("worker has no compiled vectorized kernel")
     shm = _attach_segment(matrix_name)
     try:
         matrix = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
@@ -210,7 +213,7 @@ def _evaluate_shard(
         gathered = matrix[rows]
     finally:
         shm.close()
-    columns = kernel.evaluate_columns(gathered)
+    columns = _WORKER_KERNEL.evaluate_columns(gathered)
     return columns.objectives, columns.feasible, columns.violation_counts
 
 
@@ -267,31 +270,25 @@ def _evaluate_shard_front(
     return objectives[kept], feasible[kept], violations[kept], kept, pruned
 
 
-class ShardedVectorizedBackend(ProcessBackend):
-    """Vectorized evaluation sharded over a process pool via shared memory.
+class ShardedVectorizedBackend:
+    """The engine's worker pool: column kernels sharded over shared memory.
 
     Args:
-        max_workers: pool size (defaults to the CPU count).
+        max_workers: pool size (defaults to the number of CPUs this process
+            may run on).
         min_rows_per_shard: lower bound on shard size.  Small batches are
             given to fewer workers (down to one) so dispatch overhead never
             exceeds the kernel work it parallelises.
-        retry_policy: recovery budget for batch dispatches, inherited from
-            :class:`~repro.engine.backends.ProcessBackend`; a failed shard
-            tears the pool (and its shared-table arena) down and is retried
-            on a fresh pool, the batch's shared matrix segment surviving
-            across attempts.
+        retry_policy: recovery budget for batch dispatches (see
+            :class:`~repro.engine.backends.RetryPolicy`); the default
+            retries twice with exponential backoff and no batch deadline.
+            A failed shard tears the pool (and its shared-table arena) down
+            and is retried on a fresh pool, the batch's shared matrix
+            segment surviving across attempts.
     """
 
-    name = "sharded"
-    in_process = False
-    #: engines route vectorized miss rows through
-    #: :meth:`evaluate_columns_sharded` when the backend advertises this flag
+    #: what the pool computes: kernel columns, never design objects
     supports_columns = True
-    #: engines route ``prune_to_front`` columnar batches through
-    #: :meth:`evaluate_front_columns_sharded` when the backend advertises
-    #: this flag — workers prune their shards to local fronts before
-    #: shipping columns back
-    supports_worker_pruning = True
 
     def __init__(
         self,
@@ -299,11 +296,19 @@ class ShardedVectorizedBackend(ProcessBackend):
         min_rows_per_shard: int = 256,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
-        super().__init__(max_workers=max_workers, retry_policy=retry_policy)
+        if max_workers is not None and max_workers <= 0:
+            raise ValueError("max_workers must be positive")
         if min_rows_per_shard <= 0:
             raise ValueError("min_rows_per_shard must be positive")
+        self.max_workers = max_workers or _usable_cpus()
         self.min_rows_per_shard = min_rows_per_shard
+        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
+        self.fault_counters = FaultCounters()
+        self._executor: ProcessPoolExecutor | None = None
         self._arena: SharedArrayArena | None = None
+        self._pinned: "weakref.ref[Any] | None" = None
+        self._submissions = 0
+        self._batches = 0
 
     # ----------------------------------------------------------------- API
 
@@ -367,12 +372,59 @@ class ShardedVectorizedBackend(ProcessBackend):
         )
         return columns, kept, sum(result[4] for result in results)
 
+    def drain_fault_counters(self) -> FaultCounters:
+        """Hand the accumulated failure counters over and reset them."""
+        drained = self.fault_counters
+        self.fault_counters = FaultCounters()
+        return drained
+
+    @contextlib.contextmanager
+    def deadline_scope(self, seconds: float | None) -> Iterator[None]:
+        """Clamp the retry policy so a whole dispatch fits one outer deadline.
+
+        Deadline propagation: a caller holding a deadline (e.g. the DSE
+        service serving a client request) cannot afford a hung worker
+        blocking a dispatch past it.  Inside the scope the policy's
+        ``batch_timeout_s`` is clamped so the deadline budget — minus the
+        exponential backoff between attempts — is split across every pool
+        attempt the policy allows **plus one slot reserved for the engine's
+        in-process degradation rung**: if every attempt times out, the
+        ladder still has a full attempt's worth of budget to serve the
+        batch *before* the outer deadline, so a hung pool degrades on time
+        instead of timing out late.  ``None`` leaves the policy untouched;
+        the previous policy is restored on exit.
+        """
+        if seconds is None:
+            yield
+            return
+        policy = self.retry_policy
+        backoff = sum(
+            policy.backoff_s(attempt)
+            for attempt in range(1, policy.max_attempts)
+        )
+        per_attempt = max(
+            (seconds - backoff) / (policy.max_attempts + 1), 1e-3
+        )
+        if policy.batch_timeout_s is not None:
+            per_attempt = min(per_attempt, policy.batch_timeout_s)
+        self.retry_policy = replace(policy, batch_timeout_s=per_attempt)
+        try:
+            yield
+        finally:
+            self.retry_policy = policy
+
     def close(self) -> None:
-        """Shut the pool down and unlink the shared table arena."""
-        super().close()
-        if self._arena is not None:
-            self._arena.close()
-            self._arena = None
+        """Shut the pool down and unlink the shared table arena; a later
+        dispatch spawns a fresh pool.
+
+        Idempotent: closing an already-closed (or never-opened) backend is a
+        no-op, so error-path ``finally`` blocks can close unconditionally.
+        """
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
+        self._pinned = None
+        self._close_arena()
 
     # ------------------------------------------------------------ internals
 
@@ -433,38 +485,198 @@ class ShardedVectorizedBackend(ProcessBackend):
         count = max(1, min(self.max_workers, by_floor))
         return [shard for shard in np.array_split(np.arange(rows), count) if shard.size]
 
+    def _next_submission(self) -> int:
+        """Monotonic id handed to every submitted shard (never reused, so
+        retried shards are distinguishable from their first dispatch)."""
+        submission = self._submissions
+        self._submissions += 1
+        return submission
+
+    def _dispatch_with_recovery(
+        self,
+        problem: Any,
+        fn: Callable[..., Any],
+        tasks: Sequence[tuple[Any, ...]],
+        batch_label: str,
+    ) -> list[Any]:
+        """Run every task on the pool, retrying failures on fresh pools.
+
+        Tasks are independent shards; results are returned in task order.
+        Each submitted shard carries a fresh submission id appended to its
+        payload.  On any failure — a worker crash breaking the pool, an
+        exception escaping a task, or the batch deadline expiring — the pool
+        is terminated (workers killed, arena released) and only the
+        *unfinished* shards are re-dispatched on a fresh pool, after
+        exponential backoff.  Exhausting the policy raises
+        :class:`~repro.engine.backends.WorkerRecoveryExhausted` with the
+        final failure as its cause.
+        """
+        policy = self.retry_policy
+        batch_id = self._batches
+        self._batches += 1
+        label = f"{batch_label} {batch_id} ({len(tasks)} units)"
+        results: dict[int, Any] = {}
+        attempt = 1
+        while True:
+            pending = [index for index in range(len(tasks)) if index not in results]
+            executor = self._ensure_executor(problem)
+            deadline = (
+                time.monotonic() + policy.batch_timeout_s
+                if policy.batch_timeout_s is not None
+                else None
+            )
+            futures = {
+                index: executor.submit(
+                    fn, *tasks[index], self._next_submission()
+                )
+                for index in pending
+            }
+            failure: BaseException | None = None
+            for index in pending:
+                try:
+                    if deadline is None:
+                        results[index] = futures[index].result()
+                    else:
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0:
+                            raise FutureTimeoutError()
+                        results[index] = futures[index].result(timeout=remaining)
+                except (KeyboardInterrupt, SystemExit):
+                    self._terminate_pool()
+                    raise
+                except FutureTimeoutError:
+                    failure = EngineTimeoutError(
+                        label, index, policy.batch_timeout_s or 0.0
+                    )
+                    break
+                except BaseException as exc:
+                    failure = exc
+                    break
+            if failure is None:
+                return [results[index] for index in range(len(tasks))]
+            # A failed shard poisons the attempt: terminate the pool (hung or
+            # crashed workers included) and re-dispatch what is still
+            # missing.  Shards that completed keep their results — evaluation
+            # is pure, so partial retry is safe — including shards *after*
+            # the failed one in collection order: results are collected in
+            # ``pending`` order, so without this harvest a shard that
+            # finished while an earlier shard was failing would be thrown
+            # away and recomputed on the retry pool.
+            for index, future in futures.items():
+                if index in results or not future.done() or future.cancelled():
+                    continue
+                if future.exception() is None:
+                    results[index] = future.result()
+            self.fault_counters.worker_failures += 1
+            self._terminate_pool()
+            if attempt >= policy.max_attempts:
+                raise WorkerRecoveryExhausted(
+                    f"{label} failed on all {policy.max_attempts} attempt(s); "
+                    f"last failure: {failure!r}"
+                ) from failure
+            wait = policy.backoff_s(attempt)
+            if wait > 0:
+                self.fault_counters.retry_wait_seconds += wait
+                time.sleep(wait)
+            self.fault_counters.batches_retried += 1
+            attempt += 1
+
     def _terminate_pool(self) -> None:
-        # ``_ensure_executor`` builds a fresh arena alongside the fresh pool;
-        # the old segment must be unlinked here or every recovery attempt
-        # would leak one arena-sized shared-memory segment.
-        super()._terminate_pool()
+        """Tear the pool down even when workers are hung or already dead.
+
+        Unlike :meth:`close` (a graceful shutdown), this terminates worker
+        processes first — a worker stuck in a syscall would never drain its
+        call queue, so a plain ``shutdown(wait=True)`` could block forever.
+        Safe to call with no pool and after a ``BrokenProcessPool``.  The
+        arena goes too: :meth:`_ensure_executor` builds a fresh one
+        alongside the fresh pool, so keeping the old segment would leak one
+        arena per recovery attempt.
+        """
+        executor = self._executor
+        self._executor = None
+        self._close_arena()
+        if executor is None:
+            return
+        processes = list(getattr(executor, "_processes", {}).values())
+        for process in processes:
+            if process.is_alive():
+                process.terminate()
+        executor.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            process.join(timeout=5.0)
+            if process.is_alive():  # pragma: no cover - stuck in a syscall
+                process.kill()
+                process.join(timeout=5.0)
+
+    def _close_arena(self) -> None:
         if self._arena is not None:
             self._arena.close()
             self._arena = None
 
-    def _ensure_executor(self, problem: Any):
+    def _check_pinned(self, problem: Any) -> None:
+        """Refuse to serve a problem the running pool was not built for.
+
+        The workers hold a pickled copy of the *first* problem they were
+        initialised with; silently evaluating a different problem against it
+        would return that problem's numbers under this one's name.  A
+        backend instance can therefore serve one problem per pool lifetime —
+        ``close()`` it to repurpose the instance.
+        """
+        if self._executor is None:
+            self._pinned = weakref.ref(problem)
+            return
+        pinned = self._pinned() if self._pinned is not None else None
+        if pinned is not problem:
+            raise RuntimeError(
+                "this backend's worker pool is initialised for a different "
+                "problem; close() the backend before reusing it"
+            )
+
+    def _ensure_executor(self, problem: Any) -> ProcessPoolExecutor:
+        """The live pool for ``problem``, spawned (with its table arena)
+        on first use and after every teardown."""
         self._check_pinned(problem)
         if self._executor is None:
             kernel = getattr(problem, "vectorized_kernel", None)
-            arena_name = None
-            manifest = None
-            if kernel is not None and hasattr(kernel, "shareable_tables"):
-                self._arena = SharedArrayArena(kernel.shareable_tables())
-                arena_name = self._arena.name
-                manifest = self._arena.manifest
-            payload = pickle.dumps(problem)
-            from concurrent.futures import ProcessPoolExecutor
-
+            if kernel is None:
+                raise RuntimeError(
+                    "the sharded backend needs a problem with a compiled "
+                    "column kernel"
+                )
+            self._arena = SharedArrayArena(kernel.shareable_tables())
+            # An installed fault plan is shipped to the workers so that
+            # worker-side sites fire deterministically under the "spawn"
+            # start method too (under "fork" the plan is inherited anyway;
+            # re-installing it is harmless).
             self._executor = ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 initializer=_init_sharded_worker,
-                initargs=(payload, arena_name, manifest, faults.installed_fault_plan()),
+                initargs=(
+                    pickle.dumps(problem),
+                    self._arena.name,
+                    self._arena.manifest,
+                    faults.installed_fault_plan(),
+                ),
             )
         return self._executor
 
     def __getstate__(self) -> dict[str, Any]:
         # Neither the pool nor the arena handle can cross a pickle boundary
-        # (workers re-attach the arena by name through the initialiser).
-        state = super().__getstate__()
+        # (workers re-attach the arena by name through the initialiser), and
+        # weakrefs cannot be pickled; workers that unpickle the problem never
+        # dispatch work themselves.
+        state = self.__dict__.copy()
+        state["_executor"] = None
         state["_arena"] = None
+        state["_pinned"] = None
         return state
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    reports one (a process pinned by ``taskset`` or a cpuset container sees
+    only its own CPUs), the machine's CPU count elsewhere."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity (macOS, Windows)
+        return os.cpu_count() or 1

@@ -1,9 +1,9 @@
 """Instrumentation counters of the evaluation engine.
 
 The engine serves *designs* (one per genotype request) while trying to avoid
-*model work* (full-network evaluations and raw per-node model calls).  The
-:class:`EngineStats` counters keep the two apart so throughput reports can
-state both the effective serving rate and the raw model rate:
+*model work* (full-network evaluations).  The :class:`EngineStats` counters
+keep the two apart so throughput reports can state both the effective
+serving rate and the raw model rate:
 
 * ``genotype_requests`` / ``genotype_cache_hits`` — requests answered by the
   genotype-level memo cache without touching the model at all;
@@ -12,12 +12,9 @@ state both the effective serving rate and the raw model rate:
   another problem with the same evaluator fingerprint, projected onto this
   problem's objective components);
 * ``model_evaluations`` — full-network evaluations actually computed
-  (misses of both genotype-level caches);
-* ``node_stage_requests`` / ``node_cache_hits`` / ``node_model_calls`` — the
-  per-node stage underneath a full-network evaluation: distinct candidates
-  that share per-node knob settings reuse node results, so
-  ``node_model_calls`` (raw executions of the per-node model) can be far
-  smaller than ``node_stage_requests``.
+  (misses of both genotype-level caches); ``vectorized_designs`` of them
+  ran through a column kernel, ``sharded_designs`` through one on the
+  worker pool, and the rest through the scalar model.
 
 Counters are plain integers/floats; :meth:`EngineStats.snapshot` and the
 ``-`` operator make it cheap to attribute deltas to a single optimisation
@@ -72,13 +69,13 @@ class EngineStats:
             Columnar sweeps prune on raw objective columns and materialise
             only survivors, so on a sweep this counter tracks the front
             size, not the space.
-        worker_failures: worker-pool failures observed by the execution
-            backends (a worker crash breaking the pool, a batch future
-            timing out, an exception escaping a worker task).  Each failure
-            tears the pool down; whether the batch is retried or degraded is
-            reported by the two counters below.
+        worker_failures: failures observed by the worker pool (a worker
+            crash breaking the pool, a batch future timing out, an
+            exception escaping a worker task).  Each failure tears the pool
+            down; whether the batch is retried or degraded is reported by
+            the two counters below.
         batches_retried: batch attempts re-dispatched onto a fresh pool by
-            the backend's :class:`~repro.engine.backends.RetryPolicy` after
+            the pool's :class:`~repro.engine.backends.RetryPolicy` after
             a worker failure (one count per retry attempt, so a batch that
             needed two fresh pools counts twice).
         degraded_batches: batches that exhausted their retry policy and were
@@ -87,11 +84,6 @@ class EngineStats:
             stay bitwise identical, only the compute path changes.
         retry_wait_seconds: total wall-clock time spent sleeping in
             exponential backoff between retry attempts.
-        node_stage_requests: per-node stage evaluations requested.
-        node_cache_hits: per-node stage requests answered by the node cache.
-        node_model_calls: raw per-node model executions (node-cache misses).
-        node_cache_evictions: per-node stage results evicted by the LRU
-            bound of the node cache.
         column_memo_evictions: column rows evicted by the LRU bound of the
             engine's id-keyed column store (``column_memo_max_entries``).
         rows_loaded_from_disk: column rows bulk-loaded from a persistent
@@ -129,10 +121,6 @@ class EngineStats:
     batches_retried: int = 0
     degraded_batches: int = 0
     retry_wait_seconds: float = 0.0
-    node_stage_requests: int = 0
-    node_cache_hits: int = 0
-    node_model_calls: int = 0
-    node_cache_evictions: int = 0
     column_memo_evictions: int = 0
     rows_loaded_from_disk: int = 0
     persistent_cache_hits: int = 0
@@ -148,13 +136,6 @@ class EngineStats:
         if self.genotype_requests == 0:
             return 0.0
         return self.genotype_cache_hits / self.genotype_requests
-
-    @property
-    def node_cache_hit_rate(self) -> float:
-        """Fraction of per-node stage requests served from the node cache."""
-        if self.node_stage_requests == 0:
-            return 0.0
-        return self.node_cache_hits / self.node_stage_requests
 
     # ---------------------------------------------------------- operations
 
@@ -174,7 +155,8 @@ class EngineStats:
         )
 
     def merge(self, other: "EngineStats") -> None:
-        """Add another set of counters in place (e.g. from a worker process)."""
+        """Add another set of counters in place (e.g. a run's delta into a
+        per-client ledger)."""
         for field in fields(self):
             mine = getattr(self, field.name)
             if isinstance(mine, str):

@@ -47,7 +47,6 @@ class DseSpeedResult:
     engine_evaluations: int = 0
     engine_wall_clock_s: float = 0.0
     engine_model_evaluations: int = 0
-    engine_node_cache_hit_rate: float = 0.0
     #: designs served through the vectorized fast path (0 = not measured)
     vectorized_evaluations: int = 0
     vectorized_wall_clock_s: float = 0.0
@@ -159,8 +158,8 @@ def run_dse_speed(
     Besides the raw-model and simulator timings, the experiment measures the
     throughput of the *engine paths* used by the actual exploration: a
     stream of random case-study genotypes evaluated in one batch through a
-    :class:`~repro.engine.EvaluationEngine` — once on the scalar path (two
-    cache levels, per-design model work), once on the vectorized fast
+    :class:`~repro.engine.EvaluationEngine` — once on the scalar path
+    (genotype cache, per-design model work), once on the vectorized fast
     path (the whole batch through the columnar NumPy kernel, one design
     object per served genotype), and once on the columnar *result* path
     (``evaluate_batch_columns``: the batch is pruned on raw objective
@@ -199,7 +198,6 @@ def run_dse_speed(
 
     engine_model_evaluations = 0
     engine_wall_clock = 0.0
-    engine_node_hit_rate = 0.0
     if engine_evaluations:
         with EvaluationEngine() as engine:
             problem = WbsnDseProblem(
@@ -216,7 +214,6 @@ def run_dse_speed(
             engine_wall_clock = time.perf_counter() - started
             stats = engine.stats.snapshot() - stats_before
             engine_model_evaluations = stats.model_evaluations
-            engine_node_hit_rate = stats.node_cache_hit_rate
 
     vectorized_wall_clock = 0.0
     if vectorized_evaluations:
@@ -323,7 +320,6 @@ def run_dse_speed(
         engine_evaluations=engine_evaluations,
         engine_wall_clock_s=engine_wall_clock,
         engine_model_evaluations=engine_model_evaluations,
-        engine_node_cache_hit_rate=engine_node_hit_rate,
         vectorized_evaluations=vectorized_evaluations,
         vectorized_wall_clock_s=vectorized_wall_clock,
         columnar_evaluations=columnar_evaluations,
@@ -351,8 +347,7 @@ def main() -> DseSpeedResult:
             f"engine path (scalar): {result.engine_evaluations} designs served in "
             f"{result.engine_wall_clock_s:.2f} s "
             f"({result.engine_evaluations_per_second:.0f} served/s; "
-            f"{result.engine_model_evaluations} model evaluations, "
-            f"node-cache hit rate {result.engine_node_cache_hit_rate * 100:.0f}%)"
+            f"{result.engine_model_evaluations} model evaluations)"
         )
     if result.vectorized_evaluations:
         print(

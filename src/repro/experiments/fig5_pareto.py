@@ -107,8 +107,8 @@ def run_fig5(
     the same directory warm-starts the full run too.
     """
     shared_cache = SharedGenotypeCache()
-    # Engines are context managers: worker pools and shared-memory segments
-    # of non-serial backends are released even when a run fails.
+    # Engines are context managers: the sharded backend's worker pool and
+    # shared-memory segments are released even when a run fails.
     with EvaluationEngine(
         backend=backend, shared_cache=shared_cache
     ) as full_engine, EvaluationEngine(
@@ -247,9 +247,8 @@ def main() -> Fig5Result:
     )
     nsga2_stats = result.nsga2_result.engine_stats
     print(
-        "engine caches (NSGA-II run): "
-        f"genotype hit rate {nsga2_stats.genotype_cache_hit_rate * 100:.0f}%, "
-        f"node-stage hit rate {nsga2_stats.node_cache_hit_rate * 100:.0f}%"
+        "engine cache (NSGA-II run): "
+        f"genotype hit rate {nsga2_stats.genotype_cache_hit_rate * 100:.0f}%"
     )
     print(
         f"baseline front size: {len(result.baseline_front_full_objectives)} "

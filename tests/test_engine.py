@@ -17,7 +17,6 @@ from repro.dse.simulated_annealing import (
     SimulatedAnnealingSettings,
 )
 from repro.engine import (
-    CachedNetworkEvaluator,
     EngineStats,
     EvaluationEngine,
     SharedGenotypeCache,
@@ -73,71 +72,28 @@ def design_fields(design):
 
 class TestEngineStats:
     def test_snapshot_is_independent(self):
-        stats = EngineStats(genotype_requests=3, node_model_calls=2)
+        stats = EngineStats(genotype_requests=3, model_evaluations=2)
         snap = stats.snapshot()
         stats.genotype_requests += 5
         assert snap.genotype_requests == 3
         assert stats.genotype_requests == 8
 
     def test_difference_and_merge(self):
-        before = EngineStats(genotype_requests=10, node_cache_hits=4)
-        after = EngineStats(genotype_requests=25, node_cache_hits=9)
+        before = EngineStats(genotype_requests=10, genotype_cache_hits=4)
+        after = EngineStats(genotype_requests=25, genotype_cache_hits=9)
         delta = after - before
         assert delta.genotype_requests == 15
-        assert delta.node_cache_hits == 5
+        assert delta.genotype_cache_hits == 5
         before.merge(delta)
         assert before.genotype_requests == 25
-        assert before.node_cache_hits == 9
+        assert before.genotype_cache_hits == 9
 
     def test_hit_rates_guard_division_by_zero(self):
         stats = EngineStats()
         assert stats.genotype_cache_hit_rate == 0.0
-        assert stats.node_cache_hit_rate == 0.0
         stats.genotype_requests = 4
         stats.genotype_cache_hits = 1
-        stats.node_stage_requests = 10
-        stats.node_cache_hits = 5
         assert stats.genotype_cache_hit_rate == pytest.approx(0.25)
-        assert stats.node_cache_hit_rate == pytest.approx(0.5)
-
-
-class TestCachedNetworkEvaluator:
-    def test_matches_the_raw_evaluator(self):
-        raw = build_case_study_evaluator(n_nodes=2, applications=("dwt", "cs"))
-        cached = CachedNetworkEvaluator(raw)
-        problem = small_problem()
-        for genotype in list(problem.space.enumerate_genotypes())[:8]:
-            node_configs, mac_config = problem.decode(genotype)
-            reference = raw.evaluate(node_configs, mac_config)
-            twice = [cached.evaluate(node_configs, mac_config) for _ in range(2)]
-            for evaluation in twice:
-                assert evaluation.objectives == reference.objectives
-                assert evaluation.feasible == reference.feasible
-                assert evaluation.violations == reference.violations
-
-    def test_counts_hits_and_model_calls(self):
-        raw = build_case_study_evaluator(n_nodes=2, applications=("dwt", "cs"))
-        cached = CachedNetworkEvaluator(raw)
-        problem = small_problem()
-        node_configs, mac_config = problem.decode((0, 0, 0, 0, 0, 0))
-        cached.evaluate(node_configs, mac_config)
-        assert cached.stats.node_model_calls == 2
-        assert cached.stats.node_cache_hits == 0
-        cached.evaluate(node_configs, mac_config)
-        assert cached.stats.node_model_calls == 2
-        assert cached.stats.node_cache_hits == 2
-        assert cached.cache_size == 2
-
-    def test_disabled_mode_still_counts_model_calls(self):
-        raw = build_case_study_evaluator(n_nodes=2, applications=("dwt", "cs"))
-        cached = CachedNetworkEvaluator(raw, enabled=False)
-        problem = small_problem()
-        node_configs, mac_config = problem.decode((0, 0, 0, 0, 0, 0))
-        cached.evaluate(node_configs, mac_config)
-        cached.evaluate(node_configs, mac_config)
-        assert cached.stats.node_model_calls == 4
-        assert cached.stats.node_cache_hits == 0
-        assert cached.cache_size == 0
 
 
 class TestEvaluationEngine:
@@ -177,19 +133,17 @@ class TestEvaluationEngine:
             genotypes[5],
             genotypes[9],
         ]
-        # Building designs from rows touches neither the model nor the
-        # node stages underneath it.
+        # Building designs from rows never touches the model.
         result = engine.evaluate_many_columnar(batch)
         before = engine.stats.snapshot()
         result.materialise()
         delta = engine.stats.snapshot() - before
         assert delta.model_evaluations == 0
-        assert delta.node_stage_requests == 0
         assert delta.designs_materialised == len(batch)
 
     def test_disabled_genotype_cache_recomputes(self):
         problem = small_problem(
-            engine=EvaluationEngine(genotype_cache=False, node_cache=False)
+            engine=EvaluationEngine(genotype_cache=False)
         )
         genotype = (0, 0, 0, 0, 0, 0)
         stats_before = problem.engine.stats.snapshot()
@@ -199,6 +153,25 @@ class TestEvaluationEngine:
         assert delta.model_evaluations == 2
         assert delta.genotype_cache_hits == 0
 
+    def test_problem_evaluates_with_the_evaluator_it_was_given(self):
+        """No wrapper sits between a problem and its model: computed and
+        cached designs alike are the raw evaluator's results."""
+        raw = build_case_study_evaluator(n_nodes=2, applications=("dwt", "cs"))
+        problem = WbsnDseProblem(raw, **SMALL_DOMAINS, vectorized=False)
+        assert problem.evaluator is raw
+        for genotype in list(problem.space.enumerate_genotypes())[:8]:
+            reference = raw.evaluate(*problem.decode(genotype))
+            objectives = tuple(raw.objective_vector(reference))
+            if not reference.feasible:
+                objectives = tuple(
+                    value + problem.infeasibility_penalty for value in objectives
+                )
+            twice = [problem.engine.evaluate(genotype) for _ in range(2)]
+            for design in twice:
+                assert design.objectives == objectives
+                assert design.feasible == reference.feasible
+                assert design.violation_count == len(reference.violations)
+
     def test_unknown_backend_is_rejected(self):
         with pytest.raises(ValueError):
             EvaluationEngine(backend="gpu")
@@ -207,26 +180,6 @@ class TestEvaluationEngine:
         problem = small_problem()
         with pytest.raises(RuntimeError):
             problem.engine.bind(small_problem())
-
-    def test_process_backend_matches_serial(self):
-        serial = small_problem()
-        process = small_problem(
-            engine=EvaluationEngine(backend="process", max_workers=2, chunk_size=8)
-        )
-        genotypes = list(serial.space.enumerate_genotypes())[:24]
-        try:
-            parallel_designs = process.evaluate_batch(genotypes)
-        finally:
-            process.engine.close()
-        serial_designs = serial.evaluate_batch(genotypes)
-        assert [d.objectives for d in parallel_designs] == [
-            d.objectives for d in serial_designs
-        ]
-        assert [d.feasible for d in parallel_designs] == [
-            d.feasible for d in serial_designs
-        ]
-        # Worker node-stage counters travel back with each chunk.
-        assert process.engine.stats.node_model_calls > 0
 
 
 class TestOneEvaluationPath:
@@ -297,7 +250,7 @@ class TestCacheCorrectness:
     def _cached_and_uncached(self, **kwargs):
         cached = small_problem(**kwargs)
         uncached = small_problem(
-            engine=EvaluationEngine(genotype_cache=False, node_cache=False), **kwargs
+            engine=EvaluationEngine(genotype_cache=False), **kwargs
         )
         return cached, uncached
 
@@ -338,29 +291,6 @@ class TestCacheCorrectness:
 
 
 class TestFigure5ProblemCaching:
-    def test_node_cache_hit_rate_on_the_case_study(self):
-        """Figure-5 problem: per-node results repeat massively across designs.
-
-        The node cache only fields requests on the scalar path, so this test
-        pins ``vectorized=False`` (the columnar path never touches per-node
-        stages).
-        """
-        problem = WbsnDseProblem(
-            build_case_study_evaluator(theta=0.5), vectorized=False
-        )
-        result = run_algorithm(
-            Nsga2(problem, Nsga2Settings(population_size=24, generations=8, seed=3))
-        )
-        stats = result.engine_stats
-        assert stats is not None
-        assert stats.node_cache_hit_rate > 0.3
-        assert stats.model_evaluations < result.evaluations or (
-            stats.genotype_cache_hit_rate == 0.0
-        )
-        # Fewer raw per-node model calls than stage requests: the node cache
-        # is doing real work on the case-study space.
-        assert stats.node_model_calls < stats.node_stage_requests
-
     def test_runner_reports_cache_aware_throughput(self):
         problem = WbsnDseProblem(build_case_study_evaluator(theta=0.5))
         result = run_algorithm(
@@ -370,7 +300,6 @@ class TestFigure5ProblemCaching:
         assert result.model_evaluations <= result.evaluations
         assert result.evaluations_per_second >= result.model_evaluations_per_second
         assert 0.0 <= result.engine_stats.genotype_cache_hit_rate <= 1.0
-        assert 0.0 <= result.engine_stats.node_cache_hit_rate <= 1.0
 
 
 class TestSharedGenotypeCache:
@@ -512,28 +441,38 @@ class TestSharedGenotypeCache:
         # And the reuse actually happened (same seed => shared genotypes).
         assert baseline_shared.engine.stats.shared_cache_hits > 0
 
-    def test_lru_eviction_counters_unaffected_by_the_shared_cache(self):
-        def run(shared):
-            problem = WbsnDseProblem(
-                build_case_study_evaluator(
-                    n_nodes=2, applications=("dwt", "cs")
-                ),
-                **SMALL_DOMAINS,
+    def test_column_memo_bound_is_local_to_the_engine(self):
+        def bounded(shared):
+            return small_problem(
                 engine=EvaluationEngine(
-                    node_cache_max_entries=4,
-                    vectorized=False,
-                    shared_cache=shared,
+                    column_memo_max_entries=4, shared_cache=shared
                 ),
                 vectorized=False,
             )
-            problem.evaluate_batch(list(problem.space.enumerate_genotypes()))
-            return problem.engine.stats.snapshot()
 
-        without = run(None)
-        with_shared = run(SharedGenotypeCache())
-        assert with_shared.node_cache_evictions == without.node_cache_evictions
-        assert with_shared.node_cache_evictions > 0
-        assert with_shared.node_model_calls == without.node_model_calls
+        shared = SharedGenotypeCache()
+        publisher = bounded(shared)
+        genotypes = list(publisher.space.enumerate_genotypes())
+        publisher.evaluate_batch(genotypes)
+        alone = bounded(None)
+        alone.evaluate_batch(genotypes)
+        # Publishing leaves the engine's own LRU accounting unchanged...
+        assert (
+            publisher.engine.stats.column_memo_evictions
+            == alone.engine.stats.column_memo_evictions
+            > 0
+        )
+        assert (
+            publisher.engine.stats.model_evaluations
+            == alone.engine.stats.model_evaluations
+        )
+        # ...and rows the bounded store evicted still serve a peer.
+        peer = small_problem(
+            engine=EvaluationEngine(shared_cache=shared), vectorized=False
+        )
+        peer.evaluate_batch(genotypes)
+        assert peer.engine.stats.model_evaluations == 0
+        assert peer.engine.stats.shared_cache_hits == len(genotypes)
 
     def test_disabled_genotype_cache_deactivates_sharing(self):
         shared = SharedGenotypeCache()

@@ -21,6 +21,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -38,8 +39,8 @@ from repro.engine import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    ProcessBackend,
     RetryPolicy,
+    ShardedVectorizedBackend,
     SweepCheckpoint,
     WorkerRecoveryExhausted,
     inject_faults,
@@ -48,6 +49,7 @@ from repro.engine import (
     save_checkpoint,
 )
 from repro.engine import faults
+from repro.engine.backends import FaultCounters
 from repro.engine.checkpoint import (
     CHECKPOINT_VERSION,
     MAGIC,
@@ -65,13 +67,14 @@ NODE_DOMAINS = dict(
 )
 
 
-def beacon_problem(engine: EvaluationEngine) -> WbsnDseProblem:
+def beacon_problem(engine: EvaluationEngine, **kwargs) -> WbsnDseProblem:
     return WbsnDseProblem(
         build_case_study_evaluator(n_nodes=2, applications=("dwt", "cs")),
         **NODE_DOMAINS,
         payload_bytes=(60, 80),
         order_pairs=((4, 4), (4, 6)),
         engine=engine,
+        **kwargs,
     )
 
 
@@ -200,7 +203,7 @@ class TestRetryPolicy:
 
     def test_make_backend_rejects_policy_with_an_instance(self):
         with pytest.raises(ValueError, match="retry_policy"):
-            make_backend(ProcessBackend(), retry_policy=RetryPolicy())
+            make_backend(ShardedVectorizedBackend(), retry_policy=RetryPolicy())
 
     def test_make_backend_forwards_policy(self):
         policy = RetryPolicy(max_attempts=5)
@@ -273,58 +276,48 @@ class TestWorkerRecovery:
             )
 
 
-class TestScalarBackendRecovery:
-    def test_injected_chunk_exception_is_retried(self):
-        serial = beacon_problem(EvaluationEngine())
-        genotypes = list(serial.space.enumerate_genotypes())[:32]
-        expected = [d.objectives for d in serial.evaluate_batch(genotypes)]
-        plan = FaultPlan([FaultSpec(site="chunk", action="raise", at=(0,))])
-        with inject_faults(plan):
-            engine = EvaluationEngine(
-                backend="process",
+class TestPoolRecovery:
+    """Recovery-loop behaviours beyond retry and degradation: harvesting
+    finished shards, the batch deadline and its default degradation."""
+
+    @staticmethod
+    def two_shard_engine(**engine_kwargs) -> EvaluationEngine:
+        # 16-row shards: a 32-row batch is two shards on two workers.
+        return EvaluationEngine(
+            backend=ShardedVectorizedBackend(
                 max_workers=2,
-                vectorized=False,
-                retry_policy=FAST_RETRIES,
-            )
-            with engine:
-                problem = beacon_problem(engine)
-                designs = problem.evaluate_batch(genotypes)
-        assert [d.objectives for d in designs] == expected
-        assert engine.stats.worker_failures == 1
-        assert engine.stats.batches_retried == 1
+                min_rows_per_shard=16,
+                retry_policy=engine_kwargs.pop("retry_policy", FAST_RETRIES),
+            ),
+            **engine_kwargs,
+        )
 
     def test_completed_units_survive_a_failed_attempt(self):
-        # Four chunk units on two workers.  Unit 1 hangs long enough for
-        # units 0, 2 and 3 to finish, then raises: the recovery loop must
-        # harvest those completed futures before tearing the pool down and
-        # re-dispatch *only* unit 1.  Submission ids are monotonic (0-3 on
-        # the first attempt, 4 for the retried unit), so a fault armed on
-        # ids 5-6 is a tripwire that only fires if an already-completed
-        # unit is thrown away and re-dispatched.
+        # Two shards on two workers.  Shard 0 hangs long enough for shard 1
+        # to finish, then raises: the recovery loop must harvest shard 1's
+        # completed future before tearing the pool down and re-dispatch
+        # *only* shard 0.  Submission ids are monotonic (0-1 on the first
+        # attempt, 2 for the retried shard), so a fault armed on id 3 is a
+        # tripwire that only fires if the completed shard is thrown away
+        # and re-dispatched.
         serial = beacon_problem(EvaluationEngine())
         genotypes = list(serial.space.enumerate_genotypes())[:32]
         expected = [d.objectives for d in serial.evaluate_batch(genotypes)]
         plan = FaultPlan(
             [
-                FaultSpec(site="chunk", action="hang", delay_s=1.0, at=(1,)),
-                FaultSpec(site="chunk", action="raise", at=(1,)),
-                FaultSpec(site="chunk", action="raise", at=(5, 6)),
+                FaultSpec(site="shard", action="hang", delay_s=1.0, at=(0,)),
+                FaultSpec(site="shard", action="raise", at=(0,)),
+                FaultSpec(site="shard", action="raise", at=(3,)),
             ]
         )
         with inject_faults(plan):
-            engine = EvaluationEngine(
-                backend="process",
-                max_workers=2,
-                vectorized=False,
-                chunk_size=8,
-                retry_policy=FAST_RETRIES,
-            )
+            engine = self.two_shard_engine()
             with engine:
                 problem = beacon_problem(engine)
                 designs = problem.evaluate_batch(genotypes)
         assert [d.objectives for d in designs] == expected
         # One failure, one retry: the tripwire never fired, so the retry
-        # pool received exactly the one unfinished unit.
+        # pool received exactly the one unfinished shard.
         assert engine.stats.worker_failures == 1
         assert engine.stats.batches_retried == 1
         assert engine.stats.degraded_batches == 0
@@ -334,39 +327,33 @@ class TestScalarBackendRecovery:
         # it off, name the batch and shard, and (degradation disabled)
         # surface the timeout as the exhaustion's cause.
         plan = FaultPlan(
-            [FaultSpec(site="chunk", action="hang", delay_s=30.0, at=(0,))]
+            [FaultSpec(site="shard", action="hang", delay_s=30.0, at=(0,))]
         )
         with inject_faults(plan):
-            engine = EvaluationEngine(
-                backend="process",
-                max_workers=2,
-                vectorized=False,
+            engine = self.two_shard_engine(
                 degrade_on_failure=False,
                 retry_policy=RetryPolicy(max_attempts=1, batch_timeout_s=0.5),
             )
             with engine:
                 problem = beacon_problem(engine)
-                genotypes = list(problem.space.enumerate_genotypes())[:8]
+                genotypes = list(problem.space.enumerate_genotypes())[:32]
                 with pytest.raises(WorkerRecoveryExhausted) as excinfo:
                     problem.evaluate_batch(genotypes)
         cause = excinfo.value.__cause__
         assert isinstance(cause, EngineTimeoutError)
         assert cause.shard == 0
-        assert "scalar chunk batch" in str(cause)
+        assert "sharded column batch" in str(cause)
         assert "shard 0" in str(cause)
 
     def test_timed_out_batch_degrades_by_default(self):
         plan = FaultPlan(
-            [FaultSpec(site="chunk", action="hang", delay_s=30.0, at=(0,))]
+            [FaultSpec(site="shard", action="hang", delay_s=30.0, at=(0,))]
         )
         serial = beacon_problem(EvaluationEngine())
-        genotypes = list(serial.space.enumerate_genotypes())[:8]
+        genotypes = list(serial.space.enumerate_genotypes())[:32]
         expected = [d.objectives for d in serial.evaluate_batch(genotypes)]
         with inject_faults(plan):
-            engine = EvaluationEngine(
-                backend="process",
-                max_workers=2,
-                vectorized=False,
+            engine = self.two_shard_engine(
                 retry_policy=RetryPolicy(max_attempts=1, batch_timeout_s=0.5),
             )
             with engine, pytest.warns(EngineDegradationWarning):
@@ -375,6 +362,50 @@ class TestScalarBackendRecovery:
         assert [d.objectives for d in designs] == expected
         assert engine.stats.worker_failures == 1
         assert engine.stats.degraded_batches == 1
+
+    def test_respawned_pool_serves_later_batches(self):
+        # A failed attempt tears the pool down; the retry and every later
+        # batch run on the respawned pool, and the engine drains the pool's
+        # counters after each dispatch, so none are counted twice.
+        serial = beacon_problem(EvaluationEngine())
+        genotypes = list(serial.space.enumerate_genotypes())
+        expected = [d.objectives for d in serial.evaluate_batch(genotypes)]
+        plan = FaultPlan([FaultSpec(site="shard", action="raise", at=(0,))])
+        with inject_faults(plan):
+            engine = self.two_shard_engine()
+            with engine:
+                problem = beacon_problem(engine)
+                first = problem.evaluate_batch(genotypes[:32])
+                second = problem.evaluate_batch(genotypes[32:])
+                assert engine.backend._executor is not None
+                assert engine.backend.drain_fault_counters() == FaultCounters()
+        assert [d.objectives for d in first + second] == expected
+        assert engine.stats.worker_failures == 1
+        assert engine.stats.batches_retried == 1
+        assert engine.stats.degraded_batches == 0
+        # Every row but the construction probe (cached) came off the pool.
+        assert engine.stats.sharded_designs == len(genotypes) - 1
+
+    def test_pool_faults_never_reach_kernel_less_batches(self):
+        # Kernel-less batches compute in-process on a pool engine, so a
+        # fault armed on every shard dispatch never fires: no failure, no
+        # retry, no degradation, and the serial engine's rows.
+        serial = beacon_problem(EvaluationEngine(), vectorized=False)
+        genotypes = list(serial.space.enumerate_genotypes())[:32]
+        expected = [d.objectives for d in serial.evaluate_batch(genotypes)]
+        plan = FaultPlan([FaultSpec(site="shard", action="raise")])
+        with inject_faults(plan), warnings.catch_warnings():
+            warnings.simplefilter("error", EngineDegradationWarning)
+            engine = self.two_shard_engine()
+            with engine:
+                problem = beacon_problem(engine, vectorized=False)
+                designs = problem.evaluate_batch(genotypes)
+                assert engine.backend._executor is None
+        assert [d.objectives for d in designs] == expected
+        assert engine.stats.worker_failures == 0
+        assert engine.stats.batches_retried == 0
+        assert engine.stats.degraded_batches == 0
+        assert engine.stats.sharded_designs == 0
 
 
 class TestResourceLifecycleUnderFaults:

@@ -33,7 +33,7 @@ import pytest
 
 from repro.core.baseline import EnergyDelayBaselineEvaluator
 from repro.dse.exhaustive import ExhaustiveSearch
-from repro.dse.problem import WbsnDseProblem
+from repro.dse.problem import WbsnDseProblem, csma_mac_parameterisation
 from repro.dse.runner import run_algorithm
 from repro.engine import (
     CacheSegmentError,
@@ -59,7 +59,11 @@ from repro.engine.persist import (
     remove_orphaned_tmp_siblings,
     spill_columns,
 )
-from repro.experiments.casestudy import build_case_study_evaluator
+from repro.experiments.casestudy import (
+    build_baseline_evaluator,
+    build_case_study_evaluator,
+    build_csma_case_study_evaluator,
+)
 
 from test_faults import (
     NODE_DOMAINS,
@@ -517,6 +521,69 @@ class TestWarmStartSweeps:
 # Fault injection: corrupted segments cold-start, kills leak no tmp files.
 
 
+class TestEvaluationFingerprint:
+    """The fingerprint names every segment: its bytes are pinned, so
+    segments spilled by earlier builds keep warm-starting, and an engine
+    resolves it once, at bind."""
+
+    #: The default case study (and its energy-delay baseline) and the CSMA
+    #: variant of the default problem.
+    CASE_STUDY = "456741d2905ca0d7f5ce32a84d940fd013b9aceaae1c0ebe154115469dce0167"
+    CSMA = "37cfeceda9a5d626d82039b1ae671cfe4266a8936e4825d09cd693c25dc605a9"
+
+    def test_case_study_fingerprint_is_pinned(self):
+        full = WbsnDseProblem(build_case_study_evaluator())
+        baseline = WbsnDseProblem(build_baseline_evaluator())
+        assert full.evaluation_fingerprint().hex() == self.CASE_STUDY
+        # The pair differs only in objective components, which the
+        # fingerprint leaves out.
+        assert baseline.evaluation_fingerprint().hex() == self.CASE_STUDY
+
+    def test_csma_fingerprint_is_pinned(self):
+        problem = WbsnDseProblem(
+            build_csma_case_study_evaluator(),
+            mac_parameterisation=csma_mac_parameterisation(),
+        )
+        assert problem.evaluation_fingerprint().hex() == self.CSMA
+
+    @staticmethod
+    def count_fingerprints(monkeypatch) -> list:
+        """Record every problem whose fingerprint is computed."""
+        calls = []
+        original = WbsnDseProblem.evaluation_fingerprint
+
+        def counting(problem):
+            calls.append(problem)
+            return original(problem)
+
+        monkeypatch.setattr(WbsnDseProblem, "evaluation_fingerprint", counting)
+        return calls
+
+    def test_bind_resolves_the_fingerprint_once(self, tmp_path, monkeypatch):
+        calls = self.count_fingerprints(monkeypatch)
+        # Neither a shared cache nor a cache_dir: the tier is first used
+        # after bind and reuses the bind-time fingerprint.
+        engine = EvaluationEngine()
+        problem = beacon_problem(engine)
+        assert calls == [problem]
+        path = engine.spill_persistent_cache(tmp_path)
+        assert path is not None and path.parent == tmp_path
+        assert engine.load_persistent_cache(tmp_path / "empty") == 0
+        assert engine.spill_persistent_cache(tmp_path) == path
+        assert calls == [problem]
+
+    def test_disabled_genotype_cache_resolves_no_fingerprint(
+        self, tmp_path, monkeypatch
+    ):
+        calls = self.count_fingerprints(monkeypatch)
+        engine = EvaluationEngine(genotype_cache=False)
+        beacon_problem(engine)
+        with pytest.warns(CacheTierWarning, match="needs the genotype cache"):
+            assert engine.spill_persistent_cache(tmp_path) is None
+        assert not list(tmp_path.iterdir())
+        assert calls == []
+
+
 class TestSegmentFaultInjection:
     @pytest.mark.parametrize(
         "action, kwargs, fragment",
@@ -896,6 +963,18 @@ class TestColumnMemoBound:
         assert front_signature(result.front) == reference_front("beacon")
         assert len(engine._column_store) <= 8
         assert engine.stats.column_memo_evictions > 0
+
+    def test_bounded_scalar_loop_keeps_the_front(self):
+        # Kernel-less problems fill the store from the scalar loop; the
+        # bound holds there too, and the front is the kernel's.
+        engine = EvaluationEngine(column_memo_max_entries=2)
+        result = run_algorithm(
+            ExhaustiveSearch(beacon_problem(engine, vectorized=False), chunk_size=16)
+        )
+        assert front_signature(result.front) == reference_front("beacon")
+        assert len(engine._column_store) <= 2
+        assert engine.stats.column_memo_evictions > 0
+        assert engine.stats.vectorized_designs == 0
 
     def test_bounded_warm_start_recomputes_evicted_rows(self, tmp_path):
         sweep(EvaluationEngine(cache_dir=tmp_path))

@@ -1337,7 +1337,7 @@ class TestDeadlines:
     def test_deadline_scope_reserves_a_degradation_slot(self):
         policy = RetryPolicy(max_attempts=2, backoff_base_s=0.1)
         engine = EvaluationEngine(
-            backend="process", max_workers=2, retry_policy=policy
+            backend="sharded", max_workers=2, retry_policy=policy
         )
         with engine:
             backend = engine.backend
@@ -1400,16 +1400,14 @@ class TestDeadlines:
         # Every pool dispatch hangs far past the deadline; only the clamped
         # batch timeout and the in-process degradation rung can serve this.
         plan = FaultPlan(
-            [FaultSpec(site="chunk", action="hang", delay_s=30.0)]
+            [FaultSpec(site="shard", action="hang", delay_s=30.0)]
         )
         deadline_s = 2.5
 
         async def scenario():
             engine = EvaluationEngine(
-                backend="process",
+                backend="sharded",
                 max_workers=2,
-                vectorized=False,
-                chunk_size=8,
                 retry_policy=FAST_RETRIES,
             )
             service = await start_service(engine=engine)
@@ -1574,14 +1572,12 @@ class TestDegradationSurfacing:
         expected = expected_rows()
         # Every pool dispatch raises; retries exhaust and the engine serves
         # the batch from its in-process ladder.
-        plan = FaultPlan([FaultSpec(site="chunk", action="raise")])
+        plan = FaultPlan([FaultSpec(site="shard", action="raise")])
 
         async def scenario():
             engine = EvaluationEngine(
-                backend="process",
+                backend="sharded",
                 max_workers=2,
-                vectorized=False,
-                chunk_size=16,
                 retry_policy=FAST_RETRIES,
             )
             service = await start_service(engine=engine)

@@ -12,6 +12,10 @@ instance-plus-``max_workers`` combination.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -28,11 +32,10 @@ from repro.dse.simulated_annealing import (
 )
 from repro.engine import (
     EvaluationEngine,
-    ProcessBackend,
-    SerialBackend,
     ShardedVectorizedBackend,
     make_backend,
 )
+from repro.engine.backends import FaultCounters
 from repro.engine.sharded import SharedArrayArena, attach_arena_views
 from repro.experiments.casestudy import (
     build_case_study_evaluator,
@@ -46,13 +49,14 @@ NODE_DOMAINS = dict(
 )
 
 
-def beacon_problem(engine: EvaluationEngine) -> WbsnDseProblem:
+def beacon_problem(engine: EvaluationEngine, **kwargs) -> WbsnDseProblem:
     return WbsnDseProblem(
         build_case_study_evaluator(n_nodes=2, applications=("dwt", "cs")),
         **NODE_DOMAINS,
         payload_bytes=(60, 80),
         order_pairs=((4, 4), (4, 6)),
         engine=engine,
+        **kwargs,
     )
 
 
@@ -267,7 +271,7 @@ class TestResourceLifecycle:
         engine.close()  # idempotent
 
     def test_engine_context_manager_closes_the_backend(self):
-        with EvaluationEngine(backend="process", max_workers=1) as engine:
+        with EvaluationEngine(backend="sharded", max_workers=1) as engine:
             problem = beacon_problem(engine)
             problem.evaluate_batch([(0, 0, 0, 0, 0, 0)] * 2)
         assert engine.backend._executor is None
@@ -304,15 +308,6 @@ class TestResourceLifecycle:
         assert [d.objectives for d in fresh] == [d.objectives for d in reference]
         backend.close()
 
-    def test_process_backend_also_rejects_pool_reuse(self):
-        backend = ProcessBackend(max_workers=1)
-        first = beacon_problem(EvaluationEngine(backend=backend, vectorized=False))
-        first.evaluate_batch([(1, 0, 1, 0, 1, 0)] * 2)
-        second = csma_problem(EvaluationEngine(backend=backend, vectorized=False))
-        with pytest.raises(RuntimeError, match="different problem"):
-            second.evaluate_batch([(1, 0, 1, 0, 1, 0)] * 2)
-        backend.close()
-
     def test_columns_only_api_handles_an_empty_matrix(self):
         with sharded_engine() as engine:
             problem = beacon_problem(engine)
@@ -325,7 +320,7 @@ class TestResourceLifecycle:
             assert columns.violation_counts.shape == (0,)
 
     def test_scalar_fallback_for_kernel_less_problems(self):
-        """No kernel: the sharded pool runs the chunked scalar path instead."""
+        """No kernel: the batch takes the in-process scalar loop instead."""
         serial = beacon_problem(EvaluationEngine())
         with sharded_engine() as engine:
             problem = WbsnDseProblem(
@@ -345,21 +340,80 @@ class TestResourceLifecycle:
             assert engine.stats.vectorized_designs == 0
             assert engine.stats.model_evaluations > 0
 
+    def test_kernel_less_problems_never_start_the_pool(self):
+        """The pool runs column kernels only: a kernel-less batch computes
+        in-process, so no worker is ever spawned for it."""
+        with sharded_engine() as engine:
+            problem = WbsnDseProblem(
+                build_case_study_evaluator(n_nodes=2, applications=("dwt", "cs")),
+                **NODE_DOMAINS,
+                payload_bytes=(60, 80),
+                order_pairs=((4, 4), (4, 6)),
+                engine=engine,
+                vectorized=False,
+            )
+            genotypes = list(problem.space.enumerate_genotypes())[:24]
+            designs = problem.evaluate_batch(genotypes)
+            assert engine.backend._executor is None
+            assert engine.stats.model_evaluations == len(genotypes)
+            assert [d.objectives for d in designs] == [
+                problem.compute_design(genotype).objectives
+                for genotype in genotypes
+            ]
+
+
+    def test_pool_refuses_a_kernel_less_problem(self):
+        """Called directly, the pool rejects a problem with no column
+        kernel before spawning a worker, counts no failure, and stays
+        usable for a kernel problem."""
+        backend = ShardedVectorizedBackend(max_workers=2)
+        kernel_less = beacon_problem(EvaluationEngine(), vectorized=False)
+        matrix = kernel_less.space.index_matrix([(1, 0, 1, 0, 1, 0)] * 2)
+        with pytest.raises(RuntimeError, match="compiled column kernel"):
+            backend.evaluate_columns_sharded(kernel_less, matrix)
+        assert backend._executor is None
+        assert backend._arena is None
+        assert backend.drain_fault_counters() == FaultCounters()
+        problem = beacon_problem(EvaluationEngine())
+        columns = backend.evaluate_columns_sharded(problem, matrix)
+        reference = problem.compute_columns_batch(matrix)
+        np.testing.assert_array_equal(columns.objectives, reference.objectives)
+        backend.close()
+
+    def test_kernel_less_sweep_keeps_the_front_without_a_pool(self):
+        """A sweep asks for worker-side pruning; a kernel-less problem on
+        a pool engine answers with full columns from the scalar loop and
+        yields the serial kernel's front."""
+        reference = run_algorithm(
+            ExhaustiveSearch(beacon_problem(EvaluationEngine()), chunk_size=16)
+        )
+        with sharded_engine() as engine:
+            problem = beacon_problem(engine, vectorized=False)
+            result = run_algorithm(ExhaustiveSearch(problem, chunk_size=16))
+            assert engine.backend._executor is None
+        assert front_signature(result.front) == front_signature(reference.front)
+        assert result.engine_stats.rows_pruned_in_workers == 0
+        assert result.engine_stats.sharded_designs == 0
+        assert result.engine_stats.vectorized_designs == 0
+
 
 class TestMakeBackend:
     """Backend resolution edges (the silently-ignored max_workers bug)."""
 
     def test_instance_with_max_workers_is_rejected(self):
-        for instance in (SerialBackend(), ProcessBackend(max_workers=1)):
+        for instance in (
+            ShardedVectorizedBackend(),
+            ShardedVectorizedBackend(max_workers=1),
+        ):
             with pytest.raises(ValueError, match="max_workers"):
                 make_backend(instance, max_workers=2)
 
     def test_engine_rejects_instance_plus_max_workers(self):
         with pytest.raises(ValueError, match="max_workers"):
-            EvaluationEngine(backend=SerialBackend(), max_workers=2)
+            EvaluationEngine(backend=ShardedVectorizedBackend(), max_workers=2)
 
     def test_instance_without_max_workers_passes_through(self):
-        backend = SerialBackend()
+        backend = ShardedVectorizedBackend()
         assert make_backend(backend) is backend
         assert make_backend(backend, max_workers=None) is backend
 
@@ -373,6 +427,65 @@ class TestMakeBackend:
     def test_invalid_min_rows_per_shard_rejected(self):
         with pytest.raises(ValueError):
             ShardedVectorizedBackend(min_rows_per_shard=0)
+
+    def test_serial_name_resolves_to_no_pool(self):
+        assert make_backend("serial") is None
+        engine = EvaluationEngine()
+        assert engine.backend is None
+        problem = beacon_problem(engine)
+        problem.evaluate_batch(list(problem.space.enumerate_genotypes())[:16])
+        assert engine.stats.vectorized_designs == 15  # the probe is cached
+        assert engine.stats.sharded_designs == 0
+        engine.close()  # nothing to release
+
+    def test_process_is_not_a_backend_name(self):
+        """The scalar process pool is gone: its name is rejected like any
+        unknown one, never mapped onto another pool."""
+        with pytest.raises(ValueError, match="unknown execution backend 'process'"):
+            make_backend("process")
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            EvaluationEngine(backend="process", max_workers=2)
+
+    def test_default_pool_size_falls_back_to_the_cpu_count(self, monkeypatch):
+        """Where the platform reports no affinity mask, the machine's CPU
+        count sizes the pool (one worker when even that is unknown)."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert ShardedVectorizedBackend().max_workers == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert ShardedVectorizedBackend().max_workers == 1
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity")
+        or len(os.sched_getaffinity(0)) < 2,
+        reason="needs sched_setaffinity and at least two usable CPUs",
+    )
+    def test_default_pool_size_counts_only_usable_cpus(self):
+        """A process pinned to one CPU (taskset, a cpuset container) gets a
+        one-worker default pool, not one worker per machine CPU."""
+        script = textwrap.dedent(
+            """
+            import os
+            from repro.engine import ShardedVectorizedBackend
+
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            print(ShardedVectorizedBackend().max_workers)
+            """
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "1"
 
 
 class TestWorkerSidePruning:

@@ -29,7 +29,7 @@ from repro.dse.simulated_annealing import (
     SimulatedAnnealingSettings,
 )
 from repro.dse.space import DesignSpace, ParameterDomain
-from repro.engine import CachedNetworkEvaluator, EvaluationEngine
+from repro.engine import EvaluationEngine
 from repro.experiments.casestudy import (
     build_baseline_evaluator,
     build_case_study_evaluator,
@@ -241,13 +241,6 @@ class TestEngineWiring:
         assert problem.engine.stats.vectorized_designs == 0
         assert problem.engine.stats.model_evaluations == 2
 
-    def test_engine_flag_forces_the_scalar_path(self):
-        problem = SyntheticVectorProblem()
-        problem.engine.vectorized_enabled = False
-        problem.evaluate_batch([(1, 2), (3, 4)])
-        assert problem.batch_calls == 0
-        assert problem.engine.stats.vectorized_designs == 0
-
     def test_genotype_cache_cooperates_with_the_kernel(self):
         problem = SyntheticVectorProblem()
         problem.evaluate_batch([(1, 2), (1, 2), (3, 4)])
@@ -361,64 +354,7 @@ class TestParetoKernelEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Bounded node cache (LRU) and NodeConfigLike
-
-
-class TestLruNodeCache:
-    def _evaluate_some(self, max_entries):
-        evaluator = build_case_study_evaluator(n_nodes=2, applications=("dwt", "cs"))
-        engine = EvaluationEngine(
-            node_cache_max_entries=max_entries, vectorized=False
-        )
-        problem = WbsnDseProblem(
-            evaluator, **SMALL_DOMAINS, engine=engine, vectorized=False
-        )
-        genotypes = list(problem.space.enumerate_genotypes())
-        problem.evaluate_batch(genotypes)
-        return problem
-
-    def test_cache_stays_bounded_and_counts_evictions(self):
-        problem = self._evaluate_some(max_entries=4)
-        assert problem.evaluator.cache_size <= 4
-        assert problem.engine.stats.node_cache_evictions > 0
-
-    def test_unbounded_cache_never_evicts(self):
-        problem = self._evaluate_some(max_entries=None)
-        assert problem.engine.stats.node_cache_evictions == 0
-
-    def test_bounded_cache_preserves_results(self):
-        bounded = self._evaluate_some(max_entries=2)
-        unbounded = self._evaluate_some(max_entries=None)
-        assert front_signature(
-            ExhaustiveSearch(bounded).run()
-        ) == front_signature(ExhaustiveSearch(unbounded).run())
-
-    def test_lru_eviction_order(self):
-        from repro.experiments.casestudy import DEFAULT_MAC_CONFIG
-        from repro.shimmer.platform import ShimmerNodeConfig
-
-        evaluator = build_case_study_evaluator(n_nodes=1, applications=("dwt",))
-        cached = CachedNetworkEvaluator(evaluator, max_entries=2)
-        configs = [[ShimmerNodeConfig(ratio, 8e6)] for ratio in (0.2, 0.25, 0.3)]
-        mac = DEFAULT_MAC_CONFIG
-        cached.evaluate(configs[0], mac)
-        cached.evaluate(configs[1], mac)
-        cached.evaluate(configs[0], mac)  # refresh 0 -> 1 becomes LRU
-        cached.evaluate(configs[2], mac)  # evicts 1
-        calls_before = cached.stats.node_model_calls
-        cached.evaluate(configs[0], mac)  # still cached
-        assert cached.stats.node_model_calls == calls_before
-        cached.evaluate(configs[1], mac)  # was evicted -> recomputed
-        assert cached.stats.node_model_calls == calls_before + 1
-
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            EvaluationEngine(node_cache_max_entries=0)
-        with pytest.raises(ValueError):
-            CachedNetworkEvaluator(
-                build_case_study_evaluator(n_nodes=1, applications=("dwt",)),
-                max_entries=-1,
-            )
+# NodeConfigLike
 
 
 class TestNodeConfigLike:

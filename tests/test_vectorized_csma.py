@@ -231,9 +231,7 @@ class TestCsmaCacheIdentity:
     def _cached_and_uncached(self):
         cached, _ = small_csma_pair()
         uncached, _ = small_csma_pair(
-            engine_factory=lambda: EvaluationEngine(
-                genotype_cache=False, node_cache=False
-            )
+            engine_factory=lambda: EvaluationEngine(genotype_cache=False)
         )
         return cached, uncached
 
