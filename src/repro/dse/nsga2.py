@@ -6,21 +6,38 @@ is a standard NSGA-II implementation operating on the integer genotypes of a
 selection, uniform crossover, random-reset mutation, fast non-dominated
 sorting and crowding-distance truncation.
 
-Evaluation is generation-at-a-time: each generation's offspring genotypes are
-produced first (selection and variation never look at a child's objectives)
-and then evaluated as one batch through
-:meth:`~repro.dse.problem.OptimizationProblem.evaluate_batch`, so the shared
-evaluation engine can deduplicate, serve cache hits and push the misses
-through its vectorized fast path (or the scalar model).
-Duplicate-genotype memoisation is the engine's job — the algorithm no longer
-carries a private cache.  Selection itself leans on the NumPy Pareto kernels
-of :mod:`repro.dse.pareto`: non-dominated sorting and crowding run on
-broadcasted dominance matrices, so generation turnover stays array-bound
-rather than Python-bound.  The objective matrix is carried *alongside* the
-population across generations — built once per batch of freshly evaluated
-offspring and thereafter sliced with index arrays — so rank/crowding
-selection consumes the matrix directly instead of re-extracting objective
-tuples from the design objects every generation.
+A generation is one :meth:`Nsga2._make_offspring` and one
+:meth:`Nsga2._environmental_selection`:
+
+* The tournament keys ``(infeasible, rank, -crowding)`` of the population
+  are built once, as a list.  One loop then makes every child: two binary
+  tournaments, an optional uniform crossover, and the random-reset loop
+  that ``mutate_genotype`` shares
+  (:meth:`~repro.dse.space.DesignSpace.random_reset`).  Children of valid
+  parents are not validated again, and the loop adds no Python work per
+  draw beyond the draw call itself.
+* The children are evaluated with **one**
+  :meth:`~repro.dse.problem.OptimizationProblem.evaluate_batch` call per
+  generation, and one more for the initial population, so a wrapper set
+  on the problem instance sees every generation (``perfbench`` times them
+  that way).  The engine dedups the batch, serves its cache hits and
+  computes the misses in one go.  The population stays the list of design
+  objects that call returns, and its objective matrix travels alongside,
+  sliced with index arrays.
+* Survivors are deduplicated by design key
+  (:meth:`~repro.dse.space.DesignSpace.design_keys`: exact even for spaces
+  too large for ``int64`` ids), keeping first occurrences in order.  Fresh
+  random designs refill the pool when fewer than a population remain, and
+  rank and crowding distance truncate it.
+
+A seed fixes the whole run, and the run makes the textbook loop's draws in
+its order, so the fronts match it design for design.  A tournament pair is
+two scalar ``rng.integers(0, n)`` calls: they yield the values and the
+final bit-generator state of one ``rng.integers(0, n, size=2)`` call,
+without NumPy's per-call size handling.  The reset loop draws per gene as
+``mutate_genotype`` always has, and the dedup keeps the same first
+occurrences in the same order.  ``tests/test_nsga2_stream.py`` pins the
+NumPy behaviour and the streams of seeded runs.
 """
 
 from __future__ import annotations
@@ -106,59 +123,36 @@ class Nsga2:
         designs = self.problem.evaluate_batch(genotypes)
         return designs, self._objective_matrix(designs)
 
-    def _ranks_and_crowding(
-        self, matrix: np.ndarray
-    ) -> tuple[list[int], list[float]]:
-        fronts = non_dominated_sort(matrix)
-        ranks = [0] * len(matrix)
-        crowding = [0.0] * len(matrix)
-        for rank, front in enumerate(fronts):
-            front_distances = crowding_distance(matrix[front])
-            for position, index in enumerate(front):
-                ranks[index] = rank
-                crowding[index] = front_distances[position]
-        return ranks, crowding
-
-    def _tournament(
-        self,
-        population: list[EvaluatedDesign],
-        ranks: list[int],
-        crowding: list[float],
-    ) -> EvaluatedDesign:
-        first, second = self._rng.integers(0, len(population), size=2)
-        # Constrained tournament: feasible beats infeasible, then rank, then
-        # crowding distance.
-        def key(index: int) -> tuple[int, int, float]:
-            design = population[index]
-            return (0 if design.feasible else 1, ranks[index], -crowding[index])
-
-        winner = first if key(int(first)) <= key(int(second)) else second
-        return population[int(winner)]
-
-    def _crossover(
-        self, parent_a: tuple[int, ...], parent_b: tuple[int, ...]
-    ) -> tuple[int, ...]:
-        if self._rng.random() > self.settings.crossover_probability:
-            return parent_a
-        mask = self._rng.random(len(parent_a)) < 0.5
-        child = [
-            gene_a if use_a else gene_b
-            for gene_a, gene_b, use_a in zip(parent_a, parent_b, mask)
-        ]
-        return tuple(child)
+    def _tournament_keys(
+        self, population: list[EvaluatedDesign], matrix: np.ndarray
+    ) -> list[tuple[int, int, float]]:
+        """Constrained-tournament keys, the smaller winning: feasible before
+        infeasible, then the lower rank, then the larger crowding distance."""
+        keys: list[tuple[int, int, float]] = [(0, 0, 0.0)] * len(population)
+        for rank, front in enumerate(non_dominated_sort(matrix)):
+            for index, distance in zip(front, crowding_distance(matrix[front])):
+                keys[index] = (0 if population[index].feasible else 1, rank, -distance)
+        return keys
 
     def _make_offspring(
         self, population: list[EvaluatedDesign], matrix: np.ndarray
     ) -> tuple[list[EvaluatedDesign], np.ndarray]:
-        ranks, crowding = self._ranks_and_crowding(matrix)
+        keys = self._tournament_keys(population, matrix)
+        genotypes = [design.genotype for design in population]
+        size, genes = len(population), len(self.problem.space)
+        random, integers = self._rng.random, self._rng.integers
         children: list[tuple[int, ...]] = []
         for _ in range(self.settings.population_size):
-            parent_a = self._tournament(population, ranks, crowding)
-            parent_b = self._tournament(population, ranks, crowding)
-            child = self._crossover(parent_a.genotype, parent_b.genotype)
+            first, second = integers(0, size), integers(0, size)
+            parent = genotypes[first if keys[first] <= keys[second] else second]
+            first, second = integers(0, size), integers(0, size)
+            other = genotypes[first if keys[first] <= keys[second] else second]
+            if random() <= self.settings.crossover_probability:
+                mask = (random(genes) < 0.5).tolist()
+                parent = [a if use_a else b for a, b, use_a in zip(parent, other, mask)]
             children.append(
-                self.problem.space.mutate_genotype(
-                    child, self._rng, self.settings.mutation_rate
+                self.problem.space.random_reset(
+                    parent, self._rng, self.settings.mutation_rate
                 )
             )
         designs = self.problem.evaluate_batch(children)
@@ -169,19 +163,16 @@ class Nsga2:
     ) -> tuple[list[EvaluatedDesign], np.ndarray]:
         # Duplicate genotypes quickly take over an elitist population on a
         # discrete space; keeping a single copy of each preserves diversity.
-        seen: set[tuple[int, ...]] = set()
-        unique_indices: list[int] = []
-        for index, design in enumerate(combined):
-            if design.genotype in seen:
-                continue
-            seen.add(design.genotype)
-            unique_indices.append(index)
+        space = self.problem.space
+        keys = space.design_keys(space.index_matrix([d.genotype for d in combined]))
+        unique_indices = np.sort(np.unique(keys, return_index=True)[1])
         combined = [combined[index] for index in unique_indices]
         matrix = matrix[unique_indices]
         if len(combined) < self.settings.population_size:
+            seen = {design.genotype for design in combined}
             extra_rows: list[tuple[float, ...]] = []
             while len(combined) < self.settings.population_size:
-                genotype = self.problem.space.random_genotype(self._rng)
+                genotype = space.random_genotype(self._rng)
                 if genotype in seen:
                     continue
                 design = self.problem.evaluate(genotype)

@@ -258,14 +258,36 @@ class DesignSpace:
         rng: np.random.Generator,
         mutation_rate: float,
     ) -> tuple[int, ...]:
-        """Random-reset mutation: each gene is redrawn with ``mutation_rate``."""
+        """Random-reset mutation: each gene is redrawn with ``mutation_rate``.
+
+        Validates ``genotype`` and the rate, then runs :meth:`random_reset`.
+        Per gene of a domain with more than one value, in domain order, the
+        draws are one ``rng.random()`` and, when it falls below the rate, one
+        ``rng.integers(0, cardinality)``; one-value domains draw nothing.
+        """
         if not 0.0 <= mutation_rate <= 1.0:
             raise ValueError("mutation_rate must be in [0, 1]")
-        genotype = list(self.validate_genotype(genotype))
-        for position, domain in enumerate(self.domains):
-            if domain.cardinality > 1 and rng.random() < mutation_rate:
-                genotype[position] = int(rng.integers(0, domain.cardinality))
-        return tuple(genotype)
+        return self.random_reset(self.validate_genotype(genotype), rng, mutation_rate)
+
+    @cached_property
+    def _resettable_genes(self) -> tuple[tuple[int, int], ...]:
+        """``(position, cardinality)`` of every domain with more than one value."""
+        return tuple(
+            (position, domain.cardinality)
+            for position, domain in enumerate(self.domains)
+            if domain.cardinality > 1
+        )
+
+    def random_reset(
+        self, genotype: Sequence[int], rng: np.random.Generator, mutation_rate: float
+    ) -> tuple[int, ...]:
+        """:meth:`mutate_genotype` without validation, for genes already valid."""
+        genes = list(genotype)
+        random, integers = rng.random, rng.integers
+        for position, cardinality in self._resettable_genes:
+            if random() < mutation_rate:
+                genes[position] = int(integers(0, cardinality))
+        return tuple(genes)
 
     def enumerate_genotypes(self) -> Iterator[tuple[int, ...]]:
         """Yield every genotype of the space (use only for small spaces).

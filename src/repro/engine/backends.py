@@ -159,12 +159,23 @@ def make_backend(
     ``"serial"`` resolves to ``None`` (no pool: the engine computes
     in-process), ``"sharded"`` to a new
     :class:`~repro.engine.sharded.ShardedVectorizedBackend`; an instance
-    passes through.  ``max_workers`` and ``retry_policy`` only make sense
-    when this function constructs the pool itself; combining either with an
-    instance would silently ignore it, so those combinations are rejected
-    instead.
+    passes through.  Anything else is rejected here, not at the engine's
+    first batch or ``close()``: an unknown name with :class:`ValueError`,
+    any other type with :class:`TypeError`.  ``max_workers`` and
+    ``retry_policy`` only make sense when this function constructs the pool
+    itself; combining either with an instance would silently ignore it, so
+    those combinations are rejected instead.
     """
+    # Imported lazily: the sharded backend imports this module's retry
+    # policy, so a module-level import would be circular.
+    from repro.engine.sharded import ShardedVectorizedBackend
+
     if not isinstance(backend, str):
+        if not isinstance(backend, ShardedVectorizedBackend):
+            raise TypeError(
+                "backend must be 'serial', 'sharded' or a "
+                f"ShardedVectorizedBackend, got {type(backend).__name__}"
+            )
         if max_workers is not None:
             raise ValueError(
                 "max_workers cannot be combined with a backend instance — "
@@ -179,10 +190,6 @@ def make_backend(
     if backend == "serial":
         return None
     if backend == "sharded":
-        # Imported lazily: the sharded backend imports this module's retry
-        # policy, so a module-level import would be circular.
-        from repro.engine.sharded import ShardedVectorizedBackend
-
         return ShardedVectorizedBackend(
             max_workers=max_workers, retry_policy=retry_policy
         )

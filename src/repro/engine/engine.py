@@ -207,7 +207,8 @@ class EvaluationEngine:
         backend: ``"serial"`` (no pool: every miss is computed in-process),
             ``"sharded"`` (the worker pool for kernel batches) or a
             :class:`~repro.engine.sharded.ShardedVectorizedBackend` instance
-            (``max_workers`` must be ``None`` with an instance).
+            (``max_workers`` must be ``None`` with an instance); any other
+            type raises :class:`TypeError`.
         max_workers: pool size of the ``"sharded"`` backend.
         retry_policy: recovery budget of the worker pool (see
             :class:`~repro.engine.backends.RetryPolicy`); ``None`` keeps the

@@ -840,6 +840,21 @@ class TestSpacesBeyondInt64Ids:
         ]
         assert cached.engine_stats.genotype_cache_hits > 0
 
+    def test_nsga2_front_is_pinned(self):
+        """Survivor dedup keys rows by exact design keys, never by
+        ``int64`` ids; the front is the one the tuple-set dedup returned."""
+        problem = self.problem()
+        settings = Nsga2Settings(population_size=8, generations=3, seed=5)
+        front = Nsga2(problem, settings).run()
+        space = problem.space
+        keys = space.design_keys(space.index_matrix([d.genotype for d in front]))
+        assert keys.tolist() == [
+            12964796469098060102, 11807582471097086288, 12150431679391739678,
+            12964774615431388442, 13397375138382188620, 27232173711032619713,
+            13086603639182848346, 12964796479835574598,
+        ]
+        assert problem.engine.stats.genotype_requests == 33
+
     def test_columnar_batch_with_duplicates_and_memo_hits(self, tmp_path):
         cached = self.problem(cache_dir=tmp_path)
         uncached = self.problem(genotype_cache=False)

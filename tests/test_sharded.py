@@ -438,6 +438,15 @@ class TestMakeBackend:
         assert engine.stats.sharded_designs == 0
         engine.close()  # nothing to release
 
+    @pytest.mark.parametrize("backend", [42, object()])
+    def test_engine_rejects_a_backend_that_is_not_a_pool(self, backend):
+        """Anything but a backend name or a pool fails at construction,
+        not later at the first kernel batch or at ``close()``."""
+        with pytest.raises(TypeError, match=type(backend).__name__):
+            EvaluationEngine(backend=backend)
+        with pytest.raises(TypeError, match="ShardedVectorizedBackend"):
+            make_backend(backend)
+
     def test_process_is_not_a_backend_name(self):
         """The scalar process pool is gone: its name is rejected like any
         unknown one, never mapped onto another pool."""
