@@ -160,6 +160,27 @@ def _uncached_engine():
     return EvaluationEngine(genotype_cache=False)
 
 
+def _count_gene_rows(space) -> dict:
+    """Count the gene rows ``space`` builds through ``decode_ids``,
+    ``key_genes`` and ``index_matrix`` from now on (a nested call counts
+    once) in ``["rows"]``."""
+    counts = {"rows": 0, "depth": 0}
+    for name in ("decode_ids", "key_genes", "index_matrix"):
+
+        def counted(*args, _original=getattr(space, name), **kwargs):
+            counts["depth"] += 1
+            try:
+                result = _original(*args, **kwargs)
+            finally:
+                counts["depth"] -= 1
+            if counts["depth"] == 0:
+                counts["rows"] += len(result)
+            return result
+
+        setattr(space, name, counted)
+    return counts
+
+
 @pytest.mark.paper_figure("dse-speed")
 def test_vectorized_fast_path_speedups(reporter):
     """Columnar fast path vs scalar path on uncached sweep/GA workloads.
@@ -572,9 +593,13 @@ def test_warm_start_sweep(reporter, tmp_path):
     its column rows to the fingerprint's segment on close; the warm sweep is
     the same run against a fresh engine bulk-memoising that segment.  Both
     wall clocks land in ``BENCH_dse_speed.json`` (``warm_start_sweep``),
-    and the entry carries a **hard gate**: the warm run must perform zero
-    model evaluations — engine lifetime, construction probe included — and
-    return a front identical to the cold run's, or the job fails.
+    and the entry carries two **hard gates**: the warm run must perform
+    zero model evaluations — engine lifetime, construction probe included —
+    and return a front identical to the cold run's; and its sweep must
+    build no more gene rows than its front holds (counted through the
+    space's ``decode_ids``, ``key_genes`` and ``index_matrix``: the chunks
+    travel as design ids, and only the front is decoded).  Either failing
+    fails the job.
     """
     cache_dir = tmp_path / "segments"
 
@@ -583,14 +608,15 @@ def test_warm_start_sweep(reporter, tmp_path):
             problem = WbsnDseProblem(
                 build_case_study_evaluator(), **SWEEP_DOMAINS, engine=engine
             )
+            gene_rows = _count_gene_rows(problem.space)  # after the load
             started = time.perf_counter()
             front = ExhaustiveSearch(problem, chunk_size=2048).run()
             elapsed = time.perf_counter() - started
             stats = engine.stats.snapshot()  # lifetime, incl. bind-time load
-            return front, elapsed, problem, stats
+            return front, elapsed, problem, stats, gene_rows["rows"]
 
-    cold_front, cold_s, cold_problem, cold_stats = sweep_run()
-    warm_front, warm_s, _, warm_stats = sweep_run()
+    cold_front, cold_s, cold_problem, cold_stats, _ = sweep_run()
+    warm_front, warm_s, _, warm_stats, warm_gene_rows = sweep_run()
 
     space_size = cold_problem.space.size
     assert _front_signature(cold_front) == _front_signature(warm_front)
@@ -602,6 +628,9 @@ def test_warm_start_sweep(reporter, tmp_path):
     # Every request a disk-loaded row answers counts: one per swept row,
     # plus the construction probe.
     assert warm_stats.persistent_cache_hits == space_size + 1
+    # The second hard gate: a warm sweep decodes gene rows for its front
+    # only, never for a chunk the memo serves.
+    assert warm_gene_rows <= len(warm_front)
 
     speedup = cold_s / warm_s if warm_s > 0 else 0.0
     _merge_artifact(
@@ -614,6 +643,8 @@ def test_warm_start_sweep(reporter, tmp_path):
                 "rows_loaded_from_disk": int(warm_stats.rows_loaded_from_disk),
                 "persistent_cache_hits": int(warm_stats.persistent_cache_hits),
                 "warm_model_evaluations": int(warm_stats.model_evaluations),
+                "warm_gene_rows": warm_gene_rows,
+                "front_size": len(warm_front),
             }
         }
     )
@@ -624,6 +655,8 @@ def test_warm_start_sweep(reporter, tmp_path):
             f"{warm_s:.3f} s warm ({speedup:.2f}x)",
             f"rows bulk-memoised from disk: {warm_stats.rows_loaded_from_disk}",
             "warm model evaluations: 0 (hard gate)",
+            f"warm gene rows built: {warm_gene_rows} for a front of "
+            f"{len(warm_front)} (hard gate: at most the front)",
         ],
     )
 

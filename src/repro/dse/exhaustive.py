@@ -5,6 +5,10 @@ restricted spaces (e.g. a single node, or shared per-node settings) can be
 enumerated exactly; the resulting true Pareto front is used by the unit tests
 and by the algorithm-quality ablation to check that the heuristics do not miss
 large parts of the front.
+
+The columnar sweep hands the engine id ranges (:class:`~repro.dse.space.DesignIds`),
+prunes on objective columns and gathers only surviving rows: genes are decoded
+for cache misses, the final front and checkpoints, never for a memo hit.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 
 from repro.dse.pareto import running_front_indices
 from repro.dse.problem import EvaluatedDesign, OptimizationProblem
+from repro.dse.space import DesignIds
 from repro.engine import faults
 from repro.engine.checkpoint import (
     CheckpointWarning,
@@ -54,7 +59,7 @@ def _restore_archive(problem: OptimizationProblem, checkpoint: SweepCheckpoint):
     from repro.engine.engine import ColumnarBatchResult
 
     return ColumnarBatchResult(
-        genotypes=checkpoint.genotypes,
+        ids=problem.space.batch_keys(checkpoint.genotypes)[0],
         objectives=checkpoint.objectives,
         feasible=checkpoint.feasible,
         violation_counts=checkpoint.violation_counts,
@@ -73,11 +78,12 @@ def _run_to_front(
     random sweeps: prune on raw objective columns and materialise only the
     final front.
 
-    ``chunks(cursor)`` streams the sweep's genotype chunks from a cursor on,
-    each paired with the cursor after it.  Until the first feasible design
-    appears the archive tracks the front of the infeasible designs; the
-    first feasible one resets it.  After every chunk the archive goes to the
-    sweep's ``front_callback``.
+    ``chunks(cursor)`` streams the sweep's chunks (gene rows or design ids)
+    from a cursor on, each paired with the cursor after it.  Until the first
+    feasible design appears the archive tracks the front of the infeasible
+    designs; the first feasible one resets it.  Only surviving rows are
+    gathered into the archive, which goes to the sweep's ``front_callback``
+    after every chunk.
 
     With a ``checkpoint_path`` the sweep resumes from a valid checkpoint
     written under the same ``rng_state`` and ``extra`` context (what pins a
@@ -170,15 +176,17 @@ def _run_to_front(
             # First feasible design seen: drop the infeasible archive.
             archive = None
             any_feasible = True
-        candidates = batch.take(feasible_rows) if any_feasible else batch
-        if archive is None:
-            front_objectives = candidates.objectives[:0]
-            pool = candidates
-        else:
-            front_objectives = archive.objectives
-            pool = archive.concatenate([archive, candidates])
-        indices = running_front_indices(front_objectives, candidates.objectives)
-        archive = pool.take(indices)
+        rows = feasible_rows if any_feasible else np.arange(len(batch))
+        candidates = batch.objectives[rows]
+        front = candidates[:0] if archive is None else archive.objectives
+        indices = np.asarray(running_front_indices(front, candidates), dtype=np.int64)
+        # The indices into [archive; candidates] ascend: gather the
+        # archive's survivors, then the chunk's, and no other row.
+        fresh = indices >= len(front)
+        survivors = batch.take(rows[indices[fresh] - len(front)])
+        archive = survivors if archive is None else archive.concatenate(
+            [archive.take(indices[~fresh]), survivors]
+        )
         if sweep.front_callback is not None:
             sweep.front_callback(archive, cursor)
         if path is not None and chunks_done % sweep.checkpoint_every == 0:
@@ -197,8 +205,8 @@ class ExhaustiveSearch:
 
     The sweep is chunked: genotypes are enumerated lazily and handed to the
     problem in blocks of ``chunk_size`` (on the columnar path, each block is
-    a range of packed design ids decoded into a gene-index matrix in one
-    vectorised step), and after every block the results
+    a range of packed design ids, which the engine keys without decoding
+    them), and after every block the results
     are pruned to the running non-dominated set — memory stays bounded by
     the front size plus one chunk, not by the size of the space, while an
     evaluation engine can still deduplicate, vectorize or parallelise each
@@ -319,19 +327,19 @@ class ExhaustiveSearch:
             return self._run_objects()
         # Columnar chunks are design-id ranges: a space too large for int64
         # ids raises here, before any work (it could never finish).
-        self.problem.space.decode_ids(np.arange(0))
+        self.problem.space.ids(np.arange(0))
         return _run_to_front(self, self._chunks)
 
     # ------------------------------------------------------- columnar sweep
 
-    def _chunks(self, cursor: int) -> Iterator[tuple[np.ndarray, int]]:
+    def _chunks(self, cursor: int) -> Iterator[tuple[DesignIds, int]]:
         """Id-range chunks from ``cursor`` on, each with the next id after
         it: ids count the row-major enumeration, so the cursor is also the
         number of genotypes consumed so far."""
         space = self.problem.space
         while cursor < space.size:
             stop = min(cursor + self.chunk_size, space.size)
-            yield space.decode_ids(np.arange(cursor, stop)), stop
+            yield space.ids(np.arange(cursor, stop)), stop
             cursor = stop
 
     # --------------------------------------------------------- object sweep

@@ -27,7 +27,7 @@ from repro.core.vectorized import (
     WbsnBatchColumns,
     WbsnVectorizedKernel,
 )
-from repro.dse.space import DesignSpace, ParameterDomain
+from repro.dse.space import DesignIds, DesignSpace, ParameterDomain
 from repro.engine import ColumnarBatchResult, EvaluationEngine
 from repro.mac802154.config import Ieee802154MacConfig
 from repro.mac802154.csma import CsmaMacConfig
@@ -393,16 +393,16 @@ class WbsnDseProblem(OptimizationProblem):
 
     def evaluate_batch_columns(
         self,
-        genotypes: Sequence[Sequence[int]],
+        batch: Sequence[Sequence[int]] | DesignIds,
         *,
         prune_to_front: bool = False,
         include_infeasible: bool = True,
     ) -> "ColumnarBatchResult":
         """Evaluate a batch into raw column rows (dedup, caches, fast path).
 
-        The columnar sibling of :meth:`evaluate_batch`: one row per
-        genotype, in order, with no design object built until the caller
-        materialises its survivors
+        The columnar sibling of :meth:`evaluate_batch` for gene rows or
+        design ids: one row per request, in order, with no design object
+        built until the caller materialises its survivors
         (:meth:`~repro.engine.ColumnarBatchResult.materialise`).
 
         ``prune_to_front`` / ``include_infeasible`` are passed through to
@@ -421,11 +421,11 @@ class WbsnDseProblem(OptimizationProblem):
                 "columnar path exists to avoid building)"
             )
         result = self.engine.evaluate_many_columnar(
-            genotypes,
+            batch,
             prune_to_front=prune_to_front,
             include_infeasible=include_infeasible,
         )
-        self.evaluations += len(genotypes)
+        self.evaluations += len(batch)
         return result
 
     def compute_design(self, genotype: Sequence[int]) -> EvaluatedDesign:

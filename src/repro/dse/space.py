@@ -14,6 +14,10 @@ remote client of the DSE service knows about the space.
 :meth:`DesignSpace.design_keys` extends the same numbering, as exact Python
 ints, to spaces too large for ``int64`` ids: it is the evaluation engine's
 cache key.
+
+Ids travel between layers as :class:`DesignIds` batches (a sweep's id range,
+a service request's wire ids), checked once by :meth:`DesignSpace.ids`; the
+engine takes them as its keys and decodes genes only where they are read.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["ParameterDomain", "DesignSpace", "encode_ids", "decode_ids"]
+__all__ = ["ParameterDomain", "DesignSpace", "DesignIds", "encode_ids", "decode_ids"]
 
 #: Spaces of this many designs or more do not fit ``int64`` design ids.
 _ID_LIMIT = 2**63
@@ -90,21 +94,36 @@ def decode_ids(ids: Any, cardinalities: Sequence[int]) -> np.ndarray:
     """
     cardinalities = np.asarray(cardinalities, dtype=np.int64)
     strides, size = _id_strides(cardinalities)
-    ids = np.asarray(ids)
-    if ids.ndim != 1:
-        raise ValueError("design ids must be a 1-D array")
-    if ids.size == 0:
-        return np.zeros((0, len(cardinalities)), dtype=np.int64)
-    if ids.dtype.kind not in "iu":
-        raise ValueError(f"design ids must be integers, got {ids.dtype}")
-    if ids.min() < 0 or ids.max() >= size:
-        raise ValueError(f"design id out of range [0, {size})")
-    ids = ids.astype(np.int64, copy=False)
+    ids = _checked_ids(ids, size)
     genes = np.empty((len(cardinalities), len(ids)), dtype=np.int64)
     for column, stride, cardinality in zip(genes, strides, cardinalities):
         np.floor_divide(ids, stride, out=column)
         np.remainder(column, cardinality, out=column)
     return genes.T
+
+
+def _checked_ids(ids: Any, size: int) -> np.ndarray:
+    """Design ids as ``int64``, checked: a 1-D integer array in ``[0, size)``."""
+    ids = np.asarray(ids)
+    if ids.ndim != 1:
+        raise ValueError("design ids must be a 1-D array")
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"design ids must be integers, got {ids.dtype}")
+    if ids.size and (ids.min() < 0 or ids.max() >= size):
+        raise ValueError(f"design id out of range [0, {size})")
+    return ids.astype(np.int64, copy=False)
+
+
+@dataclass(frozen=True, eq=False)
+class DesignIds:
+    """Design ids checked by :meth:`DesignSpace.ids`: 1-D ``int64`` ``values``
+    in ``[0, size)`` of a space of ``size`` designs, passed on unchecked."""
+
+    values: np.ndarray
+    size: int
+
+    def __len__(self) -> int:
+        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -208,23 +227,38 @@ class DesignSpace:
         """Unpack design ids into a gene-index matrix (see :func:`decode_ids`)."""
         return decode_ids(ids, self.cardinalities)
 
+    def ids(self, values: Any) -> DesignIds:
+        """Check design ids once, raising as :func:`decode_ids` does."""
+        _, size = _id_strides(self.cardinalities)
+        return DesignIds(_checked_ids(values, size), size)
+
     def design_keys(self, matrix: np.ndarray) -> np.ndarray:
         """Exact design ids of a validated gene-index matrix, as cache keys.
 
         The ``int64`` ids of :meth:`encode_ids` when the space fits them;
         otherwise the same mixed-radix numbers as an object array of Python
-        ints (pass :meth:`index_matrix` output: this branch does not
-        validate).  ``keys.tolist()`` is exact either way, so one ``dict``
-        can index both kinds.
+        ints.  Pass :meth:`index_matrix` output: neither branch validates.
+        ``keys.tolist()`` is exact either way, so one ``dict`` can index
+        both kinds.
         """
         if self.size < _ID_LIMIT:
-            return self.encode_ids(matrix)
+            return matrix @ _id_strides(self.cardinalities)[0]
         keys = np.zeros(len(matrix), dtype=object)
         for column, cardinality in zip(
             matrix.T.astype(object), self.cardinalities.tolist()
         ):
             keys = keys * cardinality + column
         return keys
+
+    def batch_keys(self, batch: Any) -> tuple[np.ndarray, np.ndarray | None]:
+        """Keys of a :class:`DesignIds` batch (the ids; no matrix) or of gene
+        rows (:meth:`design_keys` of their :meth:`index_matrix`, returned too)."""
+        if isinstance(batch, DesignIds):
+            if batch.size != self.size:
+                raise ValueError("the design ids were checked against another space")
+            return batch.values, None
+        matrix = self.index_matrix(batch)
+        return self.design_keys(matrix), matrix
 
     def key_genes(self, keys: Sequence[int]) -> np.ndarray:
         """Gene-index rows of design keys: the inverse of :meth:`design_keys`."""

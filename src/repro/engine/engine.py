@@ -7,9 +7,11 @@ owns every cross-cutting evaluation concern:
   run or across algorithms sharing one problem) are served without touching
   the model; this replaces the private caches the algorithms used to carry.
   The memo is one :class:`~repro.engine.cache.ColumnStore` of raw column
-  rows keyed by the packed design id of the genotype
-  (:meth:`~repro.dse.space.DesignSpace.design_keys`), computed once per
-  batch from the validated index matrix.  The store looks up, inserts,
+  rows keyed by packed design id: a :class:`~repro.dse.space.DesignIds`
+  batch (a sweep chunk, a service request) is its own keys, gene rows are
+  keyed once from their validated index matrix
+  (:meth:`~repro.dse.space.DesignSpace.design_keys`), and genes are decoded
+  only for misses and the rows a caller reads.  The store looks up, inserts,
   bulk-loads and exports whole batches at a time, and
   ``column_memo_max_entries`` bounds every row it holds;
 * **cross-problem shared cache** (optional) — engines given one
@@ -30,8 +32,8 @@ owns every cross-cutting evaluation concern:
 * **batching into columns** — :meth:`EvaluationEngine.evaluate_many_columnar`
   deduplicates a batch, serves its cached rows and dispatches only the
   misses, returning a :class:`ColumnarBatchResult` of raw columns
-  (objective matrix, feasibility mask, violation column, genotype-index
-  rows): search algorithms prune directly on the columns and materialise
+  (design ids, objective matrix, feasibility mask, violation column):
+  search algorithms prune directly on the columns and materialise
   design objects only for the survivors
   (:meth:`ColumnarBatchResult.materialise`), removing the dominant
   parent-side cost of large sweeps;
@@ -89,6 +91,7 @@ import contextlib
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -113,6 +116,7 @@ from repro.engine.stats import EngineStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
     from repro.dse.problem import EvaluatedDesign
+    from repro.dse.space import DesignIds
     from repro.engine.sharded import ShardedVectorizedBackend
 
 __all__ = ["ColumnarBatchResult", "EvaluationEngine"]
@@ -122,15 +126,16 @@ __all__ = ["ColumnarBatchResult", "EvaluationEngine"]
 class ColumnarBatchResult:
     """Raw column results of one batched evaluation — no design objects.
 
-    One row per requested genotype, in request order (duplicates included,
+    One row per requested design, in request order (duplicates included,
     served from the same computed row).  Search algorithms prune directly on
     :attr:`objectives` / :attr:`feasible` and call :meth:`materialise` only
     for the survivors they return — the columnar-to-the-front discipline
     that keeps the parent-side cost of a sweep proportional to the front,
-    not to the space.
+    not to the space.  Gene rows are decoded from the ids only where read.
 
     Attributes:
-        genotypes: validated ``(batch, genes)`` gene-index rows.
+        ids: design ids, as :meth:`~repro.dse.space.DesignSpace.design_keys`
+            returns them (exact Python ints on spaces beyond ``int64`` ids).
         objectives: penalised objective matrix, shape ``(batch, n_obj)``.
         feasible: per-row feasibility flags.
         violation_counts: violated model constraints per row (the scalar
@@ -141,7 +146,7 @@ class ColumnarBatchResult:
             batch is ``False``).
     """
 
-    genotypes: np.ndarray
+    ids: np.ndarray
     objectives: np.ndarray
     feasible: np.ndarray
     violation_counts: np.ndarray
@@ -149,14 +154,19 @@ class ColumnarBatchResult:
     _engine: "EvaluationEngine" = field(repr=False, compare=False)
 
     def __len__(self) -> int:
-        return len(self.genotypes)
+        return len(self.ids)
+
+    @cached_property
+    def genotypes(self) -> np.ndarray:
+        """``(batch, genes)`` gene-index rows, decoded on first access."""
+        return self._engine.problem.space.key_genes(self.ids)
 
     def take(self, rows: Any) -> "ColumnarBatchResult":
         """Row subset of the result, by integer indices or a boolean mask
         (fancy-indexed, preserving order)."""
         rows = as_row_indices(rows)
         return ColumnarBatchResult(
-            genotypes=self.genotypes[rows],
+            ids=self.ids[rows],
             objectives=self.objectives[rows],
             feasible=self.feasible[rows],
             violation_counts=self.violation_counts[rows],
@@ -170,7 +180,7 @@ class ColumnarBatchResult:
         if not results:
             raise ValueError("need at least one result to concatenate")
         return ColumnarBatchResult(
-            genotypes=np.concatenate([r.genotypes for r in results], axis=0),
+            ids=np.concatenate([r.ids for r in results]),
             objectives=np.concatenate([r.objectives for r in results], axis=0),
             feasible=np.concatenate([r.feasible for r in results], axis=0),
             violation_counts=np.concatenate(
@@ -183,16 +193,16 @@ class ColumnarBatchResult:
     def materialise(self, indices: Any | None = None) -> list["EvaluatedDesign"]:
         """Build design objects for the selected rows (all rows by default).
 
-        Every selected row is built through ``problem.materialise_designs``
-        (phenotype lookup, no model re-evaluation) and counted in
-        ``EngineStats.designs_materialised``.
+        Every selected row (and only its genes are decoded) is built through
+        ``problem.materialise_designs`` (phenotype lookup, no model
+        re-evaluation) and counted in ``EngineStats.designs_materialised``.
         """
         if indices is None:
             rows = np.arange(len(self))
         else:
             rows = as_row_indices(indices)
         return self._engine.materialise_rows(
-            self.genotypes[rows],
+            self._engine.problem.space.key_genes(self.ids[rows]),
             self.objectives[rows],
             self.feasible[rows],
             self.violation_counts[rows],
@@ -342,9 +352,7 @@ class EvaluationEngine:
         if not self.genotype_cache_enabled:
             design = self._compute_design(genotype)
         else:
-            space = self._problem.space
-            matrix = space.index_matrix([genotype])
-            keys = space.design_keys(matrix)
+            keys, matrix = self._problem.space.batch_keys([genotype])
             slots = self._store_lookup(keys)
             rows = self._column_store.rows(slots) if slots[0] >= 0 else None
             if rows is None and self._sharing:
@@ -369,23 +377,24 @@ class EvaluationEngine:
 
     def evaluate_many_columnar(
         self,
-        genotypes: Sequence[Sequence[int]],
+        batch: Sequence[Sequence[int]] | DesignIds,
         *,
         prune_to_front: bool = False,
         include_infeasible: bool = True,
     ) -> ColumnarBatchResult:
         """Evaluate a batch into raw column rows, preserving the input order.
 
-        With the genotype cache enabled the batch is keyed once — design
-        ids of the validated index matrix, deduplicated with one sort
-        (repeated genotypes are computed once and count as cache hits) —
-        then looked up in the id-keyed column store as a whole, and the
-        store's misses in the shared cache.  Cached rows are gathered
-        column-wise and counted in ``EngineStats.rows_skipped_cached``;
-        only the misses reach :meth:`_compute_columns`, in first-occurrence
-        request order, and their rows are inserted into the store.  No
-        :class:`EvaluatedDesign` is built until the caller's
-        :meth:`ColumnarBatchResult.materialise`.
+        The batch (gene rows, or :class:`~repro.dse.space.DesignIds`, which
+        are their own keys) is keyed once; with the genotype cache enabled
+        the keys are deduplicated with one sort (repeated designs are
+        computed once and count as cache hits), then looked up in the
+        id-keyed column store as a whole, and the store's misses in the
+        shared cache.  Cached rows are gathered column-wise and counted in
+        ``EngineStats.rows_skipped_cached``; only the misses reach
+        :meth:`_compute_columns`, in first-occurrence request order (an id
+        batch's genes are decoded for them alone), and their rows are
+        inserted into the store.  No :class:`EvaluatedDesign` is built until
+        the caller's :meth:`ColumnarBatchResult.materialise`.
 
         ``prune_to_front=True`` is a *hint* for chunked sweeps: when the
         batch's misses run on the worker pool (``backend="sharded"`` with a
@@ -408,25 +417,24 @@ class EvaluationEngine:
         if self._problem is None:
             raise RuntimeError("the engine must be bound to a problem first")
         problem = self._problem
+        space = problem.space
+        # Gene rows come with their validated index matrix (the compute
+        # paths receive their miss rows as a slice of it); ids come alone.
+        keys, matrix = space.batch_keys(batch)
         stats = self.stats
         stats.batches += 1
-        stats.genotype_requests += len(genotypes)
-
-        # One bounds-checked index matrix for the whole batch; the compute
-        # paths receive their (pre-validated) miss rows as a slice of it.
-        matrix = problem.space.index_matrix(genotypes)
-        # Without the memo there is nothing to key by: every row is computed
-        # as-is, duplicates included.
-        keys = inverse = None
-        pending = np.arange(len(matrix))
+        stats.genotype_requests += len(keys)
+        # Without the memo every row is computed as-is, duplicates included.
+        inverse = None
+        pending = np.arange(len(keys))
         store_rows = shared_rows = pending[:0]
         parts = []  # cached rows: (distinct rows, objectives, feasible, violations)
         if self.genotype_cache_enabled:
-            keys = problem.space.design_keys(matrix)
             first_rows, inverse = _distinct_rows(keys)
             if first_rows is not None:
                 stats.genotype_cache_hits += len(keys) - len(first_rows)
-                matrix, keys = matrix[first_rows], keys[first_rows]
+                keys = keys[first_rows]
+                matrix = None if matrix is None else matrix[first_rows]
             # The column store first, then the shared cache for its misses.
             slots = self._store_lookup(keys)
             store_rows = np.flatnonzero(slots >= 0)
@@ -441,10 +449,15 @@ class EvaluationEngine:
                     shared_rows, pending = pending[hits], np.delete(pending, hits)
                     self._insert(keys[shared_rows], *rows)
                     parts.append((shared_rows, *rows))
-        pending_matrix = matrix if len(pending) == len(matrix) else matrix[pending]
+        if matrix is not None:
+            misses = matrix if len(pending) == len(matrix) else matrix[pending]
+        elif len(pending):
+            misses = space.key_genes(keys[pending])
+        else:
+            misses = np.empty((0, len(space)), dtype=np.int64)
         columns, kept = self._compute_columns(
-            pending_matrix,
-            len(matrix) - len(pending),
+            misses,
+            len(keys) - len(pending),
             prune_to_front=prune_to_front,
             include_infeasible=include_infeasible,
         )
@@ -453,7 +466,7 @@ class EvaluationEngine:
         # the caches are allowed to make).
         computed = pending if kept is None else pending[kept]
         if len(computed):
-            if keys is not None:
+            if self.genotype_cache_enabled:
                 self._insert_computed(
                     keys[computed],
                     columns.objectives,
@@ -463,7 +476,7 @@ class EvaluationEngine:
             parts.append(
                 (computed, columns.objectives, columns.feasible, columns.violation_counts)
             )
-        count = len(matrix)
+        count = len(keys)
         width = (
             parts[0][1].shape[1] if parts else int(getattr(problem, "n_objectives", 0))
         )
@@ -478,21 +491,21 @@ class EvaluationEngine:
         selected = None
         if kept is not None:
             # Pruned result: only the candidate rows — cached rows (passed
-            # through unpruned) plus the shard fronts — in distinct-genotype
+            # through unpruned) plus the shard fronts — in distinct-design
             # first-occurrence order; duplicates collapse by contract.
             selected = np.sort(np.concatenate([store_rows, shared_rows, computed]))
         elif inverse is not None:
             # Expand the distinct rows back to the (duplicated) request order.
             selected = inverse
         if selected is not None:
-            matrix = matrix[selected]
+            keys = keys[selected]
             objectives = objectives[selected]
             feasible = feasible[selected]
             violations = violations[selected]
             cached = cached[selected]
         stats.wall_time_s += time.perf_counter() - started
         return ColumnarBatchResult(
-            genotypes=matrix,
+            ids=keys,
             objectives=objectives,
             feasible=feasible,
             violation_counts=violations,

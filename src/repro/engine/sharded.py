@@ -40,6 +40,7 @@ context manager) to release them deterministically.
 from __future__ import annotations
 
 import contextlib
+import io
 import math
 import os
 import pickle
@@ -171,9 +172,9 @@ def attach_arena_views(
 
 
 # --------------------------------------------------------------------------
-# Worker side.  The problem travels once through the pool initialiser; the
-# kernel's tables are then rebound to the arena views so every worker
-# gathers from the same physical store.
+# Worker side.  The kernel travels once through the pool initialiser, its
+# tables replaced by their arena slot names and unpickled as the arena views,
+# so every worker gathers from the same physical store.
 
 _WORKER_KERNEL: Any = None
 _WORKER_ARENA: shared_memory.SharedMemory | None = None
@@ -188,9 +189,20 @@ def _init_sharded_worker(
     global _WORKER_KERNEL, _WORKER_ARENA
     if fault_plan is not None:
         faults.install_fault_plan(fault_plan)
-    _WORKER_KERNEL = pickle.loads(payload).vectorized_kernel
     _WORKER_ARENA, views = attach_arena_views(arena_name, manifest)
-    _WORKER_KERNEL.adopt_shared_tables(views)
+    unpickler = pickle.Unpickler(io.BytesIO(payload))
+    unpickler.persistent_load = views.__getitem__
+    _WORKER_KERNEL = unpickler.load()
+
+
+def _kernel_payload(kernel: Any, tables: Mapping[str, np.ndarray]) -> bytes:
+    """``kernel`` pickled with each of its ``tables`` as its arena slot name."""
+    slots = {id(table): name for name, table in tables.items()}
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.persistent_id = lambda obj: slots.get(id(obj))
+    pickler.dump(kernel)
+    return buffer.getvalue()
 
 
 def _evaluate_shard(
@@ -616,8 +628,8 @@ class ShardedVectorizedBackend:
     def _check_pinned(self, problem: Any) -> None:
         """Refuse to serve a problem the running pool was not built for.
 
-        The workers hold a pickled copy of the *first* problem they were
-        initialised with; silently evaluating a different problem against it
+        The workers hold a pickled copy of the *first* problem's kernel;
+        silently evaluating a different problem against it
         would return that problem's numbers under this one's name.  A
         backend instance can therefore serve one problem per pool lifetime —
         ``close()`` it to repurpose the instance.
@@ -643,7 +655,8 @@ class ShardedVectorizedBackend:
                     "the sharded backend needs a problem with a compiled "
                     "column kernel"
                 )
-            self._arena = SharedArrayArena(kernel.shareable_tables())
+            tables = kernel.shareable_tables()
+            self._arena = SharedArrayArena(tables)
             # An installed fault plan is shipped to the workers so that
             # worker-side sites fire deterministically under the "spawn"
             # start method too (under "fork" the plan is inherited anyway;
@@ -652,7 +665,7 @@ class ShardedVectorizedBackend:
                 max_workers=self.max_workers,
                 initializer=_init_sharded_worker,
                 initargs=(
-                    pickle.dumps(problem),
+                    _kernel_payload(kernel, tables),
                     self._arena.name,
                     self._arena.manifest,
                     faults.installed_fault_plan(),
@@ -663,8 +676,8 @@ class ShardedVectorizedBackend:
     def __getstate__(self) -> dict[str, Any]:
         # Neither the pool nor the arena handle can cross a pickle boundary
         # (workers re-attach the arena by name through the initialiser), and
-        # weakrefs cannot be pickled; workers that unpickle the problem never
-        # dispatch work themselves.
+        # weakrefs cannot be pickled; a copy pickled along with its problem
+        # never dispatches work itself.
         state = self.__dict__.copy()
         state["_executor"] = None
         state["_arena"] = None

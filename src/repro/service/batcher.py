@@ -43,9 +43,12 @@ The lane is where concurrent clients become one workload:
   affected client's response, so clients learn their results took the
   slow path without scraping the server's stderr.
 
-Results leave the lane as column mappings (design ids, objectives,
-feasibility, violation counts, and for evaluates the ``cached`` flags),
-ready to be framed by :func:`~repro.service.protocol.encode_message`.
+Design ids travel from the wire to the engine and back: the server checks a
+request's ids once (:class:`~repro.dse.space.DesignIds`), the lane
+concatenates a batch's ids, and results leave the lane as column mappings
+(the engine's design ids, objectives, feasibility, violation counts, and for
+evaluates the ``cached`` flags), ready to be framed by
+:func:`~repro.service.protocol.encode_message` without re-encoding a gene row.
 
 The lane fires the ``"service-batch"`` fault-injection site inside the
 executor thread immediately before each engine dispatch, so the chaos suite
@@ -66,6 +69,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.dse import ExhaustiveSearch, RandomSearch, run_algorithm
+from repro.dse.space import DesignIds
 from repro.engine import EngineDegradationWarning, EngineStats, faults
 from repro.service.protocol import (
     BadRequestError,
@@ -104,7 +108,7 @@ class SweepOutcome:
 @dataclass
 class _EvaluateItem:
     client_id: str
-    genotypes: np.ndarray
+    ids: DesignIds
     deadline: float | None
     future: asyncio.Future
 
@@ -138,10 +142,10 @@ _SWEEP_FACTORIES = {
 }
 
 
-def _row_columns(space: Any, batch: Any) -> dict[str, np.ndarray]:
+def _row_columns(batch: Any) -> dict[str, np.ndarray]:
     """A columnar batch's rows as frame columns keyed by design ids."""
     return {
-        "ids": space.encode_ids(batch.genotypes),
+        "ids": batch.ids,
         "objectives": batch.objectives,
         "feasible": batch.feasible,
         "violation_counts": batch.violation_counts,
@@ -184,7 +188,7 @@ class EngineLane:
                 "columnar batch support (WbsnDseProblem(engine=...) without "
                 "record_evaluations)"
             )
-        problem.space.encode_ids([])  # a space too large for ids fails here
+        problem.space.ids([])  # a space too large for ids fails here
         self.problem = problem
         self.engine = problem.engine
         self.client_stats: dict[str, EngineStats] = {}
@@ -230,21 +234,21 @@ class EngineLane:
     def submit_evaluate(
         self,
         client_id: str,
-        genotypes: np.ndarray,
+        ids: DesignIds,
         deadline: float | None,
     ) -> asyncio.Future:
         """Queue an evaluate request; resolves to an :class:`EvaluateOutcome`.
 
-        ``genotypes`` is a validated ``(rows, genes)`` int64 gene-index
-        matrix, as :meth:`~repro.dse.space.DesignSpace.decode_ids` returns
-        it: validation belongs at ingress, so a malformed request is
-        refused there and never joins (or fails) a batch.
+        ``ids`` are the request's design ids, checked by
+        :meth:`~repro.dse.space.DesignSpace.ids`: validation belongs at
+        ingress, so a malformed request is refused there and never joins
+        (or fails) a batch.
         """
         future = asyncio.get_running_loop().create_future()
         self._queue.put_nowait(
             _EvaluateItem(
                 client_id=client_id,
-                genotypes=genotypes,
+                ids=ids,
                 deadline=deadline,
                 future=future,
             )
@@ -358,7 +362,7 @@ class EngineLane:
             self.batches_coalesced += 1
             self.items_coalesced += len(live)
 
-        sizes = [len(item.genotypes) for item in live]
+        sizes = [len(item.ids) for item in live]
         deadlines = [item.deadline for item in live if item.deadline is not None]
         remaining = min(deadlines) - now if deadlines else None
 
@@ -367,18 +371,20 @@ class EngineLane:
             # engine lane while the event loop keeps answering clients —
             # exactly the slow-engine shape the deadline path exists for.
             faults.maybe_fire("service-batch")
-            matrix = np.concatenate([item.genotypes for item in live])
+            ids = DesignIds(  # every item's ids were checked at ingress
+                np.concatenate([item.ids.values for item in live]), live[0].ids.size
+            )
             before = self.engine.stats.snapshot()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", EngineDegradationWarning)
                 with self.engine.deadline_scope(remaining):
-                    batch = self.problem.evaluate_batch_columns(matrix)
+                    batch = self.problem.evaluate_batch_columns(ids)
             delta = self.engine.stats.snapshot() - before
             degraded = delta.degraded_batches > 0 or any(
                 issubclass(entry.category, EngineDegradationWarning)
                 for entry in caught
             )
-            columns = _row_columns(self.problem.space, batch)
+            columns = _row_columns(batch)
             columns["cached"] = batch.cached
             # The first requester of each computed id owns its model
             # evaluation; every other row is cache-hit economics.
@@ -455,7 +461,7 @@ class EngineLane:
             if archive is None:
                 columns = _front_columns(self.problem, [])
             else:
-                columns = _row_columns(self.problem.space, archive)
+                columns = _row_columns(archive)
             loop.call_soon_threadsafe(item.on_update, columns, cursor)
 
         def work():

@@ -435,7 +435,7 @@ class DseService:
         if not len(ids):
             raise BadRequestError("evaluate needs at least one design id")
         try:
-            genotypes = self.lane.problem.space.decode_ids(ids)
+            ids = self.lane.problem.space.ids(ids)
         except ValueError as exc:
             raise BadRequestError(f"bad design ids: {exc}") from exc
         deadline = self._deadline_from(message)
@@ -446,7 +446,7 @@ class DseService:
             # path, with the admission slot correctly released below.
             faults.maybe_fire("service-request")
             future = self.lane.submit_evaluate(
-                connection.client_id, genotypes, deadline
+                connection.client_id, ids, deadline
             )
         except BaseException as exc:
             self.admission.release()

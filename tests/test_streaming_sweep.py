@@ -23,6 +23,7 @@ from repro.dse.exhaustive import ExhaustiveSearch
 from repro.dse.problem import WbsnDseProblem, csma_mac_parameterisation
 from repro.dse.random_search import RandomSearch
 from repro.dse.runner import run_algorithm
+from repro.dse.space import DesignIds
 from repro.engine import (
     EvaluationEngine,
     FaultPlan,
@@ -315,7 +316,7 @@ def _recording(problem):
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 class TestExhaustiveIdRangeChunks:
-    """Columnar sweeps evaluate design-id ranges decoded into int matrices;
+    """Columnar sweeps evaluate design-id ranges as checked id batches;
     their fronts match the object path's tuple enumeration bitwise."""
 
     @pytest.mark.parametrize("chunk", sorted(_EXHAUSTIVE_CHUNKS))
@@ -330,12 +331,11 @@ class TestExhaustiveIdRangeChunks:
         front = ExhaustiveSearch(problem, chunk_size=chunk_size).run()
         assert front_signature(front) == front_signature(reference)
         for batch in batches:
-            assert isinstance(batch, np.ndarray)
-            assert batch.dtype.kind == "i" and batch.ndim == 2
+            assert isinstance(batch, DesignIds)
         assert [len(batch) for batch in batches[:-1]] == [chunk_size] * (
             len(batches) - 1
         )
-        ids = problem.space.encode_ids(np.concatenate(batches))
+        ids = np.concatenate([batch.values for batch in batches])
         assert ids.tolist() == list(range(size))
 
     def test_resume_continues_at_the_cursor_under_another_chunk_size(
@@ -363,7 +363,7 @@ class TestExhaustiveIdRangeChunks:
         assert front_signature(resumed) == front_signature(reference)
         # Two 7-row chunks were absorbed before the abort: the resumed sweep
         # starts at id 14 and never revisits an earlier id.
-        ids = problem.space.encode_ids(np.concatenate(batches))
+        ids = np.concatenate([batch.values for batch in batches])
         assert ids.tolist() == list(range(14, problem.space.size))
         assert [len(batch) for batch in batches[:-1]] == [13] * (len(batches) - 1)
 
