@@ -52,8 +52,7 @@ wins as soon as batches reach tens of genotypes, because the per-candidate
 Python and allocation overhead collapses into a handful of array operations.
 
 The engine hands ``evaluate_columns`` only its cache misses, so warm rows
-never reach a table gather.  ``shareable_tables`` /
-``adopt_shared_tables`` let the sharded backend
+never reach a table gather.  ``shareable_tables`` lets the sharded backend
 (:mod:`repro.engine.sharded`) move the stage and MAC tables into a
 ``multiprocessing.shared_memory`` arena so worker-process kernels gather
 from one shared copy.
@@ -61,7 +60,7 @@ from one shared copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from types import ModuleType
 from typing import Any, Callable, Mapping, Sequence
 
@@ -511,11 +510,11 @@ class WbsnVectorizedKernel:
         stage tables, the per-MAC-configuration scalar tables and the
         compiled MAC table columns.  The sharded shared-memory backend
         (:class:`~repro.engine.sharded.ShardedVectorizedBackend`) packs them
-        into one ``multiprocessing.shared_memory`` arena so every worker's
-        gathers read a single shared copy; feed the attached views back
-        through :meth:`adopt_shared_tables`.  Object tables (the phenotype
-        lookup objects) are deliberately excluded — workers return raw
-        columns and never materialise designs.
+        into one ``multiprocessing.shared_memory`` arena, and each worker
+        unpickles its kernel with these tables bound to the attached arena
+        views, so every worker's gathers read a single shared copy.  Object
+        tables (the phenotype lookup objects) are deliberately excluded —
+        workers return raw columns and never materialise designs.
         """
         tables: dict[str, np.ndarray] = {
             "mac.base_time_unit_s": self._base_time_unit_s,
@@ -531,38 +530,6 @@ class WbsnVectorizedKernel:
                 if isinstance(value, np.ndarray) and value.dtype != object:
                     tables[f"mac_table.{field.name}"] = value
         return tables
-
-    def adopt_shared_tables(self, tables: Mapping[str, np.ndarray]) -> None:
-        """Rebind the kernel's column tables to externally provided views.
-
-        ``tables`` maps the slot names of :meth:`shareable_tables` to arrays
-        holding the same values (typically zero-copy views into a shared
-        memory segment attached by a worker process).  Unknown slots are
-        ignored and missing slots keep their current arrays, so a partial
-        mapping is safe.  Values must be identical to the compiled tables —
-        the hook relocates storage, it never changes semantics.
-        """
-        self._base_time_unit_s = tables.get(
-            "mac.base_time_unit_s", self._base_time_unit_s
-        )
-        self._control_time_per_second = tables.get(
-            "mac.control_time_per_second", self._control_time_per_second
-        )
-        self._max_assignable_time_per_second = tables.get(
-            "mac.max_assignable_time_per_second",
-            self._max_assignable_time_per_second,
-        )
-        self._stage_tables = {
-            name: tables.get(name, table) for name, table in self._stage_tables.items()
-        }
-        if is_dataclass(self._mac_table):
-            updates = {
-                field.name: tables[f"mac_table.{field.name}"]
-                for field in fields(self._mac_table)
-                if f"mac_table.{field.name}" in tables
-            }
-            if updates:
-                self._mac_table = replace(self._mac_table, **updates)
 
     # ------------------------------------------------------------ internals
 

@@ -177,7 +177,9 @@ def _run_to_front(
             archive = None
             any_feasible = True
         rows = feasible_rows if any_feasible else np.arange(len(batch))
-        candidates = batch.objectives[rows]
+        candidates = (
+            batch.objectives if len(rows) == len(batch) else batch.objectives[rows]
+        )
         front = candidates[:0] if archive is None else archive.objectives
         indices = np.asarray(running_front_indices(front, candidates), dtype=np.int64)
         # The indices into [archive; candidates] ascend: gather the

@@ -12,8 +12,8 @@ Two caches live here:
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Literal, Sequence
+from itertools import count, repeat
+from typing import Literal
 
 import numpy as np
 
@@ -22,18 +22,67 @@ __all__ = ["ColumnStore", "SharedGenotypeCache"]
 #: Recency stamp of a dead (evicted) arena slot: never the least recent.
 _DEAD = np.iinfo(np.int64).max
 
+#: Largest design space a :class:`ColumnStore` indexes with a direct-address
+#: table (one ``int32`` per design id: 4 MB at this size) instead of a
+#: ``dict``.  It covers every space ``ExhaustiveSearch`` sweeps below its
+#: 200,000-design warning; larger spaces keep the ``dict``.
+TABLE_LIMIT = 2**20
+
+
+class _DictIndex:
+    """Design key -> arena slot in a ``dict``: any exact integer key."""
+
+    kind = "dict"
+
+    def __init__(self) -> None:
+        self._slots: dict[int, int] = {}
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        slots = map(self._slots.get, keys.tolist(), repeat(-1))
+        return np.fromiter(slots, dtype=np.int64, count=len(keys))
+
+    def assign(self, keys: np.ndarray, first: int) -> None:
+        self._slots.update(zip(keys.tolist(), count(first)))
+
+    def drop(self, keys: np.ndarray) -> None:
+        for key in keys.tolist():
+            del self._slots[key]
+
+
+class _TableIndex:
+    """Design id -> arena slot in a direct-address table of ``slot + 1``
+    (``0``: absent), one ``int32`` per id of a space of ``size`` designs:
+    every operation is one gather or one scatter."""
+
+    kind = "table"
+
+    def __init__(self, size: int) -> None:
+        self._table = np.zeros(size, dtype=np.int32)
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        return np.subtract(self._table[keys], 1, dtype=np.intp)
+
+    def assign(self, keys: np.ndarray, first: int) -> None:
+        self._table[keys] = np.arange(first + 1, first + 1 + len(keys))
+
+    def drop(self, keys: np.ndarray) -> None:
+        self._table[keys] = 0
+
 
 class ColumnStore:
     """Column rows of computed designs, keyed by design id, one batch at a time.
 
-    An append-only arena of columns — penalised objectives, feasibility,
-    violation counts and a from-disk flag — plus one ``dict`` from design
-    key to arena slot.  Keys are exact Python ints (the packed design ids of
-    :meth:`~repro.dse.space.DesignSpace.design_keys`), so spaces too large
-    for ``int64`` ids share this one implementation.  Every operation takes
-    a whole batch and runs its per-row work at C level (``map`` over the
-    index, fancy indexing over the columns); inserts append, so a batch
-    never copies the store.
+    An append-only arena of columns — design key, penalised objectives,
+    feasibility, violation counts and a from-disk flag — plus an index from
+    design key to arena slot.  A store given a ``space_size`` of at most
+    :data:`TABLE_LIMIT` designs indexes ``int64`` design ids with a
+    direct-address table, so a lookup is one gather and an insert, an
+    eviction or a compaction one scatter; any other store keeps a ``dict``
+    of exact Python ints (the packed design ids of
+    :meth:`~repro.dse.space.DesignSpace.design_keys`, spaces beyond
+    ``int64`` ids included).  Every operation takes a whole batch — a key
+    array — and runs its per-row work at C level; inserts append, so a
+    batch never copies the store.
 
     Args:
         max_entries: optional LRU bound.  A :meth:`lookup` hit refreshes a
@@ -42,61 +91,70 @@ class ColumnStore:
             caller from the return value).  Evicted slots are reclaimed by
             compacting the arena once they outnumber the live rows.
             ``None`` keeps the store unbounded.
+        space_size: number of designs of the space the keys are ids of
+            (keys must lie in ``[0, space_size)``), which picks the index;
+            ``None`` for a ``dict``.
     """
 
-    def __init__(self, max_entries: int | None = None) -> None:
+    def __init__(
+        self, max_entries: int | None = None, space_size: int | None = None
+    ) -> None:
         if max_entries is not None and max_entries <= 0:
             raise ValueError("max_entries must be positive (or None)")
         self.max_entries = max_entries
+        self._space_size = space_size
         self.clear()
 
     def __len__(self) -> int:
-        return len(self._index)
+        return self._used - self._dead
+
+    @property
+    def index_kind(self) -> str:
+        """``"table"`` or ``"dict"``: how the store finds a key's slot."""
+        return self._index.kind
 
     def clear(self) -> None:
         """Drop every row."""
-        self._index: dict[int, int] = {}
-        self._keys: list[int] = []  # slot -> key
+        size = self._space_size
+        table = size is not None and size <= TABLE_LIMIT
+        self._index = _TableIndex(size) if table else _DictIndex()
         self._used = 0  # arena slots handed out, dead ones included
         self._dead = 0
         self._tick = 0
+        self._keys = np.empty(0, dtype=np.int64)  # slot -> key
         self._objectives = np.empty((0, 0))
         self._feasible = np.empty(0, dtype=bool)
         self._violations = np.empty(0, dtype=np.int64)
         self._from_disk = np.empty(0, dtype=bool)
         self._stamps = np.empty(0, dtype=np.int64)
 
-    def lookup(self, keys: Sequence[int]) -> np.ndarray:
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Arena slot of each key, ``-1`` for a miss; hits refresh recency
         in request order.  Keys must be distinct."""
-        slots = np.fromiter(
-            map(self._index.get, keys, repeat(-1)), dtype=np.int64, count=len(keys)
-        )
+        slots = self._index.find(keys)
         if self.max_entries is not None:
             self._touch(slots[slots >= 0])
         return slots
 
-    def contains(self, keys: Sequence[int]) -> np.ndarray:
+    def contains(self, keys: np.ndarray) -> np.ndarray:
         """Membership mask of ``keys``, without touching recency."""
-        return np.fromiter(
-            map(self._index.__contains__, keys), dtype=bool, count=len(keys)
-        )
+        return self._index.find(keys) >= 0
 
     def rows(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(objectives, feasible, violation_counts)`` of arena slots."""
         return (
-            self._objectives[slots],
-            self._feasible[slots],
-            self._violations[slots],
+            np.take(self._objectives, slots, axis=0),
+            np.take(self._feasible, slots),
+            np.take(self._violations, slots),
         )
 
     def from_disk(self, slots: np.ndarray) -> np.ndarray:
         """Which arena slots hold rows bulk-loaded off a cache segment."""
-        return self._from_disk[slots]
+        return np.take(self._from_disk, slots)
 
     def insert(
         self,
-        keys: Sequence[int],
+        keys: np.ndarray,
         objectives: np.ndarray,
         feasible: np.ndarray,
         violation_counts: np.ndarray,
@@ -108,38 +166,39 @@ class ColumnStore:
         Keys must be distinct and absent (callers insert their misses).
         New rows are the most recently used, in key order.
         """
-        count = len(keys)
-        if count == 0:
+        if not len(keys):
             return 0
-        start = self._reserve(count, objectives.shape[1])
-        stop = start + count
+        start = self._reserve(keys, objectives.shape[1])
+        stop = start + len(keys)
+        self._keys[start:stop] = keys
         self._objectives[start:stop] = objectives
         self._feasible[start:stop] = feasible
         self._violations[start:stop] = violation_counts
         self._from_disk[start:stop] = from_disk
-        self._keys.extend(keys)
-        self._index.update(zip(keys, range(start, stop)))
+        self._index.assign(keys, start)
         if self.max_entries is None:
             return 0
         self._touch(np.arange(start, stop))
         return self._evict()
 
-    def export(self) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-        """Every live row as ``(keys, objectives, feasible, violation_counts)``
-        (a snapshot: recency is not touched)."""
-        slots = np.fromiter(self._index.values(), dtype=np.int64, count=len(self))
-        return (list(self._index), *self.rows(slots))
+    def export(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every live row, in insertion order, as ``(keys, objectives,
+        feasible, violation_counts)`` (a snapshot: recency is not touched)."""
+        slots = self._live()
+        return (self._keys[slots], *self.rows(slots))
 
     # ------------------------------------------------------------ internals
 
-    def _reserve(self, count: int, width: int) -> int:
-        """Make room for ``count`` more slots; returns the first one."""
+    def _reserve(self, keys: np.ndarray, width: int) -> int:
+        """Make room for ``keys`` in the arena; returns their first slot."""
         start = self._used
-        needed = start + count
-        if needed > len(self._feasible):
+        needed = start + len(keys)
+        if needed > len(self._keys):
             # Power-of-two capacities: amortised O(1) appends, and the
-            # common power-of-two sweep sizes fit exactly.
+            # common power-of-two sweep sizes fit exactly.  The first keys
+            # fix the key column's dtype (object beyond int64 ids).
             capacity = 1 << (needed - 1).bit_length()
+            self._keys = _grown(self._keys[:start].astype(keys.dtype), (capacity,))
             self._objectives = _grown(self._objectives[:start], (capacity, width))
             self._feasible = _grown(self._feasible[:start], (capacity,))
             self._violations = _grown(self._violations[:start], (capacity,))
@@ -149,36 +208,40 @@ class ColumnStore:
         self._used = needed
         return start
 
+    def _live(self) -> np.ndarray:
+        """Arena slots of the live rows, ascending."""
+        if not self._dead:
+            return np.arange(self._used)
+        return np.flatnonzero(self._stamps[: self._used] != _DEAD)
+
     def _touch(self, slots: np.ndarray) -> None:
         self._stamps[slots] = np.arange(self._tick, self._tick + len(slots))
         self._tick += len(slots)
 
     def _evict(self) -> int:
         """Drop the least recently used rows beyond the bound."""
-        excess = len(self._index) - self.max_entries
+        excess = len(self) - self.max_entries
         if excess <= 0:
             return 0
         victims = np.argpartition(self._stamps[: self._used], excess - 1)[:excess]
-        for slot in victims.tolist():
-            del self._index[self._keys[slot]]
+        self._index.drop(self._keys[victims])
         self._stamps[victims] = _DEAD
         self._dead += excess
-        if self._dead > len(self._index):
+        if self._dead > len(self):
             self._compact()
         return excess
 
     def _compact(self) -> None:
         """Move the live rows to the front of the arena, in slot order."""
-        live = np.flatnonzero(self._stamps[: self._used] != _DEAD)
-        keys = [self._keys[slot] for slot in live.tolist()]
+        live = self._live()
+        self._keys = self._keys[live]
         self._objectives = self._objectives[live]
         self._feasible = self._feasible[live]
         self._violations = self._violations[live]
         self._from_disk = self._from_disk[live]
         self._stamps = self._stamps[live]
-        self._keys = keys
-        self._index = dict(zip(keys, range(len(keys))))
-        self._used = len(keys)
+        self._index.assign(self._keys, 0)
+        self._used = len(live)
         self._dead = 0
 
 
@@ -292,7 +355,7 @@ class SharedGenotypeCache:
         if columns is None:
             hits = np.empty(0, dtype=np.int64)
             return hits, (np.empty((0, len(components))), hits.astype(bool), hits)
-        slots = entry[1].lookup(keys.tolist())
+        slots = entry[1].lookup(keys)
         hits = np.flatnonzero(slots >= 0)
         objectives, feasible, violations = entry[1].rows(slots[hits])
         return hits, (objectives[:, columns], feasible, violations)
@@ -325,9 +388,9 @@ class SharedGenotypeCache:
                 ColumnStore(self.max_entries),
             )
         store = entry[1]
-        fresh = np.flatnonzero(store.lookup(keys.tolist()) < 0)
+        fresh = np.flatnonzero(store.lookup(keys) < 0)
         self.evictions += store.insert(
-            keys[fresh].tolist(),
+            keys[fresh],
             objectives[fresh],
             feasible[fresh],
             violation_counts[fresh],

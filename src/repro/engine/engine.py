@@ -12,7 +12,9 @@ owns every cross-cutting evaluation concern:
   keyed once from their validated index matrix
   (:meth:`~repro.dse.space.DesignSpace.design_keys`), and genes are decoded
   only for misses and the rows a caller reads.  The store looks up, inserts,
-  bulk-loads and exports whole batches at a time, and
+  bulk-loads and exports whole batches at a time (through a direct-address
+  table on spaces of at most ``cache.TABLE_LIMIT`` designs, chosen at bind
+  and reported as ``EngineStats.memo_index``), and
   ``column_memo_max_entries`` bounds every row it holds;
 * **cross-problem shared cache** (optional) — engines given one
   :class:`~repro.engine.cache.SharedGenotypeCache` instance serve each
@@ -306,6 +308,13 @@ class EvaluationEngine:
                 "the problem must expose pure 'compute_design(genotype)' and "
                 "'materialise_designs(matrix, columns)' methods"
             )
+        if self._problem is None and self.genotype_cache_enabled:
+            # Ids of a space of at most TABLE_LIMIT designs index the memo
+            # through a direct-address table; larger spaces keep a dict.
+            self._column_store = ColumnStore(
+                self.column_memo_max_entries, problem.space.size
+            )
+        self.stats.memo_index = self._column_store.index_kind
         self._problem = problem
         kernel = getattr(problem, "vectorized_kernel", None)
         if kernel is not None:
@@ -477,14 +486,21 @@ class EvaluationEngine:
                 (computed, columns.objectives, columns.feasible, columns.violation_counts)
             )
         count = len(keys)
-        width = (
-            parts[0][1].shape[1] if parts else int(getattr(problem, "n_objectives", 0))
-        )
-        objectives = np.empty((count, width))
-        feasible = np.empty(count, dtype=bool)
-        violations = np.empty(count, dtype=np.int64)
-        for rows, *values in parts:
-            objectives[rows], feasible[rows], violations[rows] = values
+        if len(parts) == 1 and len(parts[0][0]) == count:
+            # One source served every row, in order: its columns are the
+            # batch's (a warm sweep chunk, or a batch of misses alone).
+            _, objectives, feasible, violations = parts[0]
+        else:
+            width = (
+                parts[0][1].shape[1]
+                if parts
+                else int(getattr(problem, "n_objectives", 0))
+            )
+            objectives = np.empty((count, width))
+            feasible = np.empty(count, dtype=bool)
+            violations = np.empty(count, dtype=np.int64)
+            for rows, *values in parts:
+                objectives[rows], feasible[rows], violations[rows] = values
         cached = np.zeros(count, dtype=bool)
         cached[store_rows] = True
         cached[shared_rows] = True
@@ -672,7 +688,7 @@ class EvaluationEngine:
         rows, _ = _distinct_rows(keys)
         if rows is None:
             rows = np.arange(len(keys))
-        rows = rows[~self._column_store.contains(keys[rows].tolist())]
+        rows = rows[~self._column_store.contains(keys[rows])]
         self._insert(
             keys[rows],
             objectives[rows],
@@ -744,7 +760,7 @@ class EvaluationEngine:
         off a cache segment also as a persistent-cache hit.
         """
         store = self._column_store
-        slots = store.lookup(keys.tolist())
+        slots = store.lookup(keys)
         hits = slots[slots >= 0]
         self.stats.genotype_cache_hits += len(hits)
         self.stats.persistent_cache_hits += int(store.from_disk(hits).sum())
@@ -761,7 +777,7 @@ class EvaluationEngine:
     ) -> None:
         """Insert rows the store does not hold, counting evictions."""
         self.stats.column_memo_evictions += self._column_store.insert(
-            keys.tolist(), objectives, feasible, violation_counts, from_disk=from_disk
+            keys, objectives, feasible, violation_counts, from_disk=from_disk
         )
 
     def _insert_computed(

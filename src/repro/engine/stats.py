@@ -103,9 +103,13 @@ class EngineStats:
         array_backend: name of the array-backend namespace
             (:mod:`repro.core.array_backend`) that computed the columnar
             kernels' columns — ``""`` until a problem with a compiled
-            kernel is bound to the engine.  The
-            only non-numeric field: ``merge``/``-`` carry it through
-            (non-empty wins) instead of doing arithmetic on it.
+            kernel is bound to the engine.  A label, not a counter:
+            ``merge``/``-`` carry it through (non-empty wins) instead of
+            doing arithmetic on it.
+        memo_index: how the column store finds a design id's row —
+            ``"table"`` (a direct-address table, for spaces of at most
+            ``cache.TABLE_LIMIT`` designs) or ``"dict"`` — set when a problem
+            is bound; a label like ``array_backend``.
     """
 
     genotype_requests: int = 0
@@ -127,6 +131,7 @@ class EngineStats:
     batches: int = 0
     wall_time_s: float = 0.0
     array_backend: str = ""
+    memo_index: str = ""
 
     # ------------------------------------------------------------ derived
 
@@ -168,9 +173,9 @@ class EngineStats:
     def __sub__(self, other: "EngineStats") -> "EngineStats":
         """Field-wise difference, used to attribute counters to one run.
 
-        Label fields (``array_backend``) are carried from the newer snapshot
-        rather than subtracted — a delta records which backend served the
-        attributed window.
+        Label fields (``array_backend``, ``memo_index``) are carried from
+        the newer snapshot rather than subtracted — a delta records which
+        backend served the attributed window.
         """
         values = {}
         for field in fields(self):

@@ -235,15 +235,6 @@ class TestSharedArrayArena:
             try:
                 for name, table in tables.items():
                     assert np.array_equal(views[name], table), name
-                rng = np.random.default_rng(7)
-                genotypes = [problem.space.random_genotype(rng) for _ in range(32)]
-                matrix = problem.space.index_matrix(genotypes)
-                want = kernel.evaluate_columns(matrix)
-                kernel.adopt_shared_tables(views)
-                got = kernel.evaluate_columns(matrix)
-                assert np.array_equal(got.objectives, want.objectives)
-                assert np.array_equal(got.feasible, want.feasible)
-                assert np.array_equal(got.violation_counts, want.violation_counts)
             finally:
                 shm.close()
         finally:
