@@ -928,11 +928,15 @@ def test_pruning_kernel_speedup_and_dispatch(reporter):
       PR's acceptance criterion, with the fronts asserted exactly equal;
     * **archive updates**: the sweep's per-chunk ``running_front_indices``
       loop (chunk size 2048), blockwise vs skyline, with identical running
-      fronts — the per-chunk update time lands in the artifact;
-    * **dispatch hard gate**: a 2-objective (baseline-evaluator) sweep over
-      the same space must route every top-level prune through the 2-D
-      skyline scan — the job **fails** if it silently falls back to the
-      blockwise dominance matrix.
+      fronts — the per-chunk update time lands in the artifact, with the
+      number of chunks the archive beat outright (no joint prune);
+    * **first chunk**: the no-archive prune of the loop's first chunk,
+      blockwise vs skyline;
+    * **dispatch hard gates**: the 3-objective extraction over the 8192
+      rows is one ``skyline_kd`` dispatch, and a 2-objective
+      (baseline-evaluator) sweep over the same space must route every
+      top-level prune through the 2-D skyline scan — the job **fails** if
+      either silently falls back to the blockwise dominance matrix.
     """
     from repro.dse.pareto import (
         pareto_front_indices,
@@ -976,6 +980,28 @@ def test_pruning_kernel_speedup_and_dispatch(reporter):
     assert skyline_front == blockwise_front  # membership AND ordering
     extraction_speedup = blockwise_s / skyline_s
 
+    # --- dispatch hard gate: 3-objective extraction takes the k-D skyline -
+    reset_prune_kernel_counts()
+    pareto_front_indices(matrix)
+    kd_counts = prune_kernel_counts()
+    assert kd_counts["skyline_kd"] == 1
+    assert kd_counts["blockwise"] == 0
+
+    # --- first chunk: the prune of a sweep that has no archive yet --------
+    def time_first_chunk(enabled: bool, rounds: int = 5):
+        first = chunks[0]
+        with use_skyline(enabled):
+            front, elapsed = None, float("inf")
+            for _ in range(rounds):
+                started = time.perf_counter()
+                front = running_front_indices(first[:0], first)
+                elapsed = min(elapsed, time.perf_counter() - started)
+        return front, elapsed
+
+    blockwise_first, blockwise_first_s = time_first_chunk(False)
+    skyline_first, skyline_first_s = time_first_chunk(True)
+    assert skyline_first == blockwise_first
+
     # --- archive updates: the sweep's per-chunk pruning loop --------------
     def archive_loop():
         archive = None
@@ -1002,6 +1028,9 @@ def test_pruning_kernel_speedup_and_dispatch(reporter):
     assert skyline_archive.tolist() == blockwise_archive.tolist()
     assert len(skyline_archive) == len(pareto_front_indices(matrix))
     archive_speedup = blockwise_archive_s / skyline_archive_s
+    reset_prune_kernel_counts()
+    archive_loop()
+    archive_shortcuts = prune_kernel_counts()["archive_beats_all"]
 
     # --- dispatch hard gate: 2-objective sweeps take the 2-D scan ---------
     baseline_problem = WbsnDseProblem(
@@ -1033,6 +1062,11 @@ def test_pruning_kernel_speedup_and_dispatch(reporter):
                 "archive_skyline_wall_clock_s": skyline_archive_s,
                 "archive_update_per_chunk_s": skyline_archive_s / len(chunks),
                 "archive_speedup": archive_speedup,
+                "archive_chunks_beaten_by_archive": archive_shortcuts,
+                "first_chunk_rows": len(chunks[0]),
+                "first_chunk_blockwise_wall_clock_s": blockwise_first_s,
+                "first_chunk_skyline_wall_clock_s": skyline_first_s,
+                "extraction_3d_dispatch": dict(kd_counts),
                 "baseline_2d_dispatch": dict(counts),
             }
         }
@@ -1046,7 +1080,13 @@ def test_pruning_kernel_speedup_and_dispatch(reporter):
             f"front size {len(skyline_front)}",
             f"archive updates ({len(chunks)} chunks of {chunk_size}): "
             f"{blockwise_archive_s * 1e3:.1f} ms vs "
-            f"{skyline_archive_s * 1e3:.1f} ms ({archive_speedup:.1f}x)",
+            f"{skyline_archive_s * 1e3:.1f} ms ({archive_speedup:.1f}x), "
+            f"{archive_shortcuts} chunks beaten by the archive outright",
+            f"first chunk, no archive ({len(chunks[0])} rows): "
+            f"{blockwise_first_s * 1e3:.2f} ms blockwise vs "
+            f"{skyline_first_s * 1e3:.2f} ms skyline",
+            f"3-objective dispatch: {kd_counts['skyline_kd']} skyline_kd, "
+            f"{kd_counts['blockwise']} blockwise (gate: no fallback)",
             f"2-objective dispatch: {counts['skyline_2d']} skyline_2d, "
             f"{counts['blockwise']} blockwise (gate: no fallback)",
         ],

@@ -24,11 +24,10 @@ A generation is one :meth:`Nsga2._make_offspring` and one
   computes the misses in one go.  The population stays the list of design
   objects that call returns, and its objective matrix travels alongside,
   sliced with index arrays.
-* Survivors are deduplicated by design key
-  (:meth:`~repro.dse.space.DesignSpace.design_keys`: exact even for spaces
-  too large for ``int64`` ids), keeping first occurrences in order.  Fresh
-  random designs refill the pool when fewer than a population remain, and
-  rank and crowding distance truncate it.
+* Survivors are deduplicated by genotype tuple, keeping first occurrences
+  in order (one ``dict`` pass, exact on spaces of any size, with no gene
+  matrix built).  Fresh random designs refill the pool when fewer than a
+  population remain, and rank and crowding distance truncate it.
 
 A seed fixes the whole run, and the run makes the textbook loop's draws in
 its order, so the fronts match it design for design.  A tournament pair is
@@ -102,9 +101,9 @@ class Nsga2:
                 population + offspring, np.vstack([matrix, offspring_matrix])
             )
         # Final-front extraction rides the skyline kernel dispatch in
-        # repro.dse.pareto (sort-based for <=2 objectives, divide-and-conquer
-        # above the base size for k>=3) — membership and ordering are
-        # identical to the blockwise dominance matrices it replaces.
+        # repro.dse.pareto (sort-based for <=2 objectives, the sort-filter
+        # skyline above the base size for k>=3) — membership and ordering
+        # are identical to the blockwise dominance matrices it replaces.
         front = pareto_front_indices(matrix)
         return [population[index] for index in front]
 
@@ -163,20 +162,20 @@ class Nsga2:
     ) -> tuple[list[EvaluatedDesign], np.ndarray]:
         # Duplicate genotypes quickly take over an elitist population on a
         # discrete space; keeping a single copy of each preserves diversity.
-        space = self.problem.space
-        keys = space.design_keys(space.index_matrix([d.genotype for d in combined]))
-        unique_indices = np.sort(np.unique(keys, return_index=True)[1])
+        seen: dict[tuple[int, ...], int] = {}
+        for index, design in enumerate(combined):
+            seen.setdefault(design.genotype, index)
+        unique_indices = list(seen.values())
         combined = [combined[index] for index in unique_indices]
         matrix = matrix[unique_indices]
         if len(combined) < self.settings.population_size:
-            seen = {design.genotype for design in combined}
             extra_rows: list[tuple[float, ...]] = []
             while len(combined) < self.settings.population_size:
-                genotype = space.random_genotype(self._rng)
+                genotype = self.problem.space.random_genotype(self._rng)
                 if genotype in seen:
                     continue
                 design = self.problem.evaluate(genotype)
-                seen.add(genotype)
+                seen[genotype] = len(combined)
                 combined.append(design)
                 extra_rows.append(design.objectives)
             matrix = np.vstack([matrix, np.asarray(extra_rows, dtype=float)])

@@ -10,13 +10,14 @@ surface (:func:`pareto_front_indices` / :func:`running_front_indices`):
 * **sort-based skyline kernels** — for 1- and 2-objective sets an
   O(n log n) lexicographic sort plus a prefix-minimum scan finds every
   dominated-or-duplicate row in two vector operations; for k ≥ 3 objectives
-  a divide-and-conquer skyline sorts once, prunes the two halves
-  recursively and filters the right half against the *front* of the left —
-  so the quadratic comparisons only ever run between survivors;
+  a sort-filter skyline (Chomicki et al., "Skyline with presorting", ICDE
+  2003) sorts once, takes the sorted rows a block at a time, and lets each
+  block's front drop every later row it beats — so the quadratic
+  comparisons only ever run between a front and the rows still alive;
 * **blockwise dominance matrices** — broadcasted ``(n, block, m)``
-  comparisons in bounded-size blocks, retained as the divide-and-conquer
-  base case, as the small-``n`` k-D path, and as the reference
-  implementation behind :func:`use_skyline` for differential testing.
+  comparisons in bounded-size blocks, retained as the small-``n`` k-D path
+  and as the reference implementation behind :func:`use_skyline` for
+  differential testing.
 
 Both families compute the same dominated/duplicate mask — first occurrence
 of duplicated points survives, NaN rows neither dominate nor are dominated
@@ -26,8 +27,10 @@ identical whichever kernel runs (the property tests in
 ``tests/test_dse_pareto.py`` compare the families on randomized inputs, and
 the golden-front suite pins the end-to-end fronts).  The per-process
 :func:`prune_kernel_counts` counters record which kernel answered each
-dispatch; the benchmark suite uses them to hard-fail if a 2-objective
-workload ever silently falls back to the dominance matrices.
+dispatch; the benchmark suite uses them to hard-fail if a 2- or
+3-objective workload ever silently falls back to the dominance matrices.
+:func:`running_front_indices` runs no joint prune at all when its archive
+beats every candidate, and counts that too.
 """
 
 from __future__ import annotations
@@ -47,9 +50,10 @@ _DOMINANCE_BLOCK = 512
 _BEATEN_CELLS = 1 << 20
 
 #: Below this many rows a k>=3-objective set is pruned by the blockwise
-#: dominance matrix directly — the divide-and-conquer bookkeeping only pays
-#: for itself on larger sets.  (1- and 2-objective sets always take the
-#: sort-based kernels: a single sort wins at every size.)
+#: dominance matrix directly — the sort only pays for itself on larger
+#: sets.  It is also the head-block size of the sort-filter skyline.  (1-
+#: and 2-objective sets always take the sort-based kernels: a single sort
+#: wins at every size.)
 _SKYLINE_BASE = 128
 
 #: Module switch for the sort-based kernels.  Results are identical either
@@ -64,6 +68,7 @@ _KERNEL_COUNTS = {
     "skyline_2d": 0,
     "skyline_kd": 0,
     "blockwise": 0,
+    "archive_beats_all": 0,
 }
 
 __all__ = [
@@ -132,12 +137,13 @@ def prune_kernel_counts() -> dict[str, int]:
     process).
 
     Keys: ``skyline_1d`` / ``skyline_2d`` (lexicographic sort + prefix-min
-    scan), ``skyline_kd`` (divide-and-conquer skyline, k ≥ 3 objectives) and
+    scan), ``skyline_kd`` (sort-filter skyline, k ≥ 3 objectives) and
     ``blockwise`` (broadcasted dominance matrices — the fallback the
-    benchmark gate watches for on 2-objective workloads).  Counted once per
-    top-level dispatch; the blockwise base cases inside the
-    divide-and-conquer recursion are part of ``skyline_kd`` and are not
-    counted separately.
+    benchmark gates watch for).  Counted once per top-level dispatch; the
+    head blocks inside the sort-filter loop are part of ``skyline_kd`` and
+    are not counted separately.  ``archive_beats_all`` counts the
+    :func:`running_front_indices` calls whose archive beat every candidate,
+    so no joint prune, and no dispatch, ran.
     """
     return dict(_KERNEL_COUNTS)
 
@@ -167,8 +173,11 @@ def _all_less_equal(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     contiguous first.  NaNs fail every comparison, so a row holding one is
     never less-or-equal to anything, nor anything to it.
     """
-    result = np.ones((len(first), len(second)), dtype=bool)
-    for column in range(first.shape[1]):
+    width = first.shape[1]
+    if width == 0:
+        return np.ones((len(first), len(second)), dtype=bool)
+    result = first[:, 0, None] <= np.ascontiguousarray(second[:, 0])
+    for column in range(1, width):
         result &= first[:, column, None] <= np.ascontiguousarray(second[:, column])
     return result
 
@@ -266,50 +275,48 @@ def _beaten_by(front: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return beaten
 
 
-def _skyline_halves(points: np.ndarray) -> np.ndarray:
-    """Dominated mask of lexicographically sorted, distinct rows, divide and
-    conquer.
-
-    The full-row lexicographic sort makes the cross-filter one-directional:
-    a later-sorted row can never dominate (nor be the first occurrence of a
-    duplicate of) an earlier one.  So after pruning each half recursively,
-    only the right half's survivors need filtering — and only against the
-    *front* of the left half, because every dropped left row has a surviving
-    left witness that dominates-or-equals it.
-    """
-    count = len(points)
-    if count <= _SKYLINE_BASE:
-        # The rows are distinct, so ``points[i] <= points[j]`` off the
-        # diagonal is strict domination (and, sorted, only ever has i < j).
-        less_equal = _all_less_equal(points, points)
-        np.fill_diagonal(less_equal, False)
-        return less_equal.any(axis=0)
-    half = count // 2
-    left = _skyline_halves(points[:half])
-    right = _skyline_halves(points[half:])
-    left_front = points[:half][~left]
-    alive = np.flatnonzero(~right)
-    if len(left_front) and alive.size:
-        right[alive[_beaten_by(left_front, points[half:][alive])]] = True
-    return np.concatenate([left, right])
-
-
 def _skyline_kd(finite: np.ndarray) -> np.ndarray:
-    """k>=3-objective skyline mask: sort once, drop repeats, divide and
-    conquer."""
+    """k>=3-objective skyline mask: sort once, drop repeats, sort-filter.
+
+    After a full-row lexicographic sort, every row's dominators sort before
+    it: ``p <= q`` componentwise with ``p != q`` makes ``p`` lexicographically
+    smaller.  The distinct rows are then taken ``_SKYLINE_BASE`` at a time.
+    A head block's front comes from one comparison matrix and is final: a
+    row that beats a head row sorts before it, so it is in the head, where
+    the matrix sees it, or in an earlier head, where it is a front row that
+    would have dropped the head row, or beaten by one, which then beats the
+    head row too.  The head's front then drops every later row it dominates
+    or equals (:func:`_beaten_by`, in cell-bounded blocks), and the loop
+    repeats on what is left.
+
+    The mask is the blockwise kernel's: a repeated row is a later duplicate,
+    and a distinct row is dropped exactly when some row dominates it.
+    """
     width = finite.shape[1]
     # ``lexsort`` sorts by the *last* key first: pass the columns reversed
     # so column 0 is the primary key.  The sort is stable, so fully equal
     # rows are adjacent and keep their original relative order: each row
     # equal to its predecessor is a later duplicate, dropped before the
-    # recursion (sweep chunks repeat most objective rows).
+    # filter (sweep chunks repeat most objective rows).
     order = np.lexsort(tuple(finite[:, column] for column in range(width - 1, -1, -1)))
-    ordered = finite[order]
+    ordered = np.take(finite, order, axis=0)
     repeat = np.zeros(len(ordered), dtype=bool)
-    repeat[1:] = (ordered[1:] == ordered[:-1]).all(axis=1)
-    distinct = np.flatnonzero(~repeat)
+    same = ordered[1:, 0] == ordered[:-1, 0]
+    for column in range(1, width):
+        same &= ordered[1:, column] == ordered[:-1, column]
+    repeat[1:] = same
+    rows = np.flatnonzero(~repeat)
     dropped = np.ones(len(ordered), dtype=bool)
-    dropped[distinct] = _skyline_halves(ordered[distinct])
+    while rows.size:
+        head, rows = rows[:_SKYLINE_BASE], rows[_SKYLINE_BASE:]
+        # The rows are distinct, so ``head[i] <= head[j]`` off the diagonal
+        # is strict domination (and, sorted, only ever has i < j).
+        block = np.take(ordered, head, axis=0)
+        less_equal = _all_less_equal(block, block)
+        np.fill_diagonal(less_equal, False)
+        front = ~less_equal.any(axis=0)
+        dropped[head[front]] = False
+        rows = rows[~_beaten_by(block[front], np.take(ordered, rows, axis=0))]
     dominated = np.empty(len(finite), dtype=bool)
     dominated[order] = dropped
     return dominated
@@ -320,18 +327,20 @@ def _skyline_apply(points: np.ndarray, kernel) -> np.ndarray:
 
     Rows containing NaN fail every comparison: they neither dominate, nor
     are dominated, nor duplicate anything — permanent survivors that the
-    sort kernels must not see (NaN breaks sort transitivity).
+    sort kernels must not see (NaN breaks sort transitivity).  One check
+    over the whole array spares NaN-free sets the per-row mask.
     """
-    nan_rows = np.isnan(points).any(axis=1)
-    if nan_rows.any():
-        dominated = np.zeros(len(points), dtype=bool)
-        rows = np.flatnonzero(~nan_rows)
-        if rows.size:
-            dominated[rows] = kernel(points[rows])
-        return dominated
     if len(points) == 0:
         return np.zeros(0, dtype=bool)
-    return kernel(points)
+    nan = np.isnan(points)
+    if not nan.any():
+        return kernel(points)
+    nan_rows = nan.any(axis=1)
+    dominated = np.zeros(len(points), dtype=bool)
+    rows = np.flatnonzero(~nan_rows)
+    if rows.size:
+        dominated[rows] = kernel(points[rows])
+    return dominated
 
 
 def _dominated_mask(points: np.ndarray) -> np.ndarray:
@@ -339,7 +348,7 @@ def _dominated_mask(points: np.ndarray) -> np.ndarray:
 
     Dispatch rules (documented in the ROADMAP architecture notes): 1- and
     2-objective sets take the sort-based skyline kernels at every size;
-    k >= 3-objective sets take the divide-and-conquer skyline above
+    k >= 3-objective sets take the sort-filter skyline above
     ``_SKYLINE_BASE`` rows; everything else — small k-D sets, zero-width
     points, and every call with the skyline disabled — runs on the
     blockwise dominance matrices.  All kernels agree bitwise on the mask.
@@ -365,8 +374,8 @@ def pareto_front_indices(objectives: Sequence[Sequence[float]]) -> list[int]:
 
     Duplicated points keep their first occurrence only.  The kernel
     dispatch (see :func:`prune_kernel_counts`) picks a sort-based skyline
-    kernel — O(n log n) for one or two objectives, divide-and-conquer for
-    more — or the blockwise dominance matrices; survivors are emitted in
+    kernel — O(n log n) for one or two objectives, sort-filter for more —
+    or the blockwise dominance matrices; survivors are emitted in
     original index order either way, so membership and ordering are
     identical to a direct quadratic scan.
     """
@@ -384,16 +393,19 @@ def running_front_indices(
     """Update a running non-dominated archive from raw objective columns.
 
     The columns-in/indices-out kernel behind chunked sweeps: given the
-    objective rows of the current front (which must be mutually
-    non-dominated — the output of a previous call qualifies) and the rows of
-    a new candidate block, it returns the indices of the new joint front
-    into the *virtual pool* ``[front; candidates]``, in the exact membership
-    and ordering :func:`pareto_front_indices` would produce for the
-    archive-plus-surviving-candidates pool.  Candidates beaten by the
-    archive (dominated, or duplicating an archived point) are pre-filtered
-    with one column-wise pass before the joint prune — removing them cannot
-    change the joint front, because every removal has a surviving witness in
-    the archive.
+    objective rows of the current front and the rows of a new candidate
+    block, it returns the indices of the new joint front into the *virtual
+    pool* ``[front; candidates]``, in the exact membership and ordering
+    :func:`pareto_front_indices` would produce for the
+    archive-plus-surviving-candidates pool.  Precondition: the archive is
+    mutually non-dominated *and* free of duplicates — the output of a
+    previous call is both.  Candidates beaten by the archive (dominated, or
+    duplicating an archived point) are pre-filtered with one column-wise
+    pass before the joint prune — removing them cannot change the joint
+    front, because every removal has a surviving witness in the archive.
+    When the archive beats every candidate, the precondition makes the
+    archive itself the joint front: it is returned whole, in order, with no
+    joint prune (counted as ``archive_beats_all``).
 
     Callers index whatever per-row payload they carry — design objects on
     the object path, raw column rows on the columnar path — with the
@@ -408,7 +420,13 @@ def running_front_indices(
         return list(range(len(front)))
     if front.ndim != 2 or candidates.ndim != 2 or front.shape[1] != candidates.shape[1]:
         raise ValueError("objective vectors must have the same length")
-    kept = np.flatnonzero(~_beaten_by(front, candidates))
+    beaten = _beaten_by(front, candidates)
+    if beaten.all():
+        # No candidate survives the pre-filter: the archive is the joint
+        # front, in order, and no joint prune runs.
+        _KERNEL_COUNTS["archive_beats_all"] += 1
+        return list(range(len(front)))
+    kept = np.flatnonzero(~beaten)
     joint = pareto_front_indices(np.concatenate([front, candidates[kept]], axis=0))
     offset = len(front)
     return [

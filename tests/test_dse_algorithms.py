@@ -7,7 +7,7 @@ import pytest
 from repro.dse.exhaustive import ExhaustiveCapWarning, ExhaustiveSearch
 from repro.dse.nsga2 import Nsga2, Nsga2Settings
 from repro.dse.pareto import front_coverage, pareto_front_indices
-from repro.dse.problem import EvaluatedDesign, OptimizationProblem
+from repro.dse.problem import EvaluatedDesign, OptimizationProblem, WbsnDseProblem
 from repro.dse.random_search import RandomSearch
 from repro.dse.runner import run_algorithm
 from repro.dse.simulated_annealing import (
@@ -15,6 +15,8 @@ from repro.dse.simulated_annealing import (
     SimulatedAnnealingSettings,
 )
 from repro.dse.space import DesignSpace, ParameterDomain
+from repro.engine import EvaluationEngine
+from repro.experiments.casestudy import build_case_study_evaluator
 
 
 class ToyProblem(OptimizationProblem):
@@ -105,6 +107,45 @@ class TestNsga2:
             Nsga2Settings(population_size=2)
         with pytest.raises(ValueError):
             Nsga2Settings(mutation_rate=1.5)
+
+    def test_survivor_dedup_builds_no_gene_matrix(self):
+        """Survivors are deduplicated by genotype tuple: on a seeded run of
+        the default problem with no refill, environmental selection calls
+        neither ``index_matrix`` nor ``design_keys``."""
+        problem = WbsnDseProblem(build_case_study_evaluator(), engine=EvaluationEngine())
+        settings = Nsga2Settings(population_size=24, generations=5, seed=3)
+        algorithm = Nsga2(problem, settings)
+        calls = {"index_matrix": 0, "design_keys": 0, "evaluate": 0}
+        selecting = [False]
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += selecting[0]
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        space = problem.space
+        space.index_matrix = counted("index_matrix", space.index_matrix)
+        space.design_keys = counted("design_keys", space.design_keys)
+        problem.evaluate = counted("evaluate", problem.evaluate)
+        select = algorithm._environmental_selection
+        pool_sizes: list[int] = []
+
+        def selection(combined, matrix):
+            pool_sizes.append(len(combined))
+            selecting[0] = True
+            try:
+                return select(combined, matrix)
+            finally:
+                selecting[0] = False
+
+        algorithm._environmental_selection = selection
+        front = algorithm.run()
+        assert front
+        assert pool_sizes == [2 * settings.population_size] * settings.generations
+        # ``evaluate`` is the refill's only call: none ran.
+        assert calls == {"index_matrix": 0, "design_keys": 0, "evaluate": 0}
 
 
 class TestSimulatedAnnealing:

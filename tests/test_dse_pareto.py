@@ -12,11 +12,14 @@ replaced, asserting exact float equality on random fronts.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dse import pareto
 from repro.dse.pareto import (
     _points_matrix,
     crowding_distance,
@@ -536,3 +539,124 @@ class TestNonDominatedSortReference:
     @given(points=_points)
     def test_hypothesis_continuous_points(self, points):
         assert non_dominated_sort(points) == _deb_peel(points)
+
+
+#: The grid of the k-D kernel sets: ties, ±inf, and 0.0 next to -0.0 (equal
+#: under every comparison, so duplicates of each other).
+_KD_CELLS = (-np.inf, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf)
+
+
+@st.composite
+def _kd_grid_sets(draw) -> np.ndarray:
+    """3- and 4-objective sets of 129–600 rows over a few grid values, with
+    some NaN cells: large enough for the k-D skyline, dense in ties and
+    duplicates.  The rows come from a drawn seed, the grid and the NaN
+    count from hypothesis."""
+    width = draw(st.sampled_from([3, 4]))
+    count = draw(st.integers(129, 600))
+    cells = draw(
+        st.lists(st.sampled_from(_KD_CELLS), min_size=2, max_size=5, unique_by=repr)
+    )
+    nans = draw(st.integers(0, count // 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = np.asarray(cells)[rng.integers(0, len(cells), size=(count, width))]
+    points[rng.integers(0, count, nans), rng.integers(0, width, nans)] = np.nan
+    return points
+
+
+def _simplex(total: int, width: int = 3) -> np.ndarray:
+    """Every integer point with coordinates summing to ``total``, shuffled:
+    mutually non-dominated, so the whole set is the front."""
+    grid = np.indices((total + 1,) * (width - 1)).reshape(width - 1, -1).T
+    grid = grid[grid.sum(axis=1) <= total]
+    points = np.column_stack([grid, total - grid.sum(axis=1)]).astype(float)
+    return points[np.random.default_rng(total).permutation(len(points))]
+
+
+class TestSortFilterSkyline:
+    """The k-D sort-filter skyline (``_skyline_kd``) and the archive
+    shortcut of ``running_front_indices``, against the blockwise reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(points=_kd_grid_sets())
+    def test_hypothesis_grid_sets_agree(self, points):
+        before = prune_kernel_counts()
+        skyline, blockwise = _both_kernels(points)
+        assert skyline == blockwise
+        after = prune_kernel_counts()
+        assert after["skyline_kd"] == before["skyline_kd"] + 1
+        assert after["blockwise"] == before["blockwise"] + 1
+
+    @pytest.mark.parametrize("width", [3, 4])
+    @pytest.mark.parametrize("kind", ["uniform", "grid"])
+    @pytest.mark.parametrize("count", [127, 128, 129, 130, 255, 256, 257, 258, 8192])
+    def test_block_edge_sizes_agree(self, count, kind, width):
+        rng = np.random.default_rng(count + 10 * width)
+        if kind == "uniform":
+            points = rng.random((count, width))
+        else:
+            points = rng.integers(0, 5, size=(count, width)).astype(float)
+        skyline, blockwise = _both_kernels(points)
+        assert skyline == blockwise
+
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_block_edge_fronts_agree(self, width):
+        """All-front sets whose distinct rows end on and next to a block
+        boundary: every head block's front is the whole block."""
+        points = _simplex(40 if width == 3 else 12, width)
+        for count in (129, 130, 255, 256, 257, 258):
+            skyline, blockwise = _both_kernels(points[:count])
+            assert skyline == blockwise == list(range(count))
+
+    def test_front_wider_than_one_block(self):
+        points = _simplex(76)[:3000]
+        skyline, blockwise = _both_kernels(points)
+        assert skyline == blockwise == list(range(3000))
+        # Repeats of front rows are later duplicates, wherever they sit.
+        repeated = np.concatenate([points, points[::-7]], axis=0)
+        skyline, blockwise = _both_kernels(repeated)
+        assert skyline == blockwise == list(range(3000))
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_archive_that_beats_every_candidate(self, width):
+        rng = np.random.default_rng(3 * width)
+        archive = _archive(rng.random((400, width)))
+        candidates = np.concatenate([archive[::-1] + 0.25, archive[::3]], axis=0)
+        before = prune_kernel_counts()
+        indices = running_front_indices(archive, candidates)
+        after = prune_kernel_counts()
+        assert indices == list(range(len(archive)))
+        assert indices == _defined_running_front(archive, candidates)
+        assert after["archive_beats_all"] == before["archive_beats_all"] + 1
+        # No joint prune ran: no kernel answered a dispatch.
+        for kernel in ("skyline_1d", "skyline_2d", "skyline_kd", "blockwise"):
+            assert after[kernel] == before[kernel]
+
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_archive_that_beats_no_candidate(self, width):
+        points = _simplex(30 if width == 3 else 10, width)
+        archive, candidates = points[:150], points[150:]
+        before = prune_kernel_counts()
+        indices = running_front_indices(archive, candidates)
+        after = prune_kernel_counts()
+        assert indices == list(range(len(points)))
+        assert indices == _defined_running_front(archive, candidates)
+        assert after["archive_beats_all"] == before["archive_beats_all"]
+        assert after["skyline_kd"] == before["skyline_kd"] + 1
+
+    def test_peak_allocation_grows_with_rows_not_rows_times_block(self, monkeypatch):
+        """An all-front prune filters every later row against a whole head
+        block.  With the front-by-candidates matrices bounded at a few
+        cells, its peak allocation stays below one rows-by-block boolean
+        matrix."""
+        monkeypatch.setattr(pareto, "_BEATEN_CELLS", 1 << 14)
+        points = _simplex(153)
+        rows = len(points)
+        tracemalloc.start()
+        try:
+            front = pareto_front_indices(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(front) == rows
+        assert peak < rows * pareto._SKYLINE_BASE
