@@ -38,6 +38,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.dse.exhaustive import ExhaustiveSearch
@@ -676,12 +677,17 @@ def test_default_engine_sweep(reporter, tmp_path):
     spilled.  Wall clocks and designs/s land in ``BENCH_dse_speed.json``
     (``default_engine_sweep``) without a timing gate: the cached/uncached
     ratio moves too much between back-to-back runs to gate.  The entry
-    also records, ungated, the column kernel alone on one 8,192-row chunk
-    (best of 5) and its stage-table entry count.  The **hard gate** is
-    memory: the bytes the engine retains per memoised row after the cold
-    sweep, measured with ``tracemalloc``, must stay at or below
-    ``MAX_ENGINE_RETAINED_BYTES_PER_ROW``.  All three fronts must be
-    identical.
+    also records, ungated, the column kernel alone on one 8,192-id chunk
+    (best of 5; the engine hands the kernel its misses as design ids) and
+    its stage-table entry count.  Two **hard gates**: memory — the bytes
+    the engine retains per memoised row after the cold sweep, measured with
+    ``tracemalloc``, must stay at or below
+    ``MAX_ENGINE_RETAINED_BYTES_PER_ROW`` — and gene rows: the cold sweep
+    on a default engine must build no more gene rows than its front holds
+    (counted through the space's ``decode_ids``, ``key_genes`` and
+    ``index_matrix``, and by ``EngineStats.gene_rows_decoded``), as
+    ``test_warm_start_sweep`` checks for warm sweeps.  All three fronts
+    must be identical.
     """
     cache_dir = tmp_path / "segments"
 
@@ -692,22 +698,29 @@ def test_default_engine_sweep(reporter, tmp_path):
                 **DEFAULT_ENGINE_SWEEP_DOMAINS,
                 engine=engine,
             )
+            gene_rows = _count_gene_rows(problem.space)  # after the probe
             started = time.perf_counter()
             front = ExhaustiveSearch(problem, chunk_size=DEFAULT_ENGINE_CHUNK).run()
-            return front, time.perf_counter() - started, engine.stats.snapshot()
+            elapsed = time.perf_counter() - started
+            stats = engine.stats.snapshot()  # lifetime, probe included
+            return front, elapsed, stats, gene_rows["rows"]
 
     def best_of_3(**engine_options):
         return min(
             (sweep_run(**engine_options) for _ in range(3)), key=lambda run: run[1]
         )
 
-    cached_front, cached_s, _ = best_of_3()
-    uncached_front, uncached_s, _ = best_of_3(genotype_cache=False)
+    cached_front, cached_s, cached_stats, cold_gene_rows = best_of_3()
+    uncached_front, uncached_s, _, _ = best_of_3(genotype_cache=False)
     sweep_run(cache_dir=cache_dir)  # the cold sweep spills the segment
-    warm_front, warm_s, warm_stats = best_of_3(cache_dir=cache_dir)
+    warm_front, warm_s, warm_stats, _ = best_of_3(cache_dir=cache_dir)
     assert _front_signature(cached_front) == _front_signature(uncached_front)
     assert _front_signature(warm_front) == _front_signature(cached_front)
     assert warm_stats.model_evaluations == 0
+    # The gene-row gate: the cold sweep's misses reach the kernel as ids.
+    assert cached_stats.model_evaluations == cached_stats.genotype_requests - 1
+    assert cold_gene_rows <= len(cached_front)
+    assert cached_stats.gene_rows_decoded <= len(cached_front)
 
     gc.collect()
     tracemalloc.start()
@@ -728,9 +741,9 @@ def test_default_engine_sweep(reporter, tmp_path):
     memoised = len(engine._column_store)
     bytes_per_row = retained / memoised
 
-    # The column kernel alone on one sweep chunk (recorded, not gated).
+    # The column kernel alone on one sweep chunk of ids (recorded, not gated).
     kernel = problem.vectorized_kernel
-    chunk = problem.space.decode_ids(range(DEFAULT_ENGINE_CHUNK))
+    chunk = np.arange(DEFAULT_ENGINE_CHUNK)
     kernel_chunk_s = float("inf")
     for _ in range(5):
         started = time.perf_counter()
@@ -752,6 +765,8 @@ def test_default_engine_sweep(reporter, tmp_path):
                 "memoised_rows": memoised,
                 "retained_bytes_per_row": bytes_per_row,
                 "front_size": len(cached_front),
+                "cold_gene_rows": cold_gene_rows,
+                "cold_gene_rows_decoded": int(cached_stats.gene_rows_decoded),
                 "kernel_chunk_ms": kernel_chunk_s * 1e3,
                 "kernel_stage_table_entries": kernel.stage_table_entries,
             }
@@ -763,8 +778,10 @@ def test_default_engine_sweep(reporter, tmp_path):
             f"default engine: {cached_s:.3f} s ({space_size / cached_s:.0f}/s)",
             f"uncached engine: {uncached_s:.3f} s ({space_size / uncached_s:.0f}/s)",
             f"warm start: {warm_s:.3f} s ({space_size / warm_s:.0f}/s)",
+            f"cold gene rows built: {cold_gene_rows} for a front of "
+            f"{len(cached_front)} (hard gate: at most the front)",
             f"column kernel alone: {kernel_chunk_s * 1e3:.2f} ms per "
-            f"{DEFAULT_ENGINE_CHUNK}-row chunk (best of 5), "
+            f"{DEFAULT_ENGINE_CHUNK}-id chunk (best of 5), "
             f"{kernel.stage_table_entries} stage-table entries",
             f"retained per memoised row: {bytes_per_row:.0f} B over {memoised} "
             f"rows (gate {MAX_ENGINE_RETAINED_BYTES_PER_ROW} B)",

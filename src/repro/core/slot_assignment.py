@@ -12,6 +12,14 @@ subject to the protocol's global budget (equation (2)):
 
 and to any additional protocol cap (e.g. at most seven GTS slots per
 IEEE 802.15.4 superframe).
+
+The column form is the scalar solver's arithmetic in three parts.  A node's
+``k(n)`` and ``Delta_tx(n)`` depend on its requirement and ``delta`` alone,
+and the cap on the MAC configuration alone, so the column kernel
+(:mod:`repro.core.vectorized`) runs :func:`slot_count_columns` and
+:func:`slot_cap_columns` at compile time, per stage-table row and per MAC
+configuration; a batch runs only :func:`slot_budget_columns`, the interval
+sum and slack test that couple the nodes.
 """
 
 from __future__ import annotations
@@ -25,9 +33,10 @@ from repro.core.array_backend import xp as np
 
 __all__ = [
     "SlotAssignment",
-    "SlotAssignmentColumns",
     "assign_transmission_intervals",
-    "assign_transmission_interval_columns",
+    "slot_budget_columns",
+    "slot_cap_columns",
+    "slot_count_columns",
 ]
 
 
@@ -120,67 +129,34 @@ def assign_transmission_intervals(
     )
 
 
-@dataclass(frozen=True)
-class SlotAssignmentColumns:
-    """Column-wise slot assignment for a batch of candidates.
-
-    Attributes:
-        slot_counts: the ``k(n)`` integers, shape ``(batch, nodes)``.
-        transmission_intervals_s: ``k(n) * delta``, shape ``(batch, nodes)``.
-        total_transmission_time_s: summed intervals per candidate.
-        slack_s: unused assignable time per candidate.
-        feasible: budget satisfaction per candidate.
-    """
-
-    slot_counts: np.ndarray
-    transmission_intervals_s: np.ndarray
-    total_transmission_time_s: np.ndarray
-    slack_s: np.ndarray
-    feasible: np.ndarray
+def slot_count_columns(
+    required: np.ndarray, base: np.ndarray, *, xp: ModuleType = np
+) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise minimal ``k(n)`` and ``Delta_tx(n) = k(n) * delta`` of
+    aligned requirement and ``delta`` arrays."""
+    counts = xp.where(required > 0, xp.ceil(required / base - 1e-12), 0.0)
+    counts = counts.astype(np.int64)
+    return counts, counts * base
 
 
-def assign_transmission_interval_columns(
-    required_transmission_times_s: np.ndarray,
-    base_time_unit_s: np.ndarray,
+def slot_cap_columns(
     control_time_per_second: np.ndarray,
     max_assignable_time_per_second: np.ndarray,
     *,
     xp: ModuleType = np,
-) -> SlotAssignmentColumns:
-    """Column-wise :func:`assign_transmission_intervals` for a batch.
-
-    Args:
-        required_transmission_times_s: per-node requirements, shape
-            ``(batch, nodes)``.
-        base_time_unit_s: the discretisation ``delta`` per candidate.
-        control_time_per_second: ``Delta_control`` per candidate.
-        max_assignable_time_per_second: protocol cap per candidate.
-        xp: array namespace resolved through the backend seam
-            (:mod:`repro.core.array_backend`); defaults to NumPy.
-
-    The arithmetic mirrors the scalar solver operation for operation (same
-    epsilon, same left-to-right interval summation), so the columns are
-    floating-point-identical to per-candidate scalar calls.
-    """
-    required = xp.asarray(required_transmission_times_s, dtype=float)
-    base = xp.asarray(base_time_unit_s, dtype=float)
-    counts = xp.where(
-        required > 0,
-        xp.ceil(required / base[:, None] - 1e-12),
-        0.0,
-    ).astype(np.int64)
-    intervals = counts * base[:, None]
-    total = xp.zeros(len(required))
-    for column in range(intervals.shape[1]):
-        total = total + intervals[:, column]
+) -> np.ndarray:
+    """Elementwise cap on the summed intervals: ``min(1 - Delta_control,
+    max_assignable)``."""
     budget_cap = 1.0 - xp.asarray(control_time_per_second, dtype=float)
-    cap = xp.minimum(budget_cap, xp.asarray(max_assignable_time_per_second, float))
-    slack = cap - total
-    feasible = (slack >= -1e-12) & (cap >= 0)
-    return SlotAssignmentColumns(
-        slot_counts=counts,
-        transmission_intervals_s=intervals,
-        total_transmission_time_s=total,
-        slack_s=slack,
-        feasible=feasible,
-    )
+    return xp.minimum(budget_cap, xp.asarray(max_assignable_time_per_second, float))
+
+
+def slot_budget_columns(
+    intervals: np.ndarray, cap: np.ndarray, *, xp: ModuleType = np
+) -> np.ndarray:
+    """Whether each candidate's ``(nodes, batch)`` intervals, summed left to
+    right over the nodes, fit its cap: the scalar solver's slack test."""
+    total = xp.zeros(intervals.shape[1])
+    for column in intervals:
+        total = total + column
+    return (cap - total >= -1e-12) & (cap >= 0)

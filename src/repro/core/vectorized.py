@@ -14,20 +14,31 @@ aggregate (8) couple the nodes.  The kernel exploits that split:
 1. at compile time, for every node, the application models
    (:class:`~repro.core.application.VectorizedApplicationModel`), the MAC
    per-node quantities (:class:`~repro.core.mac_abstraction.VectorizedMACModel`),
-   the node energy model and the radio's transmission time run **once** over
-   every (knob combination × MAC configuration) pair of that node.  The
-   results are kept as node-major **stage tables** of total energy, quality
-   loss, required transmission time and violation count.  Size rule: per
-   node, knob combinations × MAC configurations rows (4 × 32 = 128 per node
-   on the 131,072-design sweep space, 32 × 32 = 1,024 on the default
-   space), concatenated over the nodes;
-2. a batch's ``(batch, genes)`` gene-index matrix becomes one
-   ``(nodes, batch)`` matrix of stage-table rows — the node's table offset,
-   plus its knob combination times the MAC configuration count, plus the
-   MAC configuration — and each quantity is one gather from its table;
-3. slot assignment, the delay bound and the equation-(8) aggregation run on
-   the gathered matrices, with the per-MAC-configuration scalars gathered
-   through the same MAC index;
+   the node energy model, the radio's transmission time and the per-node
+   part of slot assignment (:func:`~repro.core.slot_assignment.slot_count_columns`)
+   run **once** over every (knob combination × MAC configuration) pair of
+   that node.  The results are kept as five node-major **stage tables**:
+   total energy, quality loss, violation count, slot count ``k(n)`` and
+   transmission interval ``k(n) * delta`` (the required transmission time
+   is read only at compile time, to solve the slot count).  Size
+   rule: per node, knob combinations × MAC configurations rows (4 × 32 =
+   128 per node on the 131,072-design sweep space, 32 × 32 = 1,024 on the
+   default space), concatenated over the nodes.  The slot cap
+   ``min(1 - Delta_control, max_assignable)`` is compiled once per MAC
+   configuration;
+2. a batch of design ids becomes one ``(nodes, batch)`` matrix of
+   stage-table rows straight from the mixed-radix digits of the ids
+   (:func:`~repro.dse.space.split_digit`): a node whose knobs sit at
+   consecutive genotype positions is one digit, its knob combination, and
+   the MAC domains are one more, the MAC configuration; a node's row is its
+   table offset plus its knob combination times the MAC configuration
+   count plus the MAC configuration.  Gene-index rows are first packed
+   into their ids (:func:`~repro.dse.space.pack_keys`).  Each quantity is then one gather from its table;
+3. slot assignment is the left-to-right interval sum and the slack test
+   against the gathered cap (:func:`~repro.core.slot_assignment.slot_budget_columns`);
+   the delay bound and the equation-(8) aggregation run on the gathered
+   matrices, with the per-MAC-configuration scalars gathered through the
+   same MAC index;
 4. the caller materialises result objects only for the designs it keeps —
    this module returns plain column arrays, never per-design objects.
 
@@ -51,8 +62,9 @@ and tiny batches; the columnar path
 wins as soon as batches reach tens of genotypes, because the per-candidate
 Python and allocation overhead collapses into a handful of array operations.
 
-The engine hands ``evaluate_columns`` only its cache misses, so warm rows
-never reach a table gather.  ``shareable_tables`` lets the sharded backend
+The engine hands ``evaluate_columns`` only its cache misses, as design ids,
+so warm rows never reach a table gather and no gene row is built for a
+miss.  ``shareable_tables`` lets the sharded backend
 (:mod:`repro.engine.sharded`) move the stage and MAC tables into a
 ``multiprocessing.shared_memory`` arena so worker-process kernels gather
 from one shared copy.
@@ -76,7 +88,11 @@ from repro.core.metrics import (
     balanced_aggregate_columns,
     network_delay_metric_columns,
 )
-from repro.core.slot_assignment import assign_transmission_interval_columns
+from repro.core.slot_assignment import (
+    slot_budget_columns,
+    slot_cap_columns,
+    slot_count_columns,
+)
 
 __all__ = [
     "VectorizedUnsupported",
@@ -89,8 +105,9 @@ __all__ = [
 _STAGE_TABLES = (
     "stage.energy_w",
     "stage.quality_loss",
-    "stage.required_time_s",
     "stage.violations",
+    "stage.slot_counts",
+    "stage.intervals_s",
 )
 
 
@@ -184,9 +201,8 @@ class WbsnVectorizedKernel:
         mac_config_objects: np.ndarray,
         mac_columns: VectorizedMACModel,
         mac_table: Any,
-        base_time_unit_s: np.ndarray,
-        control_time_per_second: np.ndarray,
-        max_assignable_time_per_second: np.ndarray,
+        slot_cap: np.ndarray,
+        cardinalities: Sequence[int],
         objective_components: tuple[str, ...],
         infeasibility_penalty: float,
         array_namespace: ModuleType | None = None,
@@ -207,29 +223,36 @@ class WbsnVectorizedKernel:
         self._mac_config_objects = mac_config_objects
         self._mac_columns = mac_columns
         self._mac_table = mac_table
-        self._base_time_unit_s = base_time_unit_s
-        self._control_time_per_second = control_time_per_second
-        self._max_assignable_time_per_second = max_assignable_time_per_second
+        self._slot_cap = slot_cap
+        self._cardinalities = tuple(int(c) for c in cardinalities)
         self.objective_components = objective_components
         self.infeasibility_penalty = infeasibility_penalty
-        # Stage-table row of node n for a batch row: offset[n] plus, per
-        # knob k, gene[positions[k, n]] * strides[k, n] (strides scaled by
-        # the MAC configuration count), plus the MAC configuration.  Nodes
-        # with fewer knobs pad with a zero stride.
+        # An id's digits, least significant first, as [radix, owner, scale]:
+        # a digit adds scale x its value to its owner's index (node n's
+        # table row, or for -1 the MAC configuration).  A gene joins the
+        # digit below when it has the same owner and its scale is radix x
+        # scale of that digit; unread genes are digits of owner None.
         n_mac = len(self._mac_configs)
-        knob_count = max(len(plan.positions) for plan in self._node_plans)
-        positions = np.zeros((knob_count, len(self._node_plans)), dtype=np.int64)
-        strides = np.zeros_like(positions)
-        offsets = np.zeros(len(self._node_plans), dtype=np.int64)
-        offset = 0
-        for node, plan in enumerate(self._node_plans):
-            positions[: len(plan.positions), node] = plan.positions
-            strides[: len(plan.strides), node] = [s * n_mac for s in plan.strides]
-            offsets[node] = offset
-            offset += len(plan.config_objects) * n_mac
-        self._knob_positions = self._xp.asarray(positions)
-        self._knob_strides = self._xp.asarray(strides)
-        self._node_offsets = self._xp.asarray(offsets)
+        owners: dict[int, tuple[int, int]] = {}
+        readers = [
+            (node, plan.positions, [stride * n_mac for stride in plan.strides])
+            for node, plan in enumerate(self._node_plans)
+        ] + [(-1, self._mac_positions, self._mac_strides)]
+        for owner, positions, scales in readers:
+            for position, scale in zip(positions, scales):
+                if position in owners:
+                    raise VectorizedUnsupported(f"gene {position} is read twice")
+                owners[position] = (owner, scale)
+        self._digits: list[list] = []
+        for position in range(len(self._cardinalities) - 1, -1, -1):
+            owner, scale = owners.get(position, (None, 0))
+            digit = self._digits[-1] if self._digits else None
+            if digit and digit[1] == owner and digit[0] * digit[2] == scale:
+                digit[0] *= self._cardinalities[position]
+            else:
+                self._digits.append([self._cardinalities[position], owner, scale])
+        offsets = np.cumsum([0] + [len(p.config_objects) * n_mac for p in node_plans])
+        self._node_offsets = self._xp.asarray(offsets[:-1, None])
 
     # ------------------------------------------------------------ compile
 
@@ -318,6 +341,14 @@ class WbsnVectorizedKernel:
         mac_config_objects = np.empty(len(mac_configs), dtype=object)
         mac_config_objects[:] = mac_configs
         mac_table = mac_columns.compile_mac_table(mac_configs, xp=xp)
+        base_time_unit_s, control_time_per_second, max_assignable_time_per_second = (
+            xp.asarray([getattr(mac_protocol, name)(c) for c in mac_configs], float)
+            for name in (
+                "base_time_unit_s",
+                "control_time_per_second",
+                "max_assignable_time_per_second",
+            )
+        )
 
         node_plans: list[_NodePlan] = []
         stage_parts: list[tuple[np.ndarray, ...]] = []
@@ -381,6 +412,7 @@ class WbsnVectorizedKernel:
                     mac_columns,
                     mac_table,
                     mac_index,
+                    base_time_unit_s,
                     xp=xp,
                 )
             )
@@ -399,17 +431,10 @@ class WbsnVectorizedKernel:
             mac_config_objects=mac_config_objects,
             mac_columns=mac_columns,
             mac_table=mac_table,
-            base_time_unit_s=xp.asarray(
-                [mac_protocol.base_time_unit_s(c) for c in mac_configs], dtype=float
+            slot_cap=slot_cap_columns(
+                control_time_per_second, max_assignable_time_per_second, xp=xp
             ),
-            control_time_per_second=xp.asarray(
-                [mac_protocol.control_time_per_second(c) for c in mac_configs],
-                dtype=float,
-            ),
-            max_assignable_time_per_second=xp.asarray(
-                [mac_protocol.max_assignable_time_per_second(c) for c in mac_configs],
-                dtype=float,
-            ),
+            cardinalities=[len(domain.values) for domain in domains],
             objective_components=tuple(objective_components),
             infeasibility_penalty=float(infeasibility_penalty),
             array_namespace=xp,
@@ -422,45 +447,34 @@ class WbsnVectorizedKernel:
         """Number of objective components produced per candidate."""
         return len(self.objective_components)
 
-    def evaluate_columns(self, index_matrix: np.ndarray) -> WbsnBatchColumns:
-        """Evaluate a validated ``(batch, genes)`` gene-index matrix into
-        objective/feasibility columns.
+    def evaluate_columns(self, batch: np.ndarray) -> WbsnBatchColumns:
+        """Evaluate a batch into objective/feasibility columns.
 
-        The engine hands the kernel its cache misses only, so cached rows
-        never reach a column gather.  A zero-row matrix short-circuits into
-        empty columns without invoking any kernel stage — no zero-length
-        gathers reach NumPy.
+        ``batch`` holds design ids — a 1-D ``int64`` array, or on a space
+        beyond ``int64`` ids the exact Python ints of an object array — or
+        a validated ``(batch, genes)`` gene-index matrix, whose rows are
+        packed into their ids first.  Neither is checked here.  The engine
+        hands the kernel its cache misses only, so cached rows never reach
+        a column gather.  A zero-row batch short-circuits into empty
+        columns without invoking any kernel stage — no zero-length gathers
+        reach NumPy.
         """
-        if len(index_matrix) == 0:
+        if len(batch) == 0:
             return WbsnBatchColumns.empty(self.n_objectives)
         xp = self._xp
-        index_matrix = xp.asarray(index_matrix)
-        mac_index = self._mac_flat_index(index_matrix, xp=xp)
-        # One (nodes, batch) matrix of stage-table rows, then one gather per
-        # quantity.
-        rows = self._node_offsets[:, None] + mac_index
-        genes = index_matrix.T
-        for positions, strides in zip(self._knob_positions, self._knob_strides):
-            rows += genes[positions] * strides[:, None]
-        energy, quality, required, node_violations = (
+        rows, mac_index = self._stage_rows(xp.asarray(batch))
+        energy, quality, node_violations, slot_counts, intervals = (
             self._stage_tables[name][rows] for name in _STAGE_TABLES
         )
-
-        assignment = assign_transmission_interval_columns(
-            required.T,
-            self._base_time_unit_s[mac_index],
-            self._control_time_per_second[mac_index],
-            self._max_assignable_time_per_second[mac_index],
-            xp=xp,
-        )
-        violations = node_violations.sum(axis=0) + xp.where(assignment.feasible, 0, 1)
+        slots_fit = slot_budget_columns(intervals, self._slot_cap[mac_index], xp=xp)
+        violations = node_violations.sum(axis=0) + xp.where(slots_fit, 0, 1)
         theta = self._theta
         components = {
             "energy": lambda: balanced_aggregate_columns(energy, theta, xp=xp),
             "quality": lambda: balanced_aggregate_columns(quality, theta, xp=xp),
             "delay": lambda: network_delay_metric_columns(
                 self._mac_columns.worst_case_delay_columns(
-                    assignment.slot_counts, self._mac_table, mac_index, xp=xp
+                    slot_counts.T, self._mac_table, mac_index, xp=xp
                 ).T,
                 self._delay_mode,
                 xp=xp,
@@ -487,13 +501,10 @@ class WbsnVectorizedKernel:
         compiled lookup tables, so repeated settings share one frozen
         instance across the whole batch.
         """
-        node_columns: list[np.ndarray] = []
-        for plan in self._node_plans:
-            flat = np.zeros(len(index_matrix), dtype=np.int64)
-            for position, stride in zip(plan.positions, plan.strides):
-                flat += index_matrix[:, position] * stride
-            node_columns.append(plan.config_objects[flat])
-        return node_columns, self._mac_config_objects[self._mac_flat_index(index_matrix)]
+        rows, mac_index = self._stage_rows(np.asarray(index_matrix))
+        knobs = (rows - self._node_offsets) // len(self._mac_configs)
+        columns = [plan.config_objects[k] for plan, k in zip(self._node_plans, knobs)]
+        return columns, self._mac_config_objects[mac_index]
 
     @property
     def stage_table_entries(self) -> int:
@@ -506,8 +517,8 @@ class WbsnVectorizedKernel:
     def shareable_tables(self) -> dict[str, np.ndarray]:
         """The kernel's numeric column tables, as one flat named mapping.
 
-        These are every table a batch evaluation gathers from: the per-node
-        stage tables, the per-MAC-configuration scalar tables and the
+        These are every table a batch evaluation gathers from: the five
+        per-node stage tables, the per-MAC-configuration slot cap and the
         compiled MAC table columns.  The sharded shared-memory backend
         (:class:`~repro.engine.sharded.ShardedVectorizedBackend`) packs them
         into one ``multiprocessing.shared_memory`` arena, and each worker
@@ -516,14 +527,7 @@ class WbsnVectorizedKernel:
         tables (the phenotype lookup objects) are deliberately excluded —
         workers return raw columns and never materialise designs.
         """
-        tables: dict[str, np.ndarray] = {
-            "mac.base_time_unit_s": self._base_time_unit_s,
-            "mac.control_time_per_second": self._control_time_per_second,
-            "mac.max_assignable_time_per_second": (
-                self._max_assignable_time_per_second
-            ),
-            **self._stage_tables,
-        }
+        tables = {"mac.slot_cap": self._slot_cap, **self._stage_tables}
         if is_dataclass(self._mac_table):
             for field in fields(self._mac_table):
                 value = getattr(self._mac_table, field.name)
@@ -533,13 +537,26 @@ class WbsnVectorizedKernel:
 
     # ------------------------------------------------------------ internals
 
-    def _mac_flat_index(
-        self, index_matrix: np.ndarray, *, xp: ModuleType = np
-    ) -> np.ndarray:
-        flat = xp.zeros(len(index_matrix), dtype=np.int64)
-        for position, stride in zip(self._mac_positions, self._mac_strides):
-            flat += index_matrix[:, position] * stride
-        return flat
+    def _stage_rows(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(nodes, batch)`` stage-table rows and the MAC configuration
+        index of a batch, from the digits of its design ids."""
+        # Imported here: repro.dse imports this module.
+        from repro.dse.space import pack_keys, split_digit
+
+        xp = self._xp
+        ids = pack_keys(batch, self._cardinalities) if batch.ndim == 2 else batch
+        rows = xp.zeros((len(self._node_plans), len(ids)), dtype=np.int64)
+        mac_index = xp.zeros(len(ids), dtype=np.int64)
+        for radix, owner, scale in self._digits:
+            ids, digit = split_digit(ids, radix)
+            if owner is not None:
+                digit = digit.astype(np.int64, copy=False)
+                digit *= scale
+                target = mac_index if owner < 0 else rows[owner]
+                target += digit
+        rows += self._node_offsets
+        rows += mac_index
+        return rows, mac_index
 
     def __getstate__(self) -> dict:
         # Modules are not picklable: ship the backend *name* and re-resolve
@@ -562,14 +579,15 @@ def _node_stage_columns(
     mac_columns: VectorizedMACModel,
     mac_table: Any,
     mac_index: np.ndarray,
+    base_time_unit_s: np.ndarray,
     *,
     xp: ModuleType,
 ) -> tuple[np.ndarray, ...]:
     """One node's stage columns over aligned knob and MAC-index columns.
 
     Returns, in :data:`_STAGE_TABLES` order, the node's total energy,
-    quality loss, required transmission time and violated node constraints
-    (schedulability, memory fit), each one entry per input row.
+    quality loss, violated node constraints (schedulability, memory fit),
+    slot count and transmission interval, each one entry per input row.
     """
     app = description.application.application_columns(
         description.input_stream_bytes_per_second, config_columns
@@ -599,8 +617,10 @@ def _node_stage_columns(
     return (
         xp.broadcast_to(energy.total_w, shape),
         xp.broadcast_to(app.quality_loss, shape),
-        xp.broadcast_to(required, shape),
         xp.broadcast_to(violations, shape).astype(np.int64),
+        *slot_count_columns(
+            xp.broadcast_to(required, shape), base_time_unit_s[mac_index], xp=xp
+        ),
     )
 
 

@@ -522,25 +522,27 @@ class WbsnDseProblem(OptimizationProblem):
         return hashlib.sha256(payload).digest()
 
     def compute_columns_batch(
-        self, genotypes: Sequence[Sequence[int]]
+        self, batch: Sequence[Sequence[int]] | DesignIds
     ) -> WbsnBatchColumns:
         """Raw columnar evaluation of a batch (no run accounting).
 
         The batched counterpart of :meth:`compute_design`: the compiled
-        kernel evaluates every genotype column-wise and returns the
+        kernel evaluates every design column-wise and returns the
         objective / feasibility / violation columns as-is — the engine
         threads them through its caches and Pareto pruning, and
         :meth:`materialise_designs` builds objects for the rows a caller
-        asks for.  An empty batch returns empty columns without invoking
-        the kernel.
+        asks for.  A :class:`~repro.dse.space.DesignIds` batch (the
+        engine's misses, already checked) goes to the kernel as it is;
+        gene rows are validated here first.  An empty batch returns empty
+        columns without invoking the kernel.
         """
         kernel = self.vectorized_kernel
         if kernel is None:
             raise RuntimeError("this problem has no compiled vectorized kernel")
-        matrix = self.space.index_matrix(genotypes)
-        if len(matrix) == 0:
+        keys, _ = self.space.batch_keys(batch)
+        if len(keys) == 0:
             return WbsnBatchColumns.empty(kernel.n_objectives)
-        return kernel.evaluate_columns(matrix)
+        return kernel.evaluate_columns(keys)
 
     def materialise_designs(
         self, matrix: "np.ndarray", batch: WbsnBatchColumns

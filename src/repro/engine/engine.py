@@ -11,7 +11,8 @@ owns every cross-cutting evaluation concern:
   batch (a sweep chunk, a service request) is its own keys, gene rows are
   keyed once from their validated index matrix
   (:meth:`~repro.dse.space.DesignSpace.design_keys`), and genes are decoded
-  only for misses and the rows a caller reads.  The store looks up, inserts,
+  only for the rows a caller reads and the scalar loop (counted in
+  ``EngineStats.gene_rows_decoded``).  The store looks up, inserts,
   bulk-loads and exports whole batches at a time (through a direct-address
   table on spaces of at most ``cache.TABLE_LIMIT`` designs, chosen at bind
   and reported as ``EngineStats.memo_index``), and
@@ -60,10 +61,14 @@ misses to one of three compute paths:
   problem opts in by exposing ``compute_columns_batch`` /
   ``supports_vectorized``): the whole miss set is evaluated column-wise by
   the problem's compiled NumPy kernel (:mod:`repro.core.vectorized`) in one
-  call.  Cached rows never reach the column gather (counted in
+  call: the misses' design ids for a problem with a compiled
+  ``vectorized_kernel`` (gene-row batches too, as their rows are keyed by
+  their ids), so no gene row is built for a miss; gene rows for any other.
+  Cached rows never reach the column gather (counted in
   ``EngineStats.rows_skipped_cached``);
 * the **sharded kernel** (``backend="sharded"``): the same kernel, but the
-  miss matrix is placed in shared memory and sharded across the worker pool
+  miss ids (one ``int64`` column; gene rows on spaces beyond ``int64`` ids)
+  are placed in shared memory and sharded across the worker pool
   (:class:`~repro.engine.sharded.ShardedVectorizedBackend`) — multi-core
   column kernels for huge uncached batches, reassembled in submission order
   and therefore bitwise identical to the in-process kernel.  With the
@@ -161,7 +166,7 @@ class ColumnarBatchResult:
     @cached_property
     def genotypes(self) -> np.ndarray:
         """``(batch, genes)`` gene-index rows, decoded on first access."""
-        return self._engine.problem.space.key_genes(self.ids)
+        return self._engine._genes(self.ids)
 
     def take(self, rows: Any) -> "ColumnarBatchResult":
         """Row subset of the result, by integer indices or a boolean mask
@@ -204,7 +209,7 @@ class ColumnarBatchResult:
         else:
             rows = as_row_indices(indices)
         return self._engine.materialise_rows(
-            self._engine.problem.space.key_genes(self.ids[rows]),
+            self._engine._genes(self.ids[rows]),
             self.objectives[rows],
             self.feasible[rows],
             self.violation_counts[rows],
@@ -400,10 +405,11 @@ class EvaluationEngine:
         id-keyed column store as a whole, and the store's misses in the
         shared cache.  Cached rows are gathered column-wise and counted in
         ``EngineStats.rows_skipped_cached``; only the misses reach
-        :meth:`_compute_columns`, in first-occurrence request order (an id
-        batch's genes are decoded for them alone), and their rows are
-        inserted into the store.  No :class:`EvaluatedDesign` is built until
-        the caller's :meth:`ColumnarBatchResult.materialise`.
+        :meth:`_compute_columns`, in first-occurrence request order, as
+        their ids (gene rows for a problem without a compiled kernel), and
+        their rows are inserted into the store.  No
+        :class:`EvaluatedDesign` is built until the caller's
+        :meth:`ColumnarBatchResult.materialise`.
 
         ``prune_to_front=True`` is a *hint* for chunked sweeps: when the
         batch's misses run on the worker pool (``backend="sharded"`` with a
@@ -458,12 +464,13 @@ class EvaluationEngine:
                     shared_rows, pending = pending[hits], np.delete(pending, hits)
                     self._insert(keys[shared_rows], *rows)
                     parts.append((shared_rows, *rows))
-        if matrix is not None:
-            misses = matrix if len(pending) == len(matrix) else matrix[pending]
-        elif len(pending):
-            misses = space.key_genes(keys[pending])
+        missed = slice(None) if len(pending) == len(keys) else pending
+        if getattr(problem, "vectorized_kernel", None) is not None:
+            misses = keys[missed]  # a compiled kernel takes the misses' ids
+        elif matrix is not None:
+            misses = matrix[missed]
         else:
-            misses = np.empty((0, len(space)), dtype=np.int64)
+            misses = self._genes(keys[missed])
         columns, kept = self._compute_columns(
             misses,
             len(keys) - len(pending),
@@ -826,13 +833,15 @@ class EvaluationEngine:
 
     def _compute_columns(
         self,
-        matrix: np.ndarray,
+        misses: np.ndarray,
         n_cached: int,
         *,
         prune_to_front: bool = False,
         include_infeasible: bool = True,
     ) -> tuple[WbsnBatchColumns, np.ndarray | None]:
-        """Compute column rows for a batch's validated miss rows (any path).
+        """Compute column rows for a batch's misses (any path): their design
+        keys for a problem with a compiled kernel, else their validated gene
+        rows.
 
         The engine's one dispatch: without a kernel, the scalar loop; with
         a kernel and no pool, the in-process kernel; with a kernel and a
@@ -845,7 +854,7 @@ class EvaluationEngine:
         full columns.
         """
         stats = self.stats
-        count = len(matrix)
+        count = len(misses)
         kernel = getattr(self._problem, "supports_vectorized", False)
         if kernel:
             # Cached rows never reach a column gather.
@@ -855,18 +864,18 @@ class EvaluationEngine:
             return WbsnBatchColumns.empty(0), None
         kept = None
         if not kernel:
-            columns = self._scalar_columns(matrix)
+            columns = self._scalar_columns(misses)
         elif self.backend is None:
-            columns = self._kernel_columns(matrix)
+            columns = self._kernel_columns(misses)
         else:
             try:
                 columns, kept = self._sharded_columns(
-                    matrix, prune_to_front, include_infeasible
+                    misses, prune_to_front, include_infeasible
                 )
             except WorkerRecoveryExhausted as exc:
                 if not self.degrade_on_failure:
                     raise
-                columns, kept = self._degraded_columns(matrix, exc), None
+                columns, kept = self._degraded_columns(misses, exc), None
             finally:
                 # Retries that eventually succeeded are counted too.
                 drained = self.backend.drain_fault_counters()
@@ -876,38 +885,54 @@ class EvaluationEngine:
         stats.model_evaluations += count
         return columns, kept
 
-    def _scalar_columns(self, matrix: np.ndarray) -> WbsnBatchColumns:
+    def _genes(self, keys: np.ndarray) -> np.ndarray:
+        """Gene rows decoded from design keys (a 2-D batch is already gene
+        rows), counted in ``EngineStats.gene_rows_decoded``."""
+        if keys.ndim == 2:
+            return keys
+        self.stats.gene_rows_decoded += len(keys)
+        return self._problem.space.key_genes(keys)
+
+    def _scalar_columns(self, misses: np.ndarray) -> WbsnBatchColumns:
         """The scalar loop: one in-process ``compute_design`` per row."""
-        designs = [self._problem.compute_design(g) for g in _tuples(matrix)]
+        genotypes = _tuples(self._genes(misses))
+        designs = [self._problem.compute_design(g) for g in genotypes]
         return WbsnBatchColumns(*_design_columns(designs))
 
-    def _kernel_columns(self, matrix: np.ndarray) -> WbsnBatchColumns:
+    def _kernel_columns(self, misses: np.ndarray) -> WbsnBatchColumns:
         """The problem's column kernel, in-process."""
+        from repro.dse.space import DesignIds  # repro.dse imports this module
+
         faults.maybe_fire("kernel")
-        columns = self._problem.compute_columns_batch(matrix)
-        self.stats.vectorized_designs += len(matrix)
+        problem = self._problem
+        if misses.ndim == 1:
+            misses = DesignIds(misses, problem.space.size)
+        columns = problem.compute_columns_batch(misses)
+        self.stats.vectorized_designs += len(misses)
         return columns
 
     def _sharded_columns(
-        self, matrix: np.ndarray, prune_to_front: bool, include_infeasible: bool
+        self, misses: np.ndarray, prune_to_front: bool, include_infeasible: bool
     ) -> tuple[WbsnBatchColumns, np.ndarray | None]:
         """The column kernel on the worker pool; under ``prune_to_front``
         the workers ship back only their shards' local per-feasibility-class
-        fronts, so the parent never touches a dominated row."""
+        fronts, so the parent never touches a dominated row.  Shared memory
+        holds numbers, so keys beyond ``int64`` travel as gene rows."""
+        batch = self._genes(misses) if misses.dtype == object else misses
         kept = None
         if prune_to_front:
             columns, kept, pruned = self.backend.evaluate_front_columns_sharded(
-                self._problem, matrix, include_infeasible=include_infeasible
+                self._problem, batch, include_infeasible=include_infeasible
             )
             self.stats.rows_pruned_in_workers += int(pruned)
         else:
-            columns = self.backend.evaluate_columns_sharded(self._problem, matrix)
-        self.stats.vectorized_designs += len(matrix)
-        self.stats.sharded_designs += len(matrix)
+            columns = self.backend.evaluate_columns_sharded(self._problem, batch)
+        self.stats.vectorized_designs += len(batch)
+        self.stats.sharded_designs += len(batch)
         return columns, kept
 
     def _degraded_columns(
-        self, matrix: np.ndarray, cause: BaseException
+        self, misses: np.ndarray, cause: BaseException
     ) -> WbsnBatchColumns:
         """Serve a batch the worker pool could not, on the in-process ladder.
 
@@ -920,12 +945,12 @@ class EvaluationEngine:
         """
         self.stats.degraded_batches += 1
         try:
-            columns = self._kernel_columns(matrix)
+            columns = self._kernel_columns(misses)
             path = "in-process serial kernel"
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception:
-            columns = self._scalar_columns(matrix)
+            columns = self._scalar_columns(misses)
             path = "in-process scalar path"
         warnings.warn(
             f"worker recovery exhausted — batch degraded to the {path} "

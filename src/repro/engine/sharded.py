@@ -7,12 +7,13 @@ process.  :class:`ShardedVectorizedBackend` — the engine's one worker pool
 shape large physics DAQ systems use (split one shared store across workers
 instead of shipping objects per item):
 
-1. the parent places a batch's miss rows — the rows the engine's caches
-   could not serve — in a ``multiprocessing.shared_memory`` segment (one
-   per batch) and the kernel's compiled column tables in a second,
+1. the parent places a batch's misses — the rows the engine's caches could
+   not serve, as one ``int64`` column of design ids (gene rows on spaces
+   beyond ``int64`` ids) — in a ``multiprocessing.shared_memory`` segment
+   (one per batch) and the kernel's compiled column tables in a second,
    long-lived segment (the :class:`SharedArrayArena`, built once per pool);
 2. the miss rows are split into per-worker shards;
-3. each worker gathers *only its shard's rows* from the shared matrix,
+3. each worker gathers *only its shard's rows* from the shared array,
    runs the compiled :class:`~repro.core.vectorized.WbsnVectorizedKernel`
    on the gathered block, and ships back raw objective/feasibility/violation
    columns — never per-design Python objects;
@@ -212,7 +213,8 @@ def _evaluate_shard(
     rows: np.ndarray,
     submission: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate one shard of miss rows against the shared index matrix."""
+    """Evaluate one shard of miss rows (ids or gene rows) against the
+    shared array."""
     # The fault hook fires on the parent's submission id: retried shards are
     # resubmitted under fresh ids, so a fault pinned to one submission fires
     # exactly once even across recovery attempts.
@@ -325,9 +327,10 @@ class ShardedVectorizedBackend:
     # ----------------------------------------------------------------- API
 
     def evaluate_columns_sharded(self, problem: Any, matrix: np.ndarray) -> Any:
-        """Columns-only sharded evaluation of a validated index matrix.
+        """Columns-only sharded evaluation of design ids or validated gene
+        rows (anything the kernel's ``evaluate_columns`` takes, but numeric).
 
-        The engine hands over a batch's miss rows; they are published once
+        The engine hands over a batch's miss ids; they are published once
         in shared memory, split into per-worker shards, and the shard
         columns are concatenated in submission order.  Returns the
         :class:`~repro.core.vectorized.WbsnBatchColumns` of every row, in

@@ -69,6 +69,11 @@ class EngineStats:
             Columnar sweeps prune on raw objective columns and materialise
             only survivors, so on a sweep this counter tracks the front
             size, not the space.
+        gene_rows_decoded: design ids decoded into gene rows for
+            ``ColumnarBatchResult.materialise``, ``.genotypes`` (sweep
+            checkpoints read it) and the scalar loop; kernel misses stay
+            ids, so a default sweep decodes its front alone.  The
+            persistent tier's spill of the whole store is not counted.
         worker_failures: failures observed by the worker pool (a worker
             crash breaking the pool, a batch future timing out, an
             exception escaping a worker task).  Each failure tears the pool
@@ -121,6 +126,7 @@ class EngineStats:
     rows_skipped_cached: int = 0
     rows_pruned_in_workers: int = 0
     designs_materialised: int = 0
+    gene_rows_decoded: int = 0
     worker_failures: int = 0
     batches_retried: int = 0
     degraded_batches: int = 0

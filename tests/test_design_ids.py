@@ -83,23 +83,27 @@ class TestGeneRowsBuilt:
         assert rows["rows"] == len(front)
 
     def test_cold_sweep_validates_each_gene_row_once(self, monkeypatch):
-        validated = []
-        original = space_module._gene_matrix
-
-        def counted(genotypes, cardinalities):
-            matrix = original(genotypes, cardinalities)
-            validated.append(matrix)
-            return matrix
-
+        """Each design is validated once, as an id where the sweep's id
+        range enters; the kernel takes the misses' ids, so no gene row is
+        validated or built for them, and only the front is decoded."""
         problem = small_problem(EvaluationEngine())
         before = problem.engine.stats.snapshot()
-        monkeypatch.setattr(space_module, "_gene_matrix", counted)
-        ExhaustiveSearch(problem, chunk_size=16).run()
-        computed = (problem.engine.stats.snapshot() - before).model_evaluations
-        rows = np.concatenate(validated)
-        # Only the computed rows are validated (by the kernel), each once.
-        assert len(rows) == computed >= problem.space.size - 1
-        assert len(np.unique(rows, axis=0)) == len(rows)
+        validated = {"_gene_matrix": [], "_checked_ids": []}
+        for name, rows in validated.items():
+
+            def counted(values, bound, _check=getattr(space_module, name), _rows=rows):
+                _rows.append(_check(values, bound))
+                return _rows[-1]
+
+            monkeypatch.setattr(space_module, name, counted)
+        gene_rows = count_gene_rows(problem.space)
+        front = ExhaustiveSearch(problem, chunk_size=16).run()
+        delta = problem.engine.stats.snapshot() - before
+        ids = np.concatenate(validated["_checked_ids"])
+        assert ids.tolist() == list(range(problem.space.size))
+        assert validated["_gene_matrix"] == [] and gene_rows["rows"] == len(front)
+        assert delta.model_evaluations == problem.space.size - 1  # all but the probe
+        assert delta.gene_rows_decoded == len(front)
 
     def test_all_cached_id_batch_builds_no_gene_row(self):
         problem = small_problem(EvaluationEngine())

@@ -16,6 +16,7 @@ gathers from the tables.  Two properties are pinned here:
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -23,9 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import slot_assignment, vectorized
 from repro.core.mac_abstraction import resolve_mac_column_kernels
 from repro.core.node_model import NodeEnergyModel, RadioLinkModel
+from repro.core.slot_assignment import assign_transmission_intervals, slot_count_columns
 from repro.core.vectorized import WbsnVectorizedKernel
+from repro.dse import space as space_module
 from repro.dse.problem import (
     DEFAULT_BACKOFF_EXPONENT_PAIRS,
     DEFAULT_COMPRESSION_RATIOS,
@@ -35,7 +39,7 @@ from repro.dse.problem import (
     WbsnDseProblem,
     csma_mac_parameterisation,
 )
-from repro.dse.space import ParameterDomain
+from repro.dse.space import DesignSpace, ParameterDomain
 from repro.engine import EvaluationEngine
 from repro.experiments.casestudy import (
     build_case_study_evaluator,
@@ -209,3 +213,226 @@ def test_uneven_stage_tables_match_the_scalar_evaluator(layout, seed):
         assert got.objectives[row].tolist() == objectives  # exact, not approx
         assert bool(got.feasible[row]) == evaluation.feasible
         assert int(got.violation_counts[row]) == len(evaluation.violations)
+
+
+# ---------------------------------------------------------------------------
+# The id kernel: stage-table rows straight from design ids, and slot counts
+# compiled into the stage tables.
+
+
+def _problem(family: str, **kwargs) -> WbsnDseProblem:
+    if family == "csma":
+        kwargs["mac_parameterisation"] = csma_mac_parameterisation()
+    network = FAMILIES[family][0](n_nodes=4, applications=("dwt", "cs", "cs", "dwt"))
+    return WbsnDseProblem(network, engine=EvaluationEngine(), **kwargs)
+
+
+def _edge_ids(size: int, rng: np.random.Generator) -> np.ndarray:
+    """Ids 0 and size - 1, both sides of the first 8,192-row chunk edges,
+    and random ids."""
+    edges = [0, 1, size - 2, size - 1]
+    for edge in (8192, 2 * 8192, 8 * 8192):
+        edges += [edge - 1, edge, edge + 1]
+    chosen = [i for i in edges if 0 <= i < size] + rng.integers(0, size, 40).tolist()
+    return np.asarray(chosen, dtype=np.int64)
+
+
+def _assert_columns_equal(got, want) -> None:
+    assert got.objectives.tobytes() == want.objectives.tobytes()
+    assert got.feasible.tolist() == want.feasible.tolist()
+    assert got.violation_counts.tolist() == want.violation_counts.tolist()
+
+
+def _assert_matches_scalar(columns, problem: WbsnDseProblem, genes) -> None:
+    for row, genotype in enumerate(genes.tolist()):
+        design = problem.compute_design(tuple(genotype))
+        assert columns.objectives[row].tolist() == list(design.objectives)
+        assert bool(columns.feasible[row]) == design.feasible
+        assert int(columns.violation_counts[row]) == design.violation_count
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("sweep_space", [False, True], ids=["default", "sweep"])
+def test_id_batches_match_gene_rows_and_the_scalar_evaluator(family, sweep_space):
+    domains = {"compression_ratios": (0.2, 0.26), "frequencies_hz": (4e6, 8e6)}
+    problem = _problem(family, **(domains if sweep_space else {}))
+    kernel, space = problem.vectorized_kernel, problem.space
+    ids = _edge_ids(space.size, np.random.default_rng(5))
+    genes = space.decode_ids(ids)
+    by_ids = kernel.evaluate_columns(ids)
+    _assert_columns_equal(by_ids, kernel.evaluate_columns(genes))
+    _assert_columns_equal(by_ids, problem.compute_columns_batch(space.ids(ids)))
+    _assert_matches_scalar(by_ids, problem, genes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(layout=layouts(), seed=st.integers(0, 2**32 - 1))
+def test_uneven_layouts_build_the_same_rows_from_ids(layout, seed):
+    """Nodes with their knobs in frequency-first order (one digit per knob)
+    and domains of uneven cardinalities: ids, gene rows and the scalar
+    evaluator agree bitwise."""
+    family, applications, nodes, payloads, mac_pairs, components = layout
+    build, _, mac_config_factory = FAMILIES[family]
+    network = build(n_nodes=len(nodes), applications=tuple(applications))
+    domains: list[ParameterDomain] = []
+    node_parameters = []
+    for index, (ratios, frequencies, frequency_first) in enumerate(nodes):
+        domains += [
+            ParameterDomain(f"node-{index}.compression_ratio", tuple(ratios)),
+            ParameterDomain(f"node-{index}.frequency_hz", tuple(frequencies)),
+        ]
+        knobs = [("compression_ratio", 2 * index), ("frequency_hz", 2 * index + 1)]
+        node_parameters.append(dict(knobs[::-1] if frequency_first else knobs))
+    domains.append(ParameterDomain("mac.payload_bytes", tuple(payloads)))
+    domains.append(ParameterDomain("mac.pair", tuple(mac_pairs)))
+    kernel = WbsnVectorizedKernel.compile(
+        network=network,
+        node_parameters=node_parameters,
+        frequency_column="frequency_hz",
+        node_config_factory=lambda _index, values: WbsnDseProblem.build_node_config(
+            values
+        ),
+        mac_positions=(2 * len(nodes), 2 * len(nodes) + 1),
+        mac_config_factory=mac_config_factory,
+        domains=domains,
+        objective_components=components,
+        infeasibility_penalty=1e3,
+    )
+    space = DesignSpace(domains)
+    ids = _edge_ids(space.size, np.random.default_rng(seed))
+    genes = space.decode_ids(ids)
+    by_ids = kernel.evaluate_columns(ids)
+    _assert_columns_equal(by_ids, kernel.evaluate_columns(genes))
+    for row, genotype in enumerate(genes.tolist()):
+        values = space.decode(genotype)
+        node_configs = [
+            WbsnDseProblem.build_node_config(
+                {
+                    "compression_ratio": values[f"node-{i}.compression_ratio"],
+                    "frequency_hz": values[f"node-{i}.frequency_hz"],
+                }
+            )
+            for i in range(len(nodes))
+        ]
+        mac_config = mac_config_factory(values["mac.payload_bytes"], values["mac.pair"])
+        evaluation = network.evaluate(node_configs, mac_config)
+        objectives = [
+            getattr(evaluation.objectives, COMPONENT_FIELDS[name])
+            for name in components
+        ]
+        if not evaluation.feasible:
+            objectives = [value + 1e3 for value in objectives]
+        assert by_ids.objectives[row].tolist() == objectives
+        assert int(by_ids.violation_counts[row]) == len(evaluation.violations)
+
+
+def test_exact_keys_beyond_int64_build_the_same_rows():
+    """The 2**65-design 12-node space: exact Python-int keys, the decoded
+    gene rows, the engine's path and the scalar evaluator agree bitwise."""
+    problem = WbsnDseProblem(
+        build_case_study_evaluator(n_nodes=12), engine=EvaluationEngine()
+    )
+    kernel, space = problem.vectorized_kernel, problem.space
+    assert space.size == 2**65
+    rng = np.random.default_rng(9)
+    keys = [0, 1, 8191, 8192, 2**63 - 1, 2**63, space.size - 2, space.size - 1]
+    keys += [int(a) * 2**33 + int(b) for a, b in rng.integers(0, 2**32, (12, 2))]
+    keys = np.asarray(keys, dtype=object)
+    genes = space.key_genes(keys)
+    assert space.design_keys(genes).tolist() == keys.tolist()
+    by_keys = kernel.evaluate_columns(keys)
+    _assert_columns_equal(by_keys, kernel.evaluate_columns(genes))
+    _assert_matches_scalar(by_keys, problem, genes)
+    served = problem.evaluate_batch_columns([tuple(g) for g in genes.tolist()])
+    assert served.ids.tolist() == keys.tolist()
+    assert served.objectives.tobytes() == by_keys.objectives.tobytes()
+
+
+def _mac_configs(problem: WbsnDseProblem) -> list:
+    parameterisation = problem.mac_parameterisation
+    return [
+        parameterisation.config_factory(*values)
+        for values in itertools.product(
+            *(domain.values for domain in parameterisation.domains)
+        )
+    ]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_compiled_slot_tables_match_the_solver_on_every_row(family):
+    """Slot counts, intervals and the slot cap are compiled with the
+    solver's own arithmetic: every stage-table row (node, then knob
+    combination, then MAC configuration) takes the scalar evaluator's
+    required time for that node and configuration, and solved alone by
+    :func:`assign_transmission_intervals` gives the compiled count and
+    interval; every MAC configuration gives its cap."""
+    problem = _problem(family)
+    evaluator, kernel = problem.evaluator, problem.vectorized_kernel
+    mac = evaluator.mac_protocol
+    configs = _mac_configs(problem)
+    tables = kernel.shareable_tables()
+    counts, intervals = [], []
+    for node, plan in enumerate(kernel._node_plans):
+        for node_config, config in itertools.product(plan.config_objects, configs):
+            stage = evaluator.evaluate_node_stage(node, node_config, config)
+            solved = assign_transmission_intervals(
+                [stage.required_time_s],
+                mac.base_time_unit_s(config),
+                mac.control_time_per_second(config),
+                mac.max_assignable_time_per_second(config),
+            )
+            counts += solved.slot_counts
+            intervals += solved.transmission_intervals_s
+    assert len(counts) == kernel.stage_table_entries
+    assert tables["stage.slot_counts"].tolist() == counts
+    assert tables["stage.intervals_s"].tolist() == intervals
+    caps = [
+        min(
+            1.0 - mac.control_time_per_second(config),
+            mac.max_assignable_time_per_second(config),
+        )
+        for config in configs
+    ]
+    assert tables["mac.slot_cap"].tolist() == caps
+
+
+def test_compiled_counts_keep_the_solver_epsilon():
+    """Requirements that are whole numbers of slots up to rounding (``k *
+    delta`` in floating point) take ``k`` slots, as in the scalar solver;
+    without its ``- 1e-12`` some would take ``k + 1``."""
+    base = np.repeat([0.1, 0.015, 1 / 3, 0.07, 0.0123], 40)
+    required = base * np.tile(np.arange(1, 41), 5)
+    assert (np.ceil(required / base) > np.tile(np.arange(1, 41), 5)).any()
+    counts, intervals = slot_count_columns(required, base)
+    for needed, delta, count, interval in zip(required, base, counts, intervals):
+        solved = assign_transmission_intervals([needed], delta, 0.0)
+        assert count == solved.slot_counts[0]
+        assert interval == solved.transmission_intervals_s[0]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_id_batches_run_no_stage_no_solver_and_build_no_gene_row(family, monkeypatch):
+    problem = _problem(family)
+    kernel, space = problem.vectorized_kernel, problem.space
+    ids = np.random.default_rng(4).integers(0, space.size, 512)
+    calls = _spy_on_stage_functions(monkeypatch, problem.evaluator)
+
+    def forbid(owner, name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"a kernel batch called {name}")
+
+        monkeypatch.setattr(owner, name, fail)
+
+    for name in ("decode_ids", "key_genes", "index_matrix"):
+        forbid(DesignSpace, name)
+    for name in ("decode_ids", "_gene_matrix"):
+        forbid(space_module, name)
+    for name in ("slot_count_columns", "slot_cap_columns"):
+        forbid(vectorized, name)
+        forbid(slot_assignment, name)
+    forbid(slot_assignment, "assign_transmission_intervals")
+    columns = kernel.evaluate_columns(ids)
+    served = problem.evaluate_batch_columns(space.ids(ids))
+    assert calls == Counter()
+    assert len(columns) == len(served) == len(ids)
+    assert served.objectives.tobytes() == columns.objectives.tobytes()
