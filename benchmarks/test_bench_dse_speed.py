@@ -32,6 +32,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -41,6 +42,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.metrics import balanced_aggregate_columns
+from repro.core.slot_assignment import slot_budget_columns
+from repro.core.vectorized import _STAGE_TABLES
 from repro.dse.exhaustive import ExhaustiveSearch
 from repro.dse.nsga2 import Nsga2, Nsga2Settings
 from repro.dse.problem import WbsnDseProblem, csma_mac_parameterisation
@@ -668,6 +672,41 @@ def test_warm_start_sweep(reporter, tmp_path):
 
 
 @pytest.mark.paper_figure("dse-speed")
+def _best_ms(stage, repeats: int = 5) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        stage()
+        best = min(best, time.perf_counter() - started)
+    return best * 1e3
+
+
+def _kernel_stage_ms(kernel, ids: np.ndarray) -> dict[str, float]:
+    """Best-of-5 milliseconds of each stage of one kernel batch of ids.
+
+    The stages of ``WbsnVectorizedKernel.evaluate_columns``, each run alone
+    on the batch's own intermediates: the stage-table rows built from the
+    ids, the five stage-table gathers, the slot budget, the energy and
+    quality aggregates of equation (8), and the delay bound (9).
+    """
+    rows, mac_index = kernel._stage_rows(ids)
+    tables = [kernel._stage_tables[name] for name in _STAGE_TABLES]
+    energy, quality, _, slot_counts, intervals = (np.take(t, rows) for t in tables)
+    cap = np.take(kernel._slot_cap, mac_index)
+    theta = kernel._theta
+    stages = {
+        "row_build": lambda: kernel._stage_rows(ids),
+        "gathers": lambda: [np.take(table, rows) for table in tables],
+        "slot_budget": lambda: slot_budget_columns(intervals, cap),
+        "aggregates": lambda: (
+            balanced_aggregate_columns(energy, theta),
+            balanced_aggregate_columns(quality, theta),
+        ),
+        "delay": lambda: kernel._delay_column(slot_counts, mac_index),
+    }
+    return {name: _best_ms(stage) for name, stage in stages.items()}
+
+
 def test_default_engine_sweep(reporter, tmp_path):
     """The sweep users run: a default (cached) engine on 131,072 designs.
 
@@ -678,8 +717,10 @@ def test_default_engine_sweep(reporter, tmp_path):
     (``default_engine_sweep``) without a timing gate: the cached/uncached
     ratio moves too much between back-to-back runs to gate.  The entry
     also records, ungated, the column kernel alone on one 8,192-id chunk
-    (best of 5; the engine hands the kernel its misses as design ids) and
-    its stage-table entry count.  Two **hard gates**: memory — the bytes
+    (best of 5; the engine hands the kernel its misses as design ids), the
+    best of 5 of each of its stages (``kernel_stage_ms``), its minor page
+    faults per call (``ru_minflt``) and its stage-table entry count.  Two
+    **hard gates**: memory — the bytes
     the engine retains per memoised row after the cold sweep, measured with
     ``tracemalloc``, must stay at or below
     ``MAX_ENGINE_RETAINED_BYTES_PER_ROW`` — and gene rows: the cold sweep
@@ -741,14 +782,14 @@ def test_default_engine_sweep(reporter, tmp_path):
     memoised = len(engine._column_store)
     bytes_per_row = retained / memoised
 
-    # The column kernel alone on one sweep chunk of ids (recorded, not gated).
+    # The column kernel alone on one sweep chunk of ids, whole and by stage
+    # (recorded, not gated).
     kernel = problem.vectorized_kernel
     chunk = np.arange(DEFAULT_ENGINE_CHUNK)
-    kernel_chunk_s = float("inf")
-    for _ in range(5):
-        started = time.perf_counter()
-        kernel.evaluate_columns(chunk)
-        kernel_chunk_s = min(kernel_chunk_s, time.perf_counter() - started)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    kernel_chunk_ms = _best_ms(lambda: kernel.evaluate_columns(chunk))
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / 5
+    stage_ms = _kernel_stage_ms(kernel, chunk)
 
     space_size = problem.space.size
     _merge_artifact(
@@ -767,7 +808,9 @@ def test_default_engine_sweep(reporter, tmp_path):
                 "front_size": len(cached_front),
                 "cold_gene_rows": cold_gene_rows,
                 "cold_gene_rows_decoded": int(cached_stats.gene_rows_decoded),
-                "kernel_chunk_ms": kernel_chunk_s * 1e3,
+                "kernel_chunk_ms": kernel_chunk_ms,
+                "kernel_stage_ms": stage_ms,
+                "kernel_chunk_minor_faults": faults,
                 "kernel_stage_table_entries": kernel.stage_table_entries,
             }
         }
@@ -780,9 +823,12 @@ def test_default_engine_sweep(reporter, tmp_path):
             f"warm start: {warm_s:.3f} s ({space_size / warm_s:.0f}/s)",
             f"cold gene rows built: {cold_gene_rows} for a front of "
             f"{len(cached_front)} (hard gate: at most the front)",
-            f"column kernel alone: {kernel_chunk_s * 1e3:.2f} ms per "
-            f"{DEFAULT_ENGINE_CHUNK}-id chunk (best of 5), "
-            f"{kernel.stage_table_entries} stage-table entries",
+            f"column kernel alone: {kernel_chunk_ms:.2f} ms per "
+            f"{DEFAULT_ENGINE_CHUNK}-id chunk (best of 5), {faults:.0f} minor "
+            f"page faults per call, {kernel.stage_table_entries} stage-table "
+            "entries",
+            "kernel stages (best of 5): "
+            + ", ".join(f"{name} {ms:.3f} ms" for name, ms in stage_ms.items()),
             f"retained per memoised row: {bytes_per_row:.0f} B over {memoised} "
             f"rows (gate {MAX_ENGINE_RETAINED_BYTES_PER_ROW} B)",
         ],

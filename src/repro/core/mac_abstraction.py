@@ -148,6 +148,15 @@ class VectorizedMACModel(Protocol):
     Implementations must mirror the scalar methods operation for operation so
     the vectorized fast path stays floating-point-identical.
 
+    The delay kernel is elementwise, and every implementation keeps one
+    contract: for a fixed slot total and MAC configuration, a node's delay
+    never rises with its own slot count.  The compiled kernel relies on it
+    to evaluate ``delay_mode="max"`` once per design, at the design's
+    smallest count, and that value is the scalar maximum over the nodes bit
+    for bit as long as every float step on the way is monotone under
+    round-to-nearest (int to float, multiplication by a non-negative table
+    value, ``ceil``, ``maximum``, addition, division of a positive value).
+
     Every kernel accepts the ``xp`` array namespace resolved through the
     backend seam (:mod:`repro.core.array_backend`) as a keyword argument —
     the compiled design-space kernel threads the namespace it was compiled
@@ -171,12 +180,19 @@ class VectorizedMACModel(Protocol):
 
     def worst_case_delay_columns(
         self,
-        slot_counts: np.ndarray,
+        own_slots: np.ndarray,
+        total_slots: np.ndarray,
         mac_table: Any,
         mac_index: np.ndarray,
         **kwargs: Any,
     ) -> np.ndarray:
-        """Per-node worst-case delays, shape ``(batch, nodes)``."""
+        """Worst-case delay of a node holding ``own_slots`` of its design's
+        ``total_slots``, elementwise, ``inf`` where ``own_slots`` is 0.
+
+        ``total_slots`` and ``mac_index`` hold one entry per design;
+        ``own_slots`` is one count per design or a node-major ``(nodes,
+        batch)`` matrix, broadcast against them.
+        """
         ...  # pragma: no cover - protocol
 
 

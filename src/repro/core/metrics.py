@@ -21,7 +21,6 @@ __all__ = [
     "balanced_aggregate",
     "balanced_aggregate_columns",
     "network_delay_metric",
-    "network_delay_metric_columns",
     "NetworkObjectives",
 ]
 
@@ -71,7 +70,9 @@ def balanced_aggregate_columns(
 
     The accumulation order matches the scalar aggregate exactly (left-to-right
     over nodes), so the result column is floating-point-identical to
-    per-candidate scalar calls.
+    per-candidate scalar calls; each sum accumulates in place in one
+    workspace.  With ``theta = 0`` the result is the plain mean, the
+    ``"mean"`` of :func:`network_delay_metric`.
     """
     if theta < 0:
         raise ValueError("theta cannot be negative")
@@ -79,18 +80,20 @@ def balanced_aggregate_columns(
     if not columns:
         raise ValueError("value_columns must not be empty")
     count = len(columns)
-    total = xp.zeros_like(columns[0])
+    mean = xp.zeros_like(columns[0], dtype=float)
     for column in columns:
-        total = total + column
-    mean = total / count
+        xp.add(mean, column, out=mean)
+    xp.divide(mean, count, out=mean)
     if count == 1 or theta == 0.0:
         return mean
     squares = xp.zeros_like(mean)
+    delta = xp.empty_like(mean)
     for column in columns:
-        delta = column - mean
-        squares = squares + delta * delta
-    variance = squares / (count - 1)
-    return mean + theta * xp.sqrt(variance)
+        xp.subtract(column, mean, out=delta)
+        xp.multiply(delta, delta, out=delta)
+        xp.add(squares, delta, out=squares)
+    xp.divide(squares, count - 1, out=squares)
+    return mean + theta * xp.sqrt(squares, out=squares)
 
 
 def network_delay_metric(
@@ -104,29 +107,6 @@ def network_delay_metric(
         return max(delays)
     if mode == "mean":
         return sum(delays) / len(delays)
-    raise ValueError("mode must be 'max' or 'mean'")
-
-
-def network_delay_metric_columns(
-    delay_columns: Sequence[np.ndarray],
-    mode: Literal["max", "mean"] = "max",
-    *,
-    xp: ModuleType = np,
-) -> np.ndarray:
-    """Column-wise :func:`network_delay_metric` over per-node delay columns."""
-    columns = list(delay_columns)
-    if not columns:
-        raise ValueError("delay_columns must not be empty")
-    if mode == "max":
-        result = columns[0]
-        for column in columns[1:]:
-            result = xp.maximum(result, column)
-        return result
-    if mode == "mean":
-        total = xp.zeros_like(columns[0])
-        for column in columns:
-            total = total + column
-        return total / len(columns)
     raise ValueError("mode must be 'max' or 'mean'")
 
 

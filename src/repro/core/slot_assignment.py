@@ -158,5 +158,5 @@ def slot_budget_columns(
     right over the nodes, fit its cap: the scalar solver's slack test."""
     total = xp.zeros(intervals.shape[1])
     for column in intervals:
-        total = total + column
+        xp.add(total, column, out=total)
     return (cap - total >= -1e-12) & (cap >= 0)

@@ -36,9 +36,12 @@ aggregate (8) couple the nodes.  The kernel exploits that split:
    into their ids (:func:`~repro.dse.space.pack_keys`).  Each quantity is then one gather from its table;
 3. slot assignment is the left-to-right interval sum and the slack test
    against the gathered cap (:func:`~repro.core.slot_assignment.slot_budget_columns`);
-   the delay bound and the equation-(8) aggregation run on the gathered
-   matrices, with the per-MAC-configuration scalars gathered through the
-   same MAC index;
+   the equation-(8) aggregation runs on the gathered matrices, and the
+   delay bound (9) on two integers per design, its slot total and its
+   smallest slot count (under ``delay_mode="max"`` the MAC column
+   protocol's contract makes the smallest count's delay the largest), or
+   on the whole count matrix under ``"mean"``; per-MAC-configuration
+   scalars are gathered through the same MAC index;
 4. the caller materialises result objects only for the designs it keeps —
    this module returns plain column arrays, never per-design objects.
 
@@ -84,10 +87,7 @@ from repro.core.mac_abstraction import (
     VectorizedMACModel,
     resolve_mac_column_kernels,
 )
-from repro.core.metrics import (
-    balanced_aggregate_columns,
-    network_delay_metric_columns,
-)
+from repro.core.metrics import balanced_aggregate_columns
 from repro.core.slot_assignment import (
     slot_budget_columns,
     slot_cap_columns,
@@ -464,21 +464,17 @@ class WbsnVectorizedKernel:
         xp = self._xp
         rows, mac_index = self._stage_rows(xp.asarray(batch))
         energy, quality, node_violations, slot_counts, intervals = (
-            self._stage_tables[name][rows] for name in _STAGE_TABLES
+            xp.take(self._stage_tables[name], rows) for name in _STAGE_TABLES
         )
-        slots_fit = slot_budget_columns(intervals, self._slot_cap[mac_index], xp=xp)
+        slots_fit = slot_budget_columns(
+            intervals, xp.take(self._slot_cap, mac_index), xp=xp
+        )
         violations = node_violations.sum(axis=0) + xp.where(slots_fit, 0, 1)
         theta = self._theta
         components = {
             "energy": lambda: balanced_aggregate_columns(energy, theta, xp=xp),
             "quality": lambda: balanced_aggregate_columns(quality, theta, xp=xp),
-            "delay": lambda: network_delay_metric_columns(
-                self._mac_columns.worst_case_delay_columns(
-                    slot_counts.T, self._mac_table, mac_index, xp=xp
-                ).T,
-                self._delay_mode,
-                xp=xp,
-            ),
+            "delay": lambda: self._delay_column(slot_counts, mac_index),
         }
         feasible = violations == 0
         penalised = [
@@ -557,6 +553,31 @@ class WbsnVectorizedKernel:
         rows += self._node_offsets
         rows += mac_index
         return rows, mac_index
+
+    def _delay_column(
+        self, slot_counts: np.ndarray, mac_index: np.ndarray
+    ) -> np.ndarray:
+        """The network delay metric of a batch from its ``(nodes, batch)``
+        slot counts.
+
+        Under ``"max"`` the MAC delay runs once per design, at its smallest
+        count: the column protocol's contract makes that node's delay the
+        largest.  Under ``"mean"`` it runs on the whole matrix, averaged over
+        the nodes left to right as
+        :func:`~repro.core.metrics.network_delay_metric` does.
+        """
+        total = slot_counts.sum(axis=0)
+
+        def delays(own_slots: np.ndarray) -> np.ndarray:
+            return self._mac_columns.worst_case_delay_columns(
+                own_slots, total, self._mac_table, mac_index, xp=self._xp
+            )
+
+        if self._delay_mode == "max":
+            return delays(slot_counts.min(axis=0))
+        if self._delay_mode == "mean":
+            return balanced_aggregate_columns(delays(slot_counts), 0.0, xp=self._xp)
+        raise ValueError("mode must be 'max' or 'mean'")
 
     def __getstate__(self) -> dict:
         # Modules are not picklable: ship the backend *name* and re-resolve

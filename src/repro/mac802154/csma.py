@@ -600,14 +600,15 @@ class UnslottedCsmaMacModel(MACProtocolModel):
 
     def worst_case_delay_columns(
         self,
-        slot_counts: np.ndarray,
+        own_slots: np.ndarray,
+        total_slots: np.ndarray,
         mac_table: CsmaMacTable,
         mac_index: np.ndarray,
         *,
         xp: ModuleType = np,
     ) -> np.ndarray:
-        """Column-wise :meth:`worst_case_delays` over a slot matrix."""
-        counts = xp.asarray(slot_counts)
-        access = mac_table.access_delay_s[mac_index]
-        delays = 1.0 / xp.maximum(counts, 1) + access[:, None]
-        return xp.where(counts == 0, np.inf, delays)
+        """Elementwise :meth:`worst_case_delays`: ``1/own + access``, whatever
+        the total."""
+        access = xp.take(mac_table.access_delay_s, mac_index)
+        delays = 1.0 / xp.maximum(own_slots, 1) + access
+        return xp.where(own_slots == 0, np.inf, delays)

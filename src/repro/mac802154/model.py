@@ -140,26 +140,25 @@ class BeaconEnabledMacModel(MACProtocolModel):
 
     def worst_case_delay_columns(
         self,
-        slot_counts: np.ndarray,
+        own_slots: np.ndarray,
+        total_slots: np.ndarray,
         mac_table: BeaconMacTable,
         mac_index: np.ndarray,
         *,
         xp: ModuleType = np,
     ) -> np.ndarray:
-        """Column-wise equation (9) over a ``(batch, nodes)`` slot matrix."""
-        counts = xp.asarray(slot_counts)
-        slot_duration = mac_table.slot_duration_s[mac_index]
-        beacon_interval = mac_table.beacon_interval_s[mac_index]
-        total_slots = counts.sum(axis=1)
+        """Elementwise equation (9): the other nodes hold ``total - own``
+        slots, and the control time is what ``total`` slots leave of the
+        beacon interval."""
+        slot_duration = xp.take(mac_table.slot_duration_s, mac_index)
+        beacon_interval = xp.take(mac_table.beacon_interval_s, mac_index)
         used = total_slots * slot_duration
         control_per_superframe = xp.maximum(0.0, beacon_interval - used)
-        other_slots = total_slots[:, None] - counts
-        waiting_for_others = other_slots * slot_duration[:, None]
+        other_slots = total_slots - own_slots
+        waiting_for_others = other_slots * slot_duration
         recurrences_spanned = xp.maximum(1.0, xp.ceil(other_slots / MAX_GTS_SLOTS))
-        delays = (
-            waiting_for_others + recurrences_spanned * control_per_superframe[:, None]
-        )
-        return xp.where(counts == 0, np.inf, delays)
+        delays = waiting_for_others + recurrences_spanned * control_per_superframe
+        return xp.where(own_slots == 0, np.inf, delays)
 
     # ------------------------------------------------------ time structure
 

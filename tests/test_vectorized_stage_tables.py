@@ -4,14 +4,18 @@ A node's energy, quality loss, required transmission time and violated node
 constraints depend only on that node's knobs and on the MAC configuration,
 so :class:`~repro.core.vectorized.WbsnVectorizedKernel` computes them once
 per (knob combination × MAC configuration) at compile time and a batch only
-gathers from the tables.  Two properties are pinned here:
+gathers from the tables.  Three properties are pinned here:
 
 * a batch evaluation calls none of the per-node stage functions (the
   application columns, the MAC per-node quantities, the node energy model,
   the radio's transmission time) — compiling calls each once per node;
 * kernels compiled over per-node domains of *different* cardinalities, with
   mixed applications and either MAC family, stay bitwise equal to the
-  scalar evaluator on random batches with duplicate rows.
+  scalar evaluator on random batches with duplicate rows;
+* the delay bound (9) is evaluated from each design's slot total and
+  smallest slot count under ``delay_mode="max"``, and equals the scalar
+  per-node delays and network metric bit for bit in both delay modes, also
+  on spaces whose nodes hold different slot counts.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import slot_assignment, vectorized
+from repro.core.evaluator import WBSNEvaluator
 from repro.core.mac_abstraction import resolve_mac_column_kernels
+from repro.core.metrics import network_delay_metric
 from repro.core.node_model import NodeEnergyModel, RadioLinkModel
 from repro.core.slot_assignment import assign_transmission_intervals, slot_count_columns
 from repro.core.vectorized import WbsnVectorizedKernel
@@ -37,8 +43,10 @@ from repro.dse.problem import (
     DEFAULT_ORDER_PAIRS,
     DEFAULT_PAYLOAD_BYTES,
     WbsnDseProblem,
+    beacon_mac_parameterisation,
     csma_mac_parameterisation,
 )
+from repro.dse.exhaustive import ExhaustiveSearch
 from repro.dse.space import DesignSpace, ParameterDomain
 from repro.engine import EvaluationEngine
 from repro.experiments.casestudy import (
@@ -436,3 +444,167 @@ def test_id_batches_run_no_stage_no_solver_and_build_no_gene_row(family, monkeyp
     assert calls == Counter()
     assert len(columns) == len(served) == len(ids)
     assert served.objectives.tobytes() == columns.objectives.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The delay bound (9) from two integers per design: its slot total and, under
+# delay_mode="max", its smallest slot count.
+
+#: 6-node spaces (compression ratios 0.17 and 0.38, 8 MHz) whose nodes hold
+#: different slot counts: MAC family, parameterisation and the compiled
+#: counts.  The first beacon space has totals above the 7 GTSs of a
+#: superframe and 128 of its 512 designs feasible.  Every other beacon space
+#: of the suite gives each node one slot.
+UNEVEN_SLOT_SPACES = {
+    "beacon-1-7": (
+        "beacon",
+        beacon_mac_parameterisation(
+            payload_bytes=(40, 100), order_pairs=((0, 6), (1, 6), (2, 8), (3, 3))
+        ),
+        {1, 2, 3, 4, 6, 7},
+    ),
+    "beacon-1-25": (
+        "beacon",
+        beacon_mac_parameterisation(
+            payload_bytes=(40, 100), order_pairs=((0, 0), (0, 2), (1, 9))
+        ),
+        {1, 10, 12, 22, 25},
+    ),
+    "csma-1-4": ("csma", csma_mac_parameterisation(), {1, 2, 3, 4}),
+}
+
+
+def _with_delay_mode(network: WBSNEvaluator, delay_mode: str) -> WBSNEvaluator:
+    return WBSNEvaluator(
+        network.nodes, network.mac_protocol, theta=network.theta, delay_mode=delay_mode
+    )
+
+
+def _uneven_slot_problem(
+    space: str, delay_mode: str, vectorized: bool = True
+) -> WbsnDseProblem:
+    family, mac_parameterisation, counts = UNEVEN_SLOT_SPACES[space]
+    problem = WbsnDseProblem(
+        _with_delay_mode(FAMILIES[family][0](), delay_mode),
+        compression_ratios=(0.17, 0.38),
+        frequencies_hz=(8e6,),
+        mac_parameterisation=mac_parameterisation,
+        engine=EvaluationEngine(),
+        vectorized=vectorized,
+    )
+    if vectorized:
+        tables = problem.vectorized_kernel.shareable_tables()
+        assert set(tables["stage.slot_counts"].tolist()) == counts
+    return problem
+
+
+def _front_bits(front) -> list:
+    return sorted(
+        (design.genotype, np.asarray(design.objectives).view(np.int64).tolist())
+        for design in front
+    )
+
+
+@pytest.mark.parametrize("delay_mode", ["max", "mean"])
+@pytest.mark.parametrize("space", sorted(UNEVEN_SLOT_SPACES))
+def test_uneven_slot_counts_match_the_scalar_evaluator(space, delay_mode):
+    problem = _uneven_slot_problem(space, delay_mode)
+    ids = np.arange(problem.space.size)
+    columns = problem.vectorized_kernel.evaluate_columns(ids)
+    designs = [
+        problem.compute_design(tuple(genes))
+        for genes in problem.space.decode_ids(ids).tolist()
+    ]
+    want = np.asarray([design.objectives for design in designs])
+    assert columns.objectives.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert columns.feasible.tolist() == [design.feasible for design in designs]
+    if space == "beacon-1-7":
+        assert (problem.space.size, int(columns.feasible.sum())) == (512, 128)
+
+
+@pytest.mark.parametrize("space", ["beacon-1-7", "csma-1-4"])
+def test_fronts_under_mean_delay_match_with_the_kernel_off(space):
+    fast = _uneven_slot_problem(space, "mean")
+    slow = _uneven_slot_problem(space, "mean", vectorized=False)
+    assert fast.supports_vectorized and not slow.supports_vectorized
+    assert _front_bits(ExhaustiveSearch(fast).run()) == _front_bits(
+        ExhaustiveSearch(slow).run()
+    )
+
+
+@pytest.fixture(scope="module")
+def default_problems() -> dict[tuple[str, str], WbsnDseProblem]:
+    """The default 6-node problem of each MAC family, in each delay mode."""
+    problems = {}
+    for family, delay_mode in itertools.product(sorted(FAMILIES), ("max", "mean")):
+        kwargs = {}
+        if family == "csma":
+            kwargs["mac_parameterisation"] = csma_mac_parameterisation()
+        network = _with_delay_mode(FAMILIES[family][0](), delay_mode)
+        problems[family, delay_mode] = WbsnDseProblem(
+            network, engine=EvaluationEngine(), **kwargs
+        )
+    return problems
+
+
+@st.composite
+def slot_count_matrices(draw):
+    """Node-major ``(nodes, designs)`` slot counts with ties and zeros."""
+    n_nodes = draw(st.integers(1, 12))
+    n_designs = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.integers(0, 30), min_size=1, max_size=3))
+    count = st.one_of(st.just(0), st.sampled_from(pool), st.integers(0, 30))
+    values = draw(
+        st.lists(count, min_size=n_nodes * n_designs, max_size=n_nodes * n_designs)
+    )
+    return np.asarray(values, dtype=np.int64).reshape(n_nodes, n_designs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=slot_count_matrices())
+def test_delay_column_matches_the_scalar_delays_bit_for_bit(default_problems, counts):
+    """Every count matrix under every MAC configuration of both default
+    parameterisations: the kernel's delay column is the scalar
+    ``worst_case_delays`` plus ``network_delay_metric`` of each design."""
+    for (_, delay_mode), problem in default_problems.items():
+        kernel, mac = problem.vectorized_kernel, problem.evaluator.mac_protocol
+        n_mac = len(kernel._mac_configs)
+        batch = np.tile(counts, n_mac)  # every design under every configuration
+        mac_index = np.repeat(np.arange(n_mac), counts.shape[1])
+        got = kernel._delay_column(batch, mac_index)
+        want = [
+            network_delay_metric(
+                mac.worst_case_delays(column.tolist(), kernel._mac_configs[index]),
+                delay_mode,
+            )
+            for column, index in zip(batch.T, mac_index.tolist())
+        ]
+        assert got.view(np.int64).tolist() == np.asarray(want).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_delay_method_runs_once_per_batch_at_the_smallest_count(
+    family, default_problems, monkeypatch
+):
+    """Under ``"max"`` the MAC delay method is called once, on one count
+    per design: no ``(nodes, batch)`` float delay matrix is built.  Under
+    ``"mean"`` it is called once, on the node-major count matrix."""
+    network = default_problems[family, "max"].evaluator
+    mac_type = type(resolve_mac_column_kernels(network.mac_protocol))
+    original = mac_type.worst_case_delay_columns
+    calls = []
+
+    def recorded(self, own_slots, total_slots, mac_table, mac_index, **kwargs):
+        delays = original(self, own_slots, total_slots, mac_table, mac_index, **kwargs)
+        calls.append(
+            (np.shape(own_slots), np.shape(total_slots), np.shape(mac_index), delays)
+        )
+        return delays
+
+    monkeypatch.setattr(mac_type, "worst_case_delay_columns", recorded)
+    ids = np.random.default_rng(6).integers(0, 2**30, 512)
+    for delay_mode, own_shape in (("max", (512,)), ("mean", (6, 512))):
+        calls.clear()
+        default_problems[family, delay_mode].vectorized_kernel.evaluate_columns(ids)
+        assert [call[:3] for call in calls] == [(own_shape, (512,), (512,))]
+        assert calls[0][3].shape == own_shape
