@@ -449,152 +449,6 @@ def test_columnar_sweep_materialises_only_the_front(reporter):
     assert columnar_s <= 1.5 * object_s + 0.1
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
-
-
-@pytest.mark.paper_figure("dse-speed")
-def test_sharded_exhaustive_sweep_never_falls_back(reporter):
-    """Sharded shared-memory backend on the 8192-design sweep.
-
-    Three guarantees are asserted unconditionally, on any host:
-
-    * the sharded front is identical to the serial vectorized front;
-    * **no silent fallback to the serial/scalar kernel** — every model
-      evaluation of the sweep was computed by worker column kernels
-      (``sharded_designs == model_evaluations``), which is the hard CI
-      gate this entry exists for;
-    * closing the engine releases the pool and unlinks every shared-memory
-      segment.
-
-    The speedup is recorded alongside the host's usable CPU count.  Two
-    timings land in ``BENCH_dse_speed.json``: the end-to-end sweep (which
-    includes the parent-side, inherently serial design materialisation and
-    Pareto pruning — Amdahl caps its parallel gain) and the columns-only
-    comparison against the single-process kernel, which is the part the
-    backend actually parallelises.  A multi-core floor is only enforced
-    where it is physically meaningful (≥ 4 usable cores); on smaller hosts
-    the numbers are recorded for the trajectory, and a generous ceiling
-    guards against pathological dispatch regressions.
-    """
-    cpus = _usable_cpus()
-    workers = max(2, min(4, cpus))
-
-    def serial_run():
-        with _uncached_engine() as engine:
-            problem = WbsnDseProblem(
-                build_case_study_evaluator(),
-                **SWEEP_DOMAINS,
-                engine=engine,
-            )
-            started = time.perf_counter()
-            front = ExhaustiveSearch(problem, chunk_size=2048).run()
-            return front, time.perf_counter() - started, problem
-
-    serial_front, serial_s, serial_problem = min(
-        (serial_run() for _ in range(2)), key=lambda run: run[1]
-    )
-    space_size = serial_problem.space.size
-
-    # Single-process kernel, columns only (the parallelisable core).
-    matrix = serial_problem.space.index_matrix(
-        list(serial_problem.space.enumerate_genotypes())
-    )
-    kernel = serial_problem.vectorized_kernel
-    kernel_s = min(
-        (lambda t0: (kernel.evaluate_columns(matrix), time.perf_counter() - t0)[1])(
-            time.perf_counter()
-        )
-        for _ in range(3)
-    )
-
-    sweep_times = []
-    columns_times = []
-    with EvaluationEngine(
-        genotype_cache=False, backend="sharded", max_workers=workers
-    ) as engine:
-        problem = WbsnDseProblem(
-            build_case_study_evaluator(), **SWEEP_DOMAINS, engine=engine
-        )
-        backend = engine.backend
-        # Spawn and warm the pool outside every measured window: enough rows
-        # for one full-size shard per worker, so every worker process forks,
-        # unpickles the problem and attaches the arena before the clock runs.
-        backend.evaluate_columns_sharded(
-            problem, matrix[: workers * backend.min_rows_per_shard]
-        )
-        before = engine.stats.snapshot()
-        for _ in range(2):
-            started = time.perf_counter()
-            sharded_front = ExhaustiveSearch(problem, chunk_size=2048).run()
-            sweep_times.append(time.perf_counter() - started)
-        sweep_stats = engine.stats.snapshot() - before
-        for _ in range(3):
-            started = time.perf_counter()
-            backend.evaluate_columns_sharded(problem, matrix)
-            columns_times.append(time.perf_counter() - started)
-        arena_name = backend._arena.name
-    # Clean close: pool gone, every shared-memory segment unlinked.
-    assert backend._executor is None and backend._arena is None
-    with pytest.raises(FileNotFoundError):
-        from multiprocessing import shared_memory
-
-        shared_memory.SharedMemory(name=arena_name)
-
-    sharded_s = min(sweep_times)
-    sharded_columns_s = min(columns_times)
-
-    assert _front_signature(serial_front) == _front_signature(sharded_front)
-    # The hard gate: every batched sweep evaluation was computed by worker
-    # column kernels — a silent fallback to the serial/scalar kernel leaves
-    # ``sharded_designs`` behind ``model_evaluations`` and fails here.
-    assert problem.supports_vectorized
-    assert sweep_stats.sharded_designs == sweep_stats.model_evaluations
-    assert sweep_stats.sharded_designs >= 2 * space_size  # two sweep rounds
-
-    sweep_speedup = serial_s / sharded_s
-    columns_speedup = kernel_s / sharded_columns_s
-    _merge_artifact(
-        {
-            "sharded_exhaustive_uncached": {
-                "space_size": space_size,
-                "cpus": cpus,
-                "workers": workers,
-                "serial_wall_clock_s": serial_s,
-                "sharded_wall_clock_s": sharded_s,
-                "speedup": sweep_speedup,
-                "kernel_columns_wall_clock_s": kernel_s,
-                "sharded_columns_wall_clock_s": sharded_columns_s,
-                "columns_speedup": columns_speedup,
-                "sharded_designs_counted": int(sweep_stats.sharded_designs),
-                "multi_core_floor_enforced": cpus >= 4,
-            }
-        }
-    )
-    reporter(
-        "Sharded shared-memory sweep (uncached)",
-        [
-            f"exhaustive sweep ({space_size} designs, {workers} workers, "
-            f"{cpus} usable cpus): {serial_s:.3f} s serial-vectorized vs "
-            f"{sharded_s:.3f} s sharded ({sweep_speedup:.2f}x end-to-end)",
-            f"columns only: {kernel_s * 1e3:.2f} ms single-process kernel vs "
-            f"{sharded_columns_s * 1e3:.2f} ms sharded "
-            f"({columns_speedup:.2f}x)",
-            "scalar fallback taken: no (every evaluation sharded)",
-        ],
-    )
-    if cpus >= 4:
-        # On a genuinely multi-core host the sharded columns must beat the
-        # single-process kernel.
-        assert columns_speedup >= 1.2
-    # On any host, dispatch overhead must stay bounded: a pathological
-    # regression (e.g. pickling designs per row) would blow far past this.
-    assert sharded_s <= 5.0 * serial_s + 0.25
-
-
 @pytest.mark.paper_figure("dse-speed")
 def test_warm_start_sweep(reporter, tmp_path):
     """Persistent cache tier: cold vs warm 8192-design sweep.

@@ -48,12 +48,10 @@ from repro.shimmer import BatteryModel
 
 def main(cache_dir: str | None = None, cache_budget_mb: float | None = None) -> None:
     evaluator = build_case_study_evaluator()
-    # Engines own real resources (a worker pool and shared-memory segments
-    # with the "sharded" backend); run_algorithm(close_engine=True)
-    # releases them deterministically when the run finishes, even on failure.
-    # With a cache_dir the engine also warm-starts from (and, on close,
-    # spills to) the persistent cache tier, so repeated campaigns reuse
-    # every design this one computes.
+    # With a cache_dir the engine warm-starts from (and, on close, spills
+    # to) the persistent cache tier, so repeated campaigns reuse every
+    # design this one computes; run_algorithm(close_engine=True) closes it
+    # when the run finishes, even on failure.
     engine = EvaluationEngine(cache_dir=cache_dir)
     problem = WbsnDseProblem(evaluator, record_evaluations=True, engine=engine)
     settings = Nsga2Settings(population_size=48, generations=25, seed=11)

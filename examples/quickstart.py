@@ -8,7 +8,7 @@ allocation, the worst-case delays and the three network-level objectives.
 It then compares that hand-picked candidate against a small random batch
 through the batched :class:`~repro.engine.EvaluationEngine` — used as a
 context manager, the recommended lifecycle: leaving the ``with`` block
-releases any backend worker pools and shared-memory segments.
+closes the engine (spilling its persistent cache tier, when it has one).
 
 Run with::
 
@@ -76,7 +76,7 @@ def main() -> None:
         print("  violation:", violation)
 
     # Batched evaluation through the engine: the context manager closes the
-    # engine on exit, so backend pools and shared memory never leak.
+    # engine on exit.
     with EvaluationEngine() as engine:
         problem = WbsnDseProblem(build_case_study_evaluator(), engine=engine)
         rng = np.random.default_rng(7)

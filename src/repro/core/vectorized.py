@@ -67,10 +67,8 @@ Python and allocation overhead collapses into a handful of array operations.
 
 The engine hands ``evaluate_columns`` only its cache misses, as design ids,
 so warm rows never reach a table gather and no gene row is built for a
-miss.  ``shareable_tables`` lets the sharded backend
-(:mod:`repro.engine.sharded`) move the stage and MAC tables into a
-``multiprocessing.shared_memory`` arena so worker-process kernels gather
-from one shared copy.
+miss.  ``shareable_tables`` names every numeric table a batch gathers
+from, in one flat mapping.
 """
 
 from __future__ import annotations
@@ -209,8 +207,8 @@ class WbsnVectorizedKernel:
     ) -> None:
         # The array-backend seam: resolved once (at compile time) and
         # threaded through every column kernel the batch evaluation drives.
-        # Only the *name* is pickled (modules are not picklable); worker
-        # processes re-resolve the namespace on unpickle.
+        # Only the *name* is pickled (modules are not picklable); a copy
+        # re-resolves the namespace on unpickle.
         self._xp = resolve_backend(array_namespace)
         self.backend_name = backend_name(self._xp)
         self._theta = theta
@@ -508,20 +506,16 @@ class WbsnVectorizedKernel:
         configurations."""
         return len(self._stage_tables[_STAGE_TABLES[0]])
 
-    # ------------------------------------------- shared-memory table hooks
+    # ------------------------------------------------------- table access
 
     def shareable_tables(self) -> dict[str, np.ndarray]:
         """The kernel's numeric column tables, as one flat named mapping.
 
         These are every table a batch evaluation gathers from: the five
         per-node stage tables, the per-MAC-configuration slot cap and the
-        compiled MAC table columns.  The sharded shared-memory backend
-        (:class:`~repro.engine.sharded.ShardedVectorizedBackend`) packs them
-        into one ``multiprocessing.shared_memory`` arena, and each worker
-        unpickles its kernel with these tables bound to the attached arena
-        views, so every worker's gathers read a single shared copy.  Object
-        tables (the phenotype lookup objects) are deliberately excluded —
-        workers return raw columns and never materialise designs.
+        compiled MAC table columns.  Object tables (the phenotype lookup
+        objects) are excluded: a batch evaluation returns raw columns and
+        never reads them.
         """
         tables = {"mac.slot_cap": self._slot_cap, **self._stage_tables}
         if is_dataclass(self._mac_table):
@@ -581,9 +575,9 @@ class WbsnVectorizedKernel:
 
     def __getstate__(self) -> dict:
         # Modules are not picklable: ship the backend *name* and re-resolve
-        # the namespace where the kernel lands (worker processes resolve
-        # against their own registry, so a worker without the backend's
-        # library fails loudly instead of silently falling back).
+        # the namespace where the kernel lands (against that interpreter's
+        # own registry, so one without the backend's library fails loudly
+        # instead of silently falling back).
         state = self.__dict__.copy()
         del state["_xp"]
         return state

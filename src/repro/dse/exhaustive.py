@@ -158,19 +158,7 @@ def _run_to_front(
 
     stream = chunks(cursor)
     for chunks_done, (chunk, cursor) in enumerate(stream, start=1):
-        # ``prune_to_front`` lets a worker-pruning backend drop each shard's
-        # dominated rows before they ever reach this process — the archive
-        # merge below then scales with the shard front sizes, not the chunk
-        # size.  Chunks are distinct genotypes, so the pruned result's
-        # duplicates-collapse contract is vacuous here; on other backends
-        # the hint is a no-op and the merge sees the full chunk.  Once a
-        # feasible design exists, infeasible rows can never re-enter the
-        # archive, so workers may drop them outright.
-        batch = problem.evaluate_batch_columns(
-            chunk,
-            prune_to_front=True,
-            include_infeasible=not any_feasible,
-        )
+        batch = problem.evaluate_batch_columns(chunk)
         feasible_rows = np.flatnonzero(batch.feasible)
         if feasible_rows.size and not any_feasible:
             # First feasible design seen: drop the infeasible archive.

@@ -191,7 +191,7 @@ class OptimizationProblem(abc.ABC):
         the batch (evaluation must be deterministic, so duplicates — which
         elitist populations produce in bulk — are served from the first
         result); engine-backed problems override it to also cache across
-        batches and dispatch through the engine's execution backend.
+        batches and compute misses on the engine's column kernel.
         """
         memo: dict[tuple[int, ...], EvaluatedDesign] = {}
         results: list[EvaluatedDesign] = []
@@ -392,26 +392,15 @@ class WbsnDseProblem(OptimizationProblem):
         return self.engine is not None and not self.record_evaluations
 
     def evaluate_batch_columns(
-        self,
-        batch: Sequence[Sequence[int]] | DesignIds,
-        *,
-        prune_to_front: bool = False,
-        include_infeasible: bool = True,
+        self, batch: Sequence[Sequence[int]] | DesignIds
     ) -> "ColumnarBatchResult":
         """Evaluate a batch into raw column rows (dedup, caches, fast path).
 
         The columnar sibling of :meth:`evaluate_batch` for gene rows or
         design ids: one row per request, in order, with no design object
         built until the caller materialises its survivors
-        (:meth:`~repro.engine.ColumnarBatchResult.materialise`).
-
-        ``prune_to_front`` / ``include_infeasible`` are passed through to
-        :meth:`~repro.engine.EvaluationEngine.evaluate_many_columnar`: on a
-        worker-pruning backend the result then holds only the batch's
-        locally non-dominated rows (distinct genotypes, duplicates
-        collapsed); on any other backend the hint is a no-op.  Either way
-        every served genotype counts as an evaluation — pruning changes
-        what is shipped, not what is computed.
+        (:meth:`~repro.engine.ColumnarBatchResult.materialise`).  Every
+        served genotype counts as an evaluation.
         """
         if not self.supports_columnar:
             raise RuntimeError(
@@ -420,11 +409,7 @@ class WbsnDseProblem(OptimizationProblem):
                 "history records materialised design objects, which the "
                 "columnar path exists to avoid building)"
             )
-        result = self.engine.evaluate_many_columnar(
-            batch,
-            prune_to_front=prune_to_front,
-            include_infeasible=include_infeasible,
-        )
+        result = self.engine.evaluate_many_columnar(batch)
         self.evaluations += len(batch)
         return result
 
@@ -432,8 +417,7 @@ class WbsnDseProblem(OptimizationProblem):
         """Raw model evaluation of one genotype (no run accounting).
 
         This is the pure compute path the engine calls on a genotype-cache
-        miss — it may run in a worker process, so it must not touch
-        :attr:`history` or :attr:`evaluations`.
+        miss, so it must not touch :attr:`history` or :attr:`evaluations`.
         """
         node_configs, mac_config = self.decode(genotype)
         evaluation: NetworkEvaluation = self.evaluator.evaluate(node_configs, mac_config)

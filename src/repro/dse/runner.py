@@ -6,7 +6,7 @@ many designs from cache, so the result distinguishes *designs served* (the
 ``evaluations`` counter every algorithm consumes) from *model evaluations*
 (genotype-cache misses that actually ran the model), and reports both
 throughputs; the attached :class:`~repro.engine.EngineStats` delta also
-carries the engine's path and recovery counters.
+carries the engine's compute-path and cache-tier counters.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ class DseResult:
         evaluations: designs served to the algorithm (cache hits included).
         wall_clock_s: host time spent by the run.
         engine_stats: engine counter deltas for this run — cache hit rates,
-            worker recovery, disk loads, materialised designs (``None`` when
-            the problem is not engine-backed).
+            kernel and scalar work, disk loads, materialised designs
+            (``None`` when the problem is not engine-backed).
     """
 
     front: tuple[EvaluatedDesign, ...]
@@ -98,8 +98,8 @@ def run_algorithm(
     """Run a search algorithm and record its cost.
 
     With ``close_engine=True`` the problem's evaluation engine is closed
-    once the run finishes (even on failure), releasing backend worker pools
-    and shared-memory segments — use it when the runner owns the last run
+    once the run finishes (even on failure), spilling its persistent cache
+    tier when it has one — use it when the runner owns the last run
     against that engine.  The default leaves the engine open so several
     runs can share its warm caches; close it yourself afterwards (engines
     are context managers).

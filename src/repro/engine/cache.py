@@ -313,9 +313,9 @@ class SharedGenotypeCache:
     exploration (the reverse direction misses, as baseline rows lack the
     quality component — a miss is always safe).
 
-    Instances are shared by reference between engines; they are
-    intentionally not pickled to worker processes (workers only compute,
-    the parent owns the caches).  The rows a shared cache serves an engine
+    Instances are shared by reference between engines; a pickled copy of
+    an engine never carries one (the engine that was copied owns its
+    caches).  The rows a shared cache serves an engine
     land in that engine's column store, so they outlive the process through
     its persistent cache tier.
 

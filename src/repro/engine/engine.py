@@ -51,39 +51,21 @@ owns every cross-cutting evaluation concern:
   work.
 
 One method, :meth:`EvaluationEngine._compute_columns`, dispatches a batch's
-misses to one of three compute paths:
+misses to one of two compute paths, both in the calling process:
 
 * the **scalar loop**, for problems without a compiled kernel: one
-  in-process ``problem.compute_design`` per miss, flattened into columns —
-  on either backend, since shipping single designs to a pool costs more
-  than the model;
-* the **in-process kernel** (the default ``"serial"`` backend, when the
-  problem opts in by exposing ``compute_columns_batch`` /
-  ``supports_vectorized``): the whole miss set is evaluated column-wise by
-  the problem's compiled NumPy kernel (:mod:`repro.core.vectorized`) in one
-  call: the misses' design ids for a problem with a compiled
-  ``vectorized_kernel`` (gene-row batches too, as their rows are keyed by
-  their ids), so no gene row is built for a miss; gene rows for any other.
-  Cached rows never reach the column gather (counted in
-  ``EngineStats.rows_skipped_cached``);
-* the **sharded kernel** (``backend="sharded"``): the same kernel, but the
-  miss ids (one ``int64`` column; gene rows on spaces beyond ``int64`` ids)
-  are placed in shared memory and sharded across the worker pool
-  (:class:`~repro.engine.sharded.ShardedVectorizedBackend`) — multi-core
-  column kernels for huge uncached batches, reassembled in submission order
-  and therefore bitwise identical to the in-process kernel.  With the
-  ``prune_to_front`` hint, workers also prune their shards before shipping
-  columns back.
+  ``problem.compute_design`` per miss, flattened into columns;
+* the **column kernel**, when the problem opts in by exposing
+  ``compute_columns_batch`` / ``supports_vectorized``: the whole miss set
+  is evaluated column-wise by the problem's compiled NumPy kernel
+  (:mod:`repro.core.vectorized`) in one call: the misses' design ids for a
+  problem with a compiled ``vectorized_kernel`` (gene-row batches too, as
+  their rows are keyed by their ids), so no gene row is built for a miss;
+  gene rows for any other.  Cached rows never reach the column gather
+  (counted in ``EngineStats.rows_skipped_cached``).
 
-All paths are floating-point-identical by construction (the parity suite
-enforces it), so switching between them is a pure performance decision.
-
-Pool failures never change results either: a batch whose pool exhausts
-its :class:`~repro.engine.backends.RetryPolicy` is served by the in-process
-**degradation ladder** (serial kernel, then the scalar loop — see
-``degrade_on_failure``), and the pool's recovery counters are drained into
-the engine's stats after every dispatch, so worker crashes, retries and
-degradations all surface in ``EngineStats``.
+Both paths are floating-point-identical by construction (the parity suite
+enforces it), so the choice between them is a pure performance decision.
 
 The engine computes raw results through ``problem.compute_design`` /
 ``problem.compute_columns_batch`` and builds designs through
@@ -94,7 +76,6 @@ cached and uncached runs bitwise identical.
 
 from __future__ import annotations
 
-import contextlib
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -105,13 +86,6 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from repro.core.vectorized import WbsnBatchColumns, as_row_indices
-from repro.engine import faults
-from repro.engine.backends import (
-    EngineDegradationWarning,
-    RetryPolicy,
-    WorkerRecoveryExhausted,
-    make_backend,
-)
 from repro.engine.cache import ColumnStore, SharedGenotypeCache
 from repro.engine.persist import (
     CacheTierWarning,
@@ -124,7 +98,6 @@ from repro.engine.stats import EngineStats
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
     from repro.dse.problem import EvaluatedDesign
     from repro.dse.space import DesignIds
-    from repro.engine.sharded import ShardedVectorizedBackend
 
 __all__ = ["ColumnarBatchResult", "EvaluationEngine"]
 
@@ -221,24 +194,6 @@ class EvaluationEngine:
 
     Args:
         genotype_cache: memoise every computed row by genotype.
-        backend: ``"serial"`` (no pool: every miss is computed in-process),
-            ``"sharded"`` (the worker pool for kernel batches) or a
-            :class:`~repro.engine.sharded.ShardedVectorizedBackend` instance
-            (``max_workers`` must be ``None`` with an instance); any other
-            type raises :class:`TypeError`.
-        max_workers: pool size of the ``"sharded"`` backend.
-        retry_policy: recovery budget of the worker pool (see
-            :class:`~repro.engine.backends.RetryPolicy`); ``None`` keeps the
-            pool's default.  Like ``max_workers``, only valid when the
-            engine constructs the pool from a name.
-        degrade_on_failure: when a batch exhausts the pool's retry policy
-            (:class:`~repro.engine.backends.WorkerRecoveryExhausted`), serve
-            it on the in-process degradation ladder — serial kernel, then
-            the scalar loop — instead of propagating.  Results are bitwise
-            identical on every rung; each degraded batch is counted in
-            ``EngineStats.degraded_batches`` and announced with an
-            :class:`~repro.engine.backends.EngineDegradationWarning`.
-            ``False`` propagates the failure to the caller.
         stats: counters to feed; a private instance is created if omitted.
         shared_cache: a :class:`~repro.engine.cache.SharedGenotypeCache`
             shared (by reference) with other engines whose problems have the
@@ -269,10 +224,6 @@ class EvaluationEngine:
         self,
         *,
         genotype_cache: bool = True,
-        backend: "str | ShardedVectorizedBackend" = "serial",
-        max_workers: int | None = None,
-        retry_policy: RetryPolicy | None = None,
-        degrade_on_failure: bool = True,
         stats: EngineStats | None = None,
         shared_cache: SharedGenotypeCache | None = None,
         column_memo_max_entries: int | None = None,
@@ -282,11 +233,7 @@ class EvaluationEngine:
             raise ValueError("column_memo_max_entries must be positive (or None)")
         self.genotype_cache_enabled = bool(genotype_cache)
         self.column_memo_max_entries = column_memo_max_entries
-        self.degrade_on_failure = bool(degrade_on_failure)
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.backend = make_backend(
-            backend, max_workers=max_workers, retry_policy=retry_policy
-        )
         self.stats = stats if stats is not None else EngineStats()
         self.shared_cache = shared_cache
         # The one memo: raw column rows keyed by design id (see
@@ -358,8 +305,8 @@ class EvaluationEngine:
         A stored or shared row is materialised into a design (a shared row
         is inserted into the store first); a computed design is memoised
         and published.  Misses are computed through
-        ``problem.compute_design``: dispatching one evaluation to a worker
-        pool, or to a one-row kernel call, costs more than the model itself.
+        ``problem.compute_design``: a one-row kernel call costs more than
+        the model itself.
         """
         started = time.perf_counter()
         self.stats.genotype_requests += 1
@@ -390,11 +337,7 @@ class EvaluationEngine:
         return self.evaluate_many_columnar(genotypes).materialise()
 
     def evaluate_many_columnar(
-        self,
-        batch: Sequence[Sequence[int]] | DesignIds,
-        *,
-        prune_to_front: bool = False,
-        include_infeasible: bool = True,
+        self, batch: Sequence[Sequence[int]] | DesignIds
     ) -> ColumnarBatchResult:
         """Evaluate a batch into raw column rows, preserving the input order.
 
@@ -410,23 +353,6 @@ class EvaluationEngine:
         their rows are inserted into the store.  No
         :class:`EvaluatedDesign` is built until the caller's
         :meth:`ColumnarBatchResult.materialise`.
-
-        ``prune_to_front=True`` is a *hint* for chunked sweeps: when the
-        batch's misses run on the worker pool (``backend="sharded"`` with a
-        vectorized problem), every worker prunes its own shard to its local
-        per-feasibility-class fronts before shipping columns back, and the
-        result holds only the surviving rows — cached rows (passed through
-        unpruned) plus the shard fronts — as *distinct* genotypes in
-        first-occurrence order (duplicates collapse; pruned rows counted in
-        ``EngineStats.rows_pruned_in_workers``).  Any row the pruned result
-        omits is dominated by (or duplicates) a row it contains, so archive
-        merges over it produce bitwise-identical fronts.  Everywhere else
-        the hint is a no-op and the full batch contract holds, so callers
-        must still prune whatever they receive.
-        ``include_infeasible=False`` additionally lets workers drop
-        infeasible rows outright — only pass it when infeasible rows can no
-        longer matter (the caller's archive already holds a feasible
-        design).
         """
         started = time.perf_counter()
         if self._problem is None:
@@ -471,26 +397,17 @@ class EvaluationEngine:
             misses = matrix[missed]
         else:
             misses = self._genes(keys[missed])
-        columns, kept = self._compute_columns(
-            misses,
-            len(keys) - len(pending),
-            prune_to_front=prune_to_front,
-            include_infeasible=include_infeasible,
-        )
-        # Only the rows that came back can be memoised (rows pruned in the
-        # workers are recomputed if ever re-asked, a pure performance trade
-        # the caches are allowed to make).
-        computed = pending if kept is None else pending[kept]
-        if len(computed):
+        columns = self._compute_columns(misses, len(keys) - len(pending))
+        if len(pending):
             if self.genotype_cache_enabled:
                 self._insert_computed(
-                    keys[computed],
+                    keys[pending],
                     columns.objectives,
                     columns.feasible,
                     columns.violation_counts,
                 )
             parts.append(
-                (computed, columns.objectives, columns.feasible, columns.violation_counts)
+                (pending, columns.objectives, columns.feasible, columns.violation_counts)
             )
         count = len(keys)
         if len(parts) == 1 and len(parts[0][0]) == count:
@@ -511,21 +428,13 @@ class EvaluationEngine:
         cached = np.zeros(count, dtype=bool)
         cached[store_rows] = True
         cached[shared_rows] = True
-        selected = None
-        if kept is not None:
-            # Pruned result: only the candidate rows — cached rows (passed
-            # through unpruned) plus the shard fronts — in distinct-design
-            # first-occurrence order; duplicates collapse by contract.
-            selected = np.sort(np.concatenate([store_rows, shared_rows, computed]))
-        elif inverse is not None:
+        if inverse is not None:
             # Expand the distinct rows back to the (duplicated) request order.
-            selected = inverse
-        if selected is not None:
-            keys = keys[selected]
-            objectives = objectives[selected]
-            feasible = feasible[selected]
-            violations = violations[selected]
-            cached = cached[selected]
+            keys = keys[inverse]
+            objectives = objectives[inverse]
+            feasible = feasible[inverse]
+            violations = violations[inverse]
+            cached = cached[inverse]
         stats.wall_time_s += time.perf_counter() - started
         return ColumnarBatchResult(
             ids=keys,
@@ -565,12 +474,12 @@ class EvaluationEngine:
         return designs
 
     def close(self) -> None:
-        """Release the worker pool and its shared memory, if any.
+        """Spill the column store to the persistent tier, if one is set.
 
-        An engine configured with ``cache_dir`` spills its column store to
-        the persistent tier first, so everything the engine computed
-        survives the process (spill failures warn — closing must not mask
-        results).
+        An engine configured with ``cache_dir`` writes its rows to the
+        tier's segment, so everything the engine computed survives the
+        process (spill failures warn — closing must not mask results).
+        Without a ``cache_dir`` there is nothing to release.
         """
         if self.cache_dir is not None and self._problem is not None:
             try:
@@ -583,12 +492,10 @@ class EvaluationEngine:
                     CacheTierWarning,
                     stacklevel=2,
                 )
-        if self.backend is not None:
-            self.backend.close()
 
     def __enter__(self) -> "EvaluationEngine":
-        """Engines are context managers: leaving the block releases the
-        worker pool and its shared-memory segments deterministically."""
+        """Engines are context managers: leaving the block spills the
+        persistent tier deterministically, even when the block raises."""
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
@@ -598,26 +505,6 @@ class EvaluationEngine:
         """Drop the genotype memo."""
         self._column_store.clear()
         self._segments_loaded.clear()
-
-    @contextlib.contextmanager
-    def deadline_scope(self, seconds: float | None) -> Any:
-        """Propagate an outer deadline into the worker pool's retry policy.
-
-        Inside the scope, the pool clamps its
-        ``RetryPolicy.batch_timeout_s`` so every allowed attempt (timeouts
-        plus backoff) fits within ``seconds`` — a hung worker then surfaces
-        as an :class:`~repro.engine.backends.EngineTimeoutError` and (with
-        ``degrade_on_failure``) degrades to the in-process ladder *before*
-        the deadline instead of blocking past it.  A serial engine has no
-        pool to interrupt, so the scope is a no-op there — callers enforce
-        their deadline at dispatch boundaries instead (the DSE service
-        checks before and after every batch and between sweep chunks).
-        """
-        if self.backend is None:
-            yield
-            return
-        with self.backend.deadline_scope(seconds):
-            yield
 
     # -------------------------------------------------- persistent cache tier
 
@@ -832,26 +719,14 @@ class EvaluationEngine:
         return design
 
     def _compute_columns(
-        self,
-        misses: np.ndarray,
-        n_cached: int,
-        *,
-        prune_to_front: bool = False,
-        include_infeasible: bool = True,
-    ) -> tuple[WbsnBatchColumns, np.ndarray | None]:
-        """Compute column rows for a batch's misses (any path): their design
-        keys for a problem with a compiled kernel, else their validated gene
-        rows.
+        self, misses: np.ndarray, n_cached: int
+    ) -> WbsnBatchColumns:
+        """Compute column rows for a batch's misses: their design keys for a
+        problem with a compiled kernel, else their validated gene rows.
 
-        The engine's one dispatch: without a kernel, the scalar loop; with
-        a kernel and no pool, the in-process kernel; with a kernel and a
-        pool, the sharded kernel.  ``n_cached`` is the number of the
-        batch's rows the caches served.  Returns the columns and ``kept``:
-        ``None`` for one row per miss, or the ascending positions of the
-        rows the workers shipped back after pruning (see ``prune_to_front``
-        in :meth:`evaluate_many_columnar`).  A batch the pool could not
-        serve degrades to :meth:`_degraded_columns`, which always returns
-        full columns.
+        The engine's one dispatch: the problem's column kernel when it has
+        one, else the scalar loop.  ``n_cached`` is the number of the
+        batch's rows the caches served.
         """
         stats = self.stats
         count = len(misses)
@@ -860,30 +735,14 @@ class EvaluationEngine:
             # Cached rows never reach a column gather.
             stats.rows_skipped_cached += n_cached
         if not count:
-            # All-cached (or empty) batches never reach a kernel or a pool.
-            return WbsnBatchColumns.empty(0), None
-        kept = None
-        if not kernel:
-            columns = self._scalar_columns(misses)
-        elif self.backend is None:
+            # All-cached (or empty) batches never reach a kernel.
+            return WbsnBatchColumns.empty(0)
+        if kernel:
             columns = self._kernel_columns(misses)
         else:
-            try:
-                columns, kept = self._sharded_columns(
-                    misses, prune_to_front, include_infeasible
-                )
-            except WorkerRecoveryExhausted as exc:
-                if not self.degrade_on_failure:
-                    raise
-                columns, kept = self._degraded_columns(misses, exc), None
-            finally:
-                # Retries that eventually succeeded are counted too.
-                drained = self.backend.drain_fault_counters()
-                stats.worker_failures += drained.worker_failures
-                stats.batches_retried += drained.batches_retried
-                stats.retry_wait_seconds += drained.retry_wait_seconds
+            columns = self._scalar_columns(misses)
         stats.model_evaluations += count
-        return columns, kept
+        return columns
 
     def _genes(self, keys: np.ndarray) -> np.ndarray:
         """Gene rows decoded from design keys (a 2-D batch is already gene
@@ -900,10 +759,9 @@ class EvaluationEngine:
         return WbsnBatchColumns(*_design_columns(designs))
 
     def _kernel_columns(self, misses: np.ndarray) -> WbsnBatchColumns:
-        """The problem's column kernel, in-process."""
+        """The problem's column kernel."""
         from repro.dse.space import DesignIds  # repro.dse imports this module
 
-        faults.maybe_fire("kernel")
         problem = self._problem
         if misses.ndim == 1:
             misses = DesignIds(misses, problem.space.size)
@@ -911,65 +769,15 @@ class EvaluationEngine:
         self.stats.vectorized_designs += len(misses)
         return columns
 
-    def _sharded_columns(
-        self, misses: np.ndarray, prune_to_front: bool, include_infeasible: bool
-    ) -> tuple[WbsnBatchColumns, np.ndarray | None]:
-        """The column kernel on the worker pool; under ``prune_to_front``
-        the workers ship back only their shards' local per-feasibility-class
-        fronts, so the parent never touches a dominated row.  Shared memory
-        holds numbers, so keys beyond ``int64`` travel as gene rows."""
-        batch = self._genes(misses) if misses.dtype == object else misses
-        kept = None
-        if prune_to_front:
-            columns, kept, pruned = self.backend.evaluate_front_columns_sharded(
-                self._problem, batch, include_infeasible=include_infeasible
-            )
-            self.stats.rows_pruned_in_workers += int(pruned)
-        else:
-            columns = self.backend.evaluate_columns_sharded(self._problem, batch)
-        self.stats.vectorized_designs += len(batch)
-        self.stats.sharded_designs += len(batch)
-        return columns, kept
-
-    def _degraded_columns(
-        self, misses: np.ndarray, cause: BaseException
-    ) -> WbsnBatchColumns:
-        """Serve a batch the worker pool could not, on the in-process ladder.
-
-        First rung: the in-process serial kernel (the same compiled column
-        kernel the pool would have run, so columns are bitwise identical).
-        Second rung, when the kernel itself fails: the scalar loop, never
-        through a pool.  Returns *full* (unpruned) columns for every row —
-        a caller that asked for worker-side pruning falls back to the
-        full-batch contract.  The caller counts ``model_evaluations``.
-        """
-        self.stats.degraded_batches += 1
-        try:
-            columns = self._kernel_columns(misses)
-            path = "in-process serial kernel"
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:
-            columns = self._scalar_columns(misses)
-            path = "in-process scalar path"
-        warnings.warn(
-            f"worker recovery exhausted — batch degraded to the {path} "
-            f"(results identical, throughput reduced): {cause}",
-            EngineDegradationWarning,
-            stacklevel=4,
-        )
-        return columns
-
     def __getstate__(self) -> dict[str, Any]:
-        # Worker processes only need the compute path; the memo (and the
-        # shared cache) can be large and is owned by the parent, so it
-        # stays home.
+        # A copy carries the compute path only: the memo (and the shared
+        # cache) can be large and belongs to this engine, so it stays home.
         state = self.__dict__.copy()
         state["_column_store"] = ColumnStore(self.column_memo_max_entries)
         state["_segments_loaded"] = set()
         state["shared_cache"] = None
-        # Workers must never write segments of their own (the parent owns
-        # the persistent tier, exactly like the in-memory caches).
+        # A copy must never write segments of its own (this engine owns the
+        # persistent tier, exactly like the in-memory caches).
         state["cache_dir"] = None
         return state
 

@@ -1,13 +1,13 @@
-"""Deterministic fault injection for the evaluation engine's recovery paths.
+"""Deterministic fault injection for the DSE stack's recovery paths.
 
 Fault tolerance that is only exercised by real hardware failures is fault
 tolerance that has never been tested.  This module gives the test suite a
-deterministic, seedable way to *make* the failures happen — a worker killed
-on exactly the nth shard submission, a worker hanging past the batch
-timeout, an exception raised inside a kernel call, a checkpoint blob
-corrupted on its way to disk — so every recovery path in the engine stack
-(retry/backoff, pool teardown, graceful degradation, checkpoint validation)
-is driven by tests, not luck.
+deterministic, seedable way to *make* the failures happen — a sweep killed
+right after its nth checkpoint, a cache segment or checkpoint blob
+corrupted on its way to disk, a service lane hung past a client's
+deadline — so every recovery path in the stack (checkpoint and segment
+validation, resume, the service's typed errors) is driven by tests, not
+luck.
 
 Injection is strictly opt-in and happens through *explicit hooks* compiled
 into the production code paths: each hook names a **site** and calls
@@ -17,14 +17,6 @@ attribute loads and a ``None`` check.
 
 Sites wired into the stack:
 
-``"shard"``
-    fired inside a sharded-backend worker at the start of every shard task,
-    with the parent's monotonically increasing *submission id* (retried
-    shards get fresh ids, so a fault pinned to submission *n* fires exactly
-    once even across retries);
-``"kernel"``
-    fired in the parent immediately before an in-process columnar kernel
-    call — drives the serial-kernel → scalar degradation rung;
 ``"checkpoint"``
     a *mangle* site: the serialized checkpoint blob passes through
     :func:`maybe_mangle` right before hitting disk, so corruption and
@@ -65,9 +57,6 @@ Sites wired into the stack:
     ``"hang"`` simulates a slow consumer (intermediate front updates
     conflate while the final result is preserved), a ``"raise"`` a
     connection that broke mid-write (the disconnect path).
-
-Plans travel to worker processes through the pool initialisers, so
-worker-side sites fire deterministically regardless of the start method.
 """
 
 from __future__ import annotations
@@ -117,7 +106,7 @@ class FaultSpec:
             ``delay_s``), ``"raise"`` (raise :class:`InjectedFault`) for
             fire sites; ``"flip-byte"`` / ``"truncate"`` for mangle sites.
         at: invocation/submission indices the spec fires on; ``None`` means
-            every invocation (useful to exhaust a retry policy).
+            every invocation (useful to fail every call a test makes).
         delay_s: sleep duration of the ``"hang"`` action.
         offset: byte offset mangled by ``"flip-byte"`` / kept by
             ``"truncate"``; ``None`` picks a deterministic offset from the
@@ -147,15 +136,10 @@ class FaultPlan:
     """A deterministic, seedable schedule of injected faults.
 
     The plan holds fault specs plus one per-site invocation counter; hooks
-    without an explicit index (e.g. the parent-side ``"kernel"`` site) are
-    numbered by that counter, hooks with one (worker-side sites, numbered by
-    the parent's submission ids) use it directly.  The seed only feeds the
-    byte-corruption offsets, so two plans with equal specs and seeds mangle
-    bytes identically.
-
-    Plans are picklable and travel to pool workers through the pool
-    initialisers; each process counts its own parent-side sites, while
-    worker-side sites stay globally deterministic through submission ids.
+    without an explicit index (every site wired into the stack) are
+    numbered by that counter, a caller that passes one uses it directly.
+    The seed only feeds the byte-corruption offsets, so two plans with
+    equal specs and seeds mangle bytes identically.
     """
 
     def __init__(self, specs: Sequence[FaultSpec], seed: int = 0) -> None:
@@ -218,17 +202,6 @@ class FaultPlan:
                 data = data[:offset]
         return data
 
-    def __getstate__(self) -> dict:
-        # Counters and the fired log are per-process observations; a worker
-        # receiving the plan starts its own.
-        return {"specs": self.specs, "seed": self.seed}
-
-    def __setstate__(self, state: dict) -> None:
-        self.specs = state["specs"]
-        self.seed = state["seed"]
-        self._counters = {}
-        self._fired = []
-
 
 # --------------------------------------------------------------------------
 # Global installation.  One plan per process; hooks consult it through the
@@ -250,7 +223,7 @@ def clear_fault_plan() -> None:
 
 
 def installed_fault_plan() -> FaultPlan | None:
-    """The currently installed plan, if any (pool initialisers ship it)."""
+    """The currently installed plan, if any."""
     return _INSTALLED
 
 

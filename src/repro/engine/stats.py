@@ -13,8 +13,7 @@ serving rate and the raw model rate:
   problem's objective components);
 * ``model_evaluations`` — full-network evaluations actually computed
   (misses of both genotype-level caches); ``vectorized_designs`` of them
-  ran through a column kernel, ``sharded_designs`` through one on the
-  worker pool, and the rest through the scalar model.
+  ran through the column kernel, and the rest through the scalar model.
 
 Counters are plain integers/floats; :meth:`EngineStats.snapshot` and the
 ``-`` operator make it cheap to attribute deltas to a single optimisation
@@ -44,22 +43,11 @@ class EngineStats:
             hits).
         model_evaluations: full-network model evaluations actually computed
             (through any compute path).
-        vectorized_designs: model evaluations computed by a columnar kernel,
-            in-process or sharded (a subset of ``model_evaluations``).
-        sharded_designs: model evaluations computed by the sharded
-            shared-memory columnar backend (a subset of
-            ``vectorized_designs``; zero when every kernel call ran
-            in-process).
+        vectorized_designs: model evaluations computed by the columnar
+            kernel (a subset of ``model_evaluations``).
         rows_skipped_cached: batch rows the caches served before a kernel
-            dispatch (in-process or sharded) — they never reach the column
-            gather, which only ever sees a batch's misses.
-        rows_pruned_in_workers: batch rows dominated inside their own shard
-            and pruned by the worker-side-pruning protocol
-            (``ShardedVectorizedBackend.evaluate_front_columns_sharded``):
-            they were evaluated (counted in ``model_evaluations`` /
-            ``sharded_designs``) but never shipped back to the parent, so
-            the parent-side archive merge of a pruned batch sees only
-            Σ(shard front sizes) rows, not the batch size.
+            dispatch — they never reach the column gather, which only ever
+            sees a batch's misses.
         designs_materialised: ``EvaluatedDesign`` objects built from column
             rows by ``problem.materialise_designs`` — by
             ``ColumnarBatchResult.materialise`` (so by every
@@ -74,21 +62,6 @@ class EngineStats:
             checkpoints read it) and the scalar loop; kernel misses stay
             ids, so a default sweep decodes its front alone.  The
             persistent tier's spill of the whole store is not counted.
-        worker_failures: failures observed by the worker pool (a worker
-            crash breaking the pool, a batch future timing out, an
-            exception escaping a worker task).  Each failure tears the pool
-            down; whether the batch is retried or degraded is reported by
-            the two counters below.
-        batches_retried: batch attempts re-dispatched onto a fresh pool by
-            the pool's :class:`~repro.engine.backends.RetryPolicy` after
-            a worker failure (one count per retry attempt, so a batch that
-            needed two fresh pools counts twice).
-        degraded_batches: batches that exhausted their retry policy and were
-            served by the engine's in-process degradation ladder instead
-            (sharded → in-process serial kernel → scalar path) — results
-            stay bitwise identical, only the compute path changes.
-        retry_wait_seconds: total wall-clock time spent sleeping in
-            exponential backoff between retry attempts.
         column_memo_evictions: column rows evicted by the LRU bound of the
             engine's id-keyed column store (``column_memo_max_entries``).
         rows_loaded_from_disk: column rows bulk-loaded from a persistent
@@ -122,15 +95,9 @@ class EngineStats:
     shared_cache_hits: int = 0
     model_evaluations: int = 0
     vectorized_designs: int = 0
-    sharded_designs: int = 0
     rows_skipped_cached: int = 0
-    rows_pruned_in_workers: int = 0
     designs_materialised: int = 0
     gene_rows_decoded: int = 0
-    worker_failures: int = 0
-    batches_retried: int = 0
-    degraded_batches: int = 0
-    retry_wait_seconds: float = 0.0
     column_memo_evictions: int = 0
     rows_loaded_from_disk: int = 0
     persistent_cache_hits: int = 0

@@ -61,14 +61,6 @@ class DseSpeedResult:
     columnar_wall_clock_s: float = 0.0
     columnar_object_wall_clock_s: float = 0.0
     columnar_designs_materialised: int = 0
-    #: designs served through the sharded shared-memory backend (0 = not
-    #: measured); ``sharded_designs`` counts the rows the workers' column
-    #: kernels actually computed (a silent fallback to the scalar path would
-    #: leave it at zero), ``sharded_workers`` the pool size used
-    sharded_evaluations: int = 0
-    sharded_wall_clock_s: float = 0.0
-    sharded_designs: int = 0
-    sharded_workers: int = 0
 
     @property
     def model_evaluations_per_second(self) -> float:
@@ -112,21 +104,6 @@ class DseSpeedResult:
         return self.columnar_object_wall_clock_s / self.columnar_wall_clock_s
 
     @property
-    def sharded_evaluations_per_second(self) -> float:
-        """Designs served per second through the sharded columnar backend."""
-        if self.sharded_wall_clock_s <= 0:
-            return 0.0
-        return self.sharded_evaluations / self.sharded_wall_clock_s
-
-    @property
-    def sharded_speedup(self) -> float:
-        """Sharded throughput relative to the single-process column kernel."""
-        single = self.vectorized_evaluations_per_second
-        if single <= 0:
-            return 0.0
-        return self.sharded_evaluations_per_second / single
-
-    @property
     def speedup(self) -> float:
         """Wall-clock ratio between one simulation and one model evaluation."""
         per_evaluation = self.model_wall_clock_s / self.model_evaluations
@@ -150,8 +127,6 @@ def run_dse_speed(
     engine_seed: int = 0,
     vectorized_evaluations: int = 2000,
     columnar_evaluations: int = 2000,
-    sharded_evaluations: int = 0,
-    sharded_max_workers: int | None = None,
 ) -> DseSpeedResult:
     """Measure the model throughput and the cost of one network simulation.
 
@@ -167,13 +142,6 @@ def run_dse_speed(
     the sweep discipline the search algorithms use).  Set
     ``engine_evaluations=0`` / ``vectorized_evaluations=0`` /
     ``columnar_evaluations=0`` to skip a measurement.
-
-    ``sharded_evaluations`` additionally measures the sharded shared-memory
-    backend (``backend="sharded"``): the same batch shape, sharded across
-    ``sharded_max_workers`` worker processes.  It is off by default — worker
-    pools only pay off for large batches on multi-core hosts; the benchmark
-    suite (``benchmarks/test_bench_dse_speed.py``) runs the tracked sharded
-    sweep with a warmed pool.
     """
     if model_evaluations <= 0:
         raise ValueError("model_evaluations must be positive")
@@ -183,8 +151,6 @@ def run_dse_speed(
         raise ValueError("vectorized_evaluations cannot be negative")
     if columnar_evaluations < 0:
         raise ValueError("columnar_evaluations cannot be negative")
-    if sharded_evaluations < 0:
-        raise ValueError("sharded_evaluations cannot be negative")
     evaluator = build_case_study_evaluator()
     node_configs = [
         ShimmerNodeConfig(compression_ratio, frequency_hz)
@@ -271,38 +237,6 @@ def run_dse_speed(
                 engine.stats.snapshot() - stats_before
             ).designs_materialised
 
-    sharded_wall_clock = 0.0
-    sharded_designs = 0
-    sharded_workers = 0
-    if sharded_evaluations:
-        # The engine context releases the worker pool and every
-        # shared-memory segment even if the measured batch raises.
-        with EvaluationEngine(
-            backend="sharded", max_workers=sharded_max_workers
-        ) as engine:
-            problem = WbsnDseProblem(
-                build_case_study_evaluator(), engine=engine
-            )
-            sharded_workers = engine.backend.max_workers
-            rng = np.random.default_rng(engine_seed)
-            genotypes = [
-                problem.space.random_genotype(rng)
-                for _ in range(sharded_evaluations)
-            ]
-            # Spawn the pool outside the measured window: a separate seed
-            # keeps the warm-up rows out of the measured batch's cache path.
-            warmup_rng = np.random.default_rng(engine_seed + 1_000_003)
-            problem.evaluate_batch(
-                [problem.space.random_genotype(warmup_rng) for _ in range(4)]
-            )
-            stats_before = engine.stats.snapshot()
-            started = time.perf_counter()
-            problem.evaluate_batch(genotypes)
-            sharded_wall_clock = time.perf_counter() - started
-            sharded_designs = (
-                engine.stats.snapshot() - stats_before
-            ).sharded_designs
-
     output_stream = ECG_SAMPLING_RATE_HZ * SAMPLE_WIDTH_BYTES * compression_ratio
     scenario = StarNetworkScenario(
         [output_stream] * len(evaluator.nodes),
@@ -326,10 +260,6 @@ def run_dse_speed(
         columnar_wall_clock_s=columnar_wall_clock,
         columnar_object_wall_clock_s=columnar_object_wall_clock,
         columnar_designs_materialised=columnar_materialised,
-        sharded_evaluations=sharded_evaluations,
-        sharded_wall_clock_s=sharded_wall_clock,
-        sharded_designs=sharded_designs,
-        sharded_workers=sharded_workers,
     )
 
 
@@ -363,15 +293,6 @@ def main() -> DseSpeedResult:
             f"vs {result.columnar_object_wall_clock_s:.3f} s on the object path "
             f"({result.columnar_speedup:.2f}x; only "
             f"{result.columnar_designs_materialised} front designs materialised)"
-        )
-    if result.sharded_evaluations:
-        print(
-            f"engine path (sharded, {result.sharded_workers} workers): "
-            f"{result.sharded_evaluations} designs served in "
-            f"{result.sharded_wall_clock_s:.2f} s "
-            f"({result.sharded_evaluations_per_second:.0f} served/s; "
-            f"{result.sharded_speedup:.2f}x the single-process kernel; "
-            f"{result.sharded_designs} rows computed by worker kernels)"
         )
     print(
         f"simulation: {result.simulated_seconds:.0f} simulated seconds in "

@@ -81,7 +81,6 @@ def run_fig5(
     annealing_iterations: int = 1500,
     theta: float = 0.5,
     seed: int = 3,
-    backend: str = "serial",
     cache_dir: str | Path | None = None,
 ) -> Fig5Result:
     """Regenerate the Figure 5 comparison.
@@ -90,8 +89,7 @@ def run_fig5(
     :class:`~repro.engine.EvaluationEngine` per problem: the NSGA-II run and
     the simulated-annealing cross-check reuse the full-model problem's caches
     (the annealing walk revisits many configurations the genetic run already
-    evaluated), and the ``backend`` argument selects the engine's execution
-    backend for the batched generations.
+    evaluated).
 
     The full and baseline problems additionally share **one**
     :class:`~repro.engine.SharedGenotypeCache`: they differ only in their
@@ -107,47 +105,21 @@ def run_fig5(
     the same directory warm-starts the full run too.
     """
     shared_cache = SharedGenotypeCache()
-    # Engines are context managers: the sharded backend's worker pool and
-    # shared-memory segments are released even when a run fails.
-    with EvaluationEngine(
-        backend=backend, shared_cache=shared_cache
-    ) as full_engine, EvaluationEngine(
-        backend=backend, shared_cache=shared_cache
-    ) as baseline_engine:
-        full_problem = WbsnDseProblem(
-            build_case_study_evaluator(theta=theta),
-            record_evaluations=True,
-            engine=full_engine,
-        )
-        baseline_problem = WbsnDseProblem(
-            build_baseline_evaluator(theta=theta),
-            record_evaluations=True,
-            engine=baseline_engine,
-        )
-        if cache_dir is not None:
-            # Warm-start the full exploration from a previous campaign's
-            # segment (first run: silent cold start).
-            full_engine.load_persistent_cache(cache_dir)
-        return _run_fig5(
-            full_problem,
-            baseline_problem,
-            population_size=population_size,
-            generations=generations,
-            annealing_iterations=annealing_iterations,
-            seed=seed,
-            cache_dir=cache_dir,
-        )
-
-
-def _run_fig5(
-    full_problem: WbsnDseProblem,
-    baseline_problem: WbsnDseProblem,
-    population_size: int,
-    generations: int,
-    annealing_iterations: int,
-    seed: int,
-    cache_dir: str | Path | None = None,
-) -> Fig5Result:
+    full_engine = EvaluationEngine(shared_cache=shared_cache)
+    full_problem = WbsnDseProblem(
+        build_case_study_evaluator(theta=theta),
+        record_evaluations=True,
+        engine=full_engine,
+    )
+    baseline_problem = WbsnDseProblem(
+        build_baseline_evaluator(theta=theta),
+        record_evaluations=True,
+        engine=EvaluationEngine(shared_cache=shared_cache),
+    )
+    if cache_dir is not None:
+        # Warm-start the full exploration from a previous campaign's
+        # segment (first run: silent cold start).
+        full_engine.load_persistent_cache(cache_dir)
     nsga2_settings = Nsga2Settings(
         population_size=population_size, generations=generations, seed=seed
     )

@@ -15,7 +15,7 @@ design ids (:mod:`repro.service.protocol`):
   free, coalescing the evaluate requests queued behind a busy engine into
   shared columnar batches, runs sweeps through the
   real :func:`~repro.dse.run_algorithm` (fronts bitwise identical to
-  in-process runs), propagates deadlines into the backend retry policy, and
+  in-process runs), checks deadlines at every dispatch boundary, and
   keeps per-client :class:`~repro.engine.EngineStats` attribution ledgers;
 * :mod:`repro.service.admission` —
   :class:`~repro.service.admission.AdmissionController`: the bounded
@@ -26,11 +26,10 @@ design ids (:mod:`repro.service.protocol`):
 
 The robustness contract, end to end: burst overload sheds with typed
 errors while admitted requests complete unharmed; a per-request deadline
-can never be exceeded by a hung worker (it clamps the engine's retry
-policy and is checked at every dispatch boundary); a client disconnect
+is checked at every dispatch boundary and between sweep chunks, and a
+missed one is a typed error for that client alone; a client disconnect
 never wedges the engine lane; shutdown drains in-flight work and spills
-the persistent cache; engine degradation is surfaced per response, never
-hidden.
+the persistent cache.
 """
 
 from repro.service.admission import AdmissionController

@@ -1,9 +1,9 @@
 """The engine lane: one serialized consumer coalescing clients onto batches.
 
-The :class:`~repro.engine.EvaluationEngine` is not thread-safe — its memos,
-stats and backend pools assume a single caller — so the service funnels all
-engine work through one **lane**: an asyncio consumer task that drains a
-queue of client work items and executes each engine call in a dedicated
+The :class:`~repro.engine.EvaluationEngine` is not thread-safe — its memos
+and stats assume a single caller — so the service funnels all engine work
+through one **lane**: an asyncio consumer task that drains a queue of
+client work items and executes each engine call in a dedicated
 single-thread executor (the event loop stays responsive for admission,
 deadline bookkeeping and response I/O while the engine computes).
 
@@ -20,11 +20,10 @@ The lane is where concurrent clients become one workload:
   already swept is served entirely from the memo caches.
 * **Deadline enforcement** — a request's deadline is checked before
   dispatch (expired requests are answered without occupying the engine),
-  propagated *into* the engine for the call itself
-  (:meth:`~repro.engine.EvaluationEngine.deadline_scope` clamps the
-  backend's retry policy so a hung worker cannot block past the deadline),
   checked again after the call, and — for sweeps — checked between chunks
-  through the sweep's ``front_callback``.  A missed deadline is a typed
+  through the sweep's ``front_callback``.  The engine computes in-process,
+  so a call is never interrupted mid-batch: a lane stuck past a deadline
+  answers the affected clients late but typed.  A missed deadline is a
   :class:`~repro.service.protocol.DeadlineExceededError` for that client
   only; the engine and the other clients in the batch are unaffected.
 * **Attribution** — per-client :class:`~repro.engine.EngineStats` ledgers
@@ -37,11 +36,6 @@ The lane is where concurrent clients become one workload:
   operations over the batch's columns, run on the lane thread.  Sweeps run
   lane-exclusive, so their attribution is exact: the engine-stats delta of
   the run is merged into the requesting client's ledger.
-* **Degradation surfacing** — engine calls run under a warning trap; an
-  :class:`~repro.engine.EngineDegradationWarning` (or a
-  ``degraded_batches`` stats delta) sets the ``degraded`` flag on every
-  affected client's response, so clients learn their results took the
-  slow path without scraping the server's stderr.
 
 Design ids travel from the wire to the engine and back: the server checks a
 request's ids once (:class:`~repro.dse.space.DesignIds`), the lane
@@ -61,7 +55,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -70,7 +63,7 @@ import numpy as np
 
 from repro.dse import ExhaustiveSearch, RandomSearch, run_algorithm
 from repro.dse.space import DesignIds
-from repro.engine import EngineDegradationWarning, EngineStats, faults
+from repro.engine import EngineStats, faults
 from repro.service.protocol import (
     BadRequestError,
     DeadlineExceededError,
@@ -88,7 +81,6 @@ class EvaluateOutcome:
     """
 
     columns: dict[str, np.ndarray]
-    degraded: bool
 
 
 @dataclass(frozen=True)
@@ -102,7 +94,6 @@ class SweepOutcome:
     front: dict[str, np.ndarray]
     evaluations: int
     engine_stats: dict
-    degraded: bool
 
 
 @dataclass
@@ -363,8 +354,6 @@ class EngineLane:
             self.items_coalesced += len(live)
 
         sizes = [len(item.ids) for item in live]
-        deadlines = [item.deadline for item in live if item.deadline is not None]
-        remaining = min(deadlines) - now if deadlines else None
 
         def work():
             # Fired here, in the executor thread, so a "hang" stalls the
@@ -374,16 +363,7 @@ class EngineLane:
             ids = DesignIds(  # every item's ids were checked at ingress
                 np.concatenate([item.ids.values for item in live]), live[0].ids.size
             )
-            before = self.engine.stats.snapshot()
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", EngineDegradationWarning)
-                with self.engine.deadline_scope(remaining):
-                    batch = self.problem.evaluate_batch_columns(ids)
-            delta = self.engine.stats.snapshot() - before
-            degraded = delta.degraded_batches > 0 or any(
-                issubclass(entry.category, EngineDegradationWarning)
-                for entry in caught
-            )
+            batch = self.problem.evaluate_batch_columns(ids)
             columns = _row_columns(batch)
             columns["cached"] = batch.cached
             # The first requester of each computed id owns its model
@@ -394,11 +374,11 @@ class EngineLane:
                 np.cumsum(sizes), computed[first], side="right"
             )
             owned = np.bincount(owners, minlength=len(live)).tolist()
-            return columns, owned, degraded
+            return columns, owned
 
         loop = asyncio.get_running_loop()
         try:
-            columns, owned, degraded = await loop.run_in_executor(
+            columns, owned = await loop.run_in_executor(
                 self._executor, work
             )
         except BaseException as exc:  # noqa: BLE001 - every item gets the error
@@ -428,9 +408,7 @@ class EngineLane:
                     )
                 )
                 continue
-            item.future.set_result(
-                EvaluateOutcome(columns=item_columns, degraded=degraded)
-            )
+            item.future.set_result(EvaluateOutcome(columns=item_columns))
 
     # --------------------------------------------------------------- sweeps
 
@@ -445,7 +423,6 @@ class EngineLane:
                 )
             )
             return
-        remaining = item.deadline - now if item.deadline is not None else None
         loop = asyncio.get_running_loop()
 
         def post_update(archive: Any, cursor: int) -> None:
@@ -469,23 +446,11 @@ class EngineLane:
             algorithm = _SWEEP_FACTORIES[item.algorithm](
                 self.problem, **item.params
             )
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", EngineDegradationWarning)
-                with self.engine.deadline_scope(remaining):
-                    result = run_algorithm(
-                        algorithm, front_callback=post_update
-                    )
-            degraded = (
-                result.engine_stats is not None
-                and result.engine_stats.degraded_batches > 0
-            ) or any(
-                issubclass(entry.category, EngineDegradationWarning)
-                for entry in caught
-            )
-            return result, _front_columns(self.problem, result.front), degraded
+            result = run_algorithm(algorithm, front_callback=post_update)
+            return result, _front_columns(self.problem, result.front)
 
         try:
-            result, front, degraded = await loop.run_in_executor(
+            result, front = await loop.run_in_executor(
                 self._executor, work
             )
         except (TypeError, ValueError) as exc:
@@ -524,7 +489,6 @@ class EngineLane:
                     if result.engine_stats is not None
                     else {}
                 ),
-                degraded=degraded,
             )
         )
 

@@ -60,13 +60,10 @@ class EvaluateReply:
         cached: per-row flags — ``True`` where the service's memos or
             persistent tier served the row with no model call in the batch
             (this client's request did no model work for it).
-        degraded: the batch was computed while the engine ran on its
-            in-process degradation ladder (results identical, path slower).
     """
 
     rows: DesignRows
     cached: np.ndarray
-    degraded: bool
 
 
 @dataclass(frozen=True)
@@ -81,13 +78,11 @@ class SweepReply:
         evaluations: designs served to the sweep (cache hits included).
         engine_stats: the run's engine-counter delta, as a plain mapping
             (see :meth:`~repro.engine.EngineStats.as_dict`).
-        degraded: the sweep ran (at least partly) on the degradation ladder.
     """
 
     front: DesignRows
     evaluations: int
     engine_stats: dict
-    degraded: bool
 
 
 @dataclass(frozen=True)
@@ -224,14 +219,13 @@ class DseServiceClient:
             ids = encode_ids(genotypes, self.cardinalities)
         except (TypeError, ValueError) as exc:
             raise BadRequestError(f"malformed genotypes: {exc}") from exc
-        reply, frame = await self._request(
+        _, frame = await self._request(
             {"op": "evaluate", "deadline_s": deadline_s, "columns": {"ids": ids}}
         )
         columns = unpack_frame(_require_frame(frame), REPLY_COLUMNS)
         return EvaluateReply(
             rows=DesignRows(columns, self.cardinalities),
             cached=columns["cached"],
-            degraded=bool(reply["degraded"]),
         )
 
     async def sweep(
@@ -260,7 +254,6 @@ class DseServiceClient:
             ),
             evaluations=int(reply["evaluations"]),
             engine_stats=dict(reply["engine_stats"]),
-            degraded=bool(reply["degraded"]),
         )
 
     # ------------------------------------------------------------ internals

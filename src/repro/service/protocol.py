@@ -81,7 +81,7 @@ __all__ = [
 
 #: Bumped on any incompatible wire-format change; checked by both ends of
 #: the ``hello`` handshake so a mismatched peer fails loudly, not subtly.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Bound on one envelope line and on one column frame, on both ends of the
 #: connection.  16 MiB covers a ~300k-row evaluate reply while still

@@ -10,20 +10,16 @@ enforces the robustness contract the in-process stack cannot:
   watermark hysteresis (:class:`~repro.service.admission.AdmissionController`)
   sheds burst overload with typed ``overload`` errors instead of queueing
   without bound or silently dropping requests;
-* **deadline propagation** — a request's ``deadline_s`` travels into the
-  engine lane, which clamps the backend retry policy around it
-  (:meth:`~repro.engine.EvaluationEngine.deadline_scope`) and checks it at
-  every dispatch boundary, so a hung worker converts into a typed
-  ``deadline`` error instead of an unbounded stall;
+* **deadlines** — a request's ``deadline_s`` travels into the engine lane,
+  which checks it at every dispatch boundary and between sweep chunks, so
+  a missed deadline (a slow or stuck lane included) reaches the client as a
+  typed ``deadline`` error;
 * **graceful drain** — :meth:`DseService.stop` stops admitting, lets every
   admitted request complete, flushes connections, spills the persistent
   cache tier, and only then tears the engine lane down;
 * **warm start** — with a ``cache_dir`` the engine bulk-memoises the
   problem's on-disk segment at boot, so the first client of a fingerprint
-  another process already swept is served from disk rows;
-* **degradation surfacing** — responses computed while the engine degraded
-  to its in-process ladder carry ``"degraded": true``, mirroring the
-  in-process :class:`~repro.engine.EngineDegradationWarning`.
+  another process already swept is served from disk rows.
 
 **Framing.** Requests and responses are JSON envelope lines; design rows
 cross the socket only as binary column frames keyed by packed design ids
@@ -517,7 +513,6 @@ class DseService:
                     "id": request_id,
                     "event": "result",
                     "ok": True,
-                    "degraded": outcome.degraded,
                     "columns": outcome.columns,
                 }
             )
@@ -538,7 +533,6 @@ class DseService:
                     "ok": True,
                     "evaluations": outcome.evaluations,
                     "engine_stats": outcome.engine_stats,
-                    "degraded": outcome.degraded,
                     "columns": outcome.front,
                 }
             )

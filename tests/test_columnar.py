@@ -4,20 +4,24 @@ The columnar path (``EvaluationEngine.evaluate_many_columnar`` /
 ``ColumnarBatchResult``) must be *semantically invisible*: exhaustive and
 random-search sweeps return bitwise-identical fronts — membership **and**
 ordering — with the columnar path on or off, for both MAC families and for
-the serial kernel, the sharded backend and the scalar fallback alike.  On
-top of parity, these tests pin the point of the seam: sweeps prune on raw
-objective columns and materialise only their survivors
-(``EngineStats.designs_materialised`` tracks the front, never the space),
-and genotype-cache hits re-enter pruning as memoised column rows without an
-object round-trip (``rows_skipped_cached`` keeps working).
+the column kernel and the scalar fallback alike.  On top of parity, these
+tests pin the point of the seam: sweeps prune on raw objective columns and
+materialise only their survivors (``EngineStats.designs_materialised``
+tracks the front, never the space), genotype-cache hits re-enter pruning as
+memoised column rows without an object round-trip (``rows_skipped_cached``
+keeps working), and empty, all-cached and duplicate-only batches never
+reach a kernel.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.dse.exhaustive import ExhaustiveCapWarning, ExhaustiveSearch
+from repro.dse.nsga2 import Nsga2, Nsga2Settings
 from repro.dse.pareto import (
     pareto_front_indices,
     running_front_indices,
@@ -25,6 +29,11 @@ from repro.dse.pareto import (
 )
 from repro.dse.problem import WbsnDseProblem, csma_mac_parameterisation
 from repro.dse.random_search import RandomSearch
+from repro.dse.runner import run_algorithm
+from repro.dse.simulated_annealing import (
+    MultiObjectiveSimulatedAnnealing,
+    SimulatedAnnealingSettings,
+)
 from repro.engine import ColumnarBatchResult, EvaluationEngine, SharedGenotypeCache
 from repro.experiments.casestudy import (
     build_case_study_evaluator,
@@ -106,23 +115,6 @@ class TestSweepParity:
         columnar = ExhaustiveSearch(build(vectorized=False), columnar=True).run()
         assert front_signature(objects) == front_signature(columnar)
 
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_sharded_backend_identical_fronts(self, scenario):
-        build = SCENARIOS[scenario]
-        serial = ExhaustiveSearch(build(), columnar=True).run()
-        with EvaluationEngine(backend="sharded", max_workers=2) as engine:
-            problem = build(engine)
-            sharded = ExhaustiveSearch(problem, columnar=True).run()
-            stats = engine.stats
-            # Worker column kernels computed every miss; survivors only were
-            # materialised, parent-side.
-            assert stats.sharded_designs > 0
-            assert stats.designs_materialised == len(sharded)
-            # The sweep's prune hint made the workers drop dominated rows
-            # before shipping — without moving the front.
-            assert stats.rows_pruned_in_workers > 0
-        assert front_signature(serial) == front_signature(sharded)
-
     def test_columnar_flag_needs_columnar_support(self):
         recording = beacon_problem(record_evaluations=True)
         assert not recording.supports_columnar
@@ -155,9 +147,8 @@ def sweep_problem(scenario: str, engine: EvaluationEngine | None = None) -> Wbsn
 
 class Test8192CaseStudyParity:
     """The acceptance matrix: 8192-design sweeps, both MAC families,
-    serial and sharded backends, exhaustive and random search — bitwise
-    identical fronts with the columnar path on vs off, materialising only
-    the front."""
+    exhaustive and random search — bitwise identical fronts with the
+    columnar path on vs off, materialising only the front."""
 
     @pytest.mark.parametrize("scenario", ["beacon", "csma"])
     def test_exhaustive_and_random_fronts_identical(self, scenario):
@@ -171,18 +162,6 @@ class Test8192CaseStudyParity:
         ).run()
         assert front_signature(reference) == front_signature(columnar)
         assert columnar_problem.engine.stats.designs_materialised == len(columnar)
-
-        with EvaluationEngine(backend="sharded", max_workers=2) as engine:
-            sharded_problem = sweep_problem(scenario, engine)
-            sharded = ExhaustiveSearch(
-                sharded_problem, chunk_size=2048, columnar=True
-            ).run()
-            assert front_signature(reference) == front_signature(sharded)
-            assert engine.stats.sharded_designs > 0
-            assert engine.stats.designs_materialised == len(sharded)
-            # On 8192 designs the shard fronts are tiny: almost every
-            # evaluated row is pruned worker-side.
-            assert engine.stats.rows_pruned_in_workers > 7000
 
         random_objects = RandomSearch(
             sweep_problem(scenario), samples=1500, seed=8, columnar=False
@@ -390,6 +369,337 @@ class TestCachedColumn:
         assert not problem.evaluate_batch_columns(genotypes).cached.any()
 
 
+class TestCachedRowMask:
+    """Memoised rows skip the column gather; warm batches skip the kernel."""
+
+    def test_warm_batch_skips_the_kernel_entirely(self):
+        with EvaluationEngine() as engine:
+            problem = beacon_problem(engine)
+            rng = np.random.default_rng(3)
+            genotypes = [problem.space.random_genotype(rng) for _ in range(40)]
+            problem.evaluate_batch(genotypes)
+            before = engine.stats.snapshot()
+            again = problem.evaluate_batch(genotypes)
+            delta = engine.stats.snapshot() - before
+            assert delta.model_evaluations == 0
+            assert delta.rows_skipped_cached == len(set(genotypes))
+            assert [d.objectives for d in again] == [
+                d.objectives for d in problem.evaluate_batch(genotypes)
+            ]
+
+    def test_mixed_batch_only_computes_the_misses(self):
+        with EvaluationEngine() as engine:
+            problem = beacon_problem(engine)
+            warm = [(0, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1)]
+            problem.evaluate_batch(warm)
+            cold = [(0, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 0)]
+            before = engine.stats.snapshot()
+            problem.evaluate_batch(warm + cold)
+            delta = engine.stats.snapshot() - before
+            assert delta.model_evaluations == len(cold)
+            assert delta.vectorized_designs == len(cold)
+            assert delta.rows_skipped_cached == len(warm)
+
+    def test_serial_kernel_honours_the_mask_too(self):
+        with EvaluationEngine() as engine:
+            problem = beacon_problem(engine)
+            warm = [(0, 0, 0, 0, 0, 0)]
+            problem.evaluate_batch(warm)
+            before = engine.stats.snapshot()
+            problem.evaluate_batch(warm + [(1, 1, 1, 1, 1, 1)])
+            delta = engine.stats.snapshot() - before
+            assert delta.model_evaluations == 1
+            assert delta.vectorized_designs == 1
+            assert delta.rows_skipped_cached == 1
+
+    def test_warm_resweep_serves_every_row_from_the_memo(self):
+        """A second columnar pass over the space serves the memoised rows as
+        they are: nothing is recomputed and every row is flagged cached."""
+        with EvaluationEngine() as engine:
+            problem = beacon_problem(engine)
+            genotypes = list(problem.space.enumerate_genotypes())
+            first = problem.evaluate_batch_columns(genotypes)
+            before = engine.stats.snapshot()
+            second = problem.evaluate_batch_columns(genotypes)
+            delta = engine.stats - before
+            assert delta.model_evaluations == 0
+            assert delta.rows_skipped_cached == len(genotypes)
+            assert bool(second.cached.all())
+            assert second.ids.tolist() == first.ids.tolist()
+            assert second.objectives.tobytes() == first.objectives.tobytes()
+            assert second.feasible.tolist() == first.feasible.tolist()
+
+
+class TestKernelLessProblems:
+    """Problems without a kernel compute on the in-process scalar loop."""
+
+    def test_scalar_fallback_for_kernel_less_problems(self):
+        """No kernel: the batch takes the in-process scalar loop instead."""
+        serial = beacon_problem(EvaluationEngine())
+        with EvaluationEngine() as engine:
+            problem = WbsnDseProblem(
+                build_case_study_evaluator(n_nodes=2, applications=("dwt", "cs")),
+                **NODE_DOMAINS,
+                payload_bytes=(60, 80),
+                order_pairs=((4, 4), (4, 6)),
+                engine=engine,
+                vectorized=False,
+            )
+            rng = np.random.default_rng(2)
+            genotypes = [problem.space.random_genotype(rng) for _ in range(24)]
+            fast = problem.evaluate_batch(genotypes)
+            slow = serial.evaluate_batch(genotypes)
+            assert [d.objectives for d in fast] == [d.objectives for d in slow]
+            assert engine.stats.vectorized_designs == 0
+            assert engine.stats.model_evaluations > 0
+
+    def test_kernel_less_batches_compute_each_design_in_process(self):
+        """Each miss is one ``compute_design`` call in this process."""
+        with EvaluationEngine() as engine:
+            problem = beacon_problem(engine, vectorized=False)
+            genotypes = list(problem.space.enumerate_genotypes())[:24]
+            designs = problem.evaluate_batch(genotypes)
+            assert engine.stats.model_evaluations == len(genotypes)
+            assert [d.objectives for d in designs] == [
+                problem.compute_design(genotype).objectives
+                for genotype in genotypes
+            ]
+
+    def test_kernel_less_mixed_batch_only_computes_the_misses(self):
+        with EvaluationEngine() as engine:
+            problem = beacon_problem(engine, vectorized=False)
+            warm = [(0, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1)]
+            problem.evaluate_batch(warm)
+            cold = [(0, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 0)]
+            before = engine.stats.snapshot()
+            designs = problem.evaluate_batch(warm + cold)
+            delta = engine.stats.snapshot() - before
+            assert delta.model_evaluations == len(cold)
+            assert delta.genotype_cache_hits == len(warm)
+            assert delta.vectorized_designs == 0
+            assert [d.objectives for d in designs] == [
+                problem.compute_design(genotype).objectives
+                for genotype in warm + cold
+            ]
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_kernel_less_sweep_keeps_the_kernel_front(self, scenario):
+        build = SCENARIOS[scenario]
+        reference = run_algorithm(ExhaustiveSearch(build(), chunk_size=16))
+        result = run_algorithm(
+            ExhaustiveSearch(build(vectorized=False), chunk_size=16)
+        )
+        assert front_signature(result.front) == front_signature(reference.front)
+        assert result.engine_stats.vectorized_designs == 0
+        assert result.engine_stats.model_evaluations == 63  # all but the probe
+        assert reference.engine_stats.vectorized_designs == 63
+
+
+class TestComputePathParity:
+    """The column kernel and the scalar loop yield identical fronts, bit for
+    bit, for all four algorithms and both MAC families."""
+
+    ALGORITHMS = {
+        "exhaustive": lambda problem: ExhaustiveSearch(problem, chunk_size=16),
+        "random": lambda problem: RandomSearch(problem, samples=40, seed=5),
+        "nsga2": lambda problem: Nsga2(
+            problem, Nsga2Settings(population_size=12, generations=4, seed=5)
+        ),
+        "annealing": lambda problem: MultiObjectiveSimulatedAnnealing(
+            problem, SimulatedAnnealingSettings(iterations=60, seed=5)
+        ),
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_all_four_algorithms_identical(self, scenario):
+        build = SCENARIOS[scenario]
+        scalar = build(vectorized=False)
+        with EvaluationEngine() as engine:
+            kernel = build(engine)
+            for name in sorted(self.ALGORITHMS):
+                factory = self.ALGORITHMS[name]
+                want = front_signature(factory(scalar).run())
+                got = front_signature(factory(kernel).run())
+                assert got == want, (scenario, name)
+            # Both paths computed the same designs, once each; batch misses
+            # went through the kernel on one side only.
+            assert engine.stats.model_evaluations == (
+                scalar.engine.stats.model_evaluations
+            )
+            assert engine.stats.vectorized_designs > 0
+        assert scalar.engine.stats.vectorized_designs == 0
+
+    def test_kernel_matches_the_scalar_loop_on_random_batches(self):
+        scalar = beacon_problem(vectorized=False)
+        kernel = beacon_problem()
+        rng = np.random.default_rng(11)
+        genotypes = [kernel.space.random_genotype(rng) for _ in range(150)]
+        genotypes += genotypes[:30]  # duplicates exercise the dedup path
+        fast = kernel.evaluate_batch(genotypes)
+        slow = scalar.evaluate_batch(genotypes)
+        assert [d.objectives for d in fast] == [d.objectives for d in slow]
+        assert [d.feasible for d in fast] == [d.feasible for d in slow]
+        assert [d.genotype for d in fast] == [d.genotype for d in slow]
+
+
+class TestSweepBatchContract:
+    """Columnar sweeps hand ``evaluate_batch_columns`` the batch alone and
+    keep every row it returns: a problem whose method takes nothing else
+    serves them unchanged."""
+
+    class BatchOnlyProblem(WbsnDseProblem):
+        def __init__(self, *args, **kwargs):
+            self.batch_sizes = []
+            super().__init__(*args, **kwargs)
+
+        def evaluate_batch_columns(self, batch):
+            self.batch_sizes.append(len(batch))
+            result = super().evaluate_batch_columns(batch)
+            assert len(result) == len(batch)
+            return result
+
+    def batch_only_problem(self) -> WbsnDseProblem:
+        return self.BatchOnlyProblem(
+            build_case_study_evaluator(n_nodes=2, applications=("dwt", "cs")),
+            **NODE_DOMAINS,
+            payload_bytes=(60, 80),
+            order_pairs=((4, 4), (4, 6)),
+            engine=EvaluationEngine(),
+        )
+
+    SEARCHES = {
+        "exhaustive": lambda problem: ExhaustiveSearch(
+            problem, chunk_size=16, columnar=True
+        ),
+        "random": lambda problem: RandomSearch(
+            problem, samples=150, seed=5, columnar=True
+        ),
+    }
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    def test_sweeps_pass_only_the_batch(self, search):
+        run = self.SEARCHES[search]
+        problem = self.batch_only_problem()
+        front = run(problem).run()
+        assert problem.batch_sizes
+        assert front_signature(front) == front_signature(run(beacon_problem()).run())
+
+
+class TestKernelTables:
+    """The compiled tables survive a pickle round trip bit for bit."""
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_pickled_kernel_keeps_its_tables(self, scenario):
+        kernel = SCENARIOS[scenario]().vectorized_kernel
+        tables = kernel.shareable_tables()
+        assert tables, "the compiled kernel should expose column tables"
+        clone = pickle.loads(pickle.dumps(kernel)).shareable_tables()
+        assert clone.keys() == tables.keys()
+        for name, table in tables.items():
+            assert clone[name].dtype == table.dtype, name
+            assert np.array_equal(clone[name], table), name
+
+
+#: The two compute paths: the column kernel and the scalar loop.
+COMPUTE_PATHS = pytest.mark.parametrize(
+    "vectorized", [True, False], ids=["kernel", "scalar"]
+)
+
+
+class TestDegenerateBatches:
+    """Empty, all-cached and duplicate-only batches never reach a kernel
+    (nor the scalar loop), through the object and the columnar API."""
+
+    @COMPUTE_PATHS
+    def test_empty_batch(self, vectorized):
+        with EvaluationEngine() as engine:
+            problem = beacon_problem(engine, vectorized=vectorized)
+            before = engine.stats.snapshot()
+            assert problem.evaluate_batch([]) == []
+            delta = engine.stats.snapshot() - before
+            assert delta.model_evaluations == 0
+            assert delta.vectorized_designs == 0
+
+    @COMPUTE_PATHS
+    def test_all_cached_batch(self, vectorized):
+        with EvaluationEngine() as engine:
+            problem = beacon_problem(engine, vectorized=vectorized)
+            genotypes = [(0, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1)]
+            first = problem.evaluate_batch(genotypes)
+            before = engine.stats.snapshot()
+            again = problem.evaluate_batch(genotypes)
+            delta = engine.stats.snapshot() - before
+            assert delta.model_evaluations == 0
+            assert delta.vectorized_designs == 0
+            assert delta.genotype_cache_hits == len(genotypes)
+            assert front_signature(again) == front_signature(first)
+
+    @COMPUTE_PATHS
+    def test_duplicate_only_batch(self, vectorized):
+        with EvaluationEngine() as engine:
+            problem = beacon_problem(engine, vectorized=vectorized)
+            genotype = (1, 0, 1, 0, 1, 0)
+            before = engine.stats.snapshot()
+            designs = problem.evaluate_batch([genotype] * 7)
+            delta = engine.stats.snapshot() - before
+            assert delta.model_evaluations == 1
+            assert delta.genotype_cache_hits == 6
+            assert len({front_signature([d])[0] for d in designs}) == 1
+
+    @COMPUTE_PATHS
+    def test_empty_columnar_batch(self, vectorized):
+        with EvaluationEngine() as engine:
+            problem = beacon_problem(engine, vectorized=vectorized)
+            before = engine.stats.snapshot()
+            batch = problem.evaluate_batch_columns(problem.space.index_matrix([]))
+            delta = engine.stats.snapshot() - before
+            assert len(batch) == 0
+            assert batch.objectives.shape == (0, problem.n_objectives)
+            assert batch.feasible.shape == (0,)
+            assert batch.violation_counts.shape == (0,)
+            assert batch.materialise() == []
+            assert delta.model_evaluations == 0
+
+    @COMPUTE_PATHS
+    def test_all_cached_columnar_batch(self, vectorized):
+        with EvaluationEngine() as engine:
+            problem = beacon_problem(engine, vectorized=vectorized)
+            genotypes = [(0, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1)]
+            first = problem.evaluate_batch_columns(genotypes)
+            before = engine.stats.snapshot()
+            again = problem.evaluate_batch_columns(genotypes)
+            delta = engine.stats.snapshot() - before
+            assert delta.model_evaluations == 0
+            assert delta.genotype_cache_hits == len(genotypes)
+            assert bool(again.cached.all())
+            assert again.objectives.tobytes() == first.objectives.tobytes()
+            assert again.genotypes.tolist() == [list(g) for g in genotypes]
+
+    @COMPUTE_PATHS
+    def test_duplicate_only_columnar_batch(self, vectorized):
+        with EvaluationEngine() as engine:
+            problem = beacon_problem(engine, vectorized=vectorized)
+            genotype = (1, 0, 1, 0, 1, 0)
+            before = engine.stats.snapshot()
+            batch = problem.evaluate_batch_columns([genotype] * 7)
+            delta = engine.stats.snapshot() - before
+            assert delta.model_evaluations == 1
+            assert delta.genotype_cache_hits == 6
+            assert len(batch) == 7
+            assert len({tuple(row) for row in batch.objectives.tolist()}) == 1
+            assert batch.genotypes.tolist() == [list(genotype)] * 7
+            assert not batch.cached.any()  # computed in this batch
+
+    def test_zero_length_gather_never_reaches_the_kernel(self):
+        """The kernel itself early-returns on an empty batch."""
+        problem = beacon_problem(EvaluationEngine())
+        kernel = problem.vectorized_kernel
+        empty = kernel.evaluate_columns(problem.space.index_matrix([]))
+        assert empty.objectives.shape == (0, problem.n_objectives)
+        assert empty.feasible.shape == (0,)
+        assert empty.violation_counts.shape == (0,)
+
+
 class TestRunningFrontIndices:
     """The shared columns-in/indices-out pruning kernel."""
 
@@ -422,7 +732,7 @@ class TestRunningFrontIndices:
 class TestSkylineToggleParity:
     """The skyline kernels are a drop-in for the blockwise dominance
     matrices: sweeping with them disabled must reproduce the exact same
-    fronts, membership and ordering, on every backend that prunes."""
+    fronts, membership and ordering."""
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_columnar_sweep_fronts_identical_with_skyline_off(self, scenario):
@@ -433,23 +743,6 @@ class TestSkylineToggleParity:
             blockwise = ExhaustiveSearch(build(), columnar=True).run()
         assert front_signature(skyline) == front_signature(blockwise)
         assert skyline
-
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_sharded_worker_pruning_fronts_identical_with_skyline_off(
-        self, scenario
-    ):
-        """Workers prune with whatever kernel the toggle selects (the flag
-        is read in each worker process too) — fronts must not move."""
-        build = SCENARIOS[scenario]
-        fronts = {}
-        for enabled in (True, False):
-            with use_skyline(enabled):
-                with EvaluationEngine(backend="sharded", max_workers=2) as engine:
-                    fronts[enabled] = front_signature(
-                        ExhaustiveSearch(build(engine), columnar=True).run()
-                    )
-                    assert engine.stats.rows_pruned_in_workers > 0
-        assert fronts[True] == fronts[False]
 
     def test_random_search_front_identical_with_skyline_off(self):
         with use_skyline(True):

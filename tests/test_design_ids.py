@@ -4,15 +4,11 @@ An exhaustive sweep hands the engine checked id ranges
 (:class:`~repro.dse.space.DesignIds`).  The engine looks them up as they
 are and decodes gene rows only for its cache misses; a
 :class:`~repro.engine.ColumnarBatchResult` carries ids and decodes
-``genotypes`` on first access.  These tests pin where gene rows are built,
-that every result's ids name its rows, and that the sharded pool's workers
-receive the kernel without the tables its shared arena already holds.
+``genotypes`` on first access.  These tests pin where gene rows are built
+and that every result's ids name its rows.
 """
 
 from __future__ import annotations
-
-import gc
-import pickle
 
 import numpy as np
 import pytest
@@ -21,12 +17,11 @@ from repro.dse import space as space_module
 from repro.dse.exhaustive import ExhaustiveSearch
 from repro.dse.problem import WbsnDseProblem
 from repro.dse.space import DesignSpace, ParameterDomain
-from repro.engine import EvaluationEngine, ShardedVectorizedBackend
-from repro.engine import sharded
+from repro.engine import EvaluationEngine
 from repro.experiments.casestudy import build_case_study_evaluator
 
 
-def small_problem(engine: EvaluationEngine) -> WbsnDseProblem:
+def small_problem(engine: EvaluationEngine, **kwargs) -> WbsnDseProblem:
     """A two-node beacon problem of 64 designs."""
     return WbsnDseProblem(
         build_case_study_evaluator(n_nodes=2, applications=("dwt", "cs")),
@@ -35,6 +30,7 @@ def small_problem(engine: EvaluationEngine) -> WbsnDseProblem:
         payload_bytes=(60, 80),
         order_pairs=((4, 4), (4, 6)),
         engine=engine,
+        **kwargs,
     )
 
 
@@ -143,18 +139,32 @@ class TestResultIds:
         assert reordered.ids.tolist() == ids[3:] + ids[:3]
         assert_ids_name_rows(reordered, space)
 
-    def test_sharded_backend_with_worker_pruning(self):
-        with EvaluationEngine(backend="sharded", max_workers=2) as engine:
-            problem = small_problem(engine)
-            space = problem.space
-            pruned = problem.evaluate_batch_columns(
-                space.ids(np.arange(space.size)), prune_to_front=True
-            )
-            assert engine.stats.rows_pruned_in_workers > 0
-            assert len(pruned) < space.size
-            assert_ids_name_rows(pruned, space)
-            full = problem.evaluate_batch_columns(self.requests(space))
-            assert_ids_name_rows(full, space)
+    @pytest.mark.parametrize("genotype_cache", [True, False])
+    def test_scalar_loop_gene_rows_and_id_batches(self, genotype_cache):
+        """Without a kernel, id misses are decoded into gene rows for the
+        scalar loop, and the result's ids still name its rows."""
+        problem = small_problem(
+            EvaluationEngine(genotype_cache=genotype_cache), vectorized=False
+        )
+        space = problem.space
+        requested = self.requests(space)
+        by_genes = problem.evaluate_batch_columns(requested)
+        assert_ids_name_rows(by_genes, space)
+        assert by_genes.genotypes.tolist() == [list(g) for g in requested]
+        before = problem.engine.stats.snapshot()
+        by_ids = problem.evaluate_batch_columns(space.ids(by_genes.ids))
+        delta = problem.engine.stats.snapshot() - before
+        if genotype_cache:
+            # Every id was memoised by the gene-row batch: nothing decoded.
+            assert delta.model_evaluations == 0
+            assert delta.gene_rows_decoded == 0
+        else:
+            assert delta.model_evaluations == len(requested)
+            assert delta.gene_rows_decoded == len(requested)
+        assert_ids_name_rows(by_ids, space)
+        assert by_ids.ids.tolist() == by_genes.ids.tolist()
+        assert by_ids.objectives.tobytes() == by_genes.objectives.tobytes()
+        assert problem.engine.stats.vectorized_designs == 0
 
     def test_space_beyond_int64_ids(self):
         problem = WbsnDseProblem(
@@ -211,50 +221,3 @@ class TestIdBatch:
         )
         with pytest.raises(ValueError, match="int64"):
             problem.space.ids([])
-
-
-class TestShardedWorkerPayload:
-    def test_initialiser_ships_the_kernel_without_its_tables(self, monkeypatch):
-        captured = {}
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
-                captured["initializer"] = initializer
-                captured["initargs"] = initargs
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(sharded, "ProcessPoolExecutor", RecordingPool)
-        problem = WbsnDseProblem(
-            build_case_study_evaluator(), engine=EvaluationEngine()
-        )
-        kernel = problem.vectorized_kernel
-        backend = ShardedVectorizedBackend(max_workers=1)
-        try:
-            backend._ensure_executor(problem)
-            initargs = captured["initargs"]
-            assert len(pickle.dumps(initargs)) < 16_000
-            # The worker initialiser, run here: its kernel gathers from the
-            # arena views and computes the parent kernel's columns.
-            monkeypatch.setattr(sharded, "_WORKER_KERNEL", None)
-            monkeypatch.setattr(sharded, "_WORKER_ARENA", None)
-            captured["initializer"](*initargs)
-            try:
-                arena = np.frombuffer(sharded._WORKER_ARENA.buf, dtype=np.uint8)
-                tables = sharded._WORKER_KERNEL.shareable_tables()
-                assert tables.keys() == kernel.shareable_tables().keys()
-                assert all(np.may_share_memory(t, arena) for t in tables.values())
-                size = problem.space.size
-                matrix = problem.space.decode_ids(np.arange(0, size, size // 64))
-                want = kernel.evaluate_columns(matrix)
-                got = sharded._WORKER_KERNEL.evaluate_columns(matrix)
-                assert got.objectives.tobytes() == want.objectives.tobytes()
-                assert got.feasible.tolist() == want.feasible.tolist()
-            finally:
-                arena = tables = None
-                sharded._WORKER_KERNEL = None
-                gc.collect()
-                sharded._WORKER_ARENA.close()
-        finally:
-            backend.close()

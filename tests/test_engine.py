@@ -1,6 +1,15 @@
-"""Tests of the shared evaluation engine: caches, batching, backends, stats."""
+"""Tests of the shared evaluation engine: caches, batching, stats."""
 
 from __future__ import annotations
+
+import importlib
+import inspect
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +29,7 @@ from repro.engine import (
     EngineStats,
     EvaluationEngine,
     SharedGenotypeCache,
+    list_segments,
 )
 from repro.experiments.casestudy import (
     build_baseline_evaluator,
@@ -94,6 +104,43 @@ class TestEngineStats:
         stats.genotype_requests = 4
         stats.genotype_cache_hits = 1
         assert stats.genotype_cache_hit_rate == pytest.approx(0.25)
+
+    def test_fields_are_the_fifteen_engine_counters(self):
+        names = [field.name for field in fields(EngineStats)]
+        assert names == [
+            "genotype_requests",
+            "genotype_cache_hits",
+            "shared_cache_hits",
+            "model_evaluations",
+            "vectorized_designs",
+            "rows_skipped_cached",
+            "designs_materialised",
+            "gene_rows_decoded",
+            "column_memo_evictions",
+            "rows_loaded_from_disk",
+            "persistent_cache_hits",
+            "batches",
+            "wall_time_s",
+            "array_backend",
+            "memo_index",
+        ]
+        assert list(EngineStats().as_dict()) == names
+
+    @pytest.mark.parametrize(
+        "counter",
+        [
+            "sharded_designs",
+            "rows_pruned_in_workers",
+            "worker_failures",
+            "batches_retried",
+            "degraded_batches",
+            "retry_wait_seconds",
+        ],
+    )
+    def test_pool_counters_are_gone(self, counter):
+        assert counter not in EngineStats().as_dict()
+        with pytest.raises(TypeError, match=counter):
+            EngineStats(**{counter: 1})
 
 
 class TestEvaluationEngine:
@@ -172,14 +219,221 @@ class TestEvaluationEngine:
                 assert design.feasible == reference.feasible
                 assert design.violation_count == len(reference.violations)
 
-    def test_unknown_backend_is_rejected(self):
-        with pytest.raises(ValueError):
-            EvaluationEngine(backend="gpu")
-
     def test_engine_cannot_be_rebound(self):
         problem = small_problem()
         with pytest.raises(RuntimeError):
             problem.engine.bind(small_problem())
+
+
+#: Modules a sweep, NSGA-II or service interpreter starts from.
+ENTRY_POINTS = (
+    "repro.engine",
+    "repro.dse",
+    "repro.dse.exhaustive",
+    "repro.dse.nsga2",
+    "repro.dse.random_search",
+    "repro.dse.simulated_annealing",
+    "repro.dse.runner",
+    "repro.service",
+    "repro.experiments.dse_speed",
+    "repro.experiments.fig5_pareto",
+)
+
+#: The engine options, counters and public names of the former process
+#: pool: none of them may come back.
+POOL_OPTIONS = {
+    "backend": "sharded",
+    "max_workers": 2,
+    "retry_policy": None,
+    "degrade_on_failure": False,
+}
+POOL_NAMES = (
+    "ShardedVectorizedBackend",
+    "make_backend",
+    "RetryPolicy",
+    "EngineTimeoutError",
+    "WorkerRecoveryExhausted",
+    "EngineDegradationWarning",
+)
+
+
+def pool_modules_loaded_by(*modules: str) -> str:
+    """Import ``modules`` in a fresh interpreter and return the sorted list
+    of ``multiprocessing`` modules it loaded, as printed there."""
+    script = (
+        f"import sys, {', '.join(modules)}\n"
+        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')"
+        " or m == 'concurrent.futures.process'))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (src, env.get("PYTHONPATH")) if path
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout.strip()
+
+
+class TestInProcessCompute:
+    def test_stack_imports_no_multiprocessing(self):
+        """Every compute path runs in the calling process, so importing the
+        sweeps, the runner and the service loads no ``multiprocessing``."""
+        assert (
+            pool_modules_loaded_by(
+                "repro.dse.exhaustive", "repro.dse.runner", "repro.service"
+            )
+            == "[]"
+        )
+
+    @pytest.mark.parametrize("module", ENTRY_POINTS)
+    def test_entry_point_imports_no_multiprocessing(self, module):
+        """Each entry point on its own, so a leak names its importer."""
+        assert pool_modules_loaded_by(module) == "[]"
+
+    def test_engine_takes_five_keyword_options(self):
+        parameters = inspect.signature(EvaluationEngine).parameters
+        assert list(parameters) == [
+            "genotype_cache",
+            "stats",
+            "shared_cache",
+            "column_memo_max_entries",
+            "cache_dir",
+        ]
+        assert all(
+            parameter.kind is inspect.Parameter.KEYWORD_ONLY
+            for parameter in parameters.values()
+        )
+
+    @pytest.mark.parametrize("option", sorted(POOL_OPTIONS))
+    def test_pool_options_are_rejected(self, option):
+        with pytest.raises(TypeError, match=option):
+            EvaluationEngine(**{option: POOL_OPTIONS[option]})
+
+    @pytest.mark.parametrize("name", POOL_NAMES)
+    def test_pool_names_are_not_exported(self, name):
+        import repro.engine
+
+        assert name not in repro.engine.__all__
+        assert not hasattr(repro.engine, name)
+
+    @pytest.mark.parametrize("module", ["backends", "sharded"])
+    def test_pool_modules_are_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.engine.{module}")
+
+    def test_engine_has_no_deadline_scope(self):
+        assert not hasattr(EvaluationEngine, "deadline_scope")
+
+    @pytest.mark.parametrize("owner", ["engine", "problem"])
+    @pytest.mark.parametrize("hint", ["prune_to_front", "include_infeasible"])
+    def test_columnar_batches_take_only_the_batch(self, owner, hint):
+        """Every batch row is computed and returned: there is no hint that
+        lets a compute path drop rows."""
+        problem = small_problem()
+        evaluate = (
+            problem.engine.evaluate_many_columnar
+            if owner == "engine"
+            else problem.evaluate_batch_columns
+        )
+        genotypes = list(problem.space.enumerate_genotypes())[:8]
+        with pytest.raises(TypeError, match=hint):
+            evaluate(genotypes, **{hint: True})
+        batch = evaluate(genotypes)
+        assert len(batch) == len(genotypes)
+        assert batch.genotypes.tolist() == [list(g) for g in genotypes]
+
+    def test_default_engine_computes_on_the_kernel(self):
+        """With a compiled kernel every miss goes through it, in-process."""
+        engine = EvaluationEngine()
+        problem = small_problem(engine=engine)
+        problem.evaluate_batch(list(problem.space.enumerate_genotypes())[:16])
+        assert engine.stats.vectorized_designs == 15  # the probe is cached
+        engine.close()  # nothing to release
+
+
+class TestEngineLifecycle:
+    """``close()`` and the context manager spill the persistent tier; an
+    engine without one has nothing to release and stays usable."""
+
+    def test_close_without_a_cache_dir_keeps_the_engine_usable(self):
+        engine = EvaluationEngine()
+        problem = small_problem(engine=engine)
+        genotypes = list(problem.space.enumerate_genotypes())[:16]
+        first = problem.evaluate_batch(genotypes)
+        engine.close()
+        engine.close()  # idempotent
+        with engine:
+            again = problem.evaluate_batch(genotypes)
+        assert [design_fields(d) for d in again] == [
+            design_fields(d) for d in first
+        ]
+
+    def test_context_manager_spills_when_the_block_raises(self, tmp_path):
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with EvaluationEngine(cache_dir=tmp_path) as engine:
+                problem = small_problem(engine=engine)
+                problem.evaluate_batch(list(problem.space.enumerate_genotypes()))
+                raise RuntimeError("interrupted")
+        warm = EvaluationEngine(cache_dir=tmp_path)
+        small_problem(engine=warm)
+        assert warm.stats.rows_loaded_from_disk == 64
+        assert warm.stats.model_evaluations == 0
+
+    def test_run_algorithm_can_close_the_engine(self, tmp_path):
+        engine = EvaluationEngine(cache_dir=tmp_path)
+        problem = small_problem(engine=engine)
+        result = run_algorithm(
+            ExhaustiveSearch(problem, chunk_size=16), close_engine=True
+        )
+        assert result.front
+        assert result.engine_stats.vectorized_designs == 63  # all but the probe
+        warm = EvaluationEngine(cache_dir=tmp_path)
+        rerun = run_algorithm(
+            ExhaustiveSearch(small_problem(engine=warm), chunk_size=16),
+            close_engine=True,
+        )
+        assert front_signature(rerun.front) == front_signature(result.front)
+        assert rerun.model_evaluations == 0
+
+    def test_pickled_copy_never_writes_segments(self, tmp_path):
+        """A copy carries the compute path only: no memo, no shared cache
+        and no persistent tier, so closing it writes nothing."""
+        shared = SharedGenotypeCache()
+        engine = EvaluationEngine(cache_dir=tmp_path, shared_cache=shared)
+        problem = small_problem(engine=engine)
+        genotypes = list(problem.space.enumerate_genotypes())[:16]
+        want = problem.evaluate_batch(genotypes)
+        clone = pickle.loads(pickle.dumps(engine))
+        assert clone.cache_dir is None
+        assert clone.shared_cache is None
+        assert clone.genotype_cache_size == 0
+        before = clone.stats.snapshot()
+        got = clone.problem.evaluate_batch(genotypes)
+        assert [design_fields(d) for d in got] == [design_fields(d) for d in want]
+        assert (clone.stats.snapshot() - before).model_evaluations == len(genotypes)
+        clone.close()
+        assert list_segments(tmp_path) == []
+        engine.close()
+        assert len(list_segments(tmp_path)) == 1
+
+    def test_repeated_close_spills_the_same_rows(self, tmp_path):
+        engine = EvaluationEngine(cache_dir=tmp_path)
+        problem = small_problem(engine=engine)
+        problem.evaluate_batch(list(problem.space.enumerate_genotypes())[:20])
+        engine.close()
+        segments = list_segments(tmp_path)
+        assert len(segments) == 1
+        spilled = segments[0].read_bytes()
+        engine.close()
+        assert list_segments(tmp_path) == segments
+        assert segments[0].read_bytes() == spilled
 
 
 class TestOneEvaluationPath:

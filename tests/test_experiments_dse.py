@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.experiments.delay_validation import run_delay_validation
-from repro.experiments.dse_speed import run_dse_speed
+from repro.experiments.dse_speed import DseSpeedResult, run_dse_speed
 from repro.experiments.fig5_pareto import run_fig5
 
 
@@ -47,6 +49,17 @@ class TestDseSpeed:
         assert result.speedup > 100
         assert result.speedup_orders_of_magnitude > 2.0
 
+    @pytest.mark.parametrize("option", ["sharded_evaluations", "sharded_max_workers"])
+    def test_no_process_pool_measurement(self, option):
+        """Every engine path is measured in-process; there is no pool to time."""
+        with pytest.raises(TypeError, match=option):
+            run_dse_speed(**{option: 1})
+        assert not [
+            field.name
+            for field in fields(DseSpeedResult)
+            if field.name.startswith("sharded")
+        ]
+
 
 class TestFig5:
     def test_full_model_front_is_rich(self, fig5_result):
@@ -64,6 +77,11 @@ class TestFig5:
     def test_search_algorithms_agree_reasonably(self, fig5_result):
         """Paper: no relevant difference between GA and simulated annealing."""
         assert fig5_result.algorithm_hypervolume_gap < 0.5
+
+    def test_run_takes_no_backend(self):
+        """Both explorations compute in-process: there is no backend to pick."""
+        with pytest.raises(TypeError, match="backend"):
+            run_fig5(backend="serial")
 
     def test_objectives_are_finite_and_positive(self, fig5_result):
         for point in fig5_result.full_model_front:

@@ -2,16 +2,15 @@
 
 The fault-tolerance layer is only trustworthy if its failure paths run in
 CI, so every scenario here *makes* the failure happen through the seedable
-:mod:`repro.engine.faults` harness: workers killed mid-shard, workers hung
-past the batch deadline, exceptions raised inside kernels, checkpoint bytes
-corrupted on their way to disk, whole sweeps SIGKILL'd between chunks.  The
-invariant under test is always the same one the clean paths promise — the
-final front is bitwise identical (membership and ordering) to an
-undisturbed run — plus the observability contract: every failure, retry and
-degradation shows up in the engine counters.
+:mod:`repro.engine.faults` harness: checkpoint bytes corrupted or cut short
+on their way to disk, whole sweeps aborted or SIGKILL'd between chunks.
+The invariant under test is always the same one the clean paths promise —
+the final front is bitwise identical (membership and ordering) to an
+undisturbed run, or an unusable checkpoint warns and the sweep starts
+cold.
 
-Problems are the small two-node/64-configuration spaces of the sharded
-suite, so the whole file stays well under the CI job's two-minute budget.
+Problems are small two-node/64-configuration spaces, so the whole file
+stays well under the CI job's two-minute budget.
 """
 
 from __future__ import annotations
@@ -21,35 +20,32 @@ import pickle
 import subprocess
 import sys
 import textwrap
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.dse.exhaustive import ExhaustiveSearch
+from repro.dse.nsga2 import Nsga2, Nsga2Settings
 from repro.dse.problem import WbsnDseProblem, csma_mac_parameterisation
 from repro.dse.random_search import RandomSearch
 from repro.dse.runner import run_algorithm
+from repro.dse.simulated_annealing import (
+    MultiObjectiveSimulatedAnnealing,
+    SimulatedAnnealingSettings,
+)
 from repro.engine import (
     CheckpointError,
     CheckpointWarning,
-    EngineDegradationWarning,
-    EngineTimeoutError,
     EvaluationEngine,
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    RetryPolicy,
-    ShardedVectorizedBackend,
     SweepCheckpoint,
-    WorkerRecoveryExhausted,
     inject_faults,
     load_checkpoint,
-    make_backend,
     save_checkpoint,
 )
 from repro.engine import faults
-from repro.engine.backends import FaultCounters
 from repro.engine.checkpoint import (
     CHECKPOINT_VERSION,
     MAGIC,
@@ -60,7 +56,7 @@ from repro.experiments.casestudy import (
     build_csma_case_study_evaluator,
 )
 
-#: Small two-node spaces (64 configurations) keep the pool runs fast.
+#: Small two-node spaces (64 configurations) keep the sweeps fast.
 NODE_DOMAINS = dict(
     compression_ratios=(0.2, 0.3),
     frequencies_hz=(4e6, 8e6),
@@ -92,9 +88,6 @@ def csma_problem(engine: EvaluationEngine) -> WbsnDseProblem:
 
 FAMILIES = {"beacon": beacon_problem, "csma": csma_problem}
 
-#: Fast retries for tests: exhausting two attempts costs ~10 ms of backoff.
-FAST_RETRIES = RetryPolicy(max_attempts=2, backoff_base_s=0.005)
-
 _REFERENCE_FRONTS: dict[str, list] = {}
 
 
@@ -111,17 +104,8 @@ def front_signature(front):
     return [(design.genotype, design.objectives, design.feasible) for design in front]
 
 
-def sharded_sweep(family: str, **engine_kwargs):
-    """Run the family's exhaustive sweep on a 2-worker sharded engine."""
-    engine = EvaluationEngine(backend="sharded", max_workers=2, **engine_kwargs)
-    with engine:
-        problem = FAMILIES[family](engine)
-        result = run_algorithm(ExhaustiveSearch(problem, chunk_size=16))
-    return result, engine
-
-
 # --------------------------------------------------------------------------
-# The harness itself: deterministic, seedable, picklable.
+# The harness itself: deterministic and seedable.
 
 
 class TestFaultPlan:
@@ -166,15 +150,6 @@ class TestFaultPlan:
         )
         assert plan.mangle("checkpoint", data) == data[:10]
 
-    def test_plans_pickle_without_their_observations(self):
-        plan = FaultPlan([FaultSpec(site="shard", action="raise", at=(0,))], seed=3)
-        with pytest.raises(InjectedFault):
-            plan.fire("shard", 0)
-        clone = pickle.loads(pickle.dumps(plan))
-        assert clone.specs == plan.specs
-        assert clone.seed == plan.seed
-        assert clone.fired == []  # the worker starts its own observation log
-
     def test_inject_faults_scopes_the_installation(self):
         plan = FaultPlan([])
         assert faults.installed_fault_plan() is None
@@ -184,256 +159,33 @@ class TestFaultPlan:
         assert faults.installed_fault_plan() is None
 
 
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_base_s=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(batch_timeout_s=0.0)
+class TestRetiredSites:
+    """Batches compute in the calling process, so no compute path carries
+    the former process pool's ``"shard"`` and ``"kernel"`` hooks: a plan
+    arming them on every invocation never fires, and each algorithm
+    returns its undisturbed front."""
 
-    def test_backoff_is_exponential(self):
-        policy = RetryPolicy(backoff_base_s=0.1, backoff_multiplier=3.0)
-        assert policy.backoff_s(1) == pytest.approx(0.1)
-        assert policy.backoff_s(2) == pytest.approx(0.3)
-        assert policy.backoff_s(3) == pytest.approx(0.9)
+    ALGORITHMS = {
+        "exhaustive": lambda problem: ExhaustiveSearch(problem, chunk_size=16),
+        "random": lambda problem: RandomSearch(problem, samples=40, seed=5),
+        "nsga2": lambda problem: Nsga2(
+            problem, Nsga2Settings(population_size=12, generations=4, seed=5)
+        ),
+        "annealing": lambda problem: MultiObjectiveSimulatedAnnealing(
+            problem, SimulatedAnnealingSettings(iterations=60, seed=5)
+        ),
+    }
 
-    def test_make_backend_rejects_policy_with_an_instance(self):
-        with pytest.raises(ValueError, match="retry_policy"):
-            make_backend(ShardedVectorizedBackend(), retry_policy=RetryPolicy())
-
-    def test_make_backend_forwards_policy(self):
-        policy = RetryPolicy(max_attempts=5)
-        backend = make_backend("sharded", retry_policy=policy)
-        assert backend.retry_policy is policy
-
-
-# --------------------------------------------------------------------------
-# Worker recovery: the front survives kills, crashes and hangs bit for bit.
-
-
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-class TestWorkerRecovery:
-    def test_injected_worker_exception_is_retried(self, family):
-        plan = FaultPlan([FaultSpec(site="shard", action="raise", at=(0,))])
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("site", ["shard", "kernel"])
+    def test_plan_on_a_retired_site_never_fires(self, site, algorithm):
+        run = self.ALGORITHMS[algorithm]
+        want = front_signature(run(beacon_problem(EvaluationEngine())).run())
+        plan = FaultPlan([FaultSpec(site=site, action="raise")])
         with inject_faults(plan):
-            result, engine = sharded_sweep(family, retry_policy=FAST_RETRIES)
-        assert front_signature(result.front) == reference_front(family)
-        assert engine.stats.worker_failures == 1
-        assert engine.stats.batches_retried == 1
-        assert engine.stats.degraded_batches == 0
-        assert engine.stats.retry_wait_seconds > 0
-        assert result.engine_stats.worker_failures == 1
-        assert result.engine_stats.batches_retried == 1
-
-    def test_killed_worker_breaks_the_pool_and_is_retried(self, family):
-        plan = FaultPlan([FaultSpec(site="shard", action="kill", at=(0,))])
-        with inject_faults(plan):
-            result, engine = sharded_sweep(family, retry_policy=FAST_RETRIES)
-        assert front_signature(result.front) == reference_front(family)
-        assert engine.stats.worker_failures >= 1
-        assert engine.stats.batches_retried >= 1
-        assert engine.stats.degraded_batches == 0
-
-    def test_exhausted_retries_degrade_to_the_serial_kernel(self, family):
-        plan = FaultPlan([FaultSpec(site="shard", action="kill")])  # every shard
-        with inject_faults(plan), pytest.warns(
-            EngineDegradationWarning, match="serial kernel"
-        ):
-            result, engine = sharded_sweep(family, retry_policy=FAST_RETRIES)
-        assert front_signature(result.front) == reference_front(family)
-        assert engine.stats.degraded_batches > 0
-        assert result.engine_stats.degraded_batches == engine.stats.degraded_batches
-        # Nothing ever came back from the pool, but the kernel served
-        # every design in-process.
-        assert engine.stats.sharded_designs == 0
-        assert engine.stats.vectorized_designs > 0
-
-    def test_kernel_fault_on_degraded_batch_falls_to_scalar(self, family):
-        plan = FaultPlan(
-            [
-                FaultSpec(site="shard", action="kill"),
-                FaultSpec(site="kernel", action="raise"),
-            ]
-        )
-        with inject_faults(plan), pytest.warns(
-            EngineDegradationWarning, match="scalar path"
-        ):
-            result, engine = sharded_sweep(family, retry_policy=FAST_RETRIES)
-        assert front_signature(result.front) == reference_front(family)
-        assert engine.stats.degraded_batches > 0
-        assert engine.stats.sharded_designs == 0
-        assert engine.stats.vectorized_designs == 0  # scalar rung only
-
-    def test_degradation_can_be_disabled(self, family):
-        plan = FaultPlan([FaultSpec(site="shard", action="kill")])
-        with inject_faults(plan), pytest.raises(WorkerRecoveryExhausted):
-            sharded_sweep(
-                family, retry_policy=FAST_RETRIES, degrade_on_failure=False
-            )
-
-
-class TestPoolRecovery:
-    """Recovery-loop behaviours beyond retry and degradation: harvesting
-    finished shards, the batch deadline and its default degradation."""
-
-    @staticmethod
-    def two_shard_engine(**engine_kwargs) -> EvaluationEngine:
-        # 16-row shards: a 32-row batch is two shards on two workers.
-        return EvaluationEngine(
-            backend=ShardedVectorizedBackend(
-                max_workers=2,
-                min_rows_per_shard=16,
-                retry_policy=engine_kwargs.pop("retry_policy", FAST_RETRIES),
-            ),
-            **engine_kwargs,
-        )
-
-    def test_completed_units_survive_a_failed_attempt(self):
-        # Two shards on two workers.  Shard 0 hangs long enough for shard 1
-        # to finish, then raises: the recovery loop must harvest shard 1's
-        # completed future before tearing the pool down and re-dispatch
-        # *only* shard 0.  Submission ids are monotonic (0-1 on the first
-        # attempt, 2 for the retried shard), so a fault armed on id 3 is a
-        # tripwire that only fires if the completed shard is thrown away
-        # and re-dispatched.
-        serial = beacon_problem(EvaluationEngine())
-        genotypes = list(serial.space.enumerate_genotypes())[:32]
-        expected = [d.objectives for d in serial.evaluate_batch(genotypes)]
-        plan = FaultPlan(
-            [
-                FaultSpec(site="shard", action="hang", delay_s=1.0, at=(0,)),
-                FaultSpec(site="shard", action="raise", at=(0,)),
-                FaultSpec(site="shard", action="raise", at=(3,)),
-            ]
-        )
-        with inject_faults(plan):
-            engine = self.two_shard_engine()
-            with engine:
-                problem = beacon_problem(engine)
-                designs = problem.evaluate_batch(genotypes)
-        assert [d.objectives for d in designs] == expected
-        # One failure, one retry: the tripwire never fired, so the retry
-        # pool received exactly the one unfinished shard.
-        assert engine.stats.worker_failures == 1
-        assert engine.stats.batches_retried == 1
-        assert engine.stats.degraded_batches == 0
-
-    def test_hung_worker_hits_the_batch_deadline(self):
-        # The hang outlives the deadline by far; the recovery loop must cut
-        # it off, name the batch and shard, and (degradation disabled)
-        # surface the timeout as the exhaustion's cause.
-        plan = FaultPlan(
-            [FaultSpec(site="shard", action="hang", delay_s=30.0, at=(0,))]
-        )
-        with inject_faults(plan):
-            engine = self.two_shard_engine(
-                degrade_on_failure=False,
-                retry_policy=RetryPolicy(max_attempts=1, batch_timeout_s=0.5),
-            )
-            with engine:
-                problem = beacon_problem(engine)
-                genotypes = list(problem.space.enumerate_genotypes())[:32]
-                with pytest.raises(WorkerRecoveryExhausted) as excinfo:
-                    problem.evaluate_batch(genotypes)
-        cause = excinfo.value.__cause__
-        assert isinstance(cause, EngineTimeoutError)
-        assert cause.shard == 0
-        assert "sharded column batch" in str(cause)
-        assert "shard 0" in str(cause)
-
-    def test_timed_out_batch_degrades_by_default(self):
-        plan = FaultPlan(
-            [FaultSpec(site="shard", action="hang", delay_s=30.0, at=(0,))]
-        )
-        serial = beacon_problem(EvaluationEngine())
-        genotypes = list(serial.space.enumerate_genotypes())[:32]
-        expected = [d.objectives for d in serial.evaluate_batch(genotypes)]
-        with inject_faults(plan):
-            engine = self.two_shard_engine(
-                retry_policy=RetryPolicy(max_attempts=1, batch_timeout_s=0.5),
-            )
-            with engine, pytest.warns(EngineDegradationWarning):
-                problem = beacon_problem(engine)
-                designs = problem.evaluate_batch(genotypes)
-        assert [d.objectives for d in designs] == expected
-        assert engine.stats.worker_failures == 1
-        assert engine.stats.degraded_batches == 1
-
-    def test_respawned_pool_serves_later_batches(self):
-        # A failed attempt tears the pool down; the retry and every later
-        # batch run on the respawned pool, and the engine drains the pool's
-        # counters after each dispatch, so none are counted twice.
-        serial = beacon_problem(EvaluationEngine())
-        genotypes = list(serial.space.enumerate_genotypes())
-        expected = [d.objectives for d in serial.evaluate_batch(genotypes)]
-        plan = FaultPlan([FaultSpec(site="shard", action="raise", at=(0,))])
-        with inject_faults(plan):
-            engine = self.two_shard_engine()
-            with engine:
-                problem = beacon_problem(engine)
-                first = problem.evaluate_batch(genotypes[:32])
-                second = problem.evaluate_batch(genotypes[32:])
-                assert engine.backend._executor is not None
-                assert engine.backend.drain_fault_counters() == FaultCounters()
-        assert [d.objectives for d in first + second] == expected
-        assert engine.stats.worker_failures == 1
-        assert engine.stats.batches_retried == 1
-        assert engine.stats.degraded_batches == 0
-        # Every row but the construction probe (cached) came off the pool.
-        assert engine.stats.sharded_designs == len(genotypes) - 1
-
-    def test_pool_faults_never_reach_kernel_less_batches(self):
-        # Kernel-less batches compute in-process on a pool engine, so a
-        # fault armed on every shard dispatch never fires: no failure, no
-        # retry, no degradation, and the serial engine's rows.
-        serial = beacon_problem(EvaluationEngine(), vectorized=False)
-        genotypes = list(serial.space.enumerate_genotypes())[:32]
-        expected = [d.objectives for d in serial.evaluate_batch(genotypes)]
-        plan = FaultPlan([FaultSpec(site="shard", action="raise")])
-        with inject_faults(plan), warnings.catch_warnings():
-            warnings.simplefilter("error", EngineDegradationWarning)
-            engine = self.two_shard_engine()
-            with engine:
-                problem = beacon_problem(engine, vectorized=False)
-                designs = problem.evaluate_batch(genotypes)
-                assert engine.backend._executor is None
-        assert [d.objectives for d in designs] == expected
-        assert engine.stats.worker_failures == 0
-        assert engine.stats.batches_retried == 0
-        assert engine.stats.degraded_batches == 0
-        assert engine.stats.sharded_designs == 0
-
-
-class TestResourceLifecycleUnderFaults:
-    def test_no_shared_memory_leaks_on_injected_failure_paths(self):
-        before = set(os.listdir("/dev/shm"))
-        plan = FaultPlan([FaultSpec(site="shard", action="kill")])
-        with inject_faults(plan), pytest.warns(EngineDegradationWarning):
-            result, engine = sharded_sweep("beacon", retry_policy=FAST_RETRIES)
-        assert engine.backend._executor is None
-        assert engine.backend._arena is None
-        leaked = set(os.listdir("/dev/shm")) - before
-        assert not leaked, f"shared-memory segments leaked: {sorted(leaked)}"
-
-    def test_backend_close_is_idempotent(self):
-        engine = EvaluationEngine(backend="sharded", max_workers=2)
-        problem = beacon_problem(engine)
-        problem.evaluate_batch(list(problem.space.enumerate_genotypes())[:16])
-        engine.close()
-        engine.close()  # double close must be a no-op
-        assert engine.backend._executor is None
-        assert engine.backend._arena is None
-
-    def test_arena_close_is_idempotent(self):
-        from repro.engine.sharded import SharedArrayArena
-
-        arena = SharedArrayArena({"table": np.arange(8.0)})
-        arena.close()
-        arena.close()  # second close: segment already unlinked, no raise
+            got = front_signature(run(beacon_problem(EvaluationEngine())).run())
+        assert got == want
+        assert plan.fired == []
 
 
 # --------------------------------------------------------------------------

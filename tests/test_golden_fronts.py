@@ -118,38 +118,6 @@ def test_front_matches_the_golden_fixture(scenario):
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_sharded_backend_matches_the_golden_fixture(scenario):
-    """The sharded shared-memory backend reproduces the committed fronts.
-
-    Same fixtures, same exactness: worker-sharded column evaluation must be
-    bitwise indistinguishable from the serial kernel that generated the
-    golden files.
-    """
-    golden = json.loads((GOLDEN_DIR / f"fronts_{scenario}.json").read_text())
-    for algorithm, run in (
-        ("exhaustive", lambda p: ExhaustiveSearch(p).run()),
-        ("nsga2", lambda p: Nsga2(p, NSGA2_SETTINGS).run()),
-    ):
-        with EvaluationEngine(backend="sharded", max_workers=2) as engine:
-            front = run(SCENARIOS[scenario](engine))
-            expected = golden[algorithm]
-            assert len(front) == len(expected), (scenario, algorithm)
-            for position, (design, want) in enumerate(zip(front, expected)):
-                assert list(design.genotype) == want["genotype"], (
-                    scenario,
-                    algorithm,
-                    position,
-                )
-                assert list(design.objectives) == want["objectives"], (
-                    scenario,
-                    algorithm,
-                    position,
-                )
-                assert design.feasible == want["feasible"]
-            assert engine.stats.sharded_designs > 0
-
-
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("columnar", [False, True])
 def test_columnar_sweep_matches_the_golden_fixture(scenario, columnar):
     """Both exhaustive sweep paths reproduce the committed front exactly.
@@ -179,26 +147,51 @@ def test_columnar_sweep_matches_the_golden_fixture(scenario, columnar):
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_sharded_columnar_sweep_matches_the_golden_fixture(scenario):
-    """Columnar sweep over the sharded backend: same committed front."""
+def test_scalar_loop_matches_the_golden_fixture(scenario):
+    """Kernel-less problems, computed design by design on the scalar loop,
+    reproduce the committed fronts the column kernel generated."""
     golden = json.loads((GOLDEN_DIR / f"fronts_{scenario}.json").read_text())
-    with EvaluationEngine(backend="sharded", max_workers=2) as engine:
-        problem = SCENARIOS[scenario](engine)
-        front = ExhaustiveSearch(problem, columnar=True).run()
-        expected = golden["exhaustive"]
-        assert len(front) == len(expected), scenario
+    for algorithm, run in (
+        ("exhaustive", lambda p: ExhaustiveSearch(p).run()),
+        ("nsga2", lambda p: Nsga2(p, NSGA2_SETTINGS).run()),
+    ):
+        problem = SCENARIOS[scenario](vectorized=False)
+        front = run(problem)
+        expected = golden[algorithm]
+        assert len(front) == len(expected), (scenario, algorithm)
         for position, (design, want) in enumerate(zip(front, expected)):
-            assert list(design.genotype) == want["genotype"], (scenario, position)
+            assert list(design.genotype) == want["genotype"], (
+                scenario,
+                algorithm,
+                position,
+            )
             assert list(design.objectives) == want["objectives"], (
                 scenario,
+                algorithm,
                 position,
             )
             assert design.feasible == want["feasible"]
-        assert engine.stats.sharded_designs > 0
-        probe = tuple(0 for _ in range(len(problem.space)))
-        assert engine.stats.designs_materialised == sum(
-            1 for design in front if design.genotype != probe
-        )
+        assert problem.engine.stats.vectorized_designs == 0
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_scalar_columnar_sweep_matches_the_golden_fixture(scenario):
+    """Columnar sweep over the scalar loop: same committed front, and only
+    its designs are materialised."""
+    golden = json.loads((GOLDEN_DIR / f"fronts_{scenario}.json").read_text())
+    problem = SCENARIOS[scenario](vectorized=False)
+    front = ExhaustiveSearch(problem, columnar=True).run()
+    expected = golden["exhaustive"]
+    assert len(front) == len(expected), scenario
+    for position, (design, want) in enumerate(zip(front, expected)):
+        assert list(design.genotype) == want["genotype"], (scenario, position)
+        assert list(design.objectives) == want["objectives"], (scenario, position)
+        assert design.feasible == want["feasible"]
+    assert problem.engine.stats.vectorized_designs == 0
+    probe = tuple(0 for _ in range(len(problem.space)))
+    assert problem.engine.stats.designs_materialised == sum(
+        1 for design in front if design.genotype != probe
+    )
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

@@ -6,9 +6,7 @@ objective sets (full three-metric and energy/delay baseline), asserting
 *exact* equality of every objective column, the feasibility flags and the
 violation counts.  This is the differential harness locking down the seam's
 core invariant — vectorization is semantically invisible, bit for bit — on
-inputs nobody hand-picked.  The sharded shared-memory backend is fuzzed
-through the same harness: worker-computed columns reassembled across process
-boundaries must equal the scalar path exactly as well.  The columnar result
+inputs nobody hand-picked.  The columnar result
 path (``evaluate_batch_columns`` + lazy materialisation) is fuzzed against
 the same scalar reference: raw column rows, their materialised designs, and
 the scalar-fallback columns must all agree bit for bit.
@@ -21,13 +19,7 @@ import pytest
 
 from repro.dse.pareto import pareto_front_indices, use_skyline
 from repro.dse.problem import WbsnDseProblem, csma_mac_parameterisation
-from repro.engine import (
-    EvaluationEngine,
-    FaultPlan,
-    FaultSpec,
-    RetryPolicy,
-    inject_faults,
-)
+from repro.engine import EvaluationEngine
 from repro.experiments.casestudy import (
     build_baseline_evaluator,
     build_case_study_evaluator,
@@ -114,28 +106,50 @@ def test_engine_batches_match_scalar_engine_batches(scenario):
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_sharded_batches_are_bit_identical(scenario):
-    """Sharded worker columns, reassembled, equal the scalar path exactly."""
-    build, mac_parameterisation = SCENARIOS[scenario]
-    kwargs = {}
-    if mac_parameterisation is not None:
-        kwargs["mac_parameterisation"] = mac_parameterisation()
-    scalar = WbsnDseProblem(
-        build(), engine=EvaluationEngine(), vectorized=False, **kwargs
-    )
-    with EvaluationEngine(backend="sharded", max_workers=2) as engine:
-        sharded = WbsnDseProblem(build(), engine=engine, **kwargs)
-        rng = np.random.default_rng(FUZZ_SEEDS[0])
-        genotypes = [sharded.space.random_genotype(rng) for _ in range(BATCH)]
-        genotypes += genotypes[:16]  # duplicates exercise the dedup+mask path
-        fast = sharded.evaluate_batch(genotypes)
-        slow = scalar.evaluate_batch(genotypes)
-        assert [d.objectives for d in fast] == [d.objectives for d in slow]
-        assert [d.feasible for d in fast] == [d.feasible for d in slow]
-        assert [d.genotype for d in fast] == [d.genotype for d in slow]
-        # Every miss was computed by worker kernels — no scalar fallback.
-        assert engine.stats.sharded_designs == engine.stats.vectorized_designs
-        assert engine.stats.sharded_designs > 0
+def test_engine_batch_misses_all_run_on_the_kernel(scenario):
+    """Engine batches (dedup and memo mask on) equal the scalar path
+    exactly, and every miss ran on the column kernel, none on the scalar
+    loop."""
+    vectorized, scalar = build_pair(scenario)
+    before = vectorized.engine.stats.snapshot()  # skip the constructor's probe
+    rng = np.random.default_rng(FUZZ_SEEDS[0])
+    genotypes = [vectorized.space.random_genotype(rng) for _ in range(BATCH)]
+    genotypes += genotypes[:16]  # duplicates exercise the dedup+mask path
+    fast = vectorized.evaluate_batch(genotypes)
+    slow = scalar.evaluate_batch(genotypes)
+    assert [d.objectives for d in fast] == [d.objectives for d in slow]
+    assert [d.feasible for d in fast] == [d.feasible for d in slow]
+    assert [d.genotype for d in fast] == [d.genotype for d in slow]
+    delta = vectorized.engine.stats.snapshot() - before
+    assert delta.vectorized_designs == delta.model_evaluations
+    assert delta.model_evaluations > 0
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_columnar_batch_fronts_match_the_scalar_batch_front(scenario):
+    """The front of a columnar batch, taken on its raw columns, is the
+    exact front of the scalar path's designs: membership and ordering."""
+    vectorized, scalar = build_pair(scenario)
+    rng = np.random.default_rng(FUZZ_SEEDS[2])
+    genotypes = [vectorized.space.random_genotype(rng) for _ in range(BATCH)]
+    batch = vectorized.evaluate_batch_columns(genotypes)
+
+    slow = scalar.evaluate_batch(genotypes)
+    feasible = [d for d in slow if d.feasible] or slow
+    front = pareto_front_indices([d.objectives for d in feasible])
+    want = [(feasible[i].genotype, feasible[i].objectives) for i in front]
+
+    rows = np.flatnonzero(batch.feasible)
+    pool = batch.take(rows) if rows.size else batch
+    got_front = pool.take(pareto_front_indices(pool.objectives))
+    got = [
+        (tuple(genotype), tuple(objectives))
+        for genotype, objectives in zip(
+            got_front.genotypes.tolist(), got_front.objectives.tolist()
+        )
+    ]
+    assert got == want, scenario
+    assert want
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -184,34 +198,6 @@ def test_scalar_fallback_columns_match_the_kernel_columns(scenario):
     # The fallback really was scalar: no kernel work on the scalar side.
     assert scalar.engine.stats.vectorized_designs == 0
     assert vectorized.engine.stats.vectorized_designs > 0
-
-
-@pytest.mark.parametrize("scenario", ["beacon-full", "csma-full"])
-def test_sharded_columnar_batches_are_bit_identical(scenario):
-    """Sharded worker columns on the columnar path equal the scalar path."""
-    build, mac_parameterisation = SCENARIOS[scenario]
-    kwargs = {}
-    if mac_parameterisation is not None:
-        kwargs["mac_parameterisation"] = mac_parameterisation()
-    scalar = WbsnDseProblem(
-        build(), engine=EvaluationEngine(), vectorized=False, **kwargs
-    )
-    with EvaluationEngine(backend="sharded", max_workers=2) as engine:
-        sharded = WbsnDseProblem(build(), engine=engine, **kwargs)
-        rng = np.random.default_rng(FUZZ_SEEDS[0])
-        genotypes = [sharded.space.random_genotype(rng) for _ in range(BATCH)]
-        batch = sharded.evaluate_batch_columns(genotypes)
-        slow = scalar.evaluate_batch(genotypes)
-        assert [tuple(row) for row in batch.objectives.tolist()] == [
-            d.objectives for d in slow
-        ]
-        assert batch.feasible.tolist() == [d.feasible for d in slow]
-        assert batch.violation_counts.tolist() == [
-            d.violation_count for d in slow
-        ]
-        # Every miss was computed by worker kernels — no scalar fallback.
-        assert engine.stats.sharded_designs == engine.stats.vectorized_designs
-        assert engine.stats.sharded_designs > 0
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -294,80 +280,3 @@ def test_skyline_fronts_match_blockwise_fronts(scenario, seed):
         with use_skyline(False):
             blockwise = pareto_front_indices(pool)
         assert skyline == blockwise, (scenario, seed)
-
-
-@pytest.mark.parametrize("scenario", ["beacon-full", "csma-full"])
-@pytest.mark.parametrize("action", ["raise", "kill"])
-def test_fault_injected_sharded_batches_match_scalar(scenario, action):
-    """Worker recovery is semantically invisible: a batch whose first shard
-    submission crashed (escaped exception or SIGKILL'd worker) and was
-    retried on a fresh pool equals the scalar path row for row."""
-    build, mac_parameterisation = SCENARIOS[scenario]
-    kwargs = {}
-    if mac_parameterisation is not None:
-        kwargs["mac_parameterisation"] = mac_parameterisation()
-    scalar = WbsnDseProblem(
-        build(), engine=EvaluationEngine(), vectorized=False, **kwargs
-    )
-    plan = FaultPlan([FaultSpec(site="shard", action=action, at=(0,))])
-    with inject_faults(plan), EvaluationEngine(
-        backend="sharded",
-        max_workers=2,
-        retry_policy=RetryPolicy(max_attempts=3, backoff_base_s=0.005),
-    ) as engine:
-        sharded = WbsnDseProblem(build(), engine=engine, **kwargs)
-        before = engine.stats.snapshot()  # skip the constructor's probe
-        rng = np.random.default_rng(FUZZ_SEEDS[3])
-        genotypes = [sharded.space.random_genotype(rng) for _ in range(BATCH)]
-        fast = sharded.evaluate_batch(genotypes)
-        slow = scalar.evaluate_batch(genotypes)
-        assert [d.objectives for d in fast] == [d.objectives for d in slow]
-        assert [d.feasible for d in fast] == [d.feasible for d in slow]
-        assert [d.genotype for d in fast] == [d.genotype for d in slow]
-        # The counters reconcile with the injected failure: exactly one
-        # observed pool failure, at least one batch re-dispatched, nothing
-        # degraded, and — retries included — every miss still came out of
-        # worker kernels, never the scalar fallback.
-        stats = engine.stats.snapshot() - before
-        assert stats.worker_failures == 1
-        assert stats.batches_retried >= 1
-        assert stats.degraded_batches == 0
-        assert stats.retry_wait_seconds > 0
-        assert stats.sharded_designs == stats.vectorized_designs
-        assert stats.sharded_designs == stats.model_evaluations
-
-
-@pytest.mark.parametrize("scenario", ["beacon-full", "csma-full"])
-def test_worker_pruned_fronts_match_the_scalar_full_batch_front(scenario):
-    """A worker-pruned columnar batch yields the exact front of the scalar
-    full batch: every row the workers dropped had a surviving witness."""
-    build, mac_parameterisation = SCENARIOS[scenario]
-    kwargs = {}
-    if mac_parameterisation is not None:
-        kwargs["mac_parameterisation"] = mac_parameterisation()
-    scalar = WbsnDseProblem(
-        build(), engine=EvaluationEngine(), vectorized=False, **kwargs
-    )
-    with EvaluationEngine(backend="sharded", max_workers=2) as engine:
-        sharded = WbsnDseProblem(build(), engine=engine, **kwargs)
-        rng = np.random.default_rng(FUZZ_SEEDS[2])
-        genotypes = [sharded.space.random_genotype(rng) for _ in range(BATCH)]
-        pruned = sharded.evaluate_batch_columns(genotypes, prune_to_front=True)
-        assert engine.stats.rows_pruned_in_workers > 0
-        assert len(pruned) + engine.stats.rows_pruned_in_workers >= BATCH
-
-    slow = scalar.evaluate_batch(genotypes)
-    feasible = [d for d in slow if d.feasible] or slow
-    front = pareto_front_indices([d.objectives for d in feasible])
-    want = [(feasible[i].genotype, feasible[i].objectives) for i in front]
-
-    rows = np.flatnonzero(pruned.feasible)
-    pool = pruned.take(rows) if rows.size else pruned
-    got_front = pool.take(pareto_front_indices(pool.objectives))
-    got = [
-        (tuple(genotype), tuple(objectives))
-        for genotype, objectives in zip(
-            got_front.genotypes.tolist(), got_front.objectives.tolist()
-        )
-    ]
-    assert got == want, scenario

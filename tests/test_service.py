@@ -3,8 +3,8 @@
 The service's promises are robustness promises, so every one of them is
 tested by *making* the bad thing happen: burst overload against a tiny
 admission window, the engine lane hung by an injected fault while deadlines
-expire, workers hung past a client deadline, clients yanked mid-stream,
-responses failing mid-write, shutdown racing admitted work.  The invariant
+expire, clients yanked mid-stream, responses failing mid-write, shutdown
+racing admitted work.  The invariant
 mirrors the rest of the chaos suite: results served through the service are
 bitwise identical to the in-process paths, and every failure is a *typed*
 error on the wire — never a silent drop, a wedged lane, or a leaked
@@ -20,8 +20,8 @@ import asyncio
 import json
 import pickle
 import tempfile
-import time
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +33,10 @@ from repro.dse.random_search import RandomSearch
 from repro.dse.runner import run_algorithm
 from repro.engine import (
     CheckpointError,
+    EngineStats,
     EvaluationEngine,
     FaultPlan,
     FaultSpec,
-    RetryPolicy,
     SweepCheckpoint,
     inject_faults,
     load_checkpoint,
@@ -64,9 +64,11 @@ from repro.service import (
     DesignRows,
     DseService,
     DseServiceClient,
+    EvaluateReply,
     RemoteInternalError,
     ServiceOverloadError,
     ServiceShuttingDownError,
+    SweepReply,
     decode_line,
     encode_message,
     error_for_code,
@@ -83,7 +85,6 @@ from repro.service.protocol import (
 from repro.service.server import _Connection
 from test_faults import (
     FAMILIES,
-    FAST_RETRIES,
     beacon_problem,
     front_signature,
     reference_front,
@@ -152,9 +153,8 @@ def _frame(names, arrays, *, dtype=None, declared_rows=None) -> bytes:
 
 
 async def start_service(**kwargs) -> DseService:
-    """A TCP service over a fresh serial-engine beacon problem."""
-    engine = kwargs.pop("engine", None) or EvaluationEngine()
-    problem = kwargs.pop("problem", None) or beacon_problem(engine)
+    """A TCP service over a fresh beacon problem."""
+    problem = kwargs.pop("problem", None) or beacon_problem(EvaluationEngine())
     kwargs.setdefault("close_engine", True)
     service = DseService(problem, **kwargs)
     await service.start()
@@ -1334,29 +1334,6 @@ class TestOverload:
 
 
 class TestDeadlines:
-    def test_deadline_scope_reserves_a_degradation_slot(self):
-        policy = RetryPolicy(max_attempts=2, backoff_base_s=0.1)
-        engine = EvaluationEngine(
-            backend="sharded", max_workers=2, retry_policy=policy
-        )
-        with engine:
-            backend = engine.backend
-            assert backend.retry_policy.batch_timeout_s is None
-            with engine.deadline_scope(3.1):
-                # backoff between the two attempts is 0.1 s; the rest of
-                # the budget splits across two pool attempts plus one
-                # reserved slot for the in-process degradation rung.
-                clamped = backend.retry_policy.batch_timeout_s
-                assert clamped == pytest.approx((3.1 - 0.1) / 3)
-            assert backend.retry_policy.batch_timeout_s is None
-            with engine.deadline_scope(None):
-                assert backend.retry_policy.batch_timeout_s is None
-
-    def test_deadline_scope_is_a_noop_on_serial_engines(self):
-        engine = EvaluationEngine()
-        with engine.deadline_scope(0.5):
-            pass  # nothing to clamp; must not raise
-
     def test_expiry_is_typed_and_the_engine_survives(self):
         genotypes = space_genotypes()
         expected = expected_rows()
@@ -1394,48 +1371,104 @@ class TestDeadlines:
 
         asyncio.run(scenario())
 
-    def test_hung_workers_cannot_break_a_client_deadline(self):
-        genotypes = space_genotypes()
-        expected = expected_rows()
-        # Every pool dispatch hangs far past the deadline; only the clamped
-        # batch timeout and the in-process degradation rung can serve this.
-        plan = FaultPlan(
-            [FaultSpec(site="shard", action="hang", delay_s=30.0)]
-        )
-        deadline_s = 2.5
+# --------------------------------------------------------------------------
+# Reply shape: no degradation flag, engine counters as the engine has them
+# --------------------------------------------------------------------------
 
+
+class TestReplyShape:
+    def test_evaluate_reply_envelope(self):
         async def scenario():
-            engine = EvaluationEngine(
-                backend="sharded",
-                max_workers=2,
-                retry_policy=FAST_RETRIES,
-            )
-            service = await start_service(engine=engine)
+            service = await start_service()
+            try:
+                reader, writer = await open_raw(service)
+                try:
+                    ids = np.array([1, 2, 3])
+                    writer.write(
+                        encode_message(
+                            {"op": "evaluate", "id": 3, "columns": {"ids": ids}}
+                        )
+                    )
+                    await writer.drain()
+                    event = await read_event(reader)
+                    assert sorted(event) == ["columns", "event", "frame", "id", "ok"]
+                    assert sorted(event["columns"]) == sorted(REPLY_COLUMNS)
+                    assert event["columns"]["ids"].tolist() == ids.tolist()
+                finally:
+                    await close_raw(writer)
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+
+    def test_sweep_reply_envelope(self):
+        async def scenario():
+            service = await start_service()
+            try:
+                reader, writer = await open_raw(service)
+                try:
+                    writer.write(
+                        encode_message(
+                            {
+                                "op": "sweep",
+                                "id": 4,
+                                "algorithm": "exhaustive",
+                                "params": {},
+                                "deadline_s": None,
+                                "stream": False,
+                            }
+                        )
+                    )
+                    await writer.drain()
+                    event = decode_line(
+                        await asyncio.wait_for(reader.readline(), 10.0)
+                    )
+                    assert sorted(event) == [
+                        "engine_stats",
+                        "evaluations",
+                        "event",
+                        "frame",
+                        "id",
+                        "ok",
+                    ]
+                    frame = await asyncio.wait_for(
+                        reader.readexactly(frame_length(event)), 10.0
+                    )
+                    front = unpack_frame(frame, ROW_COLUMNS)
+                    assert len(front["ids"]) == len(reference_front("beacon"))
+                    assert list(event["engine_stats"]) == list(
+                        EngineStats().as_dict()
+                    )
+                    assert event["evaluations"] == SPACE_SIZE
+                finally:
+                    await close_raw(writer)
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+
+    def test_stats_reply_lists_the_engine_counters(self):
+        async def scenario():
+            service = await start_service()
             try:
                 client = await connect(service, "alice")
                 try:
-                    with inject_faults(plan):
-                        started = time.monotonic()
-                        reply = await client.evaluate(
-                            genotypes, deadline_s=deadline_s
-                        )
-                        elapsed = time.monotonic() - started
-                    # The reply beat the deadline despite 30 s worker hangs
-                    # (clamped retries, then the in-process ladder), is
-                    # flagged degraded, and is still bitwise correct.
-                    assert elapsed < deadline_s + 1.0
-                    assert reply.degraded
-                    for genotype, row in zip(genotypes, reply.rows):
-                        assert row.objectives == expected[genotype][0]
                     stats = await client.stats()
-                    assert stats["engine"]["worker_failures"] >= 1
-                    assert stats["engine"]["degraded_batches"] >= 1
+                    assert list(stats["engine"]) == list(EngineStats().as_dict())
                 finally:
                     await client.close()
             finally:
                 await service.stop()
 
         asyncio.run(scenario())
+
+    def test_client_replies_carry_no_degradation_flag(self):
+        assert [f.name for f in fields(EvaluateReply)] == ["rows", "cached"]
+        assert [f.name for f in fields(SweepReply)] == [
+            "front",
+            "evaluations",
+            "engine_stats",
+        ]
 
 
 # --------------------------------------------------------------------------
@@ -1553,44 +1586,6 @@ class TestDisconnects:
                     assert reply.rows[0].objectives == expected[genotypes[0]][0]
                     stats = await client.stats()
                     assert stats["admission"]["pending"] == 0
-                finally:
-                    await client.close()
-            finally:
-                await service.stop()
-
-        asyncio.run(scenario())
-
-
-# --------------------------------------------------------------------------
-# Degradation surfacing
-# --------------------------------------------------------------------------
-
-
-class TestDegradationSurfacing:
-    def test_degraded_batches_flag_their_responses(self):
-        genotypes = space_genotypes()
-        expected = expected_rows()
-        # Every pool dispatch raises; retries exhaust and the engine serves
-        # the batch from its in-process ladder.
-        plan = FaultPlan([FaultSpec(site="shard", action="raise")])
-
-        async def scenario():
-            engine = EvaluationEngine(
-                backend="sharded",
-                max_workers=2,
-                retry_policy=FAST_RETRIES,
-            )
-            service = await start_service(engine=engine)
-            try:
-                client = await connect(service, "alice")
-                try:
-                    with inject_faults(plan):
-                        reply = await client.evaluate(genotypes)
-                    assert reply.degraded
-                    for genotype, row in zip(genotypes, reply.rows):
-                        assert row.objectives == expected[genotype][0]
-                    stats = await client.stats()
-                    assert stats["engine"]["degraded_batches"] >= 1
                 finally:
                     await client.close()
             finally:
