@@ -44,7 +44,7 @@ import pytest
 
 from repro.core.metrics import balanced_aggregate_columns
 from repro.core.slot_assignment import slot_budget_columns
-from repro.core.vectorized import _STAGE_TABLES
+from repro.core.vectorized import _FLOAT_STAGES, _GROUP_TABLES
 from repro.dse.exhaustive import ExhaustiveSearch
 from repro.dse.nsga2 import Nsga2, Nsga2Settings
 from repro.dse.problem import WbsnDseProblem, csma_mac_parameterisation
@@ -539,24 +539,37 @@ def _kernel_stage_ms(kernel, ids: np.ndarray) -> dict[str, float]:
     """Best-of-5 milliseconds of each stage of one kernel batch of ids.
 
     The stages of ``WbsnVectorizedKernel.evaluate_columns``, each run alone
-    on the batch's own intermediates: the stage-table rows built from the
-    ids, the five stage-table gathers, the slot budget, the energy and
-    quality aggregates of equation (8), and the delay bound (9).
+    on the batch's own intermediates: one split of the ids per node group
+    and the table rows built from the group values, the float stage
+    gathers (energy, quality loss and transmission interval per node), the
+    group totals (violations, slot total and smallest slot count per
+    group, reduced over the groups), the slot budget, the energy and
+    quality aggregates of equation (8), and the delay bound (9) from the
+    smallest count and the total (a delay-table lookup where one fits).
     """
-    rows, mac_index = kernel._stage_rows(ids)
-    tables = [kernel._stage_tables[name] for name in _STAGE_TABLES]
-    energy, quality, _, slot_counts, intervals = (np.take(t, rows) for t in tables)
-    cap = np.take(kernel._slot_cap, mac_index)
+    tables = kernel.shareable_tables()
+    group_rows, node_rows, mac_index = kernel._table_rows(*kernel._group_values(ids))
+    energy, quality, intervals = (np.take(tables[n], node_rows) for n in _FLOAT_STAGES)
+    cap = np.take(tables["mac.slot_cap"], mac_index)
     theta = kernel._theta
+
+    def group_totals():
+        violations, total, smallest = (
+            np.take(tables[name], group_rows) for name in _GROUP_TABLES
+        )
+        return violations.sum(axis=0), total.sum(axis=0), smallest.min(axis=0)
+
+    _, total, smallest = group_totals()
     stages = {
-        "row_build": lambda: kernel._stage_rows(ids),
-        "gathers": lambda: [np.take(table, rows) for table in tables],
+        "group_splits": lambda: kernel._table_rows(*kernel._group_values(ids)),
+        "float_gathers": lambda: [np.take(tables[n], node_rows) for n in _FLOAT_STAGES],
+        "group_totals": group_totals,
         "slot_budget": lambda: slot_budget_columns(intervals, cap),
         "aggregates": lambda: (
             balanced_aggregate_columns(energy, theta),
             balanced_aggregate_columns(quality, theta),
         ),
-        "delay": lambda: kernel._delay_column(slot_counts, mac_index),
+        "delay": lambda: kernel._delays(smallest, total, mac_index),
     }
     return {name: _best_ms(stage) for name, stage in stages.items()}
 
@@ -573,8 +586,12 @@ def test_default_engine_sweep(reporter, tmp_path):
     also records, ungated, the column kernel alone on one 8,192-id chunk
     (best of 5; the engine hands the kernel its misses as design ids), the
     best of 5 of each of its stages (``kernel_stage_ms``), its minor page
-    faults per call (``ru_minflt``) and its stage-table entry count.  Two
-    **hard gates**: memory — the bytes
+    faults per call (``ru_minflt``), its compiled stage rows, its node
+    groups and the entry count of each kind of table it gathers from.
+    Three **hard gates**: the kernel — the space must compile into node
+    groups of more than one node and a delay table, so a silent fall-back
+    to one node per group (or to the per-design delay call) fails the job;
+    memory — the bytes
     the engine retains per memoised row after the cold sweep, measured with
     ``tracemalloc``, must stay at or below
     ``MAX_ENGINE_RETAINED_BYTES_PER_ROW`` — and gene rows: the cold sweep
@@ -644,6 +661,12 @@ def test_default_engine_sweep(reporter, tmp_path):
     kernel_chunk_ms = _best_ms(lambda: kernel.evaluate_columns(chunk))
     faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / 5
     stage_ms = _kernel_stage_ms(kernel, chunk)
+    tables = kernel.shareable_tables()
+    table_entries = {
+        "stage": len(tables["stage.energy_w"]),
+        "group": len(tables["group.violations"]),
+        "delay": len(tables["delay.table"]) if "delay.table" in tables else 0,
+    }
 
     space_size = problem.space.size
     _merge_artifact(
@@ -666,6 +689,8 @@ def test_default_engine_sweep(reporter, tmp_path):
                 "kernel_stage_ms": stage_ms,
                 "kernel_chunk_minor_faults": faults,
                 "kernel_stage_table_entries": kernel.stage_table_entries,
+                "kernel_node_groups": [list(group) for group in kernel.node_groups],
+                "kernel_table_entries": table_entries,
             }
         }
     )
@@ -679,8 +704,10 @@ def test_default_engine_sweep(reporter, tmp_path):
             f"{len(cached_front)} (hard gate: at most the front)",
             f"column kernel alone: {kernel_chunk_ms:.2f} ms per "
             f"{DEFAULT_ENGINE_CHUNK}-id chunk (best of 5), {faults:.0f} minor "
-            f"page faults per call, {kernel.stage_table_entries} stage-table "
-            "entries",
+            f"page faults per call, {kernel.stage_table_entries} stage rows "
+            f"compiled; node groups {kernel.node_groups}; table entries "
+            + ", ".join(f"{kind} {count}" for kind, count in table_entries.items())
+            + " (hard gate: groups of more than one node and a delay table)",
             "kernel stages (best of 5): "
             + ", ".join(f"{name} {ms:.3f} ms" for name, ms in stage_ms.items()),
             f"retained per memoised row: {bytes_per_row:.0f} B over {memoised} "
@@ -688,6 +715,10 @@ def test_default_engine_sweep(reporter, tmp_path):
         ],
     )
     assert bytes_per_row <= MAX_ENGINE_RETAINED_BYTES_PER_ROW
+    # The kernel gate: the sweep space compiles into multi-node groups and
+    # a delay table (two groups of three nodes, 448 delay entries).
+    assert max(len(group) for group in kernel.node_groups) > 1
+    assert table_entries["delay"] > 0
 
 
 @pytest.mark.paper_figure("dse-speed")

@@ -156,6 +156,12 @@ class VectorizedMACModel(Protocol):
     for bit as long as every float step on the way is monotone under
     round-to-nearest (int to float, multiplication by a non-negative table
     value, ``ceil``, ``maximum``, addition, division of a positive value).
+    The compiled kernel also tabulates the delay method once, at compile
+    time, on the broadcast grid of every (own count, total count, MAC
+    index) its space reaches, and a batch looks the delay up instead of
+    calling it, so the method must stay a pure elementwise function of those
+    three arguments (and the compiled MAC table): no state, no dependence
+    on the batch's shape or on other elements.
 
     Every kernel accepts the ``xp`` array namespace resolved through the
     backend seam (:mod:`repro.core.array_backend`) as a keyword argument —
@@ -189,9 +195,12 @@ class VectorizedMACModel(Protocol):
         """Worst-case delay of a node holding ``own_slots`` of its design's
         ``total_slots``, elementwise, ``inf`` where ``own_slots`` is 0.
 
-        ``total_slots`` and ``mac_index`` hold one entry per design;
-        ``own_slots`` is one count per design or a node-major ``(nodes,
-        batch)`` matrix, broadcast against them.
+        The three arrays broadcast against each other: one entry per
+        design, a node-major ``(nodes, batch)`` count matrix against
+        per-design totals and indices, or the compile-time grid of
+        ``(own, 1, 1)`` counts, ``(1, total, 1)`` totals and ``(1, 1,
+        configurations)`` indices.  The result may keep a broadcast shape
+        (the caller broadcasts it); it is only ever read elementwise.
         """
         ...  # pragma: no cover - protocol
 

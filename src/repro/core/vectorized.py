@@ -17,38 +17,52 @@ aggregate (8) couple the nodes.  The kernel exploits that split:
    the node energy model, the radio's transmission time and the per-node
    part of slot assignment (:func:`~repro.core.slot_assignment.slot_count_columns`)
    run **once** over every (knob combination × MAC configuration) pair of
-   that node.  The results are kept as five node-major **stage tables**:
-   total energy, quality loss, violation count, slot count ``k(n)`` and
-   transmission interval ``k(n) * delta`` (the required transmission time
-   is read only at compile time, to solve the slot count).  Size
-   rule: per node, knob combinations × MAC configurations rows (4 × 32 =
-   128 per node on the 131,072-design sweep space, 32 × 32 = 1,024 on the
-   default space), concatenated over the nodes.  The slot cap
-   ``min(1 - Delta_control, max_assignable)`` is compiled once per MAC
-   configuration;
-2. a batch of design ids becomes one ``(nodes, batch)`` matrix of
-   stage-table rows straight from the mixed-radix digits of the ids
-   (:func:`~repro.dse.space.split_digit`): a node whose knobs sit at
-   consecutive genotype positions is one digit, its knob combination, and
-   the MAC domains are one more, the MAC configuration; a node's row is its
-   table offset plus its knob combination times the MAC configuration
-   count plus the MAC configuration.  Gene-index rows are first packed
-   into their ids (:func:`~repro.dse.space.pack_keys`).  Each quantity is then one gather from its table;
-3. slot assignment is the left-to-right interval sum and the slack test
+   that node: total energy, quality loss, violation count, slot count
+   ``k(n)`` and transmission interval ``k(n) * delta`` (the required
+   transmission time is read only here, to solve the slot count);
+2. the design id's node digits, least significant first, form **node
+   groups**: consecutive digits that hold whole nodes and whose knob
+   combinations × MAC configurations fit one table of ``_TABLE_ROWS``
+   (4,096) rows — two groups of three nodes on the 131,072-design sweep
+   space (64 × 32 = 2,048 rows each), one node per group on the default
+   space (32 × 32 = 1,024; two nodes would need 32,768).  A group row is
+   its value (the members' knobs as one mixed-radix number) times the MAC
+   configuration count plus the MAC configuration.  Per group the kernel
+   keeps each member's float **stage tables** (energy, quality loss,
+   transmission interval, and the slot count the ``"mean"`` delay reads)
+   over the group's rows, concatenated over the nodes in node order, and
+   three exact integer **group tables**: violated node constraints, slot
+   total and smallest slot count.  The slot cap ``min(1 - Delta_control,
+   max_assignable)`` is compiled once per MAC configuration.  The MAC's
+   elementwise delay is tabulated once, over (own count, total count, MAC
+   configuration) for every count and total the nodes can reach, when that
+   grid fits the same budget: the **delay table**.  A grid past the budget
+   keeps the MAC's per-design call;
+3. a batch of design ids takes one split per group
+   (:func:`~repro.dse.space.split_digit`: a floor division and a
+   multiply-subtract), one per MAC digit, and none for the most
+   significant digit; gene-index rows are first packed into their ids
+   (:func:`~repro.dse.space.pack_keys`).  The group values give one
+   ``(groups, batch)`` matrix of group-table rows and one ``(nodes,
+   batch)`` matrix of stage-table rows; each quantity is then one gather;
+4. slot assignment is the left-to-right interval sum and the slack test
    against the gathered cap (:func:`~repro.core.slot_assignment.slot_budget_columns`);
-   the equation-(8) aggregation runs on the gathered matrices, and the
-   delay bound (9) on two integers per design, its slot total and its
-   smallest slot count (under ``delay_mode="max"`` the MAC column
-   protocol's contract makes the smallest count's delay the largest), or
-   on the whole count matrix under ``"mean"``; per-MAC-configuration
-   scalars are gathered through the same MAC index;
-4. the caller materialises result objects only for the designs it keeps —
-   this module returns plain column arrays, never per-design objects.
+   the equation-(8) aggregation runs on the gathered float matrices, left to
+   right over the nodes; the group totals add (violations, slot total) or
+   take their minimum (smallest count) over the groups, and the delay bound
+   (9) is the delay at the design's smallest count and slot total under
+   ``delay_mode="max"`` (the MAC column protocol's contract makes it the
+   largest), or at every node's count, averaged, under ``"mean"`` — a
+   delay-table lookup, or the MAC's call where no table fits;
+5. the caller materialises result objects only for the designs it keeps —
+   this module returns plain column arrays, never per-design objects;
+   phenotypes come from per-node object tables over the group values.
 
 **Invariant:** every stage mirrors the scalar model operation for operation
-(same order, same epsilons, multiplication instead of ``pow``), and a stage
-table entry is the very float the per-row evaluation would compute (the
-stages are elementwise), so the fast path is floating-point-identical to the
+(same order, same epsilons, multiplication instead of ``pow``), a stage or
+delay table entry is the very float the per-row evaluation would compute (the
+stages and the MAC delay are elementwise), and group totals are exact
+integers, so the fast path is floating-point-identical to the
 scalar path — same seed, same fronts, bit for bit — which the parity suite
 in ``tests/test_vectorized.py`` enforces.  When a problem's components do not
 implement the column protocols the compile step raises
@@ -73,6 +87,8 @@ from, in one flat mapping.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass
 from types import ModuleType
 from typing import Any, Callable, Mapping, Sequence
@@ -99,14 +115,16 @@ __all__ = [
     "as_row_indices",
 ]
 
-#: The per-node stage tables, by shared-table slot name.
-_STAGE_TABLES = (
-    "stage.energy_w",
-    "stage.quality_loss",
-    "stage.violations",
-    "stage.slot_counts",
-    "stage.intervals_s",
-)
+#: The stage tables a batch gathers floats from, per node.
+_FLOAT_STAGES = ("stage.energy_w", "stage.quality_loss", "stage.intervals_s")
+
+#: The group tables: per node group, exact integer totals over its members.
+_GROUP_TABLES = ("group.violations", "group.slot_total", "group.min_slots")
+
+#: Row budget of one compiled table: a node group's values × MAC
+#: configurations, and the delay table's (own count, total count, MAC
+#: configuration) grid.
+_TABLE_ROWS = 4096
 
 
 def as_row_indices(rows: Any) -> np.ndarray:
@@ -181,9 +199,9 @@ class WbsnVectorizedKernel:
     """Compiled columnar evaluator of one WBSN exploration problem.
 
     Build instances through :meth:`compile`, which validates that every
-    component supports the column protocols and precomputes the stage and
-    MAC tables.  The kernel is stateless after compilation and therefore
-    safe to share (and to pickle alongside its problem).
+    component supports the column protocols and precomputes the stage,
+    group, delay and MAC tables.  The kernel is stateless after compilation
+    and therefore safe to share (and to pickle alongside its problem).
     """
 
     def __init__(
@@ -192,14 +210,15 @@ class WbsnVectorizedKernel:
         theta: float,
         delay_mode: str,
         node_plans: Sequence[_NodePlan],
-        stage_tables: Mapping[str, np.ndarray],
-        mac_positions: Sequence[int],
-        mac_strides: Sequence[int],
+        splits: Sequence[tuple[int, int | None, int]],
+        node_groups: Sequence[tuple[int, ...]],
+        phenotypes: Sequence[np.ndarray],
+        tables: Mapping[str, np.ndarray],
+        delay_grid: tuple[int, int] | None,
         mac_configs: Sequence[Any],
         mac_config_objects: np.ndarray,
         mac_columns: VectorizedMACModel,
         mac_table: Any,
-        slot_cap: np.ndarray,
         cardinalities: Sequence[int],
         objective_components: tuple[str, ...],
         infeasibility_penalty: float,
@@ -214,43 +233,32 @@ class WbsnVectorizedKernel:
         self._theta = theta
         self._delay_mode = delay_mode
         self._node_plans = tuple(node_plans)
-        self._stage_tables = dict(stage_tables)
-        self._mac_positions = tuple(mac_positions)
-        self._mac_strides = tuple(mac_strides)
+        self._splits = tuple(splits)
+        #: The node groups, each its member nodes in node order.
+        self.node_groups = tuple(node_groups)
+        self._phenotypes = tuple(phenotypes)
+        self._tables = dict(tables)
         self._mac_configs = tuple(mac_configs)
         self._mac_config_objects = mac_config_objects
         self._mac_columns = mac_columns
         self._mac_table = mac_table
-        self._slot_cap = slot_cap
         self._cardinalities = tuple(int(c) for c in cardinalities)
         self.objective_components = objective_components
         self.infeasibility_penalty = infeasibility_penalty
-        # An id's digits, least significant first, as [radix, owner, scale]:
-        # a digit adds scale x its value to its owner's index (node n's
-        # table row, or for -1 the MAC configuration).  A gene joins the
-        # digit below when it has the same owner and its scale is radix x
-        # scale of that digit; unread genes are digits of owner None.
         n_mac = len(self._mac_configs)
-        owners: dict[int, tuple[int, int]] = {}
-        readers = [
-            (node, plan.positions, [stride * n_mac for stride in plan.strides])
-            for node, plan in enumerate(self._node_plans)
-        ] + [(-1, self._mac_positions, self._mac_strides)]
-        for owner, positions, scales in readers:
-            for position, scale in zip(positions, scales):
-                if position in owners:
-                    raise VectorizedUnsupported(f"gene {position} is read twice")
-                owners[position] = (owner, scale)
-        self._digits: list[list] = []
-        for position in range(len(self._cardinalities) - 1, -1, -1):
-            owner, scale = owners.get(position, (None, 0))
-            digit = self._digits[-1] if self._digits else None
-            if digit and digit[1] == owner and digit[0] * digit[2] == scale:
-                digit[0] *= self._cardinalities[position]
-            else:
-                self._digits.append([self._cardinalities[position], owner, scale])
-        offsets = np.cumsum([0] + [len(p.config_objects) * n_mac for p in node_plans])
-        self._node_offsets = self._xp.asarray(offsets[:-1, None])
+        self._n_mac = n_mac
+        # The delay table's (own count, total count) extent; it is laid out
+        # (own count, total count, MAC configuration), row-major.
+        self._delay_grid = delay_grid
+        # A node's stage-table section holds its group's rows; a group's
+        # section of the group tables holds the same rows.
+        group_of = {node: g for g, nodes in enumerate(node_groups) for node in nodes}
+        self._node_group = self._xp.asarray([group_of[n] for n in sorted(group_of)])
+        sizes = [len(table) * n_mac for table in self._phenotypes]
+        node_offsets = np.cumsum([0] + sizes)[:-1]
+        group_offsets = np.cumsum([0] + [sizes[nodes[0]] for nodes in node_groups])
+        self._node_offsets = self._xp.asarray(node_offsets[:, None])
+        self._group_offsets = self._xp.asarray(group_offsets[:-1, None])
 
     # ------------------------------------------------------------ compile
 
@@ -300,8 +308,9 @@ class WbsnVectorizedKernel:
 
         Raises:
             VectorizedUnsupported: when an application or the MAC protocol
-                does not implement the column protocols, or the objective
-                components are unknown.
+                does not implement the column protocols, the objective
+                components are unknown, or a node's knobs are split by a
+                gene of another owner.
         """
         unknown = set(objective_components) - {"energy", "quality", "delay"}
         if unknown:
@@ -349,7 +358,7 @@ class WbsnVectorizedKernel:
         )
 
         node_plans: list[_NodePlan] = []
-        stage_parts: list[tuple[np.ndarray, ...]] = []
+        stage_parts: list[dict[str, np.ndarray]] = []
         for index, (description, parameters) in enumerate(
             zip(network.nodes, node_parameters)
         ):
@@ -394,8 +403,8 @@ class WbsnVectorizedKernel:
                     config_objects=objects,
                 )
             )
-            # The node's stage-table rows: every knob combination (row-major,
-            # like the phenotype table) times every MAC configuration.
+            # The node's stage rows: every knob combination (row-major, like
+            # the phenotype table) times every MAC configuration.
             genes = np.indices(cardinalities).reshape(len(cardinalities), -1)
             config_columns = {
                 name: xp.repeat(tables[name][xp.asarray(column)], len(mac_configs))
@@ -415,24 +424,44 @@ class WbsnVectorizedKernel:
                 )
             )
 
+        cardinalities = [len(domain.values) for domain in domains]
+        splits, groups = _node_groups(
+            node_plans,
+            mac_positions,
+            _strides(mac_cardinalities),
+            cardinalities,
+            len(mac_configs),
+        )
+        tables = _group_tables(groups, stage_parts, len(mac_configs), xp=xp)
+        tables["mac.slot_cap"] = slot_cap_columns(
+            control_time_per_second, max_assignable_time_per_second, xp=xp
+        )
+        counts = [int(part["slot_counts"].max()) for part in stage_parts]
+        delay_grid = (max(counts) + 1, sum(counts) + 1)
+        if delay_grid[0] * delay_grid[1] * len(mac_configs) <= _TABLE_ROWS:
+            tables["delay.table"] = _delay_table(
+                mac_columns, mac_table, delay_grid, len(mac_configs), xp=xp
+            )
+        else:
+            delay_grid = None
+        phenotypes = [None] * len(node_plans)
+        for nodes, knobs in groups:
+            for node, column in zip(nodes, knobs):
+                phenotypes[node] = node_plans[node].config_objects[column]
         return cls(
             theta=network.theta,
             delay_mode=network.delay_mode,
             node_plans=node_plans,
-            stage_tables={
-                name: xp.concatenate(parts)
-                for name, parts in zip(_STAGE_TABLES, zip(*stage_parts))
-            },
-            mac_positions=mac_positions,
-            mac_strides=_strides(mac_cardinalities),
+            splits=splits,
+            node_groups=[nodes for nodes, _ in groups],
+            phenotypes=phenotypes,
+            tables=tables,
+            delay_grid=delay_grid,
             mac_configs=mac_configs,
             mac_config_objects=mac_config_objects,
             mac_columns=mac_columns,
             mac_table=mac_table,
-            slot_cap=slot_cap_columns(
-                control_time_per_second, max_assignable_time_per_second, xp=xp
-            ),
-            cardinalities=[len(domain.values) for domain in domains],
+            cardinalities=cardinalities,
             objective_components=tuple(objective_components),
             infeasibility_penalty=float(infeasibility_penalty),
             array_namespace=xp,
@@ -460,27 +489,30 @@ class WbsnVectorizedKernel:
         if len(batch) == 0:
             return WbsnBatchColumns.empty(self.n_objectives)
         xp = self._xp
-        rows, mac_index = self._stage_rows(xp.asarray(batch))
-        energy, quality, node_violations, slot_counts, intervals = (
-            xp.take(self._stage_tables[name], rows) for name in _STAGE_TABLES
+        group_rows, node_rows, mac_index = self._table_rows(
+            *self._group_values(xp.asarray(batch))
+        )
+        energy, quality, intervals = (
+            xp.take(self._tables[name], node_rows) for name in _FLOAT_STAGES
         )
         slots_fit = slot_budget_columns(
-            intervals, xp.take(self._slot_cap, mac_index), xp=xp
+            intervals, xp.take(self._tables["mac.slot_cap"], mac_index), xp=xp
         )
-        violations = node_violations.sum(axis=0) + xp.where(slots_fit, 0, 1)
+        violations = xp.take(self._tables["group.violations"], group_rows).sum(axis=0)
+        violations += ~slots_fit
         theta = self._theta
         components = {
             "energy": lambda: balanced_aggregate_columns(energy, theta, xp=xp),
             "quality": lambda: balanced_aggregate_columns(quality, theta, xp=xp),
-            "delay": lambda: self._delay_column(slot_counts, mac_index),
+            "delay": lambda: self._delay_column(group_rows, node_rows, mac_index),
         }
         feasible = violations == 0
-        penalised = [
-            xp.where(feasible, column, column + self.infeasibility_penalty)
-            for column in (components[name]() for name in self.objective_components)
-        ]
+        columns = [components[name]() for name in self.objective_components]
+        if not feasible.all():
+            penalty = self.infeasibility_penalty
+            columns = [xp.where(feasible, c, c + penalty) for c in columns]
         return WbsnBatchColumns(
-            objectives=xp.stack(penalised, axis=1),
+            objectives=xp.stack(columns, axis=1),
             feasible=feasible,
             violation_counts=violations,
         )
@@ -495,29 +527,36 @@ class WbsnVectorizedKernel:
         compiled lookup tables, so repeated settings share one frozen
         instance across the whole batch.
         """
-        rows, mac_index = self._stage_rows(np.asarray(index_matrix))
-        knobs = (rows - self._node_offsets) // len(self._mac_configs)
-        columns = [plan.config_objects[k] for plan, k in zip(self._node_plans, knobs)]
+        values, mac_index = self._group_values(np.asarray(index_matrix))
+        columns = [
+            table[values[group]]
+            for table, group in zip(self._phenotypes, self._node_group.tolist())
+        ]
         return columns, self._mac_config_objects[mac_index]
 
     @property
     def stage_table_entries(self) -> int:
-        """Entries per stage table: over all nodes, knob combinations × MAC
-        configurations."""
-        return len(self._stage_tables[_STAGE_TABLES[0]])
+        """Stage rows compiled: over all nodes, knob combinations × MAC
+        configurations (each per-node stage function runs once over a node's
+        rows)."""
+        return len(self._mac_configs) * sum(
+            len(plan.config_objects) for plan in self._node_plans
+        )
 
     # ------------------------------------------------------- table access
 
     def shareable_tables(self) -> dict[str, np.ndarray]:
         """The kernel's numeric column tables, as one flat named mapping.
 
-        These are every table a batch evaluation gathers from: the five
-        per-node stage tables, the per-MAC-configuration slot cap and the
-        compiled MAC table columns.  Object tables (the phenotype lookup
-        objects) are excluded: a batch evaluation returns raw columns and
-        never reads them.
+        These are every table a batch evaluation gathers from: the four
+        stage tables (per node, over its group's rows), the three group
+        tables, the delay table where one was compiled, the
+        per-MAC-configuration slot cap and the compiled MAC table columns
+        (read by the MAC's delay call where no delay table fits).  Object
+        tables (the phenotype lookup objects) are excluded: a batch
+        evaluation returns raw columns and never reads them.
         """
-        tables = {"mac.slot_cap": self._slot_cap, **self._stage_tables}
+        tables = dict(self._tables)
         if is_dataclass(self._mac_table):
             for field in fields(self._mac_table):
                 value = getattr(self._mac_table, field.name)
@@ -527,51 +566,73 @@ class WbsnVectorizedKernel:
 
     # ------------------------------------------------------------ internals
 
-    def _stage_rows(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(nodes, batch)`` stage-table rows and the MAC configuration
-        index of a batch, from the digits of its design ids."""
+    def _group_values(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(groups, batch)`` group values and the MAC configuration
+        index of a batch: one split of its design ids per group."""
         # Imported here: repro.dse imports this module.
         from repro.dse.space import pack_keys, split_digit
 
         xp = self._xp
         ids = pack_keys(batch, self._cardinalities) if batch.ndim == 2 else batch
-        rows = xp.zeros((len(self._node_plans), len(ids)), dtype=np.int64)
+        values = xp.empty((len(self.node_groups), len(ids)), dtype=np.int64)
         mac_index = xp.zeros(len(ids), dtype=np.int64)
-        for radix, owner, scale in self._digits:
-            ids, digit = split_digit(ids, radix)
-            if owner is not None:
+        for radix, target, scale in self._splits:
+            # The most significant split (radix 0) is the rest of the id.
+            ids, digit = split_digit(ids, radix) if radix else (None, ids)
+            if target is None:
+                continue
+            if target >= 0:
+                values[target] = digit
+            else:
                 digit = digit.astype(np.int64, copy=False)
-                digit *= scale
-                target = mac_index if owner < 0 else rows[owner]
-                target += digit
-        rows += self._node_offsets
-        rows += mac_index
-        return rows, mac_index
+                mac_index += digit if scale == 1 else digit * scale
+        return values, mac_index
+
+    def _table_rows(
+        self, values: np.ndarray, mac_index: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Group-table rows ``(groups, batch)``, stage-table rows ``(nodes,
+        batch)`` and the MAC index, from group values (overwritten)."""
+        values *= self._n_mac
+        values += mac_index
+        node_rows = values[self._node_group]
+        node_rows += self._node_offsets
+        values += self._group_offsets
+        return values, node_rows, mac_index
 
     def _delay_column(
-        self, slot_counts: np.ndarray, mac_index: np.ndarray
+        self, group_rows: np.ndarray, node_rows: np.ndarray, mac_index: np.ndarray
     ) -> np.ndarray:
-        """The network delay metric of a batch from its ``(nodes, batch)``
-        slot counts.
+        """The network delay metric of a batch.
 
-        Under ``"max"`` the MAC delay runs once per design, at its smallest
-        count: the column protocol's contract makes that node's delay the
-        largest.  Under ``"mean"`` it runs on the whole matrix, averaged over
-        the nodes left to right as
+        Under ``"max"`` one delay per design, at its smallest count: the
+        column protocol's contract makes that node's delay the largest.
+        Under ``"mean"`` one per node, averaged left to right as
         :func:`~repro.core.metrics.network_delay_metric` does.
         """
-        total = slot_counts.sum(axis=0)
-
-        def delays(own_slots: np.ndarray) -> np.ndarray:
-            return self._mac_columns.worst_case_delay_columns(
-                own_slots, total, self._mac_table, mac_index, xp=self._xp
-            )
-
+        xp = self._xp
+        total = xp.take(self._tables["group.slot_total"], group_rows).sum(axis=0)
         if self._delay_mode == "max":
-            return delays(slot_counts.min(axis=0))
+            own = xp.take(self._tables["group.min_slots"], group_rows).min(axis=0)
+            return self._delays(own, total, mac_index)
         if self._delay_mode == "mean":
-            return balanced_aggregate_columns(delays(slot_counts), 0.0, xp=self._xp)
+            own = xp.take(self._tables["stage.slot_counts"], node_rows)
+            delays = self._delays(own, total, mac_index)
+            return balanced_aggregate_columns(delays, 0.0, xp=xp)
         raise ValueError("mode must be 'max' or 'mean'")
+
+    def _delays(
+        self, own: np.ndarray, total: np.ndarray, mac_index: np.ndarray
+    ) -> np.ndarray:
+        """Elementwise delay of a node holding ``own`` of ``total`` slots: a
+        delay-table lookup, or where no table fits, the MAC's own call."""
+        if self._delay_grid is None:
+            return self._mac_columns.worst_case_delay_columns(
+                own, total, self._mac_table, mac_index, xp=self._xp
+            )
+        index = own * (self._delay_grid[1] * self._n_mac)
+        index += total * self._n_mac + mac_index
+        return self._xp.take(self._tables["delay.table"], index)
 
     def __getstate__(self) -> dict:
         # Modules are not picklable: ship the backend *name* and re-resolve
@@ -587,6 +648,152 @@ class WbsnVectorizedKernel:
         self._xp = resolve_backend(self.backend_name)
 
 
+def _node_groups(
+    node_plans: Sequence[_NodePlan],
+    mac_positions: Sequence[int],
+    mac_strides: Sequence[int],
+    cardinalities: Sequence[int],
+    n_mac: int,
+) -> tuple[list[tuple[int, int | None, int]], list[tuple[tuple[int, ...], np.ndarray]]]:
+    """An id's splits, least significant first, and its node groups.
+
+    A split is ``(radix, target, scale)``: ``target`` is a group index, -1
+    for a MAC digit (adding ``scale`` × its value to the MAC configuration
+    index) or ``None`` for unread genes; the most significant split has
+    radix 0, the rest of the id.  Consecutive node digits join one group
+    while it holds whole nodes and its values × MAC configurations fit
+    :data:`_TABLE_ROWS` (a node too large for the budget is a group alone).
+    A group is its member nodes, in node order, and their knob combination
+    at each group value, ``(members, values)``.
+    """
+    owners: dict[int, tuple[int, int]] = {}
+    readers = [
+        (node, plan.positions, plan.strides) for node, plan in enumerate(node_plans)
+    ] + [(-1, mac_positions, mac_strides)]
+    for owner, positions, scales in readers:
+        for position, scale in zip(positions, scales):
+            if position in owners:
+                raise VectorizedUnsupported(f"gene {position} is read twice")
+            owners[position] = (owner, scale)
+    # The id's digits as [radix, owner, scale]: a digit adds scale × its
+    # value to its owner's index (node n's knob combination, or for -1 the
+    # MAC configuration).  A gene joins the digit below when it has the
+    # same owner and its scale is radix × scale of that digit.
+    digits: list[list] = []
+    for position in range(len(cardinalities) - 1, -1, -1):
+        owner, scale = owners.get(position, (None, 0))
+        digit = digits[-1] if digits else None
+        if digit and digit[1] == owner and digit[0] * digit[2] == scale:
+            digit[0] *= cardinalities[position]
+        else:
+            digits.append([cardinalities[position], owner, scale])
+
+    pending = Counter(owner for _, owner, _ in digits)
+    splits: list[list] = []
+    groups: list[list] = []  # per group, its digits
+    unfinished: set[int] = set()  # nodes of the last group with digits to come
+    for radix, owner, scale in digits:
+        pending[owner] -= 1
+        if owner is None or owner < 0:
+            if unfinished:
+                raise VectorizedUnsupported(
+                    f"the knobs of node {min(unfinished)} are split by another gene"
+                )
+            splits.append([radix, owner, scale])
+            continue
+        split = splits[-1] if splits else None
+        if (
+            split is None
+            or split[1] is None
+            or split[1] < 0
+            or not unfinished
+            and split[0] * len(node_plans[owner].config_objects) * n_mac > _TABLE_ROWS
+        ):
+            groups.append([])
+            split = [1, len(groups) - 1, 0]
+            splits.append(split)
+        groups[split[1]].append((radix, owner, scale))
+        split[0] *= radix
+        if pending[owner]:
+            unfinished.add(owner)
+        else:
+            unfinished.discard(owner)
+    splits[-1][0] = 0
+
+    node_groups = []
+    for group in groups:
+        nodes = sorted({node for _, node, _ in group})
+        values = np.arange(math.prod(radix for radix, _, _ in group))
+        knobs = np.zeros((len(nodes), len(values)), dtype=np.int64)
+        for radix, node, scale in group:
+            values, digit = np.divmod(values, radix)
+            knobs[nodes.index(node)] += digit * scale
+        node_groups.append((tuple(nodes), knobs))
+    return [tuple(split) for split in splits], node_groups
+
+
+def _group_tables(
+    groups: Sequence[tuple[tuple[int, ...], np.ndarray]],
+    stage_parts: Sequence[Mapping[str, np.ndarray]],
+    n_mac: int,
+    *,
+    xp: ModuleType,
+) -> dict[str, np.ndarray]:
+    """The stage and group tables, over the groups' rows.
+
+    A group row is a group value times the MAC configuration count plus
+    the MAC configuration.  Each node's stage rows are gathered onto its
+    group's rows (its knob combination at each group value) and
+    concatenated over the nodes in node order; each group's exact integer
+    totals over its members (violated node constraints, slot total,
+    smallest slot count) are concatenated over the groups.
+    """
+    stage: dict[int, dict[str, np.ndarray]] = {}
+    totals: list[tuple[np.ndarray, ...]] = []
+    for nodes, knobs in groups:
+        rows = (knobs[:, :, None] * n_mac + np.arange(n_mac)).reshape(len(nodes), -1)
+        for node, node_rows in zip(nodes, rows):
+            stage[node] = {
+                name: xp.take(column, xp.asarray(node_rows))
+                for name, column in stage_parts[node].items()
+            }
+        violations, counts = (
+            xp.stack([stage[node][name] for node in nodes])
+            for name in ("violations", "slot_counts")
+        )
+        totals.append(
+            (violations.sum(axis=0), counts.sum(axis=0), counts.min(axis=0))
+        )
+    tables = {
+        f"stage.{name}": xp.concatenate([stage[node][name] for node in sorted(stage)])
+        for name in ("energy_w", "quality_loss", "slot_counts", "intervals_s")
+    }
+    for name, parts in zip(_GROUP_TABLES, zip(*totals)):
+        tables[name] = xp.concatenate(parts)
+    return tables
+
+
+def _delay_table(
+    mac_columns: VectorizedMACModel,
+    mac_table: Any,
+    grid: tuple[int, int],
+    n_mac: int,
+    *,
+    xp: ModuleType,
+) -> np.ndarray:
+    """The MAC's elementwise delay at every (own count, total count, MAC
+    configuration) of the grid, flattened row-major: one call."""
+    own, total = (xp.arange(size, dtype=np.int64) for size in grid)
+    delays = mac_columns.worst_case_delay_columns(
+        own[:, None, None],
+        total[None, :, None],
+        mac_table,
+        xp.arange(n_mac, dtype=np.int64)[None, None, :],
+        xp=xp,
+    )
+    return xp.ascontiguousarray(xp.broadcast_to(delays, (*grid, n_mac))).reshape(-1)
+
+
 def _node_stage_columns(
     description: NodeDescription,
     config_columns: Mapping[str, np.ndarray],
@@ -597,12 +804,12 @@ def _node_stage_columns(
     base_time_unit_s: np.ndarray,
     *,
     xp: ModuleType,
-) -> tuple[np.ndarray, ...]:
+) -> dict[str, np.ndarray]:
     """One node's stage columns over aligned knob and MAC-index columns.
 
-    Returns, in :data:`_STAGE_TABLES` order, the node's total energy,
-    quality loss, violated node constraints (schedulability, memory fit),
-    slot count and transmission interval, each one entry per input row.
+    Returns the node's total energy, quality loss, violated node
+    constraints (schedulability, memory fit), slot count and transmission
+    interval, by name, each one entry per input row.
     """
     app = description.application.application_columns(
         description.input_stream_bytes_per_second, config_columns
@@ -629,14 +836,16 @@ def _node_stage_columns(
         xp.less_equal(app.memory_bytes, energy_model.ram_bytes), 0, 1
     )
     shape = (len(mac_index),)
-    return (
-        xp.broadcast_to(energy.total_w, shape),
-        xp.broadcast_to(app.quality_loss, shape),
-        xp.broadcast_to(violations, shape).astype(np.int64),
-        *slot_count_columns(
-            xp.broadcast_to(required, shape), base_time_unit_s[mac_index], xp=xp
-        ),
+    slot_counts, intervals = slot_count_columns(
+        xp.broadcast_to(required, shape), base_time_unit_s[mac_index], xp=xp
     )
+    return {
+        "energy_w": xp.broadcast_to(energy.total_w, shape),
+        "quality_loss": xp.broadcast_to(app.quality_loss, shape),
+        "violations": xp.broadcast_to(violations, shape).astype(np.int64),
+        "slot_counts": slot_counts,
+        "intervals_s": intervals,
+    }
 
 
 def _strides(cardinalities: Sequence[int]) -> tuple[int, ...]:

@@ -22,10 +22,12 @@ The lane is where concurrent clients become one workload:
   dispatch (expired requests are answered without occupying the engine),
   checked again after the call, and — for sweeps — checked between chunks
   through the sweep's ``front_callback``.  The engine computes in-process,
-  so a call is never interrupted mid-batch: a lane stuck past a deadline
-  answers the affected clients late but typed.  A missed deadline is a
-  :class:`~repro.service.protocol.DeadlineExceededError` for that client
-  only; the engine and the other clients in the batch are unaffected.
+  so a call is never interrupted mid-batch; the server does not wait for
+  it: a request still unanswered at its deadline gets its typed error at
+  the deadline, and the lane's late outcome is dropped.  A missed deadline
+  is a :class:`~repro.service.protocol.DeadlineExceededError` for that
+  client only; the engine and the other clients in the batch are
+  unaffected.
 * **Attribution** — per-client :class:`~repro.engine.EngineStats` ledgers
   split a coalesced batch's work: every requested row counts toward the
   requester's ``genotype_requests``; rows the engine reports as ``cached``

@@ -11,9 +11,10 @@ enforces the robustness contract the in-process stack cannot:
   sheds burst overload with typed ``overload`` errors instead of queueing
   without bound or silently dropping requests;
 * **deadlines** — a request's ``deadline_s`` travels into the engine lane,
-  which checks it at every dispatch boundary and between sweep chunks, so
-  a missed deadline (a slow or stuck lane included) reaches the client as a
-  typed ``deadline`` error;
+  which checks it at every dispatch boundary and between sweep chunks, and
+  the server answers a request still unanswered at its deadline with a
+  typed ``deadline`` error then, however long the lane's current call
+  runs (a slow or stuck lane included);
 * **graceful drain** — :meth:`DseService.stop` stops admitting, lets every
   admitted request complete, flushes connections, spills the persistent
   cache tier, and only then tears the engine lane down;
@@ -61,6 +62,7 @@ from repro.service.protocol import (
     REQUEST_COLUMNS,
     WIRE_LINE_LIMIT,
     BadRequestError,
+    DeadlineExceededError,
     RemoteInternalError,
     ServiceError,
     decode_line,
@@ -70,6 +72,28 @@ from repro.service.protocol import (
 )
 
 __all__ = ["DseService"]
+
+
+async def _by_deadline(future: asyncio.Future, deadline: float | None) -> Any:
+    """The lane's outcome of a request, or at its deadline (event-loop
+    time) a typed ``deadline`` error.
+
+    The wait is on the shielded future, so the lane keeps its item: it
+    skips it if still queued, or finishes the call it cannot interrupt, and
+    the late outcome is dropped unread.
+    """
+    if deadline is None:
+        return await future
+    remaining = deadline - asyncio.get_running_loop().time()
+    try:
+        return await asyncio.wait_for(asyncio.shield(future), remaining)
+    except asyncio.TimeoutError:
+        # Read the late outcome when it comes, so asyncio reports no
+        # unretrieved exception.
+        future.add_done_callback(lambda late: late.cancelled() or late.exception())
+        raise DeadlineExceededError(
+            "deadline expired before the engine lane answered"
+        ) from None
 
 
 class _Connection:
@@ -451,7 +475,9 @@ class DseService:
             raise RemoteInternalError(
                 f"failed to queue the request: {exc}"
             ) from exc
-        self._track(self._complete_evaluate(connection, request_id, future))
+        self._track(
+            self._complete_evaluate(connection, request_id, future, deadline)
+        )
 
     def _admit_sweep(
         self, connection: _Connection, request_id: Any, message: dict
@@ -494,7 +520,7 @@ class DseService:
             raise RemoteInternalError(
                 f"failed to queue the request: {exc}"
             ) from exc
-        self._track(self._complete_sweep(connection, request_id, future))
+        self._track(self._complete_sweep(connection, request_id, future, deadline))
 
     def _track(self, coroutine) -> None:
         task = asyncio.get_running_loop().create_task(coroutine)
@@ -504,10 +530,14 @@ class DseService:
     # ----------------------------------------------------------- completion
 
     async def _complete_evaluate(
-        self, connection: _Connection, request_id: Any, future: asyncio.Future
+        self,
+        connection: _Connection,
+        request_id: Any,
+        future: asyncio.Future,
+        deadline: float | None,
     ) -> None:
         try:
-            outcome: EvaluateOutcome = await future
+            outcome: EvaluateOutcome = await _by_deadline(future, deadline)
             connection.post(
                 {
                     "id": request_id,
@@ -522,10 +552,14 @@ class DseService:
             self.admission.release()
 
     async def _complete_sweep(
-        self, connection: _Connection, request_id: Any, future: asyncio.Future
+        self,
+        connection: _Connection,
+        request_id: Any,
+        future: asyncio.Future,
+        deadline: float | None,
     ) -> None:
         try:
-            outcome: SweepOutcome = await future
+            outcome: SweepOutcome = await _by_deadline(future, deadline)
             connection.post(
                 {
                     "id": request_id,

@@ -17,6 +17,7 @@ All asyncio is driven through ``asyncio.run()`` inside synchronous tests
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import pickle
 import tempfile
@@ -1370,6 +1371,49 @@ class TestDeadlines:
                 await service.stop()
 
         asyncio.run(scenario())
+
+    def test_a_stuck_lane_answers_at_the_deadline(self):
+        """Behind a 1.0 s hang, a 0.15 s deadline is answered at the
+        deadline while the lane is still stuck; the admission slot is
+        released once, and the lane's late outcome is dropped unread."""
+        genotypes = space_genotypes()
+        expected = expected_rows()
+        plan = FaultPlan(
+            [FaultSpec(site="service-batch", action="hang", delay_s=1.0, at=(0,))]
+        )
+        unhandled: list = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
+            service = await start_service()
+            try:
+                client = await connect(service, "alice")
+                try:
+                    with inject_faults(plan):
+                        started = loop.time()
+                        with pytest.raises(DeadlineExceededError):
+                            await client.evaluate([genotypes[0]], deadline_s=0.15)
+                        answered_s = loop.time() - started
+                        stuck = await client.stats()  # the lane still hangs
+                    assert 0.15 <= answered_s < 0.6
+                    assert stuck["admission"]["pending"] == 0
+                    # Queued behind the hang, a request without a deadline
+                    # waits for the lane, which serves it normally.
+                    reply = await client.evaluate([genotypes[2]])
+                    assert reply.rows[0].objectives == expected[genotypes[2]][0]
+                    stats = await client.stats()
+                    admission = stats["admission"]
+                    assert admission["pending"] == 0
+                    assert admission["admitted"] == admission["completed"] == 2
+                finally:
+                    await client.close()
+            finally:
+                await service.stop()
+            gc.collect()  # an unretrieved late exception is reported here
+
+        asyncio.run(scenario())
+        assert unhandled == []
 
 # --------------------------------------------------------------------------
 # Reply shape: no degradation flag, engine counters as the engine has them

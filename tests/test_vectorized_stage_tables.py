@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from repro.core import slot_assignment, vectorized
 from repro.core.evaluator import WBSNEvaluator
 from repro.core.mac_abstraction import resolve_mac_column_kernels
-from repro.core.metrics import network_delay_metric
+from repro.core.metrics import balanced_aggregate_columns, network_delay_metric
 from repro.core.node_model import NodeEnergyModel, RadioLinkModel
 from repro.core.slot_assignment import assign_transmission_intervals, slot_count_columns
 from repro.core.vectorized import WbsnVectorizedKernel
@@ -564,14 +564,28 @@ def slot_count_matrices(draw):
 @given(counts=slot_count_matrices())
 def test_delay_column_matches_the_scalar_delays_bit_for_bit(default_problems, counts):
     """Every count matrix under every MAC configuration of both default
-    parameterisations: the kernel's delay column is the scalar
-    ``worst_case_delays`` plus ``network_delay_metric`` of each design."""
+    parameterisations: the MAC's elementwise delay, which the kernel
+    tabulates at compile time (or calls per design where no table fits),
+    taken at each design's smallest count and slot total under ``"max"``,
+    or at every node's count and averaged left to right under ``"mean"``,
+    is the scalar ``worst_case_delays`` plus ``network_delay_metric`` of
+    each design."""
     for (_, delay_mode), problem in default_problems.items():
         kernel, mac = problem.vectorized_kernel, problem.evaluator.mac_protocol
         n_mac = len(kernel._mac_configs)
         batch = np.tile(counts, n_mac)  # every design under every configuration
         mac_index = np.repeat(np.arange(n_mac), counts.shape[1])
-        got = kernel._delay_column(batch, mac_index)
+        total = batch.sum(axis=0)
+
+        def delays(own_slots):
+            return resolve_mac_column_kernels(mac).worst_case_delay_columns(
+                own_slots, total, kernel._mac_table, mac_index
+            )
+
+        if delay_mode == "max":
+            got = delays(batch.min(axis=0))
+        else:
+            got = balanced_aggregate_columns(delays(batch), 0.0)
         want = [
             network_delay_metric(
                 mac.worst_case_delays(column.tolist(), kernel._mac_configs[index]),
@@ -582,29 +596,345 @@ def test_delay_column_matches_the_scalar_delays_bit_for_bit(default_problems, co
         assert got.view(np.int64).tolist() == np.asarray(want).view(np.int64).tolist()
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_delay_method_runs_once_per_batch_at_the_smallest_count(
-    family, default_problems, monkeypatch
-):
-    """Under ``"max"`` the MAC delay method is called once, on one count
-    per design: no ``(nodes, batch)`` float delay matrix is built.  Under
-    ``"mean"`` it is called once, on the node-major count matrix."""
-    network = default_problems[family, "max"].evaluator
+def _record_delay_calls(monkeypatch, network) -> list:
+    """Shapes of every call of the MAC's ``worst_case_delay_columns``:
+    ``own_slots``, ``total_slots``, ``mac_index`` and the result."""
     mac_type = type(resolve_mac_column_kernels(network.mac_protocol))
     original = mac_type.worst_case_delay_columns
     calls = []
 
     def recorded(self, own_slots, total_slots, mac_table, mac_index, **kwargs):
         delays = original(self, own_slots, total_slots, mac_table, mac_index, **kwargs)
-        calls.append(
-            (np.shape(own_slots), np.shape(total_slots), np.shape(mac_index), delays)
-        )
+        shapes = (own_slots, total_slots, mac_index, delays)
+        calls.append(tuple(np.shape(value) for value in shapes))
         return delays
 
     monkeypatch.setattr(mac_type, "worst_case_delay_columns", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_delay_method_runs_once_at_compile_time_on_the_grid(family, monkeypatch):
+    """Where the delay table fits, the MAC delay method is called once, at
+    compile time, on the (own count, total count, MAC configuration) grid,
+    and never by a batch; a batch looks the delay up at one index per
+    design under ``"max"`` (no ``(nodes, batch)`` float delay matrix) and
+    one per node and design under ``"mean"``."""
+    network = FAMILIES[family][0]()
+    calls = _record_delay_calls(monkeypatch, network)
+    looked_up = []
+    take = np.take
+
+    def recording_take(table, index, *args, **kwargs):
+        if looked_up and table is looked_up[0]:
+            looked_up.append(np.shape(index))
+        return take(table, index, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", recording_take)
     ids = np.random.default_rng(6).integers(0, 2**30, 512)
-    for delay_mode, own_shape in (("max", (512,)), ("mean", (6, 512))):
+    for delay_mode, index_shape in (("max", (512,)), ("mean", (6, 512))):
         calls.clear()
-        default_problems[family, delay_mode].vectorized_kernel.evaluate_columns(ids)
-        assert [call[:3] for call in calls] == [(own_shape, (512,), (512,))]
-        assert calls[0][3].shape == own_shape
+        problem = _problem_in_mode(family, delay_mode)
+        kernel = problem.vectorized_kernel
+        own, total = kernel._delay_grid
+        n_mac = len(kernel._mac_configs)
+        grid = (own, total, n_mac)
+        assert calls == [((own, 1, 1), (1, total, 1), (1, 1, n_mac), calls[0][3])]
+        assert np.broadcast_shapes(calls[0][3], grid) == grid
+        table = kernel.shareable_tables()["delay.table"]
+        assert table.shape == (own * total * n_mac,)
+        calls.clear()
+        looked_up[:] = [table]
+        kernel.evaluate_columns(ids)
+        assert calls == []
+        assert looked_up[1:] == [index_shape]
+
+
+@pytest.mark.parametrize("delay_mode", ["max", "mean"])
+def test_spaces_past_the_table_budget_call_the_delay_method_per_batch(
+    delay_mode, monkeypatch
+):
+    """One budget for both kinds of table: the beacon space with slot counts
+    up to 25 has no delay table, and a batch calls the MAC delay method
+    once, on one count per design under ``"max"`` and on the node-major
+    count matrix under ``"mean"``; the space with counts up to 7 has one."""
+    assert "delay.table" in _uneven_slot_problem(
+        "beacon-1-7", delay_mode
+    ).vectorized_kernel.shareable_tables()
+    problem = _uneven_slot_problem("beacon-1-25", delay_mode)
+    kernel = problem.vectorized_kernel
+    assert kernel._delay_grid is None
+    assert "delay.table" not in kernel.shareable_tables()
+    calls = _record_delay_calls(monkeypatch, problem.evaluator)
+    size = problem.space.size
+    kernel.evaluate_columns(np.arange(size))
+    own_shape = (size,) if delay_mode == "max" else (6, size)
+    assert calls == [(own_shape, (size,), (size,), own_shape)]
+
+
+# ---------------------------------------------------------------------------
+# Node groups: one id split per group of nodes, the exact integer totals of
+# each group compiled, and the delay bound (9) looked up on a grid.
+
+
+def _problem_in_mode(family: str, delay_mode: str, **kwargs) -> WbsnDseProblem:
+    if family == "csma":
+        kwargs["mac_parameterisation"] = csma_mac_parameterisation()
+    n_nodes = kwargs.pop("n_nodes", 6)
+    network = _with_delay_mode(FAMILIES[family][0](n_nodes=n_nodes), delay_mode)
+    return WbsnDseProblem(network, engine=EvaluationEngine(), **kwargs)
+
+
+def _node_truth(network: WBSNEvaluator, kernel: WbsnVectorizedKernel, node: int):
+    """Per (knob combination, MAC configuration) of ``node``: the scalar
+    model's violated node constraints and, solved alone, its slot count."""
+    mac = network.mac_protocol
+    violations, counts = [], []
+    for node_config, config in itertools.product(
+        kernel._node_plans[node].config_objects, kernel._mac_configs
+    ):
+        stage = network.evaluate_node_stage(node, node_config, config)
+        evaluation = stage.evaluation
+        violations.append((not evaluation.schedulable) + (not evaluation.fits_memory))
+        counts += assign_transmission_intervals(
+            [stage.required_time_s],
+            mac.base_time_unit_s(config),
+            mac.control_time_per_second(config),
+            mac.max_assignable_time_per_second(config),
+        ).slot_counts
+    shape = (-1, len(kernel._mac_configs))
+    return np.reshape(violations, shape), np.reshape(counts, shape)
+
+
+def _covering_genes(kernel, space: DesignSpace, mac_positions) -> np.ndarray:
+    """Every design of a space of at most 2**17 designs; on larger spaces,
+    design k sets every node to knob combination k // (MAC configurations)
+    and the MAC configuration k % (MAC configurations), which reaches every
+    row of a one-node group."""
+    if space.size <= 2**17:
+        return space.decode_ids(np.arange(space.size))
+    n_mac = len(kernel._mac_configs)
+    k = np.arange(max(len(plan.config_objects) for plan in kernel._node_plans) * n_mac)
+    genes = np.zeros((len(k), len(space.cardinalities)), dtype=np.int64)
+    for plan in kernel._node_plans:
+        combo = k // n_mac % len(plan.config_objects)
+        for position, stride in zip(plan.positions, plan.strides):
+            genes[:, position] = combo // stride % space.cardinalities[position]
+    mac_cardinalities = [int(space.cardinalities[p]) for p in mac_positions]
+    for position, gene in zip(
+        mac_positions, np.unravel_index(k % n_mac, mac_cardinalities)
+    ):
+        genes[:, position] = gene
+    return genes
+
+
+def _assert_tables_hold(kernel, network, space: DesignSpace, mac_positions) -> None:
+    """Every group-table entry is the sum (violations, slot total) or the
+    minimum (smallest count) of its members' scalar node values, every
+    stage-table slot count is its node's, every phenotype is decoded from
+    its group value to the node's own knob combination, and every
+    delay-table entry is
+    the MAC's elementwise delay at its grid point and the scalar delay of a
+    node holding that many of that total."""
+    tables = kernel.shareable_tables()
+    truth = [_node_truth(network, kernel, n) for n in range(len(kernel._node_plans))]
+    genes = _covering_genes(kernel, space, mac_positions)
+    keys = space.design_keys(genes)
+    group_rows, node_rows, mac_index = kernel._table_rows(
+        *kernel._group_values(np.asarray(keys))
+    )
+    mac_cardinalities = [int(space.cardinalities[p]) for p in mac_positions]
+    mac = np.ravel_multi_index([genes[:, p] for p in mac_positions], mac_cardinalities)
+    assert mac_index.tolist() == mac.tolist()
+    node_columns, mac_column = kernel.phenotype_columns(genes)
+    assert mac_column.tolist() == [kernel._mac_configs[i] for i in mac.tolist()]
+    violations, counts = [], []
+    for plan, (node_violations, node_counts), column in zip(
+        kernel._node_plans, truth, node_columns
+    ):
+        combo = sum(genes[:, p] * s for p, s in zip(plan.positions, plan.strides))
+        assert column.tolist() == plan.config_objects[combo].tolist()
+        violations.append(node_violations[combo, mac])
+        counts.append(node_counts[combo, mac])
+    violations, counts = np.asarray(violations), np.asarray(counts)
+    assert tables["stage.slot_counts"][node_rows].tolist() == counts.tolist()
+    for group, members in enumerate(kernel.node_groups):
+        rows, members = group_rows[group], list(members)
+        assert (
+            tables["group.violations"][rows].tolist()
+            == violations[members].sum(axis=0).tolist()
+        )
+        assert (
+            tables["group.slot_total"][rows].tolist()
+            == counts[members].sum(axis=0).tolist()
+        )
+        assert (
+            tables["group.min_slots"][rows].tolist()
+            == counts[members].min(axis=0).tolist()
+        )
+    # Every entry of every group table and stage table was checked.
+    assert np.unique(group_rows).size == len(tables["group.violations"])
+    assert np.unique(node_rows).size == len(tables["stage.slot_counts"])
+
+    largest = [int(node_counts.max()) for _, node_counts in truth]
+    n_mac = len(kernel._mac_configs)
+    if (max(largest) + 1) * (sum(largest) + 1) * n_mac > 4096:
+        assert kernel._delay_grid is None and "delay.table" not in tables
+        return
+    # The grid reaches every smallest (or own) count and every total.
+    assert kernel._delay_grid == (max(largest) + 1, sum(largest) + 1)
+    own, total, mac = np.indices((*kernel._delay_grid, n_mac)).reshape(3, -1)
+    mac_columns = resolve_mac_column_kernels(network.mac_protocol)
+    want = mac_columns.worst_case_delay_columns(own, total, kernel._mac_table, mac)
+    table = tables["delay.table"]
+    assert table.view(np.int64).tolist() == want.view(np.int64).tolist()
+    for value, held, of, index in zip(table, own, total, mac):
+        if held <= of:
+            scalar = network.mac_protocol.worst_case_delays(
+                [held, of - held], kernel._mac_configs[index]
+            )[0]
+            assert np.float64(scalar).view(np.int64) == value.view(np.int64)
+
+
+#: The sweep space of ``perfbench`` (two knob values each, 4 and 8 MHz).
+SWEEP_DOMAINS = {"compression_ratios": (0.2, 0.26), "frequencies_hz": (4e6, 8e6)}
+
+
+@pytest.mark.parametrize("delay_mode", ["max", "mean"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("space", ["sweep", "default", "exact-keys"])
+def test_group_and_delay_tables_hold_the_node_values(space, family, delay_mode):
+    kwargs = {
+        "sweep": SWEEP_DOMAINS,
+        "default": {},
+        "exact-keys": {"n_nodes": 12},
+    }[space]
+    problem = _problem_in_mode(family, delay_mode, **kwargs)
+    if space == "exact-keys":
+        assert problem.space.size >= 2**63
+    n_genes = len(problem.space.cardinalities)
+    _assert_tables_hold(
+        problem.vectorized_kernel,
+        problem.evaluator,
+        problem.space,
+        (n_genes - 2, n_genes - 1),
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(layout=layouts(), delay_mode=st.sampled_from(["max", "mean"]))
+def test_uneven_layouts_hold_their_group_and_delay_tables(layout, delay_mode):
+    """The uneven and frequency-first layouts of
+    ``test_uneven_layouts_build_the_same_rows_from_ids``."""
+    family, applications, nodes, payloads, mac_pairs, components = layout
+    build, _, mac_config_factory = FAMILIES[family]
+    network = _with_delay_mode(
+        build(n_nodes=len(nodes), applications=tuple(applications)), delay_mode
+    )
+    domains: list[ParameterDomain] = []
+    node_parameters = []
+    for index, (ratios, frequencies, frequency_first) in enumerate(nodes):
+        domains += [
+            ParameterDomain(f"node-{index}.compression_ratio", tuple(ratios)),
+            ParameterDomain(f"node-{index}.frequency_hz", tuple(frequencies)),
+        ]
+        knobs = [("compression_ratio", 2 * index), ("frequency_hz", 2 * index + 1)]
+        node_parameters.append(dict(knobs[::-1] if frequency_first else knobs))
+    domains.append(ParameterDomain("mac.payload_bytes", tuple(payloads)))
+    domains.append(ParameterDomain("mac.pair", tuple(mac_pairs)))
+    mac_positions = (2 * len(nodes), 2 * len(nodes) + 1)
+    kernel = WbsnVectorizedKernel.compile(
+        network=network,
+        node_parameters=node_parameters,
+        frequency_column="frequency_hz",
+        node_config_factory=lambda _index, values: WbsnDseProblem.build_node_config(
+            values
+        ),
+        mac_positions=mac_positions,
+        mac_config_factory=mac_config_factory,
+        domains=domains,
+        objective_components=components,
+    )
+    _assert_tables_hold(kernel, network, DesignSpace(domains), mac_positions)
+
+
+def test_the_sweep_space_splits_into_two_groups_of_three_nodes():
+    """131,072 designs: 4 knob combinations per node and 32 MAC
+    configurations give groups of 64 x 32 = 2,048 rows (a fourth node would
+    make 8,192, past the 4,096-row budget); the default space keeps one
+    node per group (32 x 32 = 1,024 rows, two nodes 32,768)."""
+    sweep = _problem_in_mode("beacon", "max", **SWEEP_DOMAINS).vectorized_kernel
+    assert sweep.node_groups == ((3, 4, 5), (0, 1, 2))
+    assert sweep._splits == ((32, -1, 1), (64, 0, 0), (0, 1, 0))
+    default = _problem_in_mode("beacon", "max").vectorized_kernel
+    assert default.node_groups == tuple((node,) for node in range(5, -1, -1))
+
+
+def _two_node_kernel(node_parameters, mac_positions, domains):
+    network = build_case_study_evaluator(n_nodes=2)
+    return network, WbsnVectorizedKernel.compile(
+        network=network,
+        node_parameters=node_parameters,
+        frequency_column="frequency_hz",
+        node_config_factory=lambda _index, values: WbsnDseProblem.build_node_config(
+            values
+        ),
+        mac_positions=mac_positions,
+        mac_config_factory=WbsnDseProblem.build_mac_config,
+        domains=domains,
+    )
+
+
+def test_interleaved_nodes_share_a_group_and_a_split_node_is_unsupported():
+    """Two nodes whose knobs interleave (node 0 at genes 0 and 2, node 1 at
+    1 and 3) form one group, whose tables and batches stay exact; a node
+    whose knobs sit on both sides of a MAC gene cannot be grouped, and the
+    compile refuses it (the scalar path then serves the problem)."""
+    knob = {"compression_ratio": (0.17, 0.26, 0.38), "frequency_hz": (4e6, 8e6)}
+    interleaved = [
+        ParameterDomain(f"node-{node}.{name}", knob[name])
+        for name in knob
+        for node in (0, 1)
+    ] + [
+        ParameterDomain("mac.payload_bytes", (40, 100)),
+        ParameterDomain("mac.orders", ((3, 3), (4, 6))),
+    ]
+    node_parameters = [
+        {"compression_ratio": 0, "frequency_hz": 2},
+        {"compression_ratio": 1, "frequency_hz": 3},
+    ]
+    network, kernel = _two_node_kernel(node_parameters, (4, 5), interleaved)
+    assert kernel.node_groups == ((0, 1),)
+    space = DesignSpace(interleaved)
+    _assert_tables_hold(kernel, network, space, (4, 5))
+    ids = np.arange(space.size)
+    genes = space.decode_ids(ids)
+    _assert_columns_equal(kernel.evaluate_columns(ids), kernel.evaluate_columns(genes))
+    for row, genotype in enumerate(genes.tolist()):
+        values = space.decode(genotype)
+        evaluation = network.evaluate(
+            [
+                WbsnDseProblem.build_node_config(
+                    {name: values[f"node-{node}.{name}"] for name in knob}
+                )
+                for node in (0, 1)
+            ],
+            WbsnDseProblem.build_mac_config(
+                values["mac.payload_bytes"], values["mac.orders"]
+            ),
+        )
+        want = [getattr(evaluation.objectives, f) for f in COMPONENT_FIELDS.values()]
+        got = kernel.evaluate_columns(ids[row : row + 1])  # no penalty
+        assert got.objectives[0].tolist() == want
+        assert bool(got.feasible[0]) == evaluation.feasible
+
+    straddling = [interleaved[i] for i in (0, 4, 2, 1, 3, 5)]
+    with pytest.raises(vectorized.VectorizedUnsupported, match="node 0"):
+        _two_node_kernel(
+            [
+                {"compression_ratio": 0, "frequency_hz": 2},
+                {"compression_ratio": 3, "frequency_hz": 4},
+            ],
+            (1, 5),
+            straddling,
+        )
